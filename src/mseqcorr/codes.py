@@ -47,15 +47,9 @@ class WeightDistribution:
 def codeword_weight(ctx: FieldCtx, a: int, b: int, d: int) -> int:
     """Hamming weight of c_{a,b} by direct evaluation over nonzero x."""
     L = ctx.period
-    exp = ctx.exp_table
-    tr = ctx.trace_table
-    w = 0
-    for t in range(L):
-        xa = ctx.mul(a, int(exp[t]))
-        xb = ctx.mul(b, int(exp[(d * t) % L]))
-        if int(tr[ctx.add(xa, xb)]) != 0:
-            w += 1
-    return w
+    t = np.arange(L, dtype=np.int64)
+    v = ctx.add(ctx.mul(a, ctx.exp_table), ctx.mul(b, ctx.exp_table[(d % L) * t % L]))
+    return int(np.count_nonzero(ctx.trace_table[v]))
 
 
 def weight_distribution_brute(ctx: FieldCtx, d: int) -> WeightDistribution:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .cyclo import CycInt
 from .errors import OddDegree
 from .gf import FieldCtx, field_ctx
@@ -26,17 +28,11 @@ def kloosterman(ctx: FieldCtx, a: int):
     otherwise.
     """
     p = ctx.p
-    counts = [0] * p
+    x = ctx.exp_table
+    xinv = x[-np.arange(ctx.period) % ctx.period]
+    counts = np.bincount(ctx.trace_table[ctx.add(xinv, ctx.mul(a, x))], minlength=p)
     counts[0] += 1  # x = 0
-    L = ctx.period
-    tr = ctx.trace_table
-    exp = ctx.exp_table
-    for i in range(L):
-        x = int(exp[i])
-        xinv = int(exp[(-i) % L])
-        r = int(tr[ctx.add(xinv, ctx.mul(a, x))])
-        counts[r] += 1
-    v = CycInt.from_counts(p, counts)
+    v = CycInt.from_counts(p, [int(c) for c in counts])
     return v.as_integer() if p == 2 else v
 
 
@@ -54,10 +50,10 @@ def kloosterman_all(ctx: FieldCtx) -> dict:
     out = {}
     zero = wt.zero_value()
     out[0] = zero.as_integer() if ctx.p == 2 else zero
+    negs = ctx.neg(ctx.exp_table)
     for tau in range(ctx.period):
-        a = ctx.neg(ctx.element_from_log(tau))
         v = wt.value_at_log(tau)
-        out[a] = v.as_integer() if ctx.p == 2 else v
+        out[int(negs[tau])] = v.as_integer() if ctx.p == 2 else v
     return out
 
 
@@ -65,31 +61,20 @@ def cubic_sum(ctx: FieldCtx, b: int, a: int) -> int:
     """C(b, a) = sum over all x in GF(2^n) of (-1)^(Tr(b x^3 + a x))."""
     if ctx.p != 2:
         raise ValueError("cubic sum is a binary-field sum")
-    acc = 1 if ctx.trace(0) == 0 else -1  # x = 0 term
-    L = ctx.period
-    tr = ctx.trace_table
-    exp = ctx.exp_table
-    for i in range(L):
-        cube = int(exp[(3 * i) % L])
-        v = ctx.add(ctx.mul(b, cube), ctx.mul(a, int(exp[i])))
-        acc += 1 - 2 * int(tr[v])
-    return acc
+    x = ctx.exp_table
+    cube = x[3 * np.arange(ctx.period) % ctx.period]
+    v = ctx.add(ctx.mul(b, cube), ctx.mul(a, x))
+    return 1 + ctx.period - 2 * int(np.count_nonzero(ctx.trace_table[v]))  # x = 0 gives 1
 
 
 def g_sum(ctx: FieldCtx, b: int, a: int) -> int:
     """G(b, a) = sum over nonzero x of (-1)^(Tr(b x^3 + a x^(-1)))."""
     if ctx.p != 2:
         raise ValueError("mixed cubic/inverse sum is a binary-field sum")
-    acc = 0
-    L = ctx.period
-    tr = ctx.trace_table
-    exp = ctx.exp_table
-    for i in range(L):
-        cube = int(exp[(3 * i) % L])
-        xinv = int(exp[(-i) % L])
-        v = ctx.add(ctx.mul(b, cube), ctx.mul(a, xinv))
-        acc += 1 - 2 * int(tr[v])
-    return acc
+    i = np.arange(ctx.period)
+    x = ctx.exp_table
+    v = ctx.add(ctx.mul(b, x[3 * i % ctx.period]), ctx.mul(a, x[-i % ctx.period]))
+    return ctx.period - 2 * int(np.count_nonzero(ctx.trace_table[v]))
 
 
 def kloosterman_double_sum(m: int) -> int:

@@ -18,12 +18,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .cyclo import CycInt
 from .errors import MethodInapplicable, NotCoprime, OutOfDomain
 from .expsums import kloosterman_weighted_sum, tau_value
 from .gf import FieldCtx
 from .niho import niho_decimation, resolve_fraction
-from .spectra import SpectrumTable, make_spectrum
+from .spectra import SpectrumTable, _as_cyc, make_spectrum
 
 
 def tau(m: int) -> Fraction:
@@ -48,10 +50,6 @@ def _v2(x: int) -> int:
         x //= 2
         k += 1
     return k
-
-
-def _as_cyc(p: int, v) -> CycInt:
-    return v if isinstance(v, CycInt) else CycInt.from_int(p, v)
 
 
 def _assemble(p: int, n: int, d: int, rows, include_zero_shift: bool) -> SpectrumTable:
@@ -1065,17 +1063,16 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> SpectrumTable:
         for i in range(L):
             counts[int(tr[exp[(k + i * N) % L]])] += 1
         S.append(CycInt.from_counts(p, counts))
-    S_zero = CycInt.from_int(p, ctx.order)
+    S.append(CycInt.from_int(p, ctx.order))   # S(0), at index N
 
     log = ctx.log_table
+    j = np.arange(N, dtype=np.int64)
+    lead = exp[j * d1 % L]
     column_counts: dict[tuple, int] = {}
     for tau in range(L):
-        acc = CycInt.zero(p)
-        for j in range(N):
-            c = ctx.sub(int(exp[(j * d1) % L]), int(exp[(tau + j) % L]))
-            acc = acc + (S_zero if c == 0 else S[int(log[c]) % N])
-        key = acc.coords
-        column_counts[key] = column_counts.get(key, 0) + 1
+        c = ctx.sub(lead, exp[(tau + j) % L])
+        acc = sum((S[k] for k in np.where(c == 0, N, log[c] % N)), CycInt.zero(p))
+        column_counts[acc.coords] = column_counts.get(acc.coords, 0) + 1
 
     pairs = []
     for coords, cnt in column_counts.items():

@@ -4,6 +4,18 @@ An element sum_i c_i * alpha^i (c_i in GF(p), alpha the residue class of x
 modulo the defining polynomial) is packed into the integer sum_i c_i * p**i.
 Zero is 0, the multiplicative identity is 1, and all products/powers/inverses
 reduce to index arithmetic mod p^n - 1 through the exp/log tables of alpha.
+This module is the only one that reads the packed digits.
+
+`FieldCtx.add`, `neg`, `sub` and `mul` take Python ints or numpy integer
+arrays (broadcast against each other): an int in gives an int out, an array
+in gives an array out.  Addition is XOR for p = 2 and digit-wise mod p
+otherwise; negation is multiplication by the constant p - 1 = -1.
+
+The tables are built by doubling, the same way for every p: exp[k:2k] =
+alpha^k * exp[:k].  Multiplication by alpha^k is GF(p)-linear, so it is
+applied to a whole array from the images of the basis alpha^0..alpha^(n-1),
+looking digits up a group at a time in tables of at most 256 entries.  The
+trace table and the Gram index map u(a) are the same kind of linear map.
 
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
@@ -278,36 +290,56 @@ class FieldCtx:
         self.order = order
         self.period = order - 1
 
-        exp = np.zeros(self.period, dtype=np.int32)
-        log = np.full(order, -1, dtype=np.int32)
-        if p == 2:
-            mp = sum(c << i for i, c in enumerate(spec.coeffs)) | (1 << n)
-            hi = 1 << n
-            v = 1
-            for i in range(self.period):
-                exp[i] = v
-                log[v] = i
-                v <<= 1
-                if v & hi:
-                    v ^= mp
-        else:
-            # x * poly with reduction by x^n = -(c_{n-1} x^{n-1} + ... + c_0)
-            pn1 = p ** (n - 1)
-            red = [(-c) % p for c in spec.coeffs]
-            red_scaled = []
-            for t in range(p):
-                red_scaled.append(sum(((t * c) % p) * p ** i for i, c in enumerate(red)))
-            v = 1
-            for i in range(self.period):
-                exp[i] = v
-                log[v] = i
-                top, low = divmod(v, pn1)
-                v = self._digit_add_static(low * p, red_scaled[top], p, n)
-        self._exp = exp
-        self._log = log
+        self._place = tuple(p ** i for i in range(n))   # packed weight of digit i
+
+        self._exp = self._build_exp()
+        self._log = np.full(order, -1, dtype=np.int32)
+        self._log[self._exp] = np.arange(self.period, dtype=np.int32)
         self._trace_basis = self._build_trace_basis()
-        self._tr = self._build_trace_table()
+        self._tr = self._linear_map(
+            self._trace_basis, np.arange(order, dtype=np.int32)).astype(np.int8)
         self._gram = self._build_gram()
+
+    def _build_exp(self) -> np.ndarray:
+        """exp[k:2k] = alpha^k * exp[:k], doubling k until the period is full.
+
+        `imgs` holds alpha^k, ..., alpha^(k+n-1), the images of the basis
+        under multiplication by alpha^k; squaring that map doubles k.
+        """
+        p, L = self.p, self.period
+        exp = np.empty(L, dtype=np.int32)
+        exp[0] = 1
+        alpha_n = sum((-c) % p * w for c, w in zip(self.spec.coeffs, self._place))
+        imgs = np.array(self._place[1:] + (alpha_n,), dtype=np.int32)
+        k = 1
+        while k < L:
+            m = min(k, L - k)
+            exp[k:k + m] = self._linear_map(imgs, exp[:m])
+            imgs = self._linear_map(imgs, imgs)
+            k += m
+        return exp
+
+    def _linear_map(self, images, x):
+        """Apply the GF(p)-linear map sending alpha^i to images[i] to packed x.
+
+        Digits are taken g at a time (p^g <= 256): each group indexes a table
+        of the images of its p^g digit patterns, and the looked-up parts are
+        summed with the array `add`.
+        """
+        p, g = self.p, 1
+        while p ** (g + 1) <= 256:
+            g += 1
+        out = None
+        for lo in range(0, self.n, g):
+            table = np.zeros(1, dtype=np.int32)
+            for v in images[lo:lo + g]:
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(self.add(multiples[-1], int(v)))
+                table = np.concatenate([self.add(table, t) for t in multiples])
+            part = table[x // self._place[lo] % len(table)]
+            out = part if out is None else self.add(out, part)
+        return out
 
     # -- raw tables ----------------------------------------------------
 
@@ -330,41 +362,20 @@ class FieldCtx:
 
     # -- element arithmetic --------------------------------------------
 
-    @staticmethod
-    def _digit_add_static(a: int, b: int, p: int, n: int) -> int:
-        out = 0
-        mul = 1
-        for _ in range(n):
-            out += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
-
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        return self._digit_add_static(a, b, self.p, self.n)
+        return sum((a // w + b // w) % self.p * w for w in self._place)
 
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        out = 0
-        mul = 1
-        p = self.p
-        for _ in range(self.n):
-            out += ((-a) % p) * mul
-            a //= p
-            mul *= p
-        return out
+    def neg(self, a):
+        return self.mul(self.p - 1, a)   # the packed constant p - 1 is -1
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % self.period])
+    def mul(self, a, b):
+        r = self._exp[(self._log[a] + self._log[b]) % self.period] * ((a != 0) & (b != 0))
+        return r if isinstance(r, np.ndarray) else int(r)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -412,20 +423,17 @@ class FieldCtx:
             tb.append(acc % self.p)
         return tb
 
-    def _build_trace_table(self) -> np.ndarray:
-        arr = np.arange(self.order, dtype=np.int64)
-        tr = np.zeros(self.order, dtype=np.int64)
-        for i, t in enumerate(self._trace_basis):
-            if t:
-                tr += ((arr // self.p ** i) % self.p) * t
-        return (tr % self.p).astype(np.int8)
-
     def _build_gram(self) -> np.ndarray:
         g = np.zeros((self.n, self.n), dtype=np.int64)
         for i in range(self.n):
             for j in range(self.n):
                 g[i, j] = int(self._tr[self.element_from_log(i + j)])
         return g
+
+    def gram_index(self, a):
+        """u(a) = G . digits(a) mod p, packed; Tr(a x) = <u(a), digits(x)>."""
+        cols = [int(self._gram[:, i] @ self._place) for i in range(self.n)]
+        return self._linear_map(cols, a)
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr(a) = a + a^p + ... + a^(p^(n-1)) as an int in [0, p)."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import NotInvertible, OddDegree
 from .gf import FieldCtx
 
@@ -60,26 +62,18 @@ def niho_decimation(p: int, m: int, s: int) -> int:
 def count_unit_roots(ctx: FieldCtx, s: int, a: int) -> int:
     """Roots in U of x^(2s-1) - a x^s - conj(a) x^(s-1) + 1, exact count.
 
-    Exponents are evaluated in the discrete-log domain; |U| = p^m + 1
-    evaluations of four monomials each.
+    Exponents are evaluated in the discrete-log domain, over all |U| = p^m + 1
+    points at once.
     """
     if ctx.n % 2:
         raise OddDegree("Niho machinery needs n = 2m")
     L = ctx.period
-    abar = ctx.conj_half(a)
-    na = ctx.neg(a)
-    nabar = ctx.neg(abar)
-    e1, e2, e3 = (2 * s - 1) % L, s % L, (s - 1) % L
-    count = 0
-    for x in ctx.unit_circle().elements:
-        lx = ctx.log_of(x)
-        term = ctx.element_from_log(lx * e1 % L)
-        term = ctx.add(term, ctx.mul(na, ctx.element_from_log(lx * e2 % L)))
-        term = ctx.add(term, ctx.mul(nabar, ctx.element_from_log(lx * e3 % L)))
-        term = ctx.add(term, 1)
-        if term == 0:
-            count += 1
-    return count
+    exp = ctx.exp_table
+    lx = ctx.log_table[list(ctx.unit_circle().elements)].astype(np.int64)
+    na, nabar = ctx.neg(a), ctx.neg(ctx.conj_half(a))
+    term = ctx.add(exp[lx * ((2 * s - 1) % L) % L], ctx.mul(na, exp[lx * (s % L) % L]))
+    term = ctx.add(term, ctx.mul(nabar, exp[lx * ((s - 1) % L) % L]))
+    return int(np.count_nonzero(ctx.add(term, 1) == 0))
 
 
 def unit_root_histogram(ctx: FieldCtx, s: int) -> dict[int, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
@@ -82,17 +83,27 @@ class SpectrumCache:
         return os.path.join(self.directory, f"spectra_p{p}_n{n}.jsonl")
 
     def load(self, p: int, n: int, modulus: tuple) -> dict[int, SpectrumTable]:
+        """Records for this modulus; unparseable or invalid lines are skipped
+        (and counted on stderr), so their classes are computed again."""
         path = self._path(p, n)
         out: dict[int, SpectrumTable] = {}
         if not os.path.exists(path):
             return out
+        skipped = 0
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                if tuple(rec["modulus"]) != tuple(modulus):
+                try:
+                    rec = json.loads(line)
+                    if tuple(rec["modulus"]) != tuple(modulus):
+                        continue
+                    ok = _record_ok(rec, p, n)
+                except (ValueError, KeyError, TypeError):
+                    ok = False
+                if not ok:
+                    skipped += 1
                     continue
                 entries = {
                     cycint_from_json(e["value"], p): e["count"]
@@ -100,10 +111,17 @@ class SpectrumCache:
                 }
                 out[rec["d"]] = SpectrumTable(
                     p=p, n=n, d=rec["d"], entries=entries, method=rec["method"])
+        if skipped:
+            print(f"spectrum cache {path}: skipped {skipped} invalid record(s)",
+                  file=sys.stderr)
         return out
 
     def append(self, p: int, n: int, modulus: tuple, tables) -> None:
-        with open(self._path(p, n), "a") as fh:
+        with open(self._path(p, n), "ab+") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")   # a torn last line must not absorb the next record
             for t in tables:
                 rec = {
                     "p": p, "n": n, "modulus": list(modulus), "d": t.d,
@@ -113,7 +131,29 @@ class SpectrumCache:
                         for v, c in t.sorted_entries()
                     ],
                 }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.write(json.dumps(rec, sort_keys=True).encode() + b"\n")
+
+
+def _record_ok(rec: dict, p: int, n: int) -> bool:
+    """A cache record is trusted only if it is keyed (p, n) and its entries
+    satisfy sum count = p^n - 1 and sum value * count = 1 in Z[w]; checked
+    on the JSON integers, before any CycInt is built."""
+    total, acc = 0, [0] * (p - 1)
+    for e in rec["entries"]:
+        v, c = e["value"], e["count"]
+        if type(c) is not int or c < 1:
+            return False
+        total += c
+        if type(v) is int:
+            acc[0] += v * c
+        elif v["p"] == p and len(v["coords"]) == p - 1 \
+                and all(type(x) is int for x in v["coords"]):
+            for i, x in enumerate(v["coords"]):
+                acc[i] += x * c
+        else:
+            return False
+    return (rec["p"], rec["n"], type(rec["d"]), type(rec["method"])) == (p, n, int, str) \
+        and total == p ** n - 1 and acc == [1] + [0] * (p - 2)
 
 
 def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,

@@ -144,32 +144,6 @@ def _transform_p(a: np.ndarray, p: int, n: int) -> np.ndarray:
     return a
 
 
-def _gram_index_map(ctx: FieldCtx, packed: np.ndarray) -> np.ndarray:
-    """u(a) = G . digits(a) mod p, packed; satisfies Tr(a x) = <u(a), digits(x)>."""
-    p, n = ctx.p, ctx.n
-    G = ctx.trace_gram
-    packed = packed.astype(np.int64)
-    if p == 2:
-        colmask = [
-            sum((int(G[j, i]) & 1) << j for j in range(n)) for i in range(n)
-        ]
-        u = np.zeros_like(packed)
-        for i in range(n):
-            if colmask[i]:
-                u ^= ((packed >> i) & 1) * colmask[i]
-        return u
-    digs = [(packed // p ** i) % p for i in range(n)]
-    u = np.zeros_like(packed)
-    for j in range(n):
-        acc = np.zeros_like(packed)
-        for i in range(n):
-            gji = int(G[j, i]) % p
-            if gji:
-                acc += gji * digs[i]
-        u += (acc % p) * p ** j
-    return u
-
-
 class WalshTable:
     """Exact Walsh transform values of f(x) = Tr(x^d) over GF(p^n).
 
@@ -189,7 +163,7 @@ class WalshTable:
 
     def _log_view(self) -> np.ndarray:
         if self._by_log is None:
-            u_idx = _gram_index_map(self.ctx, self.ctx.exp_table)
+            u_idx = self.ctx.gram_index(self.ctx.exp_table)
             self._by_log = self._by_u[u_idx]
         return self._by_log
 
@@ -355,21 +329,32 @@ def moment(table: SpectrumTable, l: int):
 
 def _pow_d_table(ctx: FieldCtx, d: int) -> np.ndarray:
     L = ctx.period
-    out = np.zeros(ctx.order, dtype=np.int64)
+    out = np.zeros(ctx.order, dtype=np.int32)
     idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
-    out[ctx.exp_table.astype(np.int64)] = ctx.exp_table[idx]
+    out[ctx.exp_table] = ctx.exp_table[idx]
     return out
 
 
-def _add_table(ctx: FieldCtx) -> np.ndarray:
-    """Full addition table (packed x packed), small odd-p fields only."""
-    if ctx.order > 2 ** 12:
-        raise Budget("addition table limited to p^n <= 4096")
-    q = ctx.order
-    tbl = np.zeros((q, q), dtype=np.int32)
-    for a in range(q):
-        tbl[a] = [ctx.add(a, b) for b in range(q)]
-    return tbl
+def _power_sum_count(ctx: FieldCtx, d: int, k: int, target: int, xs: np.ndarray) -> int:
+    """Count (x_1..x_k) over xs with sum x_i = target and sum x_i^d = target.
+
+    x_k is solved for, so x_2..x_(k-1) are enumerated as one array of sums
+    and x_1 runs over chunks of xs, keeping each step near 2^16 cells.
+    """
+    powd = _pow_d_table(ctx, d)
+    inside = np.zeros(ctx.order, dtype=bool)
+    inside[xs] = True
+    s, t = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
+    for _ in range(k - 2):
+        s = ctx.add(s[:, None], xs).ravel()
+        t = ctx.add(t[:, None], powd[xs]).ravel()
+    rest = ctx.sub(target, s)   # x_1 + x_k
+    count, step = 0, max(1, 2 ** 16 // len(s))
+    for x1 in (xs[lo:lo + step] for lo in range(0, len(xs), step)):
+        xk = ctx.add(ctx.neg(x1)[:, None], rest)
+        tot = ctx.add(ctx.add(powd[x1][:, None], t), powd[xk])
+        count += int(np.count_nonzero(inside[xk] & (tot == target)))
+    return count
 
 
 def solution_count_N(ctx: FieldCtx, d: int, l: int) -> int:
@@ -378,52 +363,9 @@ def solution_count_N(ctx: FieldCtx, d: int, l: int) -> int:
         raise ValueError("l must be in 1..4")
     if ctx.order ** (l - 1) > 2 ** 32:
         raise Budget(f"p^(n(l-1)) = {ctx.order ** (l - 1)} exceeds 2^32")
-    q = ctx.order
-    powd = _pow_d_table(ctx, d)
     if l == 1:
         return 1  # only x = 0 (0^d = 0)
-    xs = np.arange(q, dtype=np.int64)
-    if ctx.p == 2:
-        if l == 2:
-            # x2 = x1; x1^d ^ x1^d = 0 always
-            return q
-        if l == 3:
-            count = 0
-            for x1 in range(q):
-                x3 = x1 ^ xs
-                tot = powd[x1] ^ powd[xs] ^ powd[x3]
-                count += int(np.count_nonzero(tot == 0))
-            return count
-        count = 0
-        for x1 in range(q):
-            pref = powd[x1] ^ powd[xs]
-            x12 = x1 ^ xs
-            for i2 in range(q):
-                x4 = x12[i2] ^ xs
-                tot = pref[i2] ^ powd[xs] ^ powd[x4]
-                count += int(np.count_nonzero(tot == 0))
-        return count
-    add = _add_table(ctx)
-    neg = np.array([ctx.neg(a) for a in range(q)], dtype=np.int64)
-    if l == 2:
-        x2 = neg[xs]
-        return int(np.count_nonzero(add[powd[xs], powd[x2]] == 0))
-    if l == 3:
-        count = 0
-        for x1 in range(q):
-            x3 = neg[add[x1, xs]]
-            tot = add[add[powd[x1], powd[xs]], powd[x3]]
-            count += int(np.count_nonzero(tot == 0))
-        return count
-    count = 0
-    for x1 in range(q):
-        s1 = add[x1, xs]
-        p1 = add[powd[x1], powd[xs]]
-        for i2 in range(q):
-            x4 = neg[add[s1[i2], xs]]
-            tot = add[add[p1[i2], powd[xs]], powd[x4]]
-            count += int(np.count_nonzero(tot == 0))
-    return count
+    return _power_sum_count(ctx, d, l, 0, np.arange(ctx.order, dtype=np.int32))
 
 
 def b_l_count(ctx: FieldCtx, d: int, l: int) -> int:
@@ -432,27 +374,7 @@ def b_l_count(ctx: FieldCtx, d: int, l: int) -> int:
         raise ValueError("l must be 3 or 4")
     if ctx.order ** (l - 2) > 2 ** 32:
         raise Budget("enumeration exceeds 2^32")
-    q = ctx.order
-    powd = _pow_d_table(ctx, d)
-    minus1 = ctx.neg(1)
-    count = 0
-    if l == 3:
-        for x1 in range(1, q):
-            x2 = ctx.sub(minus1, x1)
-            if x2 == 0:
-                continue
-            if ctx.add(int(powd[x1]), int(powd[x2])) == minus1:
-                count += 1
-        return count
-    for x1 in range(1, q):
-        for x2 in range(1, q):
-            x3 = ctx.sub(ctx.sub(minus1, x1), x2)
-            if x3 == 0:
-                continue
-            s = ctx.add(ctx.add(int(powd[x1]), int(powd[x2])), int(powd[x3]))
-            if s == minus1:
-                count += 1
-    return count
+    return _power_sum_count(ctx, d, l - 1, ctx.neg(1), np.arange(1, ctx.order, dtype=np.int32))
 
 
 @dataclass

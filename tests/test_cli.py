@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mseqcorr import gf, search
 from mseqcorr.cli import main
 
 
@@ -145,6 +146,37 @@ def test_classify_with_cache(tmp_path, capsys):
     assert (tmp_path / "spectra_p2_n6.jsonl").exists()
     code, out2, _ = run_cli(*args, capsys=capsys)
     assert out1 == out2  # cache reuse is byte-identical
+
+
+def test_classify_recovers_from_truncated_cache(tmp_path, capsys):
+    args = ("classify", "--p", "2", "--n", "6", "--cache-dir", str(tmp_path))
+    code, fresh, _ = run_cli(*args, capsys=capsys)
+    path = tmp_path / "spectra_p2_n6.jsonl"
+    text = path.read_text()
+    path.write_text(text[:len(text) - 40])   # cut the last record mid-line
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert code == 0 and out == fresh
+    assert "skipped 1 invalid record" in err
+    # the recomputed record starts on its own line, so the next run reuses it
+    assert len(search.SpectrumCache(str(tmp_path)).load(
+        2, 6, gf.find_primitive_polynomial(2, 6).coeffs)) == len(text.splitlines())
+    code, out, _ = run_cli(*args, capsys=capsys)
+    assert code == 0 and out == fresh
+
+
+def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
+    args = ("conjecture", "--check", "minus-one", "--p", "2", "--n", "7",
+            "--cache-dir", str(tmp_path))
+    code, fresh, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    path = tmp_path / "spectra_p2_n7.jsonl"
+    text = path.read_text()
+    assert '"value": -1}' in text
+    path.write_text(text.replace('"value": -1}', '"value": 3}'))
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert code == 0 and out == fresh
+    assert json.loads(out)[0]["counterexamples"] == []
+    assert "skipped" in err
 
 
 def test_classify_needs_n(capsys):

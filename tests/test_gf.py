@@ -152,6 +152,59 @@ def test_mul_matches_digit_convolution_oracle():
             assert ctx.mul(a, b) == pack(prod)
 
 
+ONE_FIELD_PER_PRIME = [(2, 6), (3, 3), (5, 2), (7, 2), (11, 2), (13, 2)]
+
+
+def _digits(v, p, n):
+    return [(v // p ** i) % p for i in range(n)]
+
+
+@pytest.mark.parametrize("p,n", ONE_FIELD_PER_PRIME)
+def test_array_ops_match_scalar_ops(p, n):
+    ctx = gf.field_ctx(p, n)
+    q = ctx.order
+    a, b = np.divmod(np.arange(q * q), q)   # every pair of elements
+    for op in (ctx.add, ctx.sub, ctx.mul):
+        got = op(a, b)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [op(int(x), int(y)) for x, y in zip(a, b)]
+        assert op(q - 1, b[:q]).tolist() == [op(q - 1, y) for y in range(q)]
+    assert ctx.neg(b[:q]).tolist() == [ctx.neg(y) for y in range(q)]
+    assert all(type(op(q - 1, 1)) is int for op in (ctx.add, ctx.sub, ctx.mul))
+    # add is digit-wise addition mod p (independent oracle)
+    for x, y in zip(a.tolist(), b.tolist()):
+        s = [(i + j) % p for i, j in zip(_digits(x, p, n), _digits(y, p, n))]
+        assert ctx.add(x, y) == sum(d * p ** i for i, d in enumerate(s))
+
+
+def test_exp_table_matches_polynomial_stepping():
+    for p in gf.SUPPORTED_PRIMES:
+        n = 1
+        while p ** n <= 2 ** 12:
+            ctx = gf.field_ctx(p, n)
+            mod = ctx.spec.coeffs
+            x = (0, 1) + (0,) * (n - 2) if n > 1 else ((-mod[0]) % p,)
+            v = (1,) + (0,) * (n - 1)
+            for k in range(ctx.period):
+                assert int(ctx.exp_table[k]) == sum(c * p ** i for i, c in enumerate(v)), (p, n, k)
+                v = gf._poly_mulmod(v, x, mod, p)
+            assert v == (1,) + (0,) * (n - 1)
+            n += 1
+
+
+@pytest.mark.parametrize("p,n", ONE_FIELD_PER_PRIME)
+def test_gram_index_pairs_trace(p, n):
+    # Tr(a x) = <u(a), digits(x)> mod p for every pair
+    ctx = gf.field_ctx(p, n)
+    q = ctx.order
+    u = ctx.gram_index(np.arange(q))
+    a, x = np.divmod(np.arange(q * q), q)
+    du = np.array([_digits(v, p, n) for v in u.tolist()])
+    dx = np.array([_digits(v, p, n) for v in range(q)])
+    dots = (du[a] * dx[x]).sum(axis=1) % p
+    assert (ctx.trace_table[ctx.mul(a, x)] == dots).all()
+
+
 def test_add_inverse_pow():
     ctx = gf.field_ctx(5, 2)
     for a in range(1, ctx.order):
@@ -164,7 +217,7 @@ def test_add_inverse_pow():
         ctx.inv(0)
 
 
-@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4), (2, 2)])
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4), (2, 2), (7, 3), (11, 2), (13, 2)])
 def test_trace_fibers_and_linearity(p, n):
     ctx = gf.field_ctx(p, n)
     counts = np.bincount(ctx.trace_table, minlength=p)

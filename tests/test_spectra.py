@@ -1,5 +1,6 @@
 """Spectra: naive oracle vs fast transform, moments, solution counts."""
 
+import itertools
 import random
 from math import gcd
 
@@ -36,7 +37,8 @@ def test_ternary_n3_d7_distribution():
     assert {k.as_integer(): v for k, v in table.entries.items()} == {8: 6, -10: 3, -1: 17}
 
 
-@pytest.mark.parametrize("p,n", [(2, 4), (2, 7), (2, 8), (3, 4), (5, 2)])
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 7), (2, 8), (3, 4), (5, 2),
+                                 (7, 2), (7, 3), (11, 2), (13, 2)])
 def test_oracle_equivalence(p, n):
     ctx = gf.field_ctx(p, n)
     for d in _coprime_ds(ctx.period):
@@ -112,6 +114,19 @@ def test_spectrum_symmetries():
         base = spectra.spectrum(ctx3, d)
         assert base.same_entries(spectra.spectrum(ctx3, d * 3 % 26))
         assert base.same_entries(spectra.spectrum(ctx3, pow(d, -1, 26)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2), (13, 2)])
+def test_spectrum_is_modulus_invariant(p, n):
+    L = p ** n - 1
+    moduli = [c for c in itertools.product(range(p), repeat=n) if gf.is_primitive(p, n, c)]
+    assert len(moduli) == len(_coprime_ds(L)) // n   # phi(p^n - 1) / n
+    ds = [d for d in _coprime_ds(L) if d not in {pow(p, j, L) for j in range(n)}][:3]
+    ref = [spectra.spectrum(gf.field_ctx(p, n), d) for d in ds]
+    for coeffs in moduli:
+        ctx = gf.field_ctx(p, n, coeffs)
+        for d, table in zip(ds, ref):
+            assert spectra.spectrum(ctx, d).same_entries(table), (coeffs, d)
 
 
 def test_spectrum_keys_are_real():
