@@ -6,10 +6,11 @@ Zero is 0, the multiplicative identity is 1, and all products/powers/inverses
 reduce to index arithmetic mod p^n - 1 through the exp/log tables of alpha.
 This module is the only one that reads the packed digits.
 
-`FieldCtx.add`, `neg`, `sub` and `mul` take Python ints or numpy integer
-arrays (broadcast against each other): an int in gives an int out, an array
-in gives an array out.  Addition is XOR for p = 2 and digit-wise mod p
-otherwise; negation is multiplication by the constant p - 1 = -1.
+`FieldCtx.add`, `neg`, `sub`, `mul`, `frobenius` and `conj_half` take
+Python ints or numpy integer arrays (broadcast against each other): an int
+in gives an int out, an array in gives an array out.  Addition is XOR for
+p = 2 and digit-wise mod p otherwise; negation is multiplication by the
+constant p - 1 = -1.
 
 The tables are built by doubling, the same way for every p: exp[k:2k] =
 alpha^k * exp[:k].  Multiplication by alpha^k is GF(p)-linear, so it is
@@ -399,13 +400,13 @@ class FieldCtx:
             raise ValueError("zero has no discrete log")
         return int(self._log[a])
 
-    def frobenius(self, a: int, k: int = 1) -> int:
+    def frobenius(self, a, k: int = 1):
         """a^(p^k)."""
-        if a == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) * pow(self.p, k, self.period)) % self.period])
+        e = self._log[a].astype(np.int64) * pow(self.p, k, self.period) % self.period
+        r = self._exp[e] * (a != 0)
+        return r if isinstance(r, np.ndarray) else int(r)
 
-    def conj_half(self, a: int) -> int:
+    def conj_half(self, a):
         """a^(p^m) for n = 2m, the subfield conjugate used on the unit circle."""
         if self.n % 2:
             raise OddDegree("conjugate over GF(p^m) needs n = 2m")

@@ -59,30 +59,39 @@ def niho_decimation(p: int, m: int, s: int) -> int:
     return NihoParams(p, m, s).d
 
 
-def count_unit_roots(ctx: FieldCtx, s: int, a: int) -> int:
+def count_unit_roots(ctx: FieldCtx, s: int, a):
     """Roots in U of x^(2s-1) - a x^s - conj(a) x^(s-1) + 1, exact count.
 
-    Exponents are evaluated in the discrete-log domain, over all |U| = p^m + 1
-    points at once.
+    a is one element or an array of them (int in, int out; array in, array
+    out).  The three powers of x are taken once over all |U| = p^m + 1
+    points, in the discrete-log domain; the a's are evaluated in chunks of
+    about 2^16 cells.
     """
     if ctx.n % 2:
         raise OddDegree("Niho machinery needs n = 2m")
     L = ctx.period
-    exp = ctx.exp_table
-    lx = ctx.log_table[list(ctx.unit_circle().elements)].astype(np.int64)
-    na, nabar = ctx.neg(a), ctx.neg(ctx.conj_half(a))
-    term = ctx.add(exp[lx * ((2 * s - 1) % L) % L], ctx.mul(na, exp[lx * (s % L) % L]))
-    term = ctx.add(term, ctx.mul(nabar, exp[lx * ((s - 1) % L) % L]))
-    return int(np.count_nonzero(ctx.add(term, 1) == 0))
+    pm = ctx.p ** (ctx.n // 2)
+    lx = np.arange(pm + 1, dtype=np.int64) * (pm - 1)   # logs of U
+    x2s1, xs, xs1 = (ctx.exp_table[lx * (e % L) % L] for e in (2 * s - 1, s, s - 1))
+    av = np.atleast_1d(a)
+    counts = np.empty(len(av), dtype=np.int64)
+    step = max(1, 2 ** 16 // len(lx))
+    for lo in range(0, len(av), step):
+        ac = av[lo:lo + step, None]
+        term = ctx.add(x2s1, ctx.mul(ctx.neg(ac), xs))
+        term = ctx.add(term, ctx.mul(ctx.neg(ctx.conj_half(ac)), xs1))
+        counts[lo:lo + step] = np.count_nonzero(ctx.add(term, 1) == 0, axis=1)
+    return counts if isinstance(a, np.ndarray) else int(counts[0])
+
+
+def _histogram(counts: np.ndarray) -> dict[int, int]:
+    vals, occurrences = np.unique(counts, return_counts=True)
+    return dict(zip(vals.tolist(), occurrences.tolist()))
 
 
 def unit_root_histogram(ctx: FieldCtx, s: int) -> dict[int, int]:
     """{N(a): occurrences} over nonzero a."""
-    hist: dict[int, int] = {}
-    for tau in range(ctx.period):
-        c = count_unit_roots(ctx, s, ctx.element_from_log(tau))
-        hist[c] = hist.get(c, 0) + 1
-    return dict(sorted(hist.items()))
+    return _histogram(count_unit_roots(ctx, s, ctx.exp_table))
 
 
 def niho_value_set(ctx: FieldCtx, s: int) -> set[int]:
@@ -107,14 +116,10 @@ def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
     pm = ctx.p ** m
     d = niho_decimation(ctx.p, m, s)
     wt = walsh_fast(ctx, d, require_invertible=False)
-    mismatches = []
-    hist: dict[int, int] = {}
-    for tau in range(ctx.period):
-        na = count_unit_roots(ctx, s, ctx.element_from_log(tau))
-        hist[na] = hist.get(na, 0) + 1
-        lhs = wt.value_at_log(tau)
-        if lhs != (na - 1) * pm:
-            mismatches.append(tau)
+    na = count_unit_roots(ctx, s, ctx.exp_table)   # a = alpha^tau, tau in log order
+    mismatches = [tau for tau, v in enumerate(na.tolist())
+                  if wt.value_at_log(tau) != (v - 1) * pm]
+    hist = _histogram(na)
     return {
         "p": ctx.p,
         "m": m,
@@ -122,6 +127,6 @@ def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
         "d": d,
         "holds": not mismatches,
         "mismatch_shifts": mismatches[:16],
-        "histogram": dict(sorted(hist.items())),
+        "histogram": hist,
         "value_set": sorted((na - 1) * pm for na in hist),
     }

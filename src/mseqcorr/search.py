@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 
 from .cyclo import CycInt, cycint_from_json
@@ -77,6 +78,8 @@ class SpectrumCache:
 
     def __init__(self, directory: str):
         self.directory = directory
+        # path -> numbers of the lines its last load skipped, if it skipped any
+        self._skipped: dict[str, set[int]] = {}
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, p: int, n: int) -> str:
@@ -84,26 +87,28 @@ class SpectrumCache:
 
     def load(self, p: int, n: int, modulus: tuple) -> dict[int, SpectrumTable]:
         """Records for this modulus; unparseable or invalid lines are skipped
-        (and counted on stderr), so their classes are computed again."""
+        (and counted on stderr), so their classes are computed again, and the
+        next `append` rewrites the file without them."""
         path = self._path(p, n)
         out: dict[int, SpectrumTable] = {}
         if not os.path.exists(path):
             return out
-        skipped = 0
+        skipped: set[int] = set()
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     rec = json.loads(line)
-                    if tuple(rec["modulus"]) != tuple(modulus):
-                        continue
-                    ok = _record_ok(rec, p, n)
+                    ours = tuple(rec["modulus"]) == tuple(modulus)
+                    ok = not ours or _record_ok(rec, p, n)
                 except (ValueError, KeyError, TypeError):
                     ok = False
                 if not ok:
-                    skipped += 1
+                    skipped.add(number)
+                    continue
+                if not ours:
                     continue
                 entries = {
                     cycint_from_json(e["value"], p): e["count"]
@@ -112,26 +117,49 @@ class SpectrumCache:
                 out[rec["d"]] = SpectrumTable(
                     p=p, n=n, d=rec["d"], entries=entries, method=rec["method"])
         if skipped:
-            print(f"spectrum cache {path}: skipped {skipped} invalid record(s)",
+            self._skipped[path] = skipped
+            print(f"spectrum cache {path}: skipped {len(skipped)} invalid record(s)",
                   file=sys.stderr)
         return out
 
+    def needs_rewrite(self, p: int, n: int) -> bool:
+        """The last load of this file skipped lines that `append` will drop."""
+        return self._path(p, n) in self._skipped
+
     def append(self, p: int, n: int, modulus: tuple, tables) -> None:
-        with open(self._path(p, n), "ab+") as fh:
+        path = self._path(p, n)
+        lines = (   # written as they are made
+            json.dumps({
+                "p": p, "n": n, "modulus": list(modulus), "d": t.d,
+                "method": t.method,
+                "entries": [
+                    {"value": v.to_json(), "count": c}
+                    for v, c in t.sorted_entries()
+                ],
+            }, sort_keys=True)
+            for t in tables
+        )
+        skipped = self._skipped.pop(path, None)
+        if skipped is not None:
+            with open(path) as fh:
+                kept = [line.strip() for number, line in enumerate(fh)
+                        if number not in skipped and line.strip()]
+            # replace the file whole, so a crash leaves the old one or the new one
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w") as fh:
+                    fh.writelines(line + "\n" for line in chain(kept, lines))
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+            return
+        with open(path, "ab+") as fh:
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")   # a torn last line must not absorb the next record
-            for t in tables:
-                rec = {
-                    "p": p, "n": n, "modulus": list(modulus), "d": t.d,
-                    "method": t.method,
-                    "entries": [
-                        {"value": v.to_json(), "count": c}
-                        for v, c in t.sorted_entries()
-                    ],
-                }
-                fh.write(json.dumps(rec, sort_keys=True).encode() + b"\n")
+            fh.writelines(line.encode() + b"\n" for line in lines)
 
 
 def _record_ok(rec: dict, p: int, n: int) -> bool:
@@ -181,7 +209,7 @@ def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
     else:
         for rep in todo:
             fresh[rep] = compute(rep)
-    if cache is not None and fresh:
+    if cache is not None and (fresh or cache.needs_rewrite(p, n)):
         cache.append(p, n, ctx.spec.coeffs,
                      [fresh[r] for r in sorted(fresh)])
 

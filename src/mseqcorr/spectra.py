@@ -1,10 +1,21 @@
 """Crosscorrelation and Walsh spectra, exact, by naive sum and fast transform.
 
-The Walsh transform of f(x) = Tr(x^d) is computed as a length-p^n transform
-over the additive group (Z_p)^n with p-point butterflies acting on Z[w]
-coordinates; no floating point anywhere.  The crosscorrelation spectrum of
-the decimation pair is the multiset {W(a) - 1 : a != 0}; the a = 0 slot of
-the transform corresponds to no shift and is excluded.
+The Walsh transform W(u) = sum_x w^(Tr(x^d) - <u,x>) is computed as a
+length-p^n transform over the additive group (Z_p)^n, one p-point butterfly
+stage per digit of x; no floating point anywhere.  For p = 2 it is the
+binary Walsh-Hadamard transform on machine integers (w = -1).  For odd p it
+runs in the group ring Z[Z_p]: each point carries p integer coordinates,
+the coefficients of 1, w, ..., w^(p-1), starting from the indicator of
+Tr(x^d).  Multiplying by a power of w only rotates the coordinates, so a
+stage is slice additions with no products, and every coordinate stays a
+count in [0, p^n] (int32 is exact).  The result is reduced once, at the
+end, to the unique basis 1, ..., w^(p-2) of `cyclo.CycInt`.  Distinct
+values are counted by ranking rows in mixed-radix integer keys, in the
+lexicographic order of the coordinates.
+
+The crosscorrelation spectrum of the decimation pair is the multiset
+{W(a) - 1 : a != 0}; the a = 0 slot of the transform corresponds to no
+shift and is excluded.
 
 The naive path sums w^(s_{t+tau} - s_{dt}) per shift directly (organized as
 exact integer correlations of residue indicators) and is the oracle the
@@ -102,21 +113,6 @@ def make_spectrum(p: int, n: int, d: int, pairs, method: str) -> SpectrumTable:
 # Fast transform
 # ----------------------------------------------------------------------
 
-def _omega_mult_matrices(p: int) -> list[np.ndarray]:
-    """mats[t] = matrix of multiplication by w^t on basis coordinates."""
-    mats = []
-    for t in range(p):
-        m = np.zeros((p - 1, p - 1), dtype=np.int64)
-        for b in range(p - 1):
-            e = (t + b) % p
-            if e < p - 1:
-                m[e, b] = 1
-            else:
-                m[:, b] = -1
-        mats.append(m)
-    return mats
-
-
 def _wht_inplace_2(a: np.ndarray) -> None:
     """Binary Walsh-Hadamard butterfly, kernel (-1)^<u,x>."""
     size = a.shape[0]
@@ -129,19 +125,40 @@ def _wht_inplace_2(a: np.ndarray) -> None:
         h *= 2
 
 
-def _transform_p(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Transform with kernel w^(-<u,x>) over (Z_p)^n; a has shape (p^n, p-1)."""
-    mats = _omega_mult_matrices(p)
-    for stage in range(n):
-        inner = p ** stage
-        v = a.reshape(-1, p, inner, p - 1)
-        out = np.zeros_like(v)
-        for j in range(p):
-            for k in range(p):
-                m = mats[(-j * k) % p]
-                out[:, j] += v[:, k] @ m.T
-        a = out.reshape(a.shape)
-    return a
+def _ring_stage(v: np.ndarray, p: int) -> np.ndarray:
+    """One butterfly stage in Z[Z_p]: out_j = sum_k w^(-jk) v_k.
+
+    v has shape (p, A, p, B): ring coordinate c, outer block, the digit
+    transformed, inner block.  Multiplying by w^(-s) moves coefficient
+    c + s to c, so each (j, k) is two slice-adds, with no products.
+    """
+    out = np.empty_like(v)
+    for j in range(p):
+        o = out[:, :, j]
+        o[...] = v[:, :, 0]
+        for k in range(1, p):
+            s = j * k % p
+            o[:p - s] += v[s:, :, k]
+            if s:
+                o[p - s:] += v[:s, :, k]
+    return out
+
+
+def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Transform with kernel w^(-<u,x>) over (Z_p)^n, in the group ring Z[Z_p].
+
+    g has shape (p, p^n): g[c, x] is the coefficient of w^c at x.  A stage
+    is fast when the digit it transforms has a long contiguous inner block,
+    so the high half of the digits is transformed first, then the two
+    halves of the index are swapped for the low half and swapped back.
+    """
+    h = n // 2
+    for i in range(h, n):
+        g = _ring_stage(g.reshape(p, -1, p, p ** i), p)
+    g = g.reshape(p, -1, p ** h).transpose(0, 2, 1).copy()
+    for i in range(h):
+        g = _ring_stage(g.reshape(p, -1, p, p ** (n - h + i)), p)
+    return g.reshape(p, p ** h, -1).transpose(0, 2, 1).reshape(p, -1)
 
 
 class WalshTable:
@@ -192,11 +209,24 @@ class WalshTable:
         if self.p == 2:
             vals, counts = np.unique(data, return_counts=True)
             return [(CycInt(2, (int(v),)), int(c)) for v, c in zip(vals, counts)]
-        vals, counts = np.unique(data, axis=0, return_counts=True)
-        return [
-            (CycInt(self.p, tuple(int(x) for x in row)), int(c))
-            for row, c in zip(vals, counts)
-        ]
+        # Number the distinct rows in lexicographic order, the order of
+        # np.unique(axis=0): pack columns into mixed-radix int64 keys and
+        # renumber densely (ids < p^n <= 2^24) before a key would pass 2^62.
+        ids, size = np.zeros(len(data), dtype=np.int64), 1
+        for col in data.T:
+            lo = int(col.min())
+            span = int(col.max()) - lo + 1
+            if size * span > 2 ** 62:
+                ids = np.unique(ids, return_inverse=True)[1]
+                size = int(ids.max()) + 1
+            ids = ids * span + (col - lo)
+            size *= span
+        ids = np.unique(ids, return_inverse=True)[1]
+        counts = np.bincount(ids)
+        row = np.empty(len(counts), dtype=np.int64)
+        row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
+        return [(CycInt(self.p, v), c)
+                for v, c in zip(data[row].tolist(), counts.tolist())]
 
     def power_moment(self, l: int):
         """P^(l) = sum over all a (a = 0 included) of W(a)^l, exact."""
@@ -226,22 +256,20 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
     if ctx.order > MAX_TABLE_ORDER:
         raise MemoryBudget(f"p^n={ctx.order} beyond the full-spectrum grid")
     idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
-    xd = ctx.exp_table[idx].astype(np.int64)
-    f_nonzero = ctx.trace_table[xd]
-    xs = ctx.exp_table.astype(np.int64)
+    f_nonzero = ctx.trace_table[ctx.exp_table[idx]]
+    del idx
     if ctx.p == 2:
         g = np.ones(ctx.order, dtype=np.int32)
-        g[xs] = 1 - 2 * f_nonzero.astype(np.int32)
+        g[ctx.exp_table] = 1 - 2 * f_nonzero
         _wht_inplace_2(g)
         return WalshTable(ctx, d, g)
-    g = np.zeros((ctx.order, ctx.p - 1), dtype=np.int64)
+    # ring coordinates are counts in [0, p^n], so int32 is exact
+    g = np.zeros((ctx.p, ctx.order), dtype=np.int32)
     g[0, 0] = 1
-    f = f_nonzero.astype(np.int64)
-    for j in range(ctx.p - 1):
-        g[xs[f == j], j] = 1
-    g[xs[f == ctx.p - 1], :] = -1
-    g = _transform_p(g, ctx.p, ctx.n)
-    return WalshTable(ctx, d, g)
+    g[f_nonzero, ctx.exp_table] = 1
+    g = _transform_ring(g, ctx.p, ctx.n)
+    # reduce to the basis 1..w^(p-2) by w^(p-1) = -(1 + ... + w^(p-2))
+    return WalshTable(ctx, d, (g[:-1] - g[-1]).T)
 
 
 # ----------------------------------------------------------------------

@@ -157,11 +157,14 @@ def test_classify_recovers_from_truncated_cache(tmp_path, capsys):
     code, out, err = run_cli(*args, capsys=capsys)
     assert code == 0 and out == fresh
     assert "skipped 1 invalid record" in err
-    # the recomputed record starts on its own line, so the next run reuses it
+    # the file was rewritten without the torn line, so the next run reuses
+    # every record and reports nothing
+    assert path.read_text().count("\n") == len(text.splitlines())
     assert len(search.SpectrumCache(str(tmp_path)).load(
         2, 6, gf.find_primitive_polynomial(2, 6).coeffs)) == len(text.splitlines())
-    code, out, _ = run_cli(*args, capsys=capsys)
-    assert code == 0 and out == fresh
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert code == 0 and out == fresh and err == ""
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]   # no temp file left
 
 
 def test_minus_one_ignores_tampered_cache(tmp_path, capsys):

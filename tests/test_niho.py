@@ -1,5 +1,6 @@
 """Unit-circle root counts and the Walsh reduction for Niho exponents."""
 
+import numpy as np
 import pytest
 
 from mseqcorr import gf, niho, spectra
@@ -50,6 +51,14 @@ def test_count_unit_roots_direct_cross_check():
             if val == 0:
                 direct += 1
         assert niho.count_unit_roots(ctx, s, a) == direct
+
+
+@pytest.mark.parametrize("p,m,s", [(2, 3, 3), (3, 2, 2), (5, 1, 2)])
+def test_count_unit_roots_array_matches_scalar(p, m, s):
+    ctx = gf.field_ctx(p, 2 * m)
+    a = np.arange(ctx.order)
+    batched = niho.count_unit_roots(ctx, s, a)
+    assert batched.tolist() == [niho.count_unit_roots(ctx, s, int(x)) for x in a]
 
 
 @pytest.mark.parametrize("p,m,s", [(2, 2, 2), (2, 3, 3), (2, 4, 2), (3, 1, 2), (3, 2, 3)])

@@ -96,6 +96,23 @@ def test_cache_isolated_by_modulus(tmp_path):
     assert cache.load(2, 6, gf.find_primitive_polynomial(2, 6).coeffs)
 
 
+def test_cache_rewrite_drops_only_invalid_lines(tmp_path, capsys):
+    cache = search.SpectrumCache(str(tmp_path))
+    other = (1, 0, 0, 0, 0, 1)
+    search.canonical_classes(2, 6, cache=cache)
+    search.canonical_classes(2, 6, cache=cache, ctx=gf.field_ctx(2, 6, other))
+    path = tmp_path / "spectra_p2_n6.jsonl"
+    good = path.read_text()
+    # a garbage line names no class, so nothing is recomputed; it still goes
+    path.write_text(good + "not json\n")
+    capsys.readouterr()
+    search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path)))
+    assert "skipped 1 invalid record" in capsys.readouterr().err
+    assert path.read_text() == good   # both moduli kept, in order
+    search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path)))
+    assert capsys.readouterr().err == ""
+
+
 def test_threads_deterministic():
     serial = search.classify_by_value_count(3, 4, threads=1)
     threaded = search.classify_by_value_count(3, 4, threads=4)

@@ -4,6 +4,7 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from mseqcorr import gf, spectra
@@ -75,17 +76,43 @@ def test_walsh_linear_exponent_single_spike():
     assert wt.value_at_log(0).as_integer() == 16
 
 
-def test_walsh_value_at_log_matches_direct_sum():
-    ctx = gf.field_ctx(3, 2)
-    d = 5
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (5, 3), (7, 3), (11, 2), (13, 2)])
+def test_walsh_value_at_log_matches_direct_sum(p, n):
+    # W(a) = sum over x of w^(Tr(x^d) - Tr(ax)), placed at a = alpha^tau
+    ctx = gf.field_ctx(p, n)
+    degenerate = {pow(p, j, ctx.period) for j in range(n)}
+    d = next(d for d in _coprime_ds(ctx.period) if d not in degenerate)
     wt = spectra.walsh_fast(ctx, d)
+    xs = np.arange(ctx.order)
+    trace_xd = ctx.trace_table[[ctx.pow(x, d) for x in range(ctx.order)]].astype(int)
     for tau in range(ctx.period):
         a = ctx.element_from_log(tau)
-        counts = [0] * 3
-        for x in range(9):
-            e = (ctx.trace(ctx.pow(x, d)) - ctx.trace(ctx.mul(a, x))) % 3
-            counts[e] += 1
-        assert wt.value_at_log(tau) == CycInt.from_counts(3, counts)
+        counts = np.bincount((trace_xd - ctx.trace_table[ctx.mul(a, xs)]) % p, minlength=p)
+        assert wt.value_at_log(tau) == CycInt.from_counts(p, counts.tolist()), (d, tau)
+
+
+@pytest.mark.parametrize("p,n", [(7, 4), (11, 3), (13, 3)])
+def test_oracle_equivalence_sampled(p, n):
+    ctx = gf.field_ctx(p, n)
+    degenerate = {pow(p, j, ctx.period) for j in range(n)}
+    ds = [d for d in _coprime_ds(ctx.period) if d not in degenerate]
+    for d in random.Random(p * 100 + n).sample(ds, 2):
+        fast = spectra.spectrum(ctx, d, method="fast")
+        assert fast.same_entries(spectra.spectrum_naive(ctx, d)), (p, n, d)
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 5, 5), (5, 3, 7), (7, 3, 5), (11, 2, 7),
+                                   (13, 2, 5), (11, 5, 7)])
+def test_unique_values_matches_numpy_unique(p, n, d):
+    # the reference is np.unique over whole rows; order must agree too
+    wt = spectra.walsh_fast(gf.field_ctx(p, n), d)
+    for include_zero in (True, False):
+        rows = wt._by_u if include_zero else wt._by_u[1:]
+        vals, counts = np.unique(rows, axis=0, return_counts=True)
+        ref = [(CycInt(p, v), c) for v, c in zip(vals.tolist(), counts.tolist())]
+        assert wt.unique_values(include_zero) == ref
+    if (p, n) == (11, 5):
+        assert len(ref) == 30069   # tens of thousands of distinct values
 
 
 def test_walsh_global_sums():
