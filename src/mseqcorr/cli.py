@@ -129,6 +129,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    ctx = _ctx_for(args)
     params = _parse_params(args.params)
     if args.family == "all":
         jobs = []
@@ -143,7 +144,6 @@ def _cmd_verify(args) -> int:
                 f"family {args.family} has no admissible instance at "
                 f"(p={args.p}, n={args.n}); pass --params")
         jobs = [(fam.id, inst) for inst in insts]
-    ctx = _ctx_for(args)
     verdicts = []
     spectra_cache: dict[int, spectra.SpectrumTable] = {}
     for fid, inst in jobs:
@@ -360,9 +360,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.command in ("spectrum", "moments", "field", "seq",
-                            "code-weights", "verify") and args.n < 1:
-            raise UsageError("n must be >= 1")
         if args.command == "classify" and not (args.n or args.max_n):
             raise UsageError("pass --n or --max-n")
         if args.command == "conjecture" and args.check != "op6" \

@@ -9,10 +9,6 @@ class CompositeP(MseqCorrError, ValueError):
     """The claimed characteristic p is not prime."""
 
 
-class TooLarge(MseqCorrError, ValueError):
-    """Requested field exceeds the configured size bound."""
-
-
 class FactorizationFailure(MseqCorrError, RuntimeError):
     """p^n - 1 could not be factored within the iteration budget."""
 
@@ -37,16 +33,12 @@ class NotInvertible(MseqCorrError, ValueError):
     """Denominator of a fractional decimation is not invertible."""
 
 
-class MemoryBudget(MseqCorrError, ValueError):
-    """Full-spectrum table would exceed the in-memory grid bound."""
-
-
 class Budget(MseqCorrError, ValueError):
-    """Brute-force enumeration would exceed the configured budget."""
+    """A size limit: a field, table or enumeration exceeds its bound."""
 
 
 class OutOfDomain(MseqCorrError, ValueError):
-    """Family parameters violate the applicability predicate."""
+    """Parameters outside a domain: a family's predicate, or a degree n < 1."""
 
     def __init__(self, constraint: str):
         super().__init__(constraint)

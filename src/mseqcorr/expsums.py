@@ -57,6 +57,11 @@ def kloosterman_all(ctx: FieldCtx) -> dict:
     return out
 
 
+def _sign_sum(ctx: FieldCtx, v: np.ndarray) -> int:
+    """sum of (-1)^Tr(v_i) over an array of elements of GF(2^n)."""
+    return len(v) - 2 * int(np.count_nonzero(ctx.trace_table[v]))
+
+
 def cubic_sum(ctx: FieldCtx, b: int, a: int) -> int:
     """C(b, a) = sum over all x in GF(2^n) of (-1)^(Tr(b x^3 + a x))."""
     if ctx.p != 2:
@@ -64,7 +69,7 @@ def cubic_sum(ctx: FieldCtx, b: int, a: int) -> int:
     x = ctx.exp_table
     cube = x[3 * np.arange(ctx.period) % ctx.period]
     v = ctx.add(ctx.mul(b, cube), ctx.mul(a, x))
-    return 1 + ctx.period - 2 * int(np.count_nonzero(ctx.trace_table[v]))  # x = 0 gives 1
+    return 1 + _sign_sum(ctx, v)   # x = 0 gives 1
 
 
 def g_sum(ctx: FieldCtx, b: int, a: int) -> int:
@@ -74,7 +79,7 @@ def g_sum(ctx: FieldCtx, b: int, a: int) -> int:
     i = np.arange(ctx.period)
     x = ctx.exp_table
     v = ctx.add(ctx.mul(b, x[3 * i % ctx.period]), ctx.mul(a, x[-i % ctx.period]))
-    return ctx.period - 2 * int(np.count_nonzero(ctx.trace_table[v]))
+    return _sign_sum(ctx, v)
 
 
 def kloosterman_double_sum(m: int) -> int:
@@ -85,17 +90,14 @@ def kloosterman_double_sum(m: int) -> int:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError("defined for odd m >= 3")
+    from .spectra import walsh_fast
+
     ctx = field_ctx(2, m)
-    total = 0
-    kcache: dict[int, int] = {}
-    for y in range(2, ctx.order):
-        y3y = ctx.add(ctx.pow(y, 3), y)
-        arg = ctx.inv(y3y)
-        if arg not in kcache:
-            kcache[arg] = kloosterman(ctx, arg)
-        sign = 1 - 2 * ctx.trace(ctx.inv(y))
-        total += sign * kcache[arg]
-    return total
+    y = ctx.exp_table[1:]   # GF(2^m) without 0 and 1
+    arg = ctx.inv(ctx.add(ctx.pow(y, 3), y))
+    k = walsh_fast(ctx, ctx.order - 2).int_values_by_log()[ctx.log_table[arg]]   # K(arg)
+    sign = 1 - 2 * ctx.trace_table[ctx.inv(y)].astype(np.int64)
+    return int(sign @ k)
 
 
 def kloosterman_weighted_sum(m: int) -> int:
@@ -141,30 +143,18 @@ def conjectured_sum_identities(n: int, k: int) -> dict:
     if _gcd(k, n) != 1:
         raise ValueError("need gcd(k, n) = 1")
     ctx = field_ctx(2, n)
-    L = ctx.period
-    tr = ctx.trace_table
-    exp = ctx.exp_table
-
-    lhs1 = rhs1 = 0
-    for i in range(L):
-        xinv = int(exp[(-i) % L])
-        lhs1 += 1 - 2 * int(tr[ctx.add(int(exp[(i * ((1 << k) + 1)) % L]), xinv)])
-        rhs1 += 1 - 2 * int(tr[ctx.add(int(exp[(3 * i) % L]), xinv)])
-
-    lhs2 = 0
-    for i in range(L):
-        lhs2 += 1 - 2 * int(tr[ctx.add(int(exp[i]), int(exp[(-i) % L]))])
-    rhs2 = 0
-    two_k = 1 << k
-    for v in range(1, ctx.order):
-        vk = ctx.pow(v, two_k)
-        num = ctx.mul(ctx.add(vk, 1), vk)
-        den = ctx.pow(ctx.add(vk, v), two_k + 1)
-        if den == 0:
-            arg = 0
-        else:
-            arg = ctx.mul(num, ctx.inv(den))
-        rhs2 += 1 - 2 * ctx.trace(arg)
+    x = ctx.exp_table   # every nonzero x (and every nonzero v)
+    xinv = ctx.inv(x)
+    lhs1 = _sign_sum(ctx, ctx.add(ctx.pow(x, (1 << k) + 1), xinv))
+    rhs1 = _sign_sum(ctx, ctx.add(ctx.pow(x, 3), xinv))
+    lhs2 = _sign_sum(ctx, ctx.add(x, xinv))
+    vk = ctx.pow(x, 1 << k)
+    num = ctx.mul(ctx.add(vk, 1), vk)
+    den = ctx.pow(ctx.add(vk, x), (1 << k) + 1)
+    arg = np.zeros_like(den)   # a zero denominator gives arg 0, a +1 term
+    ok = den != 0
+    arg[ok] = ctx.mul(num[ok], ctx.inv(den[ok]))
+    rhs2 = _sign_sum(ctx, arg)
 
     return {
         "n": n,

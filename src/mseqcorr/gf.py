@@ -6,11 +6,11 @@ Zero is 0, the multiplicative identity is 1, and all products/powers/inverses
 reduce to index arithmetic mod p^n - 1 through the exp/log tables of alpha.
 This module is the only one that reads the packed digits.
 
-`FieldCtx.add`, `neg`, `sub`, `mul`, `frobenius` and `conj_half` take
-Python ints or numpy integer arrays (broadcast against each other): an int
-in gives an int out, an array in gives an array out.  Addition is XOR for
-p = 2 and digit-wise mod p otherwise; negation is multiplication by the
-constant p - 1 = -1.
+`FieldCtx.add`, `neg`, `sub`, `mul`, `inv`, `pow`, `frobenius` and
+`conj_half` take Python ints or numpy integer arrays (broadcast against each
+other; exponents are ints): an int in gives an int out, an array in gives an
+array out.  Addition is XOR for p = 2 and digit-wise mod p otherwise;
+negation is multiplication by the constant p - 1 = -1.
 
 The tables are built by doubling, the same way for every p: exp[k:2k] =
 alpha^k * exp[:k].  Multiplication by alpha^k is GF(p)-linear, so it is
@@ -26,6 +26,8 @@ moduli can be loaded from a file, see `load_modulus_file`.
 
 Size bounds: exp/log tables are built only for p^n <= 2^24; polynomial-level
 operations (primitivity testing, canonical polynomial search) go up to 2^40.
+Past either bound they raise `errors.Budget`; a degree n < 1 raises
+`errors.OutOfDomain`.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ from math import gcd
 import numpy as np
 
 from .errors import (
+    Budget,
     CompositeP,
     FactorizationFailure,
     NotASubfield,
     OddDegree,
-    TooLarge,
+    OutOfDomain,
 )
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -184,6 +187,15 @@ class FieldSpec:
         return self.p ** self.n - 1
 
 
+def _check_poly_args(p: int, n: int) -> None:
+    if not is_prime(p):
+        raise CompositeP(f"p={p} is not prime")
+    if n < 1:
+        raise OutOfDomain(f"n={n}: the extension degree must be >= 1")
+    if p ** n > MAX_POLY_ORDER:
+        raise Budget(f"p^n={p ** n} exceeds the arithmetic bound 2^40")
+
+
 def is_primitive(p: int, n: int, coeffs) -> bool:
     """True iff x has multiplicative order p^n - 1 modulo the monic poly.
 
@@ -191,10 +203,7 @@ def is_primitive(p: int, n: int, coeffs) -> bool:
     Complete: order p^n - 1 forces the modulus to be primitive (a reducible
     modulus caps the order of any unit strictly below p^n - 1).
     """
-    if not is_prime(p):
-        raise CompositeP(f"p={p} is not prime")
-    if p ** n > MAX_POLY_ORDER:
-        raise TooLarge(f"p^n={p ** n} exceeds the arithmetic bound 2^40")
+    _check_poly_args(p, n)
     coeffs = tuple(c % p for c in coeffs)
     if len(coeffs) != n or coeffs[0] == 0:
         return False
@@ -222,10 +231,7 @@ def find_primitive_polynomial(p: int, n: int) -> FieldSpec:
     The order is lexicographic on (c_{n-1}, ..., c_1, c_0); deterministic
     across runs, no external tables.
     """
-    if not is_prime(p):
-        raise CompositeP(f"p={p} is not prime")
-    if p ** n > MAX_POLY_ORDER:
-        raise TooLarge(f"p^n={p ** n} exceeds the arithmetic bound 2^40")
+    _check_poly_args(p, n)
     for packed in range(p ** n):
         # packed encodes (c_{n-1}, ..., c_0) in lexicographic order
         digits = []
@@ -281,7 +287,7 @@ class FieldCtx:
         p, n = spec.p, spec.n
         order = spec.order
         if order > MAX_TABLE_ORDER:
-            raise TooLarge(
+            raise Budget(
                 f"p^n={order} exceeds the table bound 2^24; "
                 "use polynomial-level operations instead"
             )
@@ -378,19 +384,16 @@ class FieldCtx:
         r = self._exp[(self._log[a] + self._log[b]) % self.period] * ((a != 0) & (b != 0))
         return r if isinstance(r, np.ndarray) else int(r)
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self._exp[(-int(self._log[a])) % self.period])
+    def inv(self, a):
+        return self.pow(a, -1)
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return 0
-        return int(self._exp[(int(self._log[a]) * e) % self.period])
+    def pow(self, a, e: int):
+        """a^e, with 0^0 = 1; zero to a negative power raises."""
+        if e < 0 and np.any(a == 0):
+            raise ZeroDivisionError("zero to a negative power")
+        k = self._log[a].astype(np.int64) * (e % self.period) % self.period
+        r = self._exp[k] * ((a != 0) | (e == 0))   # e = 0 reads exp[0] = 1
+        return r if isinstance(r, np.ndarray) else int(r)
 
     def element_from_log(self, i: int) -> int:
         return int(self._exp[i % self.period])

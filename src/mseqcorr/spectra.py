@@ -20,6 +20,13 @@ shift and is excluded.
 The naive path sums w^(s_{t+tau} - s_{dt}) per shift directly (organized as
 exact integer correlations of residue indicators) and is the oracle the
 transform is tested against.
+
+The moment identities are checked from one transform of d.  The power sums
+sum C, sum C^2 and sum C^3 over all shifts are sums over the spectrum's
+histogram, value^l * count (`SpectrumTable.value_count_sum`).  Each sampled
+shifted sum sum_tau C(tau - t) C(tau) is one int64 matrix product of the
+per-shift coordinate array with its roll by t, whose (i, j) entries are
+folded onto w^((i + j) mod p).  p = 2 is the case of one coordinate.
 """
 
 from __future__ import annotations
@@ -31,11 +38,15 @@ from math import gcd
 import numpy as np
 
 from .cyclo import CycInt
-from .errors import Budget, MemoryBudget, NotCoprime
+from .errors import Budget, NotCoprime
 from .gf import MAX_TABLE_ORDER, FieldCtx
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
+# The shifted second moments are int64 products of C coordinates, exact up
+# to this bound: |coord| <= p^n <= 2^16, so a sum over the L < 2^16 shifts
+# stays below 2^48, and folding onto the p powers of w adds at most p - 1
+# <= 12 such sums: every sum stays below 12 * 2^48 < 2^63.
 MOMENT_CHECK_MAX_ORDER = 2 ** 16
 
 
@@ -62,11 +73,11 @@ class SpectrumTable:
     def values(self) -> set:
         return set(self.entries)
 
-    def value_count_sum(self) -> CycInt:
-        """sum value * count, exact in Z[w]; equals 1 for true spectra."""
+    def value_count_sum(self, l: int = 1) -> CycInt:
+        """sum value^l * count, exact in Z[w]; l = 1 gives 1 for true spectra."""
         acc = CycInt.zero(self.p)
         for v, c in self.entries.items():
-            acc = acc + v * c
+            acc = acc + v ** l * c
         return acc
 
     def sorted_entries(self) -> list:
@@ -254,7 +265,7 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
     if require_invertible and gcd(d, L) != 1:
         raise NotCoprime(f"gcd({d}, {L}) != 1")
     if ctx.order > MAX_TABLE_ORDER:
-        raise MemoryBudget(f"p^n={ctx.order} beyond the full-spectrum grid")
+        raise Budget(f"p^n={ctx.order} beyond the full-spectrum grid")
     idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
     f_nonzero = ctx.trace_table[ctx.exp_table[idx]]
     del idx
@@ -440,18 +451,19 @@ class MomentReport:
         }
 
 
-def _c_values_by_shift(ctx: FieldCtx, d: int) -> list[CycInt]:
-    wt = walsh_fast(ctx, d)
-    if ctx.p == 2:
-        vals = wt.int_values_by_log()
-        return [CycInt(2, (int(v) - 1,)) for v in vals]
-    view = wt._log_view()
-    out = []
-    for row in view:
-        coords = list(int(c) for c in row)
-        coords[0] -= 1
-        out.append(CycInt(ctx.p, coords))
-    return out
+def _shifted_second_moment(wt: WalshTable, t: int) -> CycInt:
+    """sum over tau of C(tau - t) C(tau), with C(tau) = W(alpha^tau) - 1.
+
+    One integer product of (L, p - 1) coordinate arrays (p = 2 has one
+    coordinate); the product of w^i and w^j is folded onto w^((i + j) mod p).
+    """
+    p = wt.p
+    c = wt._log_view().reshape(wt.ctx.period, -1).astype(np.int64)
+    c[:, 0] -= 1
+    counts = np.zeros(p, dtype=np.int64)
+    np.add.at(counts, np.add.outer(np.arange(p - 1), np.arange(p - 1)) % p,
+              np.roll(c, t, axis=0).T @ c)
+    return CycInt.from_counts(p, counts.tolist())
 
 
 def moment_identity_check(ctx: FieldCtx, d: int, seed: int = 2024) -> MomentReport:
@@ -459,39 +471,18 @@ def moment_identity_check(ctx: FieldCtx, d: int, seed: int = 2024) -> MomentRepo
     against the brute-force pair count b_3 (all exact)."""
     if ctx.order > MOMENT_CHECK_MAX_ORDER:
         raise Budget("moment identity check is grid-bounded")
-    L = ctx.period
-    q = ctx.order
-    cvals = _c_values_by_shift(ctx, d)
-
-    total = CycInt.zero(ctx.p)
-    for v in cvals:
-        total = total + v
-    sum_ok = total == 1
-
-    t0 = CycInt.zero(ctx.p)
-    for v in cvals:
-        t0 = t0 + v * v
-    t0_ok = t0 == q * q - q - 1
-
+    L, q = ctx.period, ctx.order
+    wt = walsh_fast(ctx, d)
+    table = wt.spectrum()
+    total, t0, third = (table.value_count_sum(l) for l in (1, 2, 3))
     rng = random.Random(seed)
-    shifted = []
-    for t in sorted(rng.sample(range(1, L), min(3, L - 1))):
-        acc = CycInt.zero(ctx.p)
-        for tau in range(L):
-            acc = acc + cvals[(tau - t) % L] * cvals[tau]
-        shifted.append((t, acc == -q - 1))
-    shifted_ok = all(ok for _, ok in shifted)
-
-    third = CycInt.zero(ctx.p)
-    for v in cvals:
-        third = third + v * v * v
+    shifted = [(t, _shifted_second_moment(wt, t) == -q - 1)
+               for t in sorted(rng.sample(range(1, L), min(3, L - 1)))]
     b3 = b_l_count(ctx, d, 3)
-    third_ok = third == -((q - 1) ** 2) + 2 + b3 * q * q
-
     return MomentReport(
         p=ctx.p, n=ctx.n, d=d,
-        sum_c=total, sum_c_ok=sum_ok,
-        autocorr_t0=t0, autocorr_t0_ok=t0_ok,
-        shifted=shifted, shifted_ok=shifted_ok,
-        third_moment=third, b3=b3, third_moment_ok=third_ok,
+        sum_c=total, sum_c_ok=total == 1,
+        autocorr_t0=t0, autocorr_t0_ok=t0 == q * q - q - 1,
+        shifted=shifted, shifted_ok=all(ok for _, ok in shifted),
+        third_moment=third, b3=b3, third_moment_ok=third == -((q - 1) ** 2) + 2 + b3 * q * q,
     )

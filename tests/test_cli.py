@@ -106,6 +106,29 @@ def test_verify_single_family_params(capsys):
     assert json.loads(out)[0]["d"] == 5
 
 
+MOMENTS_GOLDEN = {
+    ("2", "8", "7"): {
+        "b3": 2, "d": 7, "n": 8, "p": 2,
+        "power_moments": {"0": 256, "1": 256, "2": 65536, "3": 262144, "4": 56098816},
+        "second_moment_shifted": [[47, True], [121, True], [187, True]],
+        "second_moment_shifted_ok": True, "second_moment_t0_ok": True,
+        "sum_values": 1, "sum_values_ok": True, "third_moment_vs_b3_ok": True},
+    ("3", "4", "11"): {
+        "b3": 7, "d": 11, "n": 4, "p": 3,
+        "power_moments": {"0": 81, "1": 81, "2": 6561, "3": 59049, "4": 1476225},
+        "second_moment_shifted": [[24, True], [61, True], [75, True]],
+        "second_moment_shifted_ok": True, "second_moment_t0_ok": True,
+        "sum_values": 1, "sum_values_ok": True, "third_moment_vs_b3_ok": True},
+}
+
+
+@pytest.mark.parametrize("p,n,d", sorted(MOMENTS_GOLDEN))
+def test_moments_golden_bytes(p, n, d, capsys):
+    code, out, err = run_cli("moments", "--p", p, "--n", n, "--d", d, capsys=capsys)
+    assert code == 0 and err == ""
+    assert out == json.dumps(MOMENTS_GOLDEN[p, n, d], sort_keys=True, indent=2) + "\n"
+
+
 def test_niho_command(capsys):
     code, out, _ = run_cli("niho", "--p", "2", "--m", "4", "--s", "2",
                            "--check-identity", capsys=capsys)
@@ -180,6 +203,20 @@ def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
     assert code == 0 and out == fresh
     assert json.loads(out)[0]["counterexamples"] == []
     assert "skipped" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "niho --p 2 --m 0 --s 2",
+    "expsum --kind kloosterman --p 2 --m 0",
+    "expsum --kind kloosterman --p 2",
+    "expsum --kind cubic --n 0",
+    "classify --p 2 --n -3",
+    "field --p 2 --n 0",
+])
+def test_degree_below_one_is_usage_error(argv, capsys):
+    code, out, err = run_cli(*argv.split(), capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
 
 
 def test_classify_needs_n(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mseqcorr import gf
-from mseqcorr.errors import CompositeP, NotASubfield, OddDegree, TooLarge
+from mseqcorr.errors import Budget, CompositeP, NotASubfield, OddDegree
 
 
 # -- independent polynomial oracle (kept separate from the library path) ----
@@ -101,9 +101,9 @@ def test_composite_p_rejected():
 
 
 def test_too_large_rejected():
-    with pytest.raises(TooLarge):
+    with pytest.raises(Budget):
         gf.find_primitive_polynomial(2, 41)
-    with pytest.raises(TooLarge):
+    with pytest.raises(Budget):
         gf.FieldCtx(gf.FieldSpec(2, 25, tuple([1] + [0] * 23 + [1])))
 
 
@@ -170,7 +170,24 @@ def test_array_ops_match_scalar_ops(p, n):
         assert got.tolist() == [op(int(x), int(y)) for x, y in zip(a, b)]
         assert op(q - 1, b[:q]).tolist() == [op(q - 1, y) for y in range(q)]
     assert ctx.neg(b[:q]).tolist() == [ctx.neg(y) for y in range(q)]
-    assert all(type(op(q - 1, 1)) is int for op in (ctx.add, ctx.sub, ctx.mul))
+    assert all(type(op(q - 1, 1)) is int for op in (ctx.add, ctx.sub, ctx.mul, ctx.pow))
+    # pow and inv: array calls match scalar calls, and powers match repeated mul
+    x, nz = b[:q], b[1:q]
+    for e in (0, 1, 2, 3, q - 2, 5 * q + 3):
+        assert ctx.pow(x, e).tolist() == [ctx.pow(y, e) for y in range(q)]
+    for e in (-1, -3):
+        assert ctx.pow(nz, e).tolist() == [ctx.pow(y, e) for y in range(1, q)]
+    acc = np.ones(q, dtype=np.int64)
+    for e in range(5):
+        assert ctx.pow(x, e).tolist() == acc.tolist()
+        acc = ctx.mul(acc, x)
+    assert ctx.inv(nz).tolist() == [ctx.inv(y) for y in range(1, q)]
+    assert ctx.mul(ctx.inv(nz), nz).tolist() == [1] * (q - 1)
+    assert type(ctx.inv(q - 1)) is int
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(x)
+    with pytest.raises(ZeroDivisionError):
+        ctx.pow(x, -1)
     # add is digit-wise addition mod p (independent oracle)
     for x, y in zip(a.tolist(), b.tolist()):
         s = [(i + j) % p for i, j in zip(_digits(x, p, n), _digits(y, p, n))]

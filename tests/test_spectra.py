@@ -262,10 +262,59 @@ def test_b3_m1_relation():
         assert m1 == spectra.b_l_count(ctx, d, 3) + 2
 
 
-def test_moment_identity_check_passes():
-    for p, n, d in ((2, 6, 5), (2, 8, 7), (3, 3, 7), (5, 2, 7)):
-        rep = spectra.moment_identity_check(gf.field_ctx(p, n), d)
-        assert rep.all_pass(), rep.to_dict()
+@pytest.mark.parametrize("p,n,d", [(2, 6, 5), (2, 8, 7), (3, 3, 7), (5, 2, 7), (3, 4, 7),
+                                   (5, 3, 3), (7, 2, 5), (11, 2, 7), (13, 2, 5)])
+def test_moment_identity_check_passes(p, n, d):
+    rep = spectra.moment_identity_check(gf.field_ctx(p, n), d)
+    assert rep.all_pass(), rep.to_dict()
+
+
+SHIFT_CASES = [(2, 5, 3), (3, 3, 7), (5, 2, 7), (7, 2, 5), (11, 2, 7), (13, 2, 5)]
+
+
+def _sampled_shifts(L):
+    return sorted(random.Random(2024).sample(range(1, L), 3))   # moment_identity_check's
+
+
+@pytest.mark.parametrize("p,n,d", SHIFT_CASES)
+def test_shifted_second_moment_matches_literal_sums(p, n, d):
+    ctx = gf.field_ctx(p, n)
+    L = ctx.period
+    wt = spectra.walsh_fast(ctx, d)
+    cvals = [spectra.crosscorr_naive(ctx, d, tau) for tau in range(L)]
+    for t in [0, 1] + _sampled_shifts(L):
+        literal = CycInt.zero(p)
+        for tau in range(L):
+            literal = literal + cvals[(tau - t) % L] * cvals[tau]
+        assert spectra._shifted_second_moment(wt, t) == literal, t
+    # t = 0 is the second moment, which the check takes from the histogram
+    assert spectra._shifted_second_moment(wt, 0) == wt.spectrum().value_count_sum(2)
+
+
+@pytest.mark.parametrize("p,n,d", SHIFT_CASES)
+def test_shifted_moment_verdicts_see_one_changed_coordinate(p, n, d, monkeypatch):
+    # C(0) -> C(0) + w changes each shifted sum by w (C(-t) + C(t)), which is
+    # nonzero here; the histogram-based verdicts do not read the per-shift array
+    ctx = gf.field_ctx(p, n)
+    assert spectra.moment_identity_check(ctx, d).shifted_ok
+    log_view = spectra.WalshTable._log_view
+
+    def changed(self):
+        c = log_view(self).copy()
+        c.reshape(len(c), -1)[0] += CycInt.root_power(p, 1).coords
+        return c
+
+    monkeypatch.setattr(spectra.WalshTable, "_log_view", changed)
+    rep = spectra.moment_identity_check(ctx, d)
+    assert [t for t, _ in rep.shifted] == _sampled_shifts(ctx.period)
+    assert [ok for _, ok in rep.shifted] == [False] * 3
+    assert rep.sum_c_ok and rep.autocorr_t0_ok and rep.third_moment_ok
+    # and by exactly that amount (w is not real, so this also pins w^i w^j)
+    wt = spectra.walsh_fast(ctx, d)
+    w = CycInt.root_power(p, 1)
+    for t, _ in rep.shifted:
+        change = w * (spectra.crosscorr_naive(ctx, d, -t) + spectra.crosscorr_naive(ctx, d, t))
+        assert spectra._shifted_second_moment(wt, t) == -ctx.order - 1 + change, t
 
 
 def test_shifted_second_moment_t1_value():
