@@ -6,7 +6,10 @@ code-weights, classify, conjecture.  JSON is the canonical output format
 lossy value,count projection of spectra.
 
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
-or conjecture counterexample), 2 usage error.
+or conjecture counterexample), 2 usage error, 3 internal error.  The code
+is decided by the exception type alone: `errors.OutOfDomain`,
+`errors.Budget` and `OSError` (from a path the user gave) are usage
+errors; any other exception is a bug and prints its traceback.
 """
 
 from __future__ import annotations
@@ -14,16 +17,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+import traceback
 from math import gcd
 
 from . import codes, expsums, families, lfsr, niho, search, spectra
-from .errors import MseqCorrError
+from .errors import Budget, MseqCorrError, OutOfDomain
 from .gf import field_ctx, load_modulus_file
 
 
-class UsageError(Exception):
-    pass
+def _int(text: str, what: str) -> int:
+    if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):   # the forms int() reads
+        raise OutOfDomain(f"{what} {text!r} is not an integer")
+    return int(text)
 
 
 def _emit(obj) -> None:
@@ -33,11 +40,12 @@ def _emit(obj) -> None:
 def _parse_decimation(text: str, modulus: int) -> int:
     if "/" in text:
         num, den = text.split("/", 1)
-        d = niho.resolve_fraction(int(num), int(den), modulus)
+        d = niho.resolve_fraction(_int(num, "decimation"), _int(den, "decimation"),
+                                  modulus)
     else:
-        d = int(text) % modulus
+        d = _int(text, "decimation") % modulus
     if gcd(d, modulus) != 1:
-        raise UsageError(f"decimation {text} is not coprime to {modulus}")
+        raise OutOfDomain(f"decimation {text} is not coprime to {modulus}")
     return d
 
 
@@ -56,8 +64,8 @@ def _parse_params(text: str) -> dict:
     for item in text.split(","):
         k, _, v = item.partition("=")
         if not _:
-            raise UsageError(f"bad --params item {item!r}; expected key=value")
-        out[k.strip()] = int(v)
+            raise OutOfDomain(f"bad --params item {item!r}; expected key=value")
+        out[k.strip()] = _int(v, f"--params {k.strip()}")
     return out
 
 
@@ -117,10 +125,9 @@ def _cmd_moments(args) -> int:
     ctx = _ctx_for(args)
     d = _parse_decimation(args.d, ctx.period)
     report = spectra.moment_identity_check(ctx, d)
-    table = spectra.spectrum(ctx, d)
     moments = {}
     for l in range(5):
-        m = spectra.moment(table, l)
+        m = spectra.moment(report.spectrum, l)
         moments[str(l)] = m if isinstance(m, int) else m.to_json()
     out = report.to_dict()
     out["power_moments"] = moments
@@ -140,7 +147,7 @@ def _cmd_verify(args) -> int:
         fam = families.get_family(args.family)
         insts = [params] if params else fam.instances(args.p, args.n)
         if not insts:
-            raise UsageError(
+            raise OutOfDomain(
                 f"family {args.family} has no admissible instance at "
                 f"(p={args.p}, n={args.n}); pass --params")
         jobs = [(fam.id, inst) for inst in insts]
@@ -204,13 +211,23 @@ def _cmd_code_weights(args) -> int:
     return 0
 
 
+def _degrees(args) -> range:
+    """The degrees n of a classify/conjecture run, all within the
+    classification bound; checked before any work."""
+    ns = range(2, args.max_n + 1) if args.max_n else range(args.n, args.n + 1)
+    if not (args.n or args.max_n) or not ns:
+        raise OutOfDomain("pass --n, or --max-n >= 2")
+    if args.p ** ns[-1] > search.CLASSIFY_MAX_ORDER:
+        raise Budget(f"p^n = {args.p}^{ns[-1]} exceeds the classification bound "
+                     f"p^n <= {search.CLASSIFY_MAX_ORDER}")
+    return ns
+
+
 def _cmd_classify(args) -> int:
+    ns = _degrees(args)
     cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
-    ns = range(2, args.max_n + 1) if args.max_n else [args.n]
     out = []
     for n in ns:
-        if args.p ** n > search.CLASSIFY_MAX_ORDER:
-            break
         buckets = search.classify_by_value_count(
             args.p, n, cache=cache, threads=args.threads)
         out.append({
@@ -228,28 +245,23 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    if args.check == "op6":
+        rep = expsums.conjectured_sum_identities(args.n, args.k)
+        _emit([{"check": "op6", **rep}])
+        return 0 if rep["both_equal"] else 1
+    ns = _degrees(args)
     cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
     findings = 0
     out = []
-    if args.check == "op6":
-        rep = expsums.conjectured_sum_identities(args.n, args.k)
-        out.append({"check": "op6", **rep})
-        findings += 0 if rep["both_equal"] else 1
-    else:
-        ns = range(2, args.max_n + 1) if args.max_n else [args.n]
-        for n in ns:
-            if args.p ** n > search.CLASSIFY_MAX_ORDER:
-                break
-            if args.check == "minus-one":
-                rep = search.check_minus_one(args.p, n, cache=cache,
-                                             threads=args.threads)
-                out.append(rep.to_dict())
-                findings += 0 if rep.holds else 1
-            elif args.check == "three-valued":
-                rep = search.three_valued_completeness(
-                    args.p, n, cache=cache, threads=args.threads)
-                out.append(rep.to_dict())
-                findings += 0 if rep.exact_match else 1
+    for n in ns:
+        if args.check == "minus-one":
+            rep = search.check_minus_one(args.p, n, cache=cache, threads=args.threads)
+            findings += 0 if rep.holds else 1
+        else:
+            rep = search.three_valued_completeness(
+                args.p, n, cache=cache, threads=args.threads)
+            findings += 0 if rep.exact_match else 1
+        out.append(rep.to_dict())
     _emit(out)
     return 0 if not findings else 1
 
@@ -360,21 +372,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.command == "classify" and not (args.n or args.max_n):
-            raise UsageError("pass --n or --max-n")
-        if args.command == "conjecture" and args.check != "op6" \
-                and not (args.n or args.max_n):
-            raise UsageError("pass --n or --max-n")
         return args.fn(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except MseqCorrError as e:
+    except (MseqCorrError, OSError) as e:
         print(f"usage error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error: a bug, see the traceback above", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ConditionViolated, NotCoprime
+from .errors import OutOfDomain
 from .gf import FieldCtx
 from . import lfsr
 from .spectra import walsh_fast
@@ -62,7 +62,7 @@ def weight_distribution_brute(ctx: FieldCtx, d: int) -> WeightDistribution:
     L = ctx.period
     p = ctx.p
     if gcd(d, L) != 1:
-        raise NotCoprime(f"gcd({d}, {L}) != 1")
+        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     s = lfsr.generate_trace(ctx).as_array()
     sd = s[(np.arange(L, dtype=np.int64) * (d % L)) % L]
     counts: dict[int, int] = {0: 1}
@@ -86,9 +86,9 @@ def weight_distribution_via_walsh(ctx: FieldCtx, d: int) -> WeightDistribution:
     p = ctx.p
     L = ctx.period
     if gcd(d, L) != 1:
-        raise NotCoprime(f"gcd({d}, {L}) != 1")
+        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if (d - 1) % (p - 1):
-        raise ConditionViolated(
+        raise OutOfDomain(
             f"d = {d} is not 1 mod p-1 = {p - 1}; weights depend on y")
     counts: dict[int, int] = {0: 1}
     w_bal = p ** (ctx.n - 1) * (p - 1)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import CycInt
-from .errors import OddDegree
+from .errors import OutOfDomain
 from .gf import FieldCtx, field_ctx
 
 
@@ -65,7 +65,7 @@ def _sign_sum(ctx: FieldCtx, v: np.ndarray) -> int:
 def cubic_sum(ctx: FieldCtx, b: int, a: int) -> int:
     """C(b, a) = sum over all x in GF(2^n) of (-1)^(Tr(b x^3 + a x))."""
     if ctx.p != 2:
-        raise ValueError("cubic sum is a binary-field sum")
+        raise OutOfDomain("cubic sum is a binary-field sum")
     x = ctx.exp_table
     cube = x[3 * np.arange(ctx.period) % ctx.period]
     v = ctx.add(ctx.mul(b, cube), ctx.mul(a, x))
@@ -75,7 +75,7 @@ def cubic_sum(ctx: FieldCtx, b: int, a: int) -> int:
 def g_sum(ctx: FieldCtx, b: int, a: int) -> int:
     """G(b, a) = sum over nonzero x of (-1)^(Tr(b x^3 + a x^(-1)))."""
     if ctx.p != 2:
-        raise ValueError("mixed cubic/inverse sum is a binary-field sum")
+        raise OutOfDomain("mixed cubic/inverse sum is a binary-field sum")
     i = np.arange(ctx.period)
     x = ctx.exp_table
     v = ctx.add(ctx.mul(b, x[3 * i % ctx.period]), ctx.mul(a, x[-i % ctx.period]))
@@ -89,7 +89,7 @@ def kloosterman_double_sum(m: int) -> int:
     vanishes only on GF(2)).  Exact integer; equals -2^m tau_m + 1.
     """
     if m < 3 or m % 2 == 0:
-        raise ValueError("defined for odd m >= 3")
+        raise OutOfDomain("defined for odd m >= 3")
     from .spectra import walsh_fast
 
     ctx = field_ctx(2, m)
@@ -116,7 +116,7 @@ def tau_value(m: int) -> Fraction:
     """Exact rational tau_m: tau_1 = 1/2, tau_2 = -7/4,
     tau_{k+2} = tau_{k+1}/2 - tau_k."""
     if m < 1:
-        raise ValueError("m >= 1")
+        raise OutOfDomain("m >= 1")
     a, b = Fraction(1, 2), Fraction(-7, 4)
     if m == 1:
         return a
@@ -137,11 +137,11 @@ def conjectured_sum_identities(n: int, k: int) -> dict:
     inverse convention (the v = 1 denominator vanishes; its term is +1).
     """
     if n % 2 == 0:
-        raise OddDegree("identities live over odd-degree binary fields")
+        raise OutOfDomain("identities live over odd-degree binary fields")
     from math import gcd as _gcd
 
     if _gcd(k, n) != 1:
-        raise ValueError("need gcd(k, n) = 1")
+        raise OutOfDomain("need gcd(k, n) = 1")
     ctx = field_ctx(2, n)
     x = ctx.exp_table   # every nonzero x (and every nonzero v)
     xinv = ctx.inv(x)

@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from .cyclo import CycInt
-from .errors import MethodInapplicable, NotCoprime, OutOfDomain
+from .errors import OutOfDomain
 from .expsums import kloosterman_weighted_sum, tau_value
 from .gf import FieldCtx
 from .niho import niho_decimation, resolve_fraction
@@ -931,7 +931,7 @@ def get_family(family_id: str) -> FamilyDescriptor:
     for f in catalog():
         if f.id == family_id:
             return f
-    raise KeyError(f"unknown family {family_id!r}")
+    raise OutOfDomain(f"unknown family {family_id!r}")
 
 
 def predicted_spectrum(family_id: str, p: int, n: int, params: dict):
@@ -1039,9 +1039,9 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> SpectrumTable:
     L = ctx.period
     p = ctx.p
     if gcd(d, L) != 1:
-        raise NotCoprime(f"gcd({d}, {L}) != 1")
+        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if N < 2 or L % N:
-        raise MethodInapplicable(f"N = {N} does not divide p^n - 1 = {L}")
+        raise OutOfDomain(f"N = {N} does not divide p^n - 1 = {L}")
     step = L // N
     d1 = None
     for j in range(ctx.n):
@@ -1050,7 +1050,7 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> SpectrumTable:
             d1 = cand
             break
     if d1 is None:
-        raise MethodInapplicable(
+        raise OutOfDomain(
             f"(d p^j - 1) N != 0 mod p^n - 1 for every j < {ctx.n}")
 
     exp = ctx.exp_table
@@ -1079,7 +1079,7 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> SpectrumTable:
         divided = []
         for c in coords:
             if c % N:
-                raise MethodInapplicable(
+                raise OutOfDomain(
                     "coset sum not divisible by N; decomposition invalid")
             divided.append(c // N)
         w = CycInt(p, divided)

@@ -26,8 +26,10 @@ moduli can be loaded from a file, see `load_modulus_file`.
 
 Size bounds: exp/log tables are built only for p^n <= 2^24; polynomial-level
 operations (primitivity testing, canonical polynomial search) go up to 2^40.
-Past either bound they raise `errors.Budget`; a degree n < 1 raises
-`errors.OutOfDomain`.
+Past either bound they raise `errors.Budget`.  Arguments outside what a
+function accepts (a composite p, a degree n < 1, an odd n where n = 2m is
+needed, a non-subfield degree, a non-primitive or malformed modulus, the
+log of 0) raise `errors.OutOfDomain`.
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (
-    Budget,
-    CompositeP,
-    FactorizationFailure,
-    NotASubfield,
-    OddDegree,
-    OutOfDomain,
-)
+from .errors import Budget, OutOfDomain
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 MAX_TABLE_ORDER = 2 ** 24   # exp/log tables kept in memory
@@ -96,10 +91,10 @@ def _pollard_rho(n: int) -> int:
             d = gcd(abs(x - y), n)
             steps += 1
             if steps > _RHO_ITER_BUDGET:
-                raise FactorizationFailure(f"rho budget exhausted for {n}")
+                raise Budget(f"rho budget exhausted for {n}")
         if d != n:
             return d
-    raise FactorizationFailure(f"no rho parameter split {n}")
+    raise Budget(f"no rho parameter split {n}")
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -172,11 +167,11 @@ class FieldSpec:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise CompositeP(f"p={self.p} is not prime")
+            raise OutOfDomain(f"p={self.p} is not prime")
         if self.n < 1 or len(self.coeffs) != self.n:
-            raise ValueError("coefficient list must have length n >= 1")
+            raise OutOfDomain("coefficient list must have length n >= 1")
         if self.coeffs[0] % self.p == 0:
-            raise ValueError("constant term c_0 must be nonzero")
+            raise OutOfDomain("constant term c_0 must be nonzero")
 
     @property
     def order(self) -> int:
@@ -189,7 +184,7 @@ class FieldSpec:
 
 def _check_poly_args(p: int, n: int) -> None:
     if not is_prime(p):
-        raise CompositeP(f"p={p} is not prime")
+        raise OutOfDomain(f"p={p} is not prime")
     if n < 1:
         raise OutOfDomain(f"n={n}: the extension degree must be >= 1")
     if p ** n > MAX_POLY_ORDER:
@@ -245,7 +240,7 @@ def find_primitive_polynomial(p: int, n: int) -> FieldSpec:
             continue
         if is_primitive(p, n, coeffs):
             return FieldSpec(p, n, coeffs)
-    raise FactorizationFailure(f"no primitive polynomial found for ({p},{n})")
+    raise RuntimeError(f"no primitive polynomial found for ({p},{n})")
 
 
 def load_modulus_file(path) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -256,14 +251,17 @@ def load_modulus_file(path) -> dict[tuple[int, int], tuple[int, ...]]:
             line = line.split("#")[0].strip()
             if not line:
                 continue
-            parts = [int(tok) for tok in line.split()]
+            try:
+                parts = [int(tok) for tok in line.split()]
+            except ValueError:
+                parts = []   # a token that is not a decimal integer
             if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected 'p n c_0 ... c_(n-1)'")
+                raise OutOfDomain(f"{path}:{lineno}: expected 'p n c_0 ... c_(n-1)' in decimal")
             p, n, coeffs = parts[0], parts[1], tuple(parts[2:])
             if len(coeffs) != n:
-                raise ValueError(f"{path}:{lineno}: {n} coefficients expected")
+                raise OutOfDomain(f"{path}:{lineno}: {n} coefficients expected")
             if not is_primitive(p, n, coeffs):
-                raise ValueError(f"{path}:{lineno}: modulus is not primitive over GF({p})")
+                raise OutOfDomain(f"{path}:{lineno}: modulus is not primitive over GF({p})")
             table[(p, n)] = coeffs
     return table
 
@@ -330,20 +328,20 @@ class FieldCtx:
         """Apply the GF(p)-linear map sending alpha^i to images[i] to packed x.
 
         Digits are taken g at a time (p^g <= 256): each group indexes a table
-        of the images of its p^g digit patterns, and the looked-up parts are
-        summed with the array `add`.
+        of the images of its p^g digit patterns, built one digit at a time
+        from the multiples k * v (k in GF(p), digit-wise) of that digit's
+        image v, and the looked-up parts are summed with the array `add`.
         """
         p, g = self.p, 1
         while p ** (g + 1) <= 256:
             g += 1
+        place = np.array(self._place, dtype=np.int64)
         out = None
         for lo in range(0, self.n, g):
             table = np.zeros(1, dtype=np.int32)
             for v in images[lo:lo + g]:
-                multiples = [0]
-                for _ in range(p - 1):
-                    multiples.append(self.add(multiples[-1], int(v)))
-                table = np.concatenate([self.add(table, t) for t in multiples])
+                multiples = (np.arange(p)[:, None] * (int(v) // place % p) % p) @ place
+                table = self.add(multiples[:, None], table).ravel().astype(np.int32)
             part = table[x // self._place[lo] % len(table)]
             out = part if out is None else self.add(out, part)
         return out
@@ -400,7 +398,7 @@ class FieldCtx:
 
     def log_of(self, a: int) -> int:
         if a == 0:
-            raise ValueError("zero has no discrete log")
+            raise OutOfDomain("zero has no discrete log")
         return int(self._log[a])
 
     def frobenius(self, a, k: int = 1):
@@ -412,7 +410,7 @@ class FieldCtx:
     def conj_half(self, a):
         """a^(p^m) for n = 2m, the subfield conjugate used on the unit circle."""
         if self.n % 2:
-            raise OddDegree("conjugate over GF(p^m) needs n = 2m")
+            raise OutOfDomain("conjugate over GF(p^m) needs n = 2m")
         return self.frobenius(a, self.n // 2)
 
     # -- traces ----------------------------------------------------------
@@ -446,7 +444,7 @@ class FieldCtx:
     def relative_trace(self, a: int, m: int) -> int:
         """Tr^n_m(a) = a + a^(p^m) + ... + a^(p^(n-m)), an element of GF(p^m)."""
         if m < 1 or self.n % m:
-            raise NotASubfield(f"GF(p^{m}) is not a subfield of GF(p^{self.n})")
+            raise OutOfDomain(f"GF(p^{m}) is not a subfield of GF(p^{self.n})")
         acc = 0
         for k in range(self.n // m):
             acc = self.add(acc, self.frobenius(a, m * k))
@@ -457,7 +455,7 @@ class FieldCtx:
         element z (z^(p^m) = z); composes with relative_trace to give the
         full trace."""
         if m < 1 or self.n % m:
-            raise NotASubfield(f"GF(p^{m}) is not a subfield of GF(p^{self.n})")
+            raise OutOfDomain(f"GF(p^{m}) is not a subfield of GF(p^{self.n})")
         acc = 0
         for k in range(m):
             acc = self.add(acc, self.frobenius(z, k))
@@ -468,7 +466,7 @@ class FieldCtx:
     def unit_circle(self) -> UnitCircle:
         """All x with x * x^(p^m) = 1 (n = 2m): the subgroup of order p^m + 1."""
         if self.n % 2:
-            raise OddDegree("unit circle needs n = 2m")
+            raise OutOfDomain("unit circle needs n = 2m")
         m = self.n // 2
         step = self.p ** m - 1
         elems = tuple(
@@ -501,7 +499,7 @@ def field_ctx(p: int, n: int, coeffs=None) -> FieldCtx:
         return hit
     spec = FieldSpec(p, n, tuple(coeffs)) if coeffs is not None else _canonical_spec(p, n)
     if coeffs is not None and not is_primitive(p, n, spec.coeffs):
-        raise ValueError(f"modulus {coeffs} is not primitive over GF({p})")
+        raise OutOfDomain(f"modulus {coeffs} is not primitive over GF({p})")
     ctx = FieldCtx(spec)
     if ctx.order <= _CTX_CACHE_MAX_ORDER:
         _CTX_CACHE[key] = ctx

@@ -13,7 +13,7 @@ from math import gcd
 import numpy as np
 
 from .cyclo import CycInt
-from .errors import NotCoprime, ZeroState
+from .errors import OutOfDomain
 from .gf import FieldCtx, FieldSpec
 
 
@@ -51,9 +51,9 @@ def generate_recursion(spec: FieldSpec, initial_state) -> MSeq:
     """Run s_{t+n} = -(c_{n-1} s_{t+n-1} + ... + c_0 s_t) for one full period."""
     state = [s % spec.p for s in initial_state]
     if len(state) != spec.n:
-        raise ValueError(f"initial state must have length {spec.n}")
+        raise OutOfDomain(f"initial state must have length {spec.n}")
     if not any(state):
-        raise ZeroState("all-zero initial state generates the zero orbit")
+        raise OutOfDomain("all-zero initial state generates the zero orbit")
     p, n, L = spec.p, spec.n, spec.period
     c = spec.coeffs
     out = list(state)
@@ -67,7 +67,7 @@ def decimate(seq: MSeq, d: int) -> MSeq:
     """symbols'[t] = symbols[d*t mod period]; requires gcd(d, period) = 1."""
     L = seq.period
     if gcd(d, L) != 1:
-        raise NotCoprime(f"gcd({d}, {L}) != 1")
+        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     arr = seq.as_array()
     idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
     return MSeq(seq.p, seq.n, bytes(int(v) for v in arr[idx]), origin=f"{seq.origin}/dec{d}")

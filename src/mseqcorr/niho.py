@@ -21,19 +21,19 @@ from math import gcd
 
 import numpy as np
 
-from .errors import NotInvertible, OddDegree
+from .errors import OutOfDomain
 from .gf import FieldCtx
 
 
 def resolve_fraction(d1: int, d2: int, modulus: int) -> int:
     """d = d1 * d2^(-1) mod modulus, representative in [1, modulus-1]."""
     if modulus < 2:
-        raise ValueError("modulus must be >= 2")
+        raise OutOfDomain("modulus must be >= 2")
     if gcd(d2, modulus) != 1:
-        raise NotInvertible(f"gcd({d2}, {modulus}) != 1")
+        raise OutOfDomain(f"gcd({d2}, {modulus}) != 1")
     d = (d1 % modulus) * pow(d2, -1, modulus) % modulus
     if d == 0:
-        raise NotInvertible(f"{d1}/{d2} is 0 mod {modulus}")
+        raise OutOfDomain(f"{d1}/{d2} is 0 mod {modulus}")
     return d
 
 
@@ -68,7 +68,7 @@ def count_unit_roots(ctx: FieldCtx, s: int, a):
     about 2^16 cells.
     """
     if ctx.n % 2:
-        raise OddDegree("Niho machinery needs n = 2m")
+        raise OutOfDomain("Niho machinery needs n = 2m")
     L = ctx.period
     pm = ctx.p ** (ctx.n // 2)
     lx = np.arange(pm + 1, dtype=np.int64) * (pm - 1)   # logs of U
@@ -97,7 +97,7 @@ def unit_root_histogram(ctx: FieldCtx, s: int) -> dict[int, int]:
 def niho_value_set(ctx: FieldCtx, s: int) -> set[int]:
     """{(N(a) - 1) * p^m : a != 0} computed exactly from the root counts."""
     if ctx.n % 2:
-        raise OddDegree("Niho machinery needs n = 2m")
+        raise OutOfDomain("Niho machinery needs n = 2m")
     pm = ctx.p ** (ctx.n // 2)
     return {(na - 1) * pm for na in unit_root_histogram(ctx, s)}
 
@@ -111,14 +111,15 @@ def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
     from .spectra import walsh_fast
 
     if ctx.n % 2:
-        raise OddDegree("Niho machinery needs n = 2m")
+        raise OutOfDomain("Niho machinery needs n = 2m")
     m = ctx.n // 2
     pm = ctx.p ** m
     d = niho_decimation(ctx.p, m, s)
     wt = walsh_fast(ctx, d, require_invertible=False)
     na = count_unit_roots(ctx, s, ctx.exp_table)   # a = alpha^tau, tau in log order
-    mismatches = [tau for tau, v in enumerate(na.tolist())
-                  if wt.value_at_log(tau) != (v - 1) * pm]
+    # W(alpha^tau) in Z[w] coordinates: (N(a) - 1) p^m on 1, zero on w..w^(p-2)
+    w = wt._log_view().reshape(ctx.period, -1)
+    mismatches = np.flatnonzero((w[:, 0] != (na - 1) * pm) | w[:, 1:].any(axis=1)).tolist()
     hist = _histogram(na)
     return {
         "p": ctx.p,

@@ -129,14 +129,7 @@ class SpectrumCache:
     def append(self, p: int, n: int, modulus: tuple, tables) -> None:
         path = self._path(p, n)
         lines = (   # written as they are made
-            json.dumps({
-                "p": p, "n": n, "modulus": list(modulus), "d": t.d,
-                "method": t.method,
-                "entries": [
-                    {"value": v.to_json(), "count": c}
-                    for v, c in t.sorted_entries()
-                ],
-            }, sort_keys=True)
+            json.dumps({**t.to_json_dict(), "modulus": list(modulus)}, sort_keys=True)
             for t in tables
         )
         skipped = self._skipped.pop(path, None)

@@ -38,7 +38,7 @@ from math import gcd
 import numpy as np
 
 from .cyclo import CycInt
-from .errors import Budget, NotCoprime
+from .errors import Budget, OutOfDomain
 from .gf import MAX_TABLE_ORDER, FieldCtx
 from . import lfsr
 
@@ -211,7 +211,7 @@ class WalshTable:
     def int_values_by_log(self) -> np.ndarray:
         """Per-shift values as an integer array (p = 2 only)."""
         if self.p != 2:
-            raise ValueError("integer view only for p = 2")
+            raise OutOfDomain("integer view only for p = 2")
         return self._log_view()
 
     def unique_values(self, include_zero_point: bool = True):
@@ -263,7 +263,7 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
     """
     L = ctx.period
     if require_invertible and gcd(d, L) != 1:
-        raise NotCoprime(f"gcd({d}, {L}) != 1")
+        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if ctx.order > MAX_TABLE_ORDER:
         raise Budget(f"p^n={ctx.order} beyond the full-spectrum grid")
     idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
@@ -291,7 +291,7 @@ def crosscorr_naive(ctx: FieldCtx, d: int, tau: int) -> CycInt:
     """Direct O(p^n) sum of w^(s_{t+tau} - s_{dt}); the reference oracle."""
     L = ctx.period
     if gcd(d, L) != 1:
-        raise NotCoprime(f"gcd({d}, {L}) != 1")
+        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     tr = ctx.trace_table
     exp = ctx.exp_table
     p = ctx.p
@@ -309,7 +309,7 @@ def spectrum_naive(ctx: FieldCtx, d: int) -> SpectrumTable:
     """
     L = ctx.period
     if gcd(d, L) != 1:
-        raise NotCoprime(f"gcd({d}, {L}) != 1")
+        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if ctx.order > NAIVE_MAX_ORDER:
         raise Budget(f"naive spectrum limited to p^n <= {NAIVE_MAX_ORDER}")
     p = ctx.p
@@ -345,7 +345,7 @@ def spectrum(ctx: FieldCtx, d: int, method: str = "fast") -> SpectrumTable:
         return walsh_fast(ctx, d).spectrum()
     if method == "naive":
         return spectrum_naive(ctx, d)
-    raise ValueError(f"unknown method {method!r}")
+    raise OutOfDomain(f"unknown method {method!r}")
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +399,7 @@ def _power_sum_count(ctx: FieldCtx, d: int, k: int, target: int, xs: np.ndarray)
 def solution_count_N(ctx: FieldCtx, d: int, l: int) -> int:
     """Brute-force count of (x_1..x_l) with sum x_i = 0 and sum x_i^d = 0."""
     if l not in (1, 2, 3, 4):
-        raise ValueError("l must be in 1..4")
+        raise OutOfDomain("l must be in 1..4")
     if ctx.order ** (l - 1) > 2 ** 32:
         raise Budget(f"p^(n(l-1)) = {ctx.order ** (l - 1)} exceeds 2^32")
     if l == 1:
@@ -410,7 +410,7 @@ def solution_count_N(ctx: FieldCtx, d: int, l: int) -> int:
 def b_l_count(ctx: FieldCtx, d: int, l: int) -> int:
     """Count nonzero (x_1..x_{l-1}) with sum x_i = -1 and sum x_i^d = -1."""
     if l not in (3, 4):
-        raise ValueError("l must be 3 or 4")
+        raise OutOfDomain("l must be 3 or 4")
     if ctx.order ** (l - 2) > 2 ** 32:
         raise Budget("enumeration exceeds 2^32")
     return _power_sum_count(ctx, d, l - 1, ctx.neg(1), np.arange(1, ctx.order, dtype=np.int32))
@@ -418,7 +418,8 @@ def b_l_count(ctx: FieldCtx, d: int, l: int) -> int:
 
 @dataclass
 class MomentReport:
-    """Exact verdicts for the first/second moment identities and b_3 form."""
+    """Exact verdicts for the first/second moment identities and b_3 form,
+    with the spectrum they were read from."""
 
     p: int
     n: int
@@ -432,6 +433,7 @@ class MomentReport:
     third_moment: object
     b3: int
     third_moment_ok: bool
+    spectrum: SpectrumTable = field(repr=False, compare=False)
 
     def all_pass(self) -> bool:
         return self.sum_c_ok and self.autocorr_t0_ok and self.shifted_ok and self.third_moment_ok
@@ -485,4 +487,5 @@ def moment_identity_check(ctx: FieldCtx, d: int, seed: int = 2024) -> MomentRepo
         autocorr_t0=t0, autocorr_t0_ok=t0 == q * q - q - 1,
         shifted=shifted, shifted_ok=all(ok for _, ok in shifted),
         third_moment=third, b3=b3, third_moment_ok=third == -((q - 1) ** 2) + 2 + b3 * q * q,
+        spectrum=table,
     )

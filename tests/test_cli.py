@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mseqcorr import gf, search
+from mseqcorr import gf, search, spectra
 from mseqcorr.cli import main
 
 
@@ -205,6 +205,12 @@ def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
     assert "skipped" in err
 
 
+def _assert_usage_error(argv, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     "niho --p 2 --m 0 --s 2",
     "expsum --kind kloosterman --p 2 --m 0",
@@ -214,9 +220,37 @@ def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
     "field --p 2 --n 0",
 ])
 def test_degree_below_one_is_usage_error(argv, capsys):
-    code, out, err = run_cli(*argv.split(), capsys=capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("usage error:") and "Traceback" not in err
+    _assert_usage_error(argv.split(), capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --family nosuch --p 2 --n 5",
+    "field --p 2 --n 4 --modulus-file {tmp}/missing.txt",
+    "seq --p 2 --n 3 --out-file {tmp}/missing/x",
+    "classify --p 2 --n 4 --cache-dir {tmp}/file/x",
+    "spectrum --p 2 --n 5 --d abc",
+    "verify --family gold --p 2 --n 5 --params k=x",
+    "classify --p 2 --n 25",
+    "classify --p 2 --max-n 30",
+    "classify --p 2 --max-n 1",
+    "conjecture --check three-valued --p 3 --n 16",
+])
+def test_usage_errors_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    _assert_usage_error(argv.format(tmp=tmp_path).split(), capsys)
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError])
+def test_internal_error_exits_3(exc, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise exc("a bug inside the library")
+
+    monkeypatch.setattr(spectra, "spectrum", broken)
+    code, out, err = run_cli("spectrum", "--p", "2", "--n", "5", "--d", "3",
+                             capsys=capsys)
+    assert code == 3 and out == ""
+    assert "Traceback" in err and exc.__name__ in err
+    assert "usage error" not in err
 
 
 def test_classify_needs_n(capsys):

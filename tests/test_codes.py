@@ -3,7 +3,7 @@
 import pytest
 
 from mseqcorr import codes, gf
-from mseqcorr.errors import ConditionViolated, NotCoprime
+from mseqcorr.errors import OutOfDomain
 from mseqcorr.spectra import walsh_fast
 
 
@@ -50,12 +50,12 @@ def test_degenerate_decimation_single_weight():
 
 def test_condition_violated():
     # p = 5: d = 7 is coprime to 24 but 7 != 1 mod 4
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(OutOfDomain, match="is not 1 mod p-1"):
         codes.weight_distribution_via_walsh(gf.field_ctx(5, 2), 7)
 
 
 def test_not_coprime():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(OutOfDomain, match=r"gcd\(3, 15\) != 1"):
         codes.weight_distribution_via_walsh(gf.field_ctx(2, 4), 3)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(OutOfDomain, match=r"gcd\(3, 15\) != 1"):
         codes.weight_distribution_brute(gf.field_ctx(2, 4), 3)

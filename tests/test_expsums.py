@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mseqcorr import expsums, gf
-from mseqcorr.errors import OddDegree
+from mseqcorr.errors import OutOfDomain
 
 
 def test_kloosterman_zero_argument():
@@ -128,7 +128,7 @@ def test_weighted_sum_domain_size():
 
 
 def test_weighted_sum_rejects_even_m():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match="defined for odd m >= 3"):
         expsums.kloosterman_weighted_sum(4)
 
 
@@ -144,7 +144,7 @@ def test_conjectured_identity_k1_trivial():
 
 
 def test_identities_need_odd_n():
-    with pytest.raises(OddDegree):
+    with pytest.raises(OutOfDomain, match="odd-degree binary fields"):
         expsums.conjectured_sum_identities(6, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match=r"need gcd\(k, n\) = 1"):
         expsums.conjectured_sum_identities(9, 3)

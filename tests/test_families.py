@@ -6,7 +6,7 @@ import pytest
 
 from mseqcorr import families, gf, spectra
 from mseqcorr.cyclo import CycInt
-from mseqcorr.errors import MethodInapplicable, OutOfDomain
+from mseqcorr.errors import OutOfDomain
 from mseqcorr.families import AtMostKValues, coset_spectrum_method, verify_family
 
 
@@ -161,9 +161,9 @@ def test_coset_method_matches_direct():
 
 
 def test_coset_method_inapplicable():
-    with pytest.raises(MethodInapplicable):
+    with pytest.raises(OutOfDomain, match="N = 7 does not divide"):
         coset_spectrum_method(gf.field_ctx(2, 5), 3, 7)   # 7 does not divide 31
-    with pytest.raises(MethodInapplicable):
+    with pytest.raises(OutOfDomain, match=r"\(d p\^j - 1\) N != 0"):
         coset_spectrum_method(gf.field_ctx(2, 6), 5, 3)   # congruence fails every j
 
 

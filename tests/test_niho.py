@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mseqcorr import gf, niho, spectra
-from mseqcorr.errors import NotInvertible, OddDegree
+from mseqcorr.errors import OutOfDomain
 
 
 def test_resolve_fraction_examples():
@@ -18,9 +18,9 @@ def test_resolve_fraction_examples():
 
 
 def test_resolve_fraction_not_invertible():
-    with pytest.raises(NotInvertible):
+    with pytest.raises(OutOfDomain, match=r"gcd\(3, 30\) != 1"):
         niho.resolve_fraction(5, 3, 30)
-    with pytest.raises(NotInvertible):
+    with pytest.raises(OutOfDomain, match="31/3 is 0 mod 31"):
         niho.resolve_fraction(31, 3, 31)  # 0 mod 31
 
 
@@ -67,6 +67,22 @@ def test_walsh_identity(p, m, s):
     assert rep["holds"], rep
 
 
+@pytest.mark.parametrize("p,m,s,coord", [(2, 3, 3, 0), (3, 2, 3, 0), (3, 2, 3, 1)])
+def test_walsh_identity_sees_one_changed_entry(p, m, s, coord, monkeypatch):
+    tau = 5
+    walsh_fast = spectra.walsh_fast
+
+    def changed(*args, **kwargs):
+        wt = walsh_fast(*args, **kwargs)
+        view = wt._log_view()
+        view.reshape(len(view), -1)[tau, coord] += 1
+        return wt
+
+    monkeypatch.setattr(spectra, "walsh_fast", changed)
+    rep = niho.walsh_identity_report(gf.field_ctx(p, 2 * m), s)
+    assert not rep["holds"] and rep["mismatch_shifts"] == [tau]
+
+
 def test_value_set_four_valued_case():
     ctx = gf.field_ctx(2, 8)
     assert niho.niho_value_set(ctx, 2) == {-16, 0, 16, 32}
@@ -104,9 +120,9 @@ def test_root_count_total_consistency():
 
 def test_odd_degree_rejected():
     ctx = gf.field_ctx(2, 5)
-    with pytest.raises(OddDegree):
+    with pytest.raises(OutOfDomain, match="Niho machinery needs n = 2m"):
         niho.count_unit_roots(ctx, 2, 1)
-    with pytest.raises(OddDegree):
+    with pytest.raises(OutOfDomain, match="Niho machinery needs n = 2m"):
         niho.niho_value_set(ctx, 2)
 
 
