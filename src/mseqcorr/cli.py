@@ -188,7 +188,7 @@ def _cmd_expsum(args) -> int:
                "a_log": None if args.a_zero else args.a_log,
                "value": v if isinstance(v, int) else v.to_json()})
     elif args.kind in ("cubic", "g"):
-        ctx = field_ctx(2, args.n)
+        ctx = field_ctx(args.p, args.n)   # the sums reject p != 2
         b = 0 if args.b_zero else ctx.element_from_log(args.b_log)
         a = 0 if args.a_zero else ctx.element_from_log(args.a_log)
         fn = expsums.cubic_sum if args.kind == "cubic" else expsums.g_sum
@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("fast", "naive"), default="fast")
     sp.add_argument("--out", choices=("json", "csv"), default="json")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker budget; the transform itself is vectorized "
-                         "and deterministic for any value")
+                    help="accepted; ignored by spectrum, which runs one "
+                         "vectorized transform")
     sp.set_defaults(fn=_cmd_spectrum)
 
     sp = sub.add_parser("moments", help="power-moment identity report")

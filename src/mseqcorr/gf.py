@@ -1,4 +1,4 @@
-"""Finite fields GF(p^n) with exp/log tables.
+"""Finite fields GF(p^n) with exp/log and trace tables.
 
 An element sum_i c_i * alpha^i (c_i in GF(p), alpha the residue class of x
 modulo the defining polynomial) is packed into the integer sum_i c_i * p**i.
@@ -12,11 +12,18 @@ other; exponents are ints): an int in gives an int out, an array in gives an
 array out.  Addition is XOR for p = 2 and digit-wise mod p otherwise;
 negation is multiplication by the constant p - 1 = -1.
 
-The tables are built by doubling, the same way for every p: exp[k:2k] =
+The exp table is built by doubling, the same way for every p: exp[k:2k] =
 alpha^k * exp[:k].  Multiplication by alpha^k is GF(p)-linear, so it is
 applied to a whole array from the images of the basis alpha^0..alpha^(n-1),
 looking digits up a group at a time in tables of at most 256 entries.  The
-trace table and the Gram index map u(a) are the same kind of linear map.
+trace and the Gram index map u(a) are the same kind of linear map, from the
+traces Tr(alpha^i) of the basis.
+
+`FieldCtx` builds only the exp table and those n traces when it is made.
+The log table, the m-sequence s_k = Tr(alpha^k) (for p = 2, a parity of
+masked exp entries), the full trace table and the Gram matrix are built on
+first use, so a spectrum, which reads exp and the m-sequence alone, never
+pays for the others.
 
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
@@ -24,18 +31,19 @@ The canonical polynomial for (p, n) is the lexicographically least primitive
 one (on the coefficient tuple c_{n-1}, ..., c_1, c_0); a table of alternate
 moduli can be loaded from a file, see `load_modulus_file`.
 
-Size bounds: exp/log tables are built only for p^n <= 2^24; polynomial-level
+Size bounds: tables are built only for p^n <= 2^24; polynomial-level
 operations (primitivity testing, canonical polynomial search) go up to 2^40.
 Past either bound they raise `errors.Budget`.  Arguments outside what a
-function accepts (a composite p, a degree n < 1, an odd n where n = 2m is
-needed, a non-subfield degree, a non-primitive or malformed modulus, the
-log of 0) raise `errors.OutOfDomain`.
+function accepts (a composite p, a prime outside `SUPPORTED_PRIMES` for
+`field_ctx`, a degree n < 1, an odd n where n = 2m is needed, a non-subfield
+degree, a non-primitive or malformed modulus, the log of 0) raise
+`errors.OutOfDomain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -275,10 +283,16 @@ class UnitCircle:
 
 
 class FieldCtx:
-    """Fully materialized GF(p^n): exp/log tables, trace table, Gram matrix.
+    """GF(p^n) as tables: exp and the trace basis eager, the rest on first use.
 
-    Immutable after construction; safe to share across workers.  Elements
-    are packed ints (see module docstring).
+    Construction builds the exp table and the n traces Tr(alpha^i) of the
+    polynomial basis, all a crosscorrelation spectrum needs besides the
+    m-sequence.  The log table, the m-sequence s_k = Tr(alpha^k), the full
+    trace table over all p^n elements and the Gram matrix are cached
+    properties, built on first use.  A cached property stores only a
+    finished array, so a context stays safe to share across threads: two
+    first reads at once at worst build the same array twice.  Elements are
+    packed ints (see module docstring).
     """
 
     def __init__(self, spec: FieldSpec):
@@ -298,12 +312,7 @@ class FieldCtx:
         self._place = tuple(p ** i for i in range(n))   # packed weight of digit i
 
         self._exp = self._build_exp()
-        self._log = np.full(order, -1, dtype=np.int32)
-        self._log[self._exp] = np.arange(self.period, dtype=np.int32)
         self._trace_basis = self._build_trace_basis()
-        self._tr = self._linear_map(
-            self._trace_basis, np.arange(order, dtype=np.int32)).astype(np.int8)
-        self._gram = self._build_gram()
 
     def _build_exp(self) -> np.ndarray:
         """exp[k:2k] = alpha^k * exp[:k], doubling k until the period is full.
@@ -352,18 +361,27 @@ class FieldCtx:
     def exp_table(self) -> np.ndarray:
         return self._exp
 
-    @property
+    @cached_property
     def log_table(self) -> np.ndarray:
-        return self._log
+        """log[exp[k]] = k; log[0] = -1."""
+        log = np.full(self.order, -1, dtype=np.int32)
+        log[self._exp] = np.arange(self.period, dtype=np.int32)
+        return log
 
-    @property
+    @cached_property
+    def mseq(self) -> np.ndarray:
+        """The m-sequence s_k = Tr(alpha^k), k = 0 .. p^n - 2, as int8."""
+        if self.p == 2:
+            # Tr is the parity of the digits selected by the trace basis
+            t = sum(b << i for i, b in enumerate(self._trace_basis))
+            return (np.bitwise_count(self._exp & t) & 1).astype(np.int8)
+        return self._linear_map(self._trace_basis, self._exp).astype(np.int8)
+
+    @cached_property
     def trace_table(self) -> np.ndarray:
-        return self._tr
-
-    @property
-    def trace_gram(self) -> np.ndarray:
-        """Symmetric n x n matrix G[i][j] = Tr(alpha^i * alpha^j) over GF(p)."""
-        return self._gram
+        """Tr(a) for every packed a in [0, p^n), as int8."""
+        return self._linear_map(
+            self._trace_basis, np.arange(self.order, dtype=np.int32)).astype(np.int8)
 
     # -- element arithmetic --------------------------------------------
 
@@ -379,7 +397,8 @@ class FieldCtx:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        r = self._exp[(self._log[a] + self._log[b]) % self.period] * ((a != 0) & (b != 0))
+        log = self.log_table
+        r = self._exp[(log[a] + log[b]) % self.period] * ((a != 0) & (b != 0))
         return r if isinstance(r, np.ndarray) else int(r)
 
     def inv(self, a):
@@ -389,7 +408,7 @@ class FieldCtx:
         """a^e, with 0^0 = 1; zero to a negative power raises."""
         if e < 0 and np.any(a == 0):
             raise ZeroDivisionError("zero to a negative power")
-        k = self._log[a].astype(np.int64) * (e % self.period) % self.period
+        k = self.log_table[a].astype(np.int64) * (e % self.period) % self.period
         r = self._exp[k] * ((a != 0) | (e == 0))   # e = 0 reads exp[0] = 1
         return r if isinstance(r, np.ndarray) else int(r)
 
@@ -399,11 +418,11 @@ class FieldCtx:
     def log_of(self, a: int) -> int:
         if a == 0:
             raise OutOfDomain("zero has no discrete log")
-        return int(self._log[a])
+        return int(self.log_table[a])
 
     def frobenius(self, a, k: int = 1):
         """a^(p^k)."""
-        e = self._log[a].astype(np.int64) * pow(self.p, k, self.period) % self.period
+        e = self.log_table[a].astype(np.int64) * pow(self.p, k, self.period) % self.period
         r = self._exp[e] * (a != 0)
         return r if isinstance(r, np.ndarray) else int(r)
 
@@ -416,21 +435,21 @@ class FieldCtx:
     # -- traces ----------------------------------------------------------
 
     def _build_trace_basis(self) -> list[int]:
+        """Tr(alpha^i) = sum_k alpha^(i p^k), i < n, read from exp indices."""
         tb = []
         for i in range(self.n):
             acc = 0
             for k in range(self.n):
-                acc = self.add(acc, self.frobenius(self.element_from_log(i), k))
+                acc = self.add(acc, int(self._exp[i * self.p ** k % self.period]))
             # acc lies in GF(p), i.e. packed value < p
-            tb.append(acc % self.p)
+            tb.append(acc)
         return tb
 
-    def _build_gram(self) -> np.ndarray:
-        g = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(self.n):
-                g[i, j] = int(self._tr[self.element_from_log(i + j)])
-        return g
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """Symmetric n x n matrix G[i][j] = Tr(alpha^i * alpha^j) over GF(p)."""
+        ij = np.add.outer(np.arange(self.n), np.arange(self.n)) % self.period
+        return self.mseq[ij].astype(np.int64)
 
     def gram_index(self, a):
         """u(a) = G . digits(a) mod p, packed; Tr(a x) = <u(a), digits(x)>."""
@@ -439,7 +458,7 @@ class FieldCtx:
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr(a) = a + a^p + ... + a^(p^(n-1)) as an int in [0, p)."""
-        return int(self._tr[a])
+        return int(self.trace_table[a])
 
     def relative_trace(self, a: int, m: int) -> int:
         """Tr^n_m(a) = a + a^(p^m) + ... + a^(p^(n-m)), an element of GF(p^m)."""
@@ -490,9 +509,14 @@ _CTX_CACHE_MAX_ORDER = 2 ** 16
 def field_ctx(p: int, n: int, coeffs=None) -> FieldCtx:
     """FieldCtx for (p, n), canonical modulus unless coeffs is given.
 
+    p must be one of `SUPPORTED_PRIMES`, the primes every fast path is
+    tested against an oracle on.
+
     Small fields are cached; contexts above 2^16 elements are rebuilt on
     demand so long runs do not pin hundreds of MB.
     """
+    if p not in SUPPORTED_PRIMES:
+        raise OutOfDomain(f"p={p} is not a supported prime {SUPPORTED_PRIMES}")
     key = (p, n, tuple(coeffs) if coeffs is not None else None)
     hit = _CTX_CACHE.get(key)
     if hit is not None:

@@ -41,10 +41,7 @@ class MSeq:
 
 def generate_trace(ctx: FieldCtx) -> MSeq:
     """s_t = Tr(alpha^t) for t = 0 .. p^n - 2."""
-    tr = ctx.trace_table
-    exp = ctx.exp_table
-    symbols = bytes(int(v) for v in tr[exp])
-    return MSeq(ctx.p, ctx.n, symbols, origin="trace")
+    return MSeq(ctx.p, ctx.n, ctx.mseq.astype(np.uint8).tobytes(), origin="trace")
 
 
 def generate_recursion(spec: FieldSpec, initial_state) -> MSeq:

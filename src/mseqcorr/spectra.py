@@ -214,12 +214,11 @@ class WalshTable:
             raise OutOfDomain("integer view only for p = 2")
         return self._log_view()
 
-    def unique_values(self, include_zero_point: bool = True):
-        """(CycInt value, count) pairs over a in F (or F* if excluded)."""
+    def _histogram(self, include_zero_point: bool):
+        """(distinct values, counts) as arrays: ints for p = 2, else rows."""
         data = self._by_u if include_zero_point else self._by_u[1:]
         if self.p == 2:
-            vals, counts = np.unique(data, return_counts=True)
-            return [(CycInt(2, (int(v),)), int(c)) for v, c in zip(vals, counts)]
+            return np.unique(data, return_counts=True)
         # Number the distinct rows in lexicographic order, the order of
         # np.unique(axis=0): pack columns into mixed-radix int64 keys and
         # renumber densely (ids < p^n <= 2^24) before a key would pass 2^62.
@@ -236,8 +235,15 @@ class WalshTable:
         counts = np.bincount(ids)
         row = np.empty(len(counts), dtype=np.int64)
         row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
-        return [(CycInt(self.p, v), c)
-                for v, c in zip(data[row].tolist(), counts.tolist())]
+        return data[row], counts
+
+    def _wrap_all(self, vals, counts) -> list:
+        vals = vals.reshape(len(vals), -1).tolist()
+        return [(CycInt(self.p, v), c) for v, c in zip(vals, counts.tolist())]
+
+    def unique_values(self, include_zero_point: bool = True):
+        """(CycInt value, count) pairs over a in F (or F* if excluded)."""
+        return self._wrap_all(*self._histogram(include_zero_point))
 
     def power_moment(self, l: int):
         """P^(l) = sum over all a (a = 0 included) of W(a)^l, exact."""
@@ -250,8 +256,11 @@ class WalshTable:
 
     def spectrum(self) -> SpectrumTable:
         """Crosscorrelation spectrum {W(a) - 1 : a != 0} as a counted multiset."""
-        pairs = [(v - 1, c) for v, c in self.unique_values(include_zero_point=False)]
-        return make_spectrum(self.p, self.n, self.d, pairs, method="fast")
+        vals, counts = self._histogram(include_zero_point=False)
+        vals = vals.reshape(len(vals), -1)   # the histogram's own array, not _by_u
+        vals[:, 0] -= 1
+        return make_spectrum(self.p, self.n, self.d, self._wrap_all(vals, counts),
+                             method="fast")
 
 
 def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshTable:
@@ -267,7 +276,7 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
     if ctx.order > MAX_TABLE_ORDER:
         raise Budget(f"p^n={ctx.order} beyond the full-spectrum grid")
     idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
-    f_nonzero = ctx.trace_table[ctx.exp_table[idx]]
+    f_nonzero = ctx.mseq[idx]   # Tr(x^d) at x = alpha^k
     del idx
     if ctx.p == 2:
         g = np.ones(ctx.order, dtype=np.int32)

@@ -234,6 +234,9 @@ def test_degree_below_one_is_usage_error(argv, capsys):
     "classify --p 2 --max-n 30",
     "classify --p 2 --max-n 1",
     "conjecture --check three-valued --p 3 --n 16",
+    "expsum --kind cubic --p 3 --n 3",
+    "expsum --kind g --p 5 --n 2",
+    "spectrum --p 17 --n 2 --d 5",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")

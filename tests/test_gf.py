@@ -1,11 +1,13 @@
 """Field construction: canonical polynomials, tables, traces, unit circle."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mseqcorr import gf
+from mseqcorr import gf, lfsr
 from mseqcorr.errors import Budget, OutOfDomain
 
 
@@ -207,6 +209,47 @@ def test_exp_table_matches_polynomial_stepping():
                 v = gf._poly_mulmod(v, x, mod, p)
             assert v == (1,) + (0,) * (n - 1)
             n += 1
+
+
+def test_mseq_matches_recursion_and_trace_table():
+    # s_k = Tr(alpha^k) three ways: the lazy mseq, the LFSR recursion run
+    # from its first n symbols, and the full trace table read at exp
+    for p in gf.SUPPORTED_PRIMES:
+        n = 1
+        while p ** n <= 2 ** 12:
+            ctx = gf.field_ctx(p, n)
+            s = ctx.mseq
+            assert s.dtype == np.int8 and len(s) == ctx.period
+            rec = lfsr.generate_recursion(ctx.spec, s[:n].tolist())
+            assert rec.symbols == s.astype(np.uint8).tobytes(), (p, n)
+            assert (s == ctx.trace_table[ctx.exp_table]).all(), (p, n)
+            n += 1
+
+
+def test_lazy_tables_are_thread_safe():
+    # four threads make the first reads of one fresh context's lazy tables
+    spec = gf.find_primitive_polynomial(3, 8)
+    serial = gf.FieldCtx(spec)
+    want = (serial.log_table, serial.trace_table)
+    shared = gf.FieldCtx(spec)
+    got = [None] * 4
+
+    def read(i):
+        got[i] = (shared.log_table, shared.trace_table)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for log, tr in got:
+        assert (log == want[0]).all() and (tr == want[1]).all()
 
 
 @pytest.mark.parametrize("p,n", ONE_FIELD_PER_PRIME)

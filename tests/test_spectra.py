@@ -25,6 +25,13 @@ def test_degenerate_crosscorrelation():
         assert table.entries == {CycInt.from_int(2, 15): 1, CycInt.from_int(2, -1): 14}
 
 
+def test_spectrum_builds_no_log_or_trace_table():
+    ctx = gf.field_ctx(2, 18)   # above the context cache bound: a fresh build
+    spectra.spectrum(ctx, 5)
+    assert "log_table" not in vars(ctx) and "trace_table" not in vars(ctx)
+    assert "mseq" in vars(ctx)
+
+
 def test_gold_n5_distribution():
     ctx = gf.field_ctx(2, 5)
     vals = {int(spectra.crosscorr_naive(ctx, 3, t).as_integer()) for t in range(31)}
