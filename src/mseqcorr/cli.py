@@ -139,12 +139,18 @@ def _cmd_verify(args) -> int:
     ctx = _ctx_for(args)
     params = _parse_params(args.params)
     if args.family == "all":
+        if params:
+            raise OutOfDomain("--params needs one --family, not all")
         jobs = []
         for fam in families.catalog():
             for inst in fam.instances(args.p, args.n):
                 jobs.append((fam.id, inst))
     else:
         fam = families.get_family(args.family)
+        unread = sorted(set(params) - fam.param_keys(args.p, args.n))
+        if unread:
+            raise OutOfDomain(f"family {args.family} reads no parameter "
+                              f"{', '.join(unread)} at (p={args.p}, n={args.n})")
         insts = [params] if params else fam.instances(args.p, args.n)
         if not insts:
             raise OutOfDomain(

@@ -118,6 +118,10 @@ class FamilyDescriptor:
             raise OutOfDomain(f"decimation {d} not coprime to {p ** n - 1}")
         return self._predicted(p, n, params, d)
 
+    def param_keys(self, p: int, n: int) -> set:
+        """The parameter names the family's candidate dicts carry at (p, n)."""
+        return set().union(*self._instances(p, n))
+
     def instances(self, p: int, n: int) -> list[dict]:
         """Admissible parameter dicts at (p, n), coprime decimations only."""
         out = []

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -272,6 +272,25 @@ def load_modulus_file(path) -> dict[tuple[int, int], tuple[int, ...]]:
                 raise OutOfDomain(f"{path}:{lineno}: modulus is not primitive over GF({p})")
             table[(p, n)] = coeffs
     return table
+
+
+def decimation_index(L: int, d: int) -> np.ndarray:
+    """k * d mod L for k = 0 .. L - 1, as int32; needs 1 <= L < 2^31.
+
+    With k = q B + r and B = ceil(sqrt(L)), k d = q (B d) + r d: two tables
+    of about sqrt(L) entries hold (q B d) mod L and (r d) mod L, their outer
+    sum is below 2L < 2^32 in uint32, and one unsigned min(s, s - L) wraps
+    it (s - L runs past 2^32 exactly when s < L).
+    """
+    if not 1 <= L < 2 ** 31:
+        raise Budget(f"period {L} outside the int32 index range [1, 2^31)")
+    B = isqrt(L - 1) + 1
+    d %= L
+    q = np.arange(-(-L // B), dtype=np.int64) * (B * d % L) % L
+    r = np.arange(B, dtype=np.int64) * d % L
+    s = np.add.outer(q.astype(np.uint32), r.astype(np.uint32)).ravel()
+    np.minimum(s, s - L, out=s)
+    return s[:L].view(np.int32)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cyclo import CycInt
 from .errors import OutOfDomain
-from .gf import FieldCtx, FieldSpec
+from .gf import FieldCtx, FieldSpec, decimation_index
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,8 @@ def decimate(seq: MSeq, d: int) -> MSeq:
     L = seq.period
     if gcd(d, L) != 1:
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
-    arr = seq.as_array()
-    idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
-    return MSeq(seq.p, seq.n, bytes(int(v) for v in arr[idx]), origin=f"{seq.origin}/dec{d}")
+    sym = np.frombuffer(seq.symbols, dtype=np.uint8)[decimation_index(L, d)]
+    return MSeq(seq.p, seq.n, sym.tobytes(), origin=f"{seq.origin}/dec{d}")
 
 
 def cyclic_shift(seq: MSeq, tau: int) -> MSeq:

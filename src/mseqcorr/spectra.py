@@ -2,16 +2,26 @@
 
 The Walsh transform W(u) = sum_x w^(Tr(x^d) - <u,x>) is computed as a
 length-p^n transform over the additive group (Z_p)^n, one p-point butterfly
-stage per digit of x; no floating point anywhere.  For p = 2 it is the
-binary Walsh-Hadamard transform on machine integers (w = -1).  For odd p it
-runs in the group ring Z[Z_p]: each point carries p integer coordinates,
-the coefficients of 1, w, ..., w^(p-1), starting from the indicator of
-Tr(x^d).  Multiplying by a power of w only rotates the coordinates, so a
-stage is slice additions with no products, and every coordinate stays a
-count in [0, p^n] (int32 is exact).  The result is reduced once, at the
-end, to the unique basis 1, ..., w^(p-2) of `cyclo.CycInt`.  Distinct
-values are counted by ranking rows in mixed-radix integer keys, in the
-lexicographic order of the coordinates.
+stage per digit of x; no floating point anywhere.  The input reads the
+m-sequence at k d mod p^n - 1 for every k, an int32 index from
+`gf.decimation_index` (exact while p^n - 1 < 2^31; tables stop at 2^24).
+
+For p = 2 it is the binary Walsh-Hadamard transform in int32 (w = -1; every
+value is a sum of at most 2^n <= 2^24 terms +-1, so int32 is exact).  The
+bits go two per radix-4 stage, an odd leftover bit gets one radix-2 stage.
+As for odd p below, the high half of the bits is transformed first, then
+the two halves of the index are swapped (a transpose copied in cache-sized
+bands), the low half is transformed and the halves are swapped back, so
+every stage streams contiguous blocks of at least 2^(n/2) entries.
+
+For odd p the transform runs in the group ring Z[Z_p]: each point carries
+p integer coordinates, the coefficients of 1, w, ..., w^(p-1), starting
+from the indicator of Tr(x^d).  Multiplying by a power of w only rotates
+the coordinates, so a stage is slice additions with no products, and every
+coordinate stays a count in [0, p^n] (int32 is exact).  The result is
+reduced once, at the end, to the unique basis 1, ..., w^(p-2) of
+`cyclo.CycInt`.  Distinct values are counted by ranking rows in mixed-radix
+integer keys, in the lexicographic order of the coordinates.
 
 The crosscorrelation spectrum of the decimation pair is the multiset
 {W(a) - 1 : a != 0}; the a = 0 slot of the transform corresponds to no
@@ -39,7 +49,7 @@ import numpy as np
 
 from .cyclo import CycInt
 from .errors import Budget, OutOfDomain
-from .gf import MAX_TABLE_ORDER, FieldCtx
+from .gf import MAX_TABLE_ORDER, FieldCtx, decimation_index
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -124,16 +134,58 @@ def make_spectrum(p: int, n: int, d: int, pairs, method: str) -> SpectrumTable:
 # Fast transform
 # ----------------------------------------------------------------------
 
-def _wht_inplace_2(a: np.ndarray) -> None:
-    """Binary Walsh-Hadamard butterfly, kernel (-1)^<u,x>."""
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        v = a.reshape(-1, 2, h)
-        x = v[:, 0, :].copy()
-        v[:, 0, :] += v[:, 1, :]
-        np.subtract(x, v[:, 1, :], out=v[:, 1, :])
-        h *= 2
+def _wht_stages(g: np.ndarray, lo: int, hi: int) -> None:
+    """Walsh-Hadamard stages on bits lo .. hi - 1 of the index of g, in place.
+
+    Bits go two at a time: with a_j the four entries that differ in bits i
+    and i + 1 (j = b_i + 2 b_(i+1)), the radix-4 stage forms y_j = sum_k
+    (-1)^<j,k> a_k from the sums and differences of (a_0, a_1) and (a_2,
+    a_3), through one temporary a quarter of g's size.  An odd last bit
+    gets one radix-2 stage.
+    """
+    i = lo
+    while i + 2 <= hi:
+        a0, a1, a2, a3 = g.reshape(-1, 4, 2 ** i).transpose(1, 0, 2)
+        t = a0 + a1
+        np.subtract(a0, a1, out=a1)
+        np.add(a2, a3, out=a0)
+        np.subtract(a2, a3, out=a3)
+        np.subtract(t, a0, out=a2)   # y_2 = (a_0 + a_1) - (a_2 + a_3)
+        np.add(t, a0, out=a0)        # y_0
+        np.subtract(a1, a3, out=t)   # y_3 = (a_0 - a_1) - (a_2 - a_3)
+        np.add(a1, a3, out=a1)       # y_1
+        a3[...] = t
+        i += 2
+    if i < hi:
+        a0, a1 = g.reshape(-1, 2, 2 ** i).transpose(1, 0, 2)
+        t = a0 - a1
+        a0 += a1
+        a1[...] = t
+
+
+def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
+    """out = x.T for 2-D arrays, copied 64 rows of x at a time so that the
+    reads and writes of each band stay in cache."""
+    for r in range(0, x.shape[0], 64):
+        out[:, r:r + 64] = x[r:r + 64].T
+
+
+def _wht_inplace_2(g: np.ndarray) -> None:
+    """Binary Walsh-Hadamard transform, kernel (-1)^<u,x>, of g (length 2^n).
+
+    The layout of `_transform_ring`: the high half of the bits is
+    transformed first, the index halves are swapped so that the low half
+    becomes the high one, and swapped back into g at the end, so that every
+    stage runs on contiguous blocks of at least 2^(n/2) entries.
+    """
+    n = g.size.bit_length() - 1
+    h = n // 2
+    _wht_stages(g, h, n)
+    rows = g.reshape(-1, 2 ** h)
+    swapped = np.empty(rows.shape[::-1], dtype=g.dtype)
+    _transpose_into(rows, swapped)
+    _wht_stages(swapped.reshape(-1), n - h, n)
+    _transpose_into(swapped, rows)
 
 
 def _ring_stage(v: np.ndarray, p: int) -> np.ndarray:
@@ -275,9 +327,7 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if ctx.order > MAX_TABLE_ORDER:
         raise Budget(f"p^n={ctx.order} beyond the full-spectrum grid")
-    idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
-    f_nonzero = ctx.mseq[idx]   # Tr(x^d) at x = alpha^k
-    del idx
+    f_nonzero = ctx.mseq[decimation_index(L, d)]   # Tr(x^d) at x = alpha^k
     if ctx.p == 2:
         g = np.ones(ctx.order, dtype=np.int32)
         g[ctx.exp_table] = 1 - 2 * f_nonzero
@@ -376,10 +426,8 @@ def moment(table: SpectrumTable, l: int):
 
 
 def _pow_d_table(ctx: FieldCtx, d: int) -> np.ndarray:
-    L = ctx.period
     out = np.zeros(ctx.order, dtype=np.int32)
-    idx = (np.arange(L, dtype=np.int64) * (d % L)) % L
-    out[ctx.exp_table] = ctx.exp_table[idx]
+    out[ctx.exp_table] = ctx.exp_table[decimation_index(ctx.period, d)]
     return out
 
 

@@ -237,6 +237,8 @@ def test_degree_below_one_is_usage_error(argv, capsys):
     "expsum --kind cubic --p 3 --n 3",
     "expsum --kind g --p 5 --n 2",
     "spectrum --p 17 --n 2 --d 5",
+    "verify --family all --p 2 --n 5 --params k=2",
+    "verify --family gold --p 2 --n 5 --params k=1,x=2",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")

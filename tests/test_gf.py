@@ -109,6 +109,46 @@ def test_too_large_rejected():
         gf.FieldCtx(gf.FieldSpec(2, 25, tuple([1] + [0] * 23 + [1])))
 
 
+def _decimation_oracle(L, d):
+    return [k * d % L for k in range(L)]
+
+
+def test_decimation_index_every_prime_small_n():
+    for p in gf.SUPPORTED_PRIMES:
+        n = 1
+        while p ** n <= 2 ** 10:
+            L = p ** n - 1
+            for d in (1, 2, L - 1, L, L + 1, 3 * L + 2, p ** n + p):
+                idx = gf.decimation_index(L, d)
+                assert idx.dtype == np.int32
+                assert idx.tolist() == _decimation_oracle(L, d), (p, n, d)
+            n += 1
+
+
+def test_decimation_index_any_period():
+    # every L below 300, most of them not a multiple of the block size
+    # ceil(sqrt(L)), L = 1 included
+    for L in range(1, 300):
+        for d in (0, 1, 7, L - 1, L + 5, -3):
+            assert gf.decimation_index(L, d).tolist() == _decimation_oracle(L, d), (L, d)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 24, 12582919), (3, 15, 7174457)])
+def test_decimation_index_sampled_largest_fields(p, n, d):
+    L = p ** n - 1
+    for e in (d, d + L, L - 1):
+        idx = gf.decimation_index(L, e)
+        assert idx.dtype == np.int32 and len(idx) == L
+        ks = random.Random(L + e).sample(range(L), 2000) + [0, 1, L - 2, L - 1]
+        assert [int(idx[k]) for k in ks] == [k * e % L for k in ks], e
+
+
+def test_decimation_index_bounds():
+    for L in (0, 2 ** 31):
+        with pytest.raises(Budget):
+            gf.decimation_index(L, 3)
+
+
 def test_factorize_small_and_semiprime():
     assert gf.factorize(2 ** 16 - 1) == {3: 1, 5: 1, 17: 1, 257: 1}
     n = 1000003 * 1000033  # beyond the trial-division bound

@@ -87,6 +87,13 @@ def test_decimate_composition():
     assert a.symbols == b.symbols
 
 
+def test_decimate_matches_direct_expression():
+    s = lfsr.generate_trace(gf.field_ctx(2, 16))
+    L, d = s.period, 40009
+    direct = bytes(int(v) for v in s.as_array()[(np.arange(L, dtype=np.int64) * d) % L])
+    assert lfsr.decimate(s, d).symbols == direct
+
+
 def test_autocorrelation_two_level():
     for p, n in ((2, 5), (3, 3), (5, 2)):
         s = lfsr.generate_trace(gf.field_ctx(p, n))

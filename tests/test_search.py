@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
 from mseqcorr import gf, search, spectra
@@ -35,6 +36,23 @@ def test_members_share_spectrum():
     for cls in search.canonical_classes(2, 6):
         for member in cls.members[:2]:
             assert spectra.spectrum(ctx, member).same_entries(cls.spectrum)
+
+
+SMALL_GRID = [(p, n) for p in gf.SUPPORTED_PRIMES for n in range(1, 11) if p ** n <= 2 ** 10]
+
+
+@pytest.mark.parametrize("p,n", SMALL_GRID)
+def test_class_moves_keep_the_histogram(p, n):
+    # d -> d p^j and d -> d^(-1) leave the spectrum unchanged: every member
+    # of a class has its representative's histogram of W(a), a != 0.  And no
+    # nondegenerate class is two-valued (Helleseth 1976: at least three values).
+    ctx = gf.field_ctx(p, n)
+    for rep, members in search.class_partition(p, n):
+        vals, counts = spectra.walsh_fast(ctx, rep)._histogram(include_zero_point=False)
+        assert len(vals) >= 3, (p, n, rep)
+        for d in members:
+            v, c = spectra.walsh_fast(ctx, d)._histogram(include_zero_point=False)
+            assert np.array_equal(v, vals) and np.array_equal(c, counts), (p, n, rep, d)
 
 
 def test_classify_buckets_gf16_no_three_valued():

@@ -16,6 +16,19 @@ def _coprime_ds(L):
     return [d for d in range(1, L) if gcd(d, L) == 1]
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_binary_transform_matches_sylvester_product(n):
+    h = np.ones((1, 1), dtype=np.int8)
+    for _ in range(n):
+        h = np.block([[h, h], [h, -h]])   # Sylvester: h[u, x] = (-1)^<u,x>
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = (1 - 2 * rng.integers(0, 2, 2 ** n)).astype(np.int32)
+        out = x.copy()
+        spectra._wht_inplace_2(out)
+        assert np.array_equal(out, h @ x)
+
+
 def test_degenerate_crosscorrelation():
     ctx = gf.field_ctx(2, 4)
     for d in (1, 2, 4, 8):
