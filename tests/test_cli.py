@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,6 +128,50 @@ def test_moments_golden_bytes(p, n, d, capsys):
     code, out, err = run_cli("moments", "--p", p, "--n", n, "--d", d, capsys=capsys)
     assert code == 0 and err == ""
     assert out == json.dumps(MOMENTS_GOLDEN[p, n, d], sort_keys=True, indent=2) + "\n"
+
+
+# sha256 of the stdout of `verify --family all` at every (p, n) with
+# p = 2, n <= 12; p = 3, n <= 6; p = 5, n <= 4; p = 7, n <= 3; p = 11, 13,
+# n <= 2: every catalog instance there, its predicted and computed tables
+VERIFY_ALL_SHA256 = {
+    (2, 1): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (2, 2): "8d5b45c96828ec5b90f86d0e98c2903bda3e6405477c5954963030f9344d677f",
+    (2, 3): "8b423b6a730820da5bcfcee17c89d84fe288ad6204c8db331e9b99514172cb9c",
+    (2, 4): "1de7061b2d5a157b137758993595a6f35fda10b88d78df5eb347ec86f02a4c6b",
+    (2, 5): "c691b9973aa8ecc65d259a290c1aed3825d169fee165315c3e42a8ec600ac2d7",
+    (2, 6): "aa4015ff26c21272b09bed30a438c284c450123a1988d20cdfdb24fd2c606484",
+    (2, 7): "0c4f50805b5c22802ebbf942079e7e9067082dc3585baaea304583ea2eefc9cb",
+    (2, 8): "6fba07e806ff39d044733cf8becd96480a7da023fa963e39cd7a9c95cf2f3091",
+    (2, 9): "383fdf075a5c2b5a23c82824e0e44de6f5272ee37ce5b88c26b9fb8e8a2ecc30",
+    (2, 10): "a97a940c43dc6288ee417b8a6a85c88563b12aae407d114f05c72f0f8bcf3aa1",
+    (2, 11): "7403790863e8bbd22addbfde179f87844137618f11bd8e52af581837408df856",
+    (2, 12): "2a639b584aade8af8da6b7aff735ad96aaf6096527437d63621118665d9b3315",
+    (3, 1): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (3, 2): "030706e71c97c9f515eefb47e876fa2962e72801fdd80c53328ee6302487ab50",
+    (3, 3): "ef034b335787cad17821de9a0f43a23dab6926ebf8c67b7380153f8623d50396",
+    (3, 4): "324917641902ba501e81bfa33c6d06eda1a3c2d4ad5bed8bff2506b2e0ea3108",
+    (3, 5): "f5099b604baca42e44c5b31670826df6d4ac7101bf3d51588822be885d1b7e8b",
+    (3, 6): "4caa988dc8084aa5921f83853a025b922ba247eaa7fd52d709f6ea926d0a8850",
+    (5, 1): "0ff641a8830e3dcc5c1c2a02df9a13a07c77857f95ce24792868dbb6112b7fbb",
+    (5, 2): "23599b9afabfa33b6d4889a69e279bcaa59dd7dd9b7b277f996a8328e1b19310",
+    (5, 3): "a1adb7596b3e5e49f76e89f406797fda86e991f8fcc798c2b1aabaeec477e5f7",
+    (5, 4): "4b2299685f3bcb67de30060a4a845e0e51564a2543a5df7b21b0f7508c2859f4",
+    (7, 1): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (7, 2): "65591b8920cd4e45e3aa192b428caa57bdbc0d6d333208d3ac661942b262df9e",
+    (7, 3): "dad33d4344e47fcb1fa759936d96e02ebd0866c65bedbd3993d45c553c6b01a3",
+    (11, 1): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (11, 2): "dd82837f274452055bce82ab72bdb39e21d320229985fbd74b92884350742ab6",
+    (13, 1): "6f180943dfaaaa9979a9271aab82f149410b5e6ac560bdca89c63be2bda9ca79",
+    (13, 2): "e95f2df12758a0efcef9ad55ca3fe448bd1a7601d542d4ba526f7ce25c086dc5",
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_golden_bytes(p, n, capsys):
+    code, out, err = run_cli("verify", "--family", "all", "--p", str(p), "--n", str(n),
+                             capsys=capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[p, n]
 
 
 def test_niho_command(capsys):
