@@ -57,7 +57,7 @@ def _ctx_for(args):
     return field_ctx(args.p, args.n, coeffs)
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text: str) -> dict[str, str]:
     out = {}
     if not text:
         return out
@@ -65,7 +65,7 @@ def _parse_params(text: str) -> dict:
         k, _, v = item.partition("=")
         if not _:
             raise OutOfDomain(f"bad --params item {item!r}; expected key=value")
-        out[k.strip()] = _int(v, f"--params {k.strip()}")
+        out[k.strip()] = v
     return out
 
 
@@ -147,10 +147,15 @@ def _cmd_verify(args) -> int:
                 jobs.append((fam.id, inst))
     else:
         fam = families.get_family(args.family)
-        unread = sorted(set(params) - fam.param_keys(args.p, args.n))
+        candidates = fam.candidates(args.p, args.n)
+        unread = sorted(set(params).difference(*candidates))
         if unread:
             raise OutOfDomain(f"family {args.family} reads no parameter "
                               f"{', '.join(unread)} at (p={args.p}, n={args.n})")
+        # a value stays text where the family's candidates carry text
+        text = {k for c in candidates for k, v in c.items() if isinstance(v, str)}
+        params = {k: v.strip() if k in text else _int(v, f"--params {k}")
+                  for k, v in params.items()}
         insts = [params] if params else fam.instances(args.p, args.n)
         if not insts:
             raise OutOfDomain(
@@ -220,6 +225,8 @@ def _cmd_code_weights(args) -> int:
 def _degrees(args) -> range:
     """The degrees n of a classify/conjecture run, all within the
     classification bound; checked before any work."""
+    if args.n and args.max_n:
+        raise OutOfDomain("pass --n or --max-n, not both")
     ns = range(2, args.max_n + 1) if args.max_n else range(args.n, args.n + 1)
     if not (args.n or args.max_n) or not ns:
         raise OutOfDomain("pass --n, or --max-n >= 2")

@@ -1,12 +1,18 @@
 """Catalog of decimation families with few-valued crosscorrelation spectra.
 
-Each descriptor bundles an applicability predicate over (p, n, params), the
-decimation formula, and a predicted-spectrum generator built from the
-published closed forms.  Families whose sources count the a = 0 transform
-point (their tables sum to p^n) are normalized here by decrementing the -1
-count once, so every predicted table sums to p^n - 1 and satisfies
-sum(value * count) = 1; which convention each source table used was settled
-once by brute force and is fixed in the descriptor.
+Each `FamilyDescriptor` holds one family's own data: its applicability
+predicate over (p, n, params), its decimation formula, its source table
+(the published closed form as (value, count) rows, or the admissible values
+of a family whose distribution is not settled), and the parameter dicts to
+try at (p, n).  The catalog-wide steps are its methods, each written once:
+`decimation` raises `OutOfDomain` off the predicate or when d is not coprime
+to p^n - 1; `instances` keeps exactly the candidates that pass that check;
+`predicted` normalizes the source rows.  Sources that count the a = 0
+transform point (their rows sum to p^n, `source_counts_total == "p^n"`) are
+normalized there by decrementing the -1 count once, so every predicted
+table sums to p^n - 1 and satisfies sum(value * count) = 1; which convention
+each source table used was settled once by brute force and is fixed in the
+descriptor.
 
 Status values: "proved-distribution" descriptors predict exact multisets;
 "at-most-k" descriptors predict an admissible value set of size <= k.
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import Callable
 
 import numpy as np
 
@@ -35,10 +42,14 @@ def tau(m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class AtMostKValues:
-    """Admissible value set for families whose distribution is not settled."""
+    """Admissible value set for families whose distribution is not settled;
+    the spectrum takes at most k = len(values) distinct values."""
 
-    k: int
     values: frozenset
+
+    @property
+    def k(self) -> int:
+        return len(self.values)
 
     def sorted_values(self):
         return sorted(self.values, key=lambda v: v.sort_key())
@@ -78,70 +89,69 @@ def _assemble(p: int, n: int, d: int, rows, include_zero_shift: bool) -> Spectru
     return table
 
 
-def _value_set(p: int, values) -> frozenset:
-    return frozenset(_as_cyc(p, v) for v in values)
+def _no_params(p: int, n: int) -> list[dict]:
+    return [{}]
 
 
+@dataclass(frozen=True)
 class FamilyDescriptor:
-    """One cataloged decimation family."""
+    """One cataloged decimation family.
 
-    def __init__(self, id, label, status, prime_constraint, source_counts_total,
-                 applicable, decimation, predicted, instances, notes=""):
-        self.id = id
-        self.label = label
-        self.status = status
-        self.prime_constraint = prime_constraint
-        self.source_counts_total = source_counts_total
-        self._applicable = applicable
-        self._decimation = decimation
-        self._predicted = predicted
-        self._instances = instances
-        self.notes = notes
+    check_domain(p, n, params) is None on the family's domain, else the
+    violated constraint; formula(p, n, params) is its decimation d;
+    source(p, n, params) is its source table: (value, count) rows, summing
+    to p^n or p^n - 1 as `source_counts_total` says, or the admissible
+    values when status is "at-most-k"; candidates(p, n) are the parameter
+    dicts `instances` tries.
+    """
 
-    def check_domain(self, p: int, n: int, params: dict) -> str | None:
-        """None if (p, n, params) is admissible, else the violated constraint."""
-        return self._applicable(p, n, params)
+    id: str
+    label: str
+    check_domain: Callable[[int, int, dict], str | None]
+    formula: Callable[[int, int, dict], int]
+    source: Callable[[int, int, dict], list]
+    candidates: Callable[[int, int], list[dict]] = _no_params
+    status: str = "proved-distribution"
+    source_counts_total: str = "p^n-1"
+    notes: str = ""
 
     def decimation(self, p: int, n: int, params: dict) -> int:
+        """d mod p^n - 1; OutOfDomain off the domain or when d is not
+        coprime to p^n - 1."""
         viol = self.check_domain(p, n, params)
         if viol:
             raise OutOfDomain(viol)
-        d = self._decimation(p, n, params) % (p ** n - 1)
+        L = p ** n - 1
+        d = self.formula(p, n, params) % L
+        if gcd(d, L) != 1:
+            raise OutOfDomain(f"decimation {d} not coprime to {L}")
         return d
 
     def predicted(self, p: int, n: int, params: dict):
-        viol = self.check_domain(p, n, params)
-        if viol:
-            raise OutOfDomain(viol)
+        """The predicted table, a = 0 normalized, or the admissible values."""
         d = self.decimation(p, n, params)
-        if gcd(d, p ** n - 1) != 1:
-            raise OutOfDomain(f"decimation {d} not coprime to {p ** n - 1}")
-        return self._predicted(p, n, params, d)
-
-    def param_keys(self, p: int, n: int) -> set:
-        """The parameter names the family's candidate dicts carry at (p, n)."""
-        return set().union(*self._instances(p, n))
+        rows = self.source(p, n, params)
+        if self.status == "at-most-k":
+            return AtMostKValues(frozenset(_as_cyc(p, v) for v in rows))
+        return _assemble(p, n, d, rows, self.source_counts_total == "p^n")
 
     def instances(self, p: int, n: int) -> list[dict]:
-        """Admissible parameter dicts at (p, n), coprime decimations only."""
+        """The candidates at (p, n) on which `decimation` does not raise."""
         out = []
-        for params in self._instances(p, n):
-            if self.check_domain(p, n, params):
+        for params in self.candidates(p, n):
+            try:
+                self.decimation(p, n, params)
+            except OutOfDomain:
                 continue
-            d = self._decimation(p, n, params) % (p ** n - 1)
-            if gcd(d, p ** n - 1) == 1:
-                out.append(params)
+            out.append(params)
         return out
-
-    def __repr__(self):
-        return f"FamilyDescriptor({self.id!r}, status={self.status!r})"
 
 
 # ----------------------------------------------------------------------
 # Shared closed-form builders
 # ----------------------------------------------------------------------
 
-def _three_valued_table(p: int, n: int, e: int, d: int) -> SpectrumTable:
+def _three_valued_table(p: int, n: int, e: int) -> list:
     """values -1 +/- p^((n+e)/2) and -1; the classical three-valued split."""
     big = p ** ((n + e) // 2)
     if p == 2:
@@ -150,18 +160,16 @@ def _three_valued_table(p: int, n: int, e: int, d: int) -> SpectrumTable:
     else:
         hi = Fraction(p ** (n - e) + p ** ((n - e) // 2), 2)
         lo = Fraction(p ** (n - e) - p ** ((n - e) // 2), 2)
-    rows = [(-1 + big, hi), (-1 - big, lo), (-1, p ** n - p ** (n - e) - 1)]
-    return _assemble(p, n, d, rows, include_zero_shift=False)
+    return [(-1 + big, hi), (-1 - big, lo), (-1, p ** n - p ** (n - e) - 1)]
 
 
-def _niho_four_valued_table(n: int, m: int, r1: int, d: int) -> SpectrumTable:
-    rows = [
+def _niho_four_valued_table(n: int, m: int, r1: int) -> list:
+    return [
         (-1 - 2 ** m, Fraction(2 ** (n + r1 - 1) - 2 ** (m + r1 - 1), 2 ** r1 + 1)),
         (-1, 2 ** (n - r1) - 2 ** (m - r1)),
         (-1 + 2 ** m, Fraction(2 ** (n + r1 - 1) - 2 ** n + 2 ** (m + r1 - 1), 2 ** r1 - 1)),
         (-1 + 2 ** (r1 + m), Fraction(2 ** n - 2 ** m, 2 ** (3 * r1) - 2 ** r1)),
     ]
-    return _assemble(2, n, d, rows, include_zero_shift=True)
 
 
 def _gauss_sqrt(p: int) -> CycInt:
@@ -189,6 +197,30 @@ def _half_div(v: CycInt) -> CycInt:
 def _build_catalog() -> list[FamilyDescriptor]:
     fams: list[FamilyDescriptor] = []
 
+    def e_table(e):
+        """The three-valued source table with a fixed e."""
+        return lambda p, n, pr: _three_valued_table(p, n, e)
+
+    def k_table(p, n, pr):
+        return _three_valued_table(p, n, gcd(n, pr["k"]))
+
+    def k_range(p, n):
+        return [{"k": k} for k in range(1, n)]
+
+    def i_range(p, n):
+        return [{"i": i} for i in range(n)]
+
+    def kasami_dec(p, n, pr):
+        return p ** (2 * pr["k"]) - p ** pr["k"] + 1
+
+    def niho_dec(s):
+        """d = s(p^m - 1) + 1, n = 2m."""
+        return lambda p, n, pr: s * (p ** (n // 2) - 1) + 1
+
+    def quarter_dec(p, n, pr):
+        """d = p^(2m) - p^m + 1, n = 4m."""
+        return p ** (n // 2) - p ** (n // 4) + 1
+
     # ---- three-valued, binary ----------------------------------------
 
     def gold_dom(p, n, pr):
@@ -205,22 +237,16 @@ def _build_catalog() -> list[FamilyDescriptor]:
         return None
 
     fams.append(FamilyDescriptor(
-        id="gold", label="binary d = 2^k + 1", status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=gold_dom,
-        decimation=lambda p, n, pr: 2 ** pr["k"] + 1,
-        predicted=lambda p, n, pr, d: _three_valued_table(2, n, gcd(n, pr["k"]), d),
-        instances=lambda p, n: [{"k": k} for k in range(1, n)] if p == 2 else [],
+        id="gold", label="binary d = 2^k + 1",
+        check_domain=gold_dom,
+        formula=lambda p, n, pr: 2 ** pr["k"] + 1,
+        source=k_table, candidates=k_range,
     ))
 
     fams.append(FamilyDescriptor(
         id="kasami-welch", label="binary d = 2^(2k) - 2^k + 1",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=gold_dom,
-        decimation=lambda p, n, pr: 2 ** (2 * pr["k"]) - 2 ** pr["k"] + 1,
-        predicted=lambda p, n, pr, d: _three_valued_table(2, n, gcd(n, pr["k"]), d),
-        instances=lambda p, n: [{"k": k} for k in range(1, n)] if p == 2 else [],
+        check_domain=gold_dom, formula=kasami_dec,
+        source=k_table, candidates=k_range,
     ))
 
     def cd_dom(p, n, pr):
@@ -232,33 +258,26 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="cusick-dobbertin-a", label="binary d = 2^m + 2^((m+1)/2) + 1, n = 2m",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=cd_dom,
-        decimation=lambda p, n, pr: 2 ** (n // 2) + 2 ** ((n // 2 + 1) // 2) + 1,
-        predicted=lambda p, n, pr, d: _three_valued_table(2, n, 2, d),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=cd_dom,
+        formula=lambda p, n, pr: 2 ** (n // 2) + 2 ** ((n // 2 + 1) // 2) + 1,
+        source=e_table(2),
     ))
 
     fams.append(FamilyDescriptor(
         id="cusick-dobbertin-b", label="binary d = 2^(m+1) + 3, n = 2m",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=cd_dom,
-        decimation=lambda p, n, pr: 2 ** (n // 2 + 1) + 3,
-        predicted=lambda p, n, pr, d: _three_valued_table(2, n, 2, d),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=cd_dom,
+        formula=lambda p, n, pr: 2 ** (n // 2 + 1) + 3,
+        source=e_table(2),
     ))
+
+    def odd_n_dom(p, n, pr):
+        return None if (p == 2 and n % 2 == 1 and n >= 3) else "p = 2, odd n >= 3 required"
 
     fams.append(FamilyDescriptor(
         id="welch", label="binary d = 2^m + 3, n = 2m + 1",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=lambda p, n, pr: None if (p == 2 and n % 2 == 1 and n >= 3)
-        else "p = 2, odd n >= 3 required",
-        decimation=lambda p, n, pr: 2 ** ((n - 1) // 2) + 3,
-        predicted=lambda p, n, pr, d: _three_valued_table(2, n, 1, d),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=odd_n_dom,
+        formula=lambda p, n, pr: 2 ** ((n - 1) // 2) + 3,
+        source=e_table(1),
     ))
 
     def niho_hx_dec(p, n, pr):
@@ -271,13 +290,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="niho-hx", label="binary two-term Niho exponent, odd n",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=lambda p, n, pr: None if (p == 2 and n % 2 == 1 and n >= 3)
-        else "p = 2, odd n >= 3 required",
-        decimation=niho_hx_dec,
-        predicted=lambda p, n, pr, d: _three_valued_table(2, n, 1, d),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=odd_n_dom, formula=niho_hx_dec, source=e_table(1),
         notes="exponent pair fixed by exhaustive three-valued search at small n",
     ))
 
@@ -285,13 +298,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="welch-ternary", label="ternary d = 2*3^m + 1, n = 2m + 1",
-        status="proved-distribution",
-        prime_constraint="p = 3", source_counts_total="p^n-1",
-        applicable=lambda p, n, pr: None if (p == 3 and n % 2 == 1 and n >= 3)
+        check_domain=lambda p, n, pr: None if (p == 3 and n % 2 == 1 and n >= 3)
         else "p = 3, odd n >= 3 required",
-        decimation=lambda p, n, pr: 2 * 3 ** ((n - 1) // 2) + 1,
-        predicted=lambda p, n, pr, d: _three_valued_table(3, n, 1, d),
-        instances=lambda p, n: [{}] if p == 3 else [],
+        formula=lambda p, n, pr: 2 * 3 ** ((n - 1) // 2) + 1,
+        source=e_table(1),
     ))
 
     def kl_dom(p, n, pr):
@@ -304,22 +314,11 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "need n | 4k - 1"
         return None
 
-    def kl_instances(p, n):
-        if p != 3 or n % 2 == 0 or n < 3 or gcd(4, n) != 1:
-            return []
-        k = pow(4, -1, n) % n
-        if k == 0:
-            k = n
-        return [{"k": k}]
-
     fams.append(FamilyDescriptor(
         id="katz-langevin", label="ternary d = 3^k + 2, n | 4k - 1",
-        status="proved-distribution",
-        prime_constraint="p = 3", source_counts_total="p^n-1",
-        applicable=kl_dom,
-        decimation=lambda p, n, pr: 3 ** pr["k"] + 2,
-        predicted=lambda p, n, pr, d: _three_valued_table(3, n, 1, d),
-        instances=kl_instances,
+        check_domain=kl_dom,
+        formula=lambda p, n, pr: 3 ** pr["k"] + 2,
+        source=e_table(1), candidates=k_range,
         notes="condition n | 4k-1 is equivalent to the d = 2*3^r + 1, n | 4r+1 "
               "form under k = n - r; verified three-valued at n = 7 (d = 11)",
     ))
@@ -336,22 +335,15 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="trachtenberg-half", label="p odd, d = (p^(2k) + 1)/2",
-        status="proved-distribution",
-        prime_constraint="p odd", source_counts_total="p^n-1",
-        applicable=tra_dom,
-        decimation=lambda p, n, pr: (p ** (2 * pr["k"]) + 1) // 2,
-        predicted=lambda p, n, pr, d: _three_valued_table(p, n, gcd(n, pr["k"]), d),
-        instances=lambda p, n: [{"k": k} for k in range(1, n)] if p != 2 else [],
+        check_domain=tra_dom,
+        formula=lambda p, n, pr: (p ** (2 * pr["k"]) + 1) // 2,
+        source=k_table, candidates=k_range,
     ))
 
     fams.append(FamilyDescriptor(
         id="helleseth-kasami-p", label="p odd, d = p^(2k) - p^k + 1",
-        status="proved-distribution",
-        prime_constraint="p odd", source_counts_total="p^n-1",
-        applicable=tra_dom,
-        decimation=lambda p, n, pr: p ** (2 * pr["k"]) - p ** pr["k"] + 1,
-        predicted=lambda p, n, pr, d: _three_valued_table(p, n, gcd(n, pr["k"]), d),
-        instances=lambda p, n: [{"k": k} for k in range(1, n)] if p != 2 else [],
+        check_domain=tra_dom, formula=kasami_dec,
+        source=k_table, candidates=k_range,
     ))
 
     # ---- four-valued, binary (unified Niho table) ----------------------
@@ -365,22 +357,17 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="niho-4val-1", label="binary d = 2(2^m - 1) + 1, m even",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n",
-        applicable=even_m_dom,
-        decimation=lambda p, n, pr: 2 * (2 ** (n // 2) - 1) + 1,
-        predicted=lambda p, n, pr, d: _niho_four_valued_table(n, n // 2, 1, d),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=even_m_dom, formula=niho_dec(2),
+        source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, 1),
+        source_counts_total="p^n",
     ))
 
     fams.append(FamilyDescriptor(
         id="niho-4val-2", label="binary d = (2^(m/2) + 1)(2^m - 1) + 2, m even",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n",
-        applicable=even_m_dom,
-        decimation=lambda p, n, pr: (2 ** (n // 4) + 1) * (2 ** (n // 2) - 1) + 2,
-        predicted=lambda p, n, pr, d: _niho_four_valued_table(n, n // 2, n // 4, d),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=even_m_dom,
+        formula=lambda p, n, pr: (2 ** (n // 4) + 1) * (2 ** (n // 2) - 1) + 2,
+        source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, n // 4),
+        source_counts_total="p^n",
     ))
 
     def dob4_dom(p, n, pr):
@@ -397,14 +384,11 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="dobbertin-4val", label="binary d = (2^((m+1)t) - 1)/(2^t - 1), m even",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n",
-        applicable=dob4_dom,
-        decimation=lambda p, n, pr: (2 ** ((n // 2 + 1) * pr["t"]) - 1) // (2 ** pr["t"] - 1),
-        predicted=lambda p, n, pr, d: _niho_four_valued_table(n, n // 2, 1, d),
-        instances=lambda p, n: [
-            {"t": t} for t in range(1, n // 2) if gcd(t, n) == 1
-        ] if p == 2 and n % 4 == 0 else [],
+        check_domain=dob4_dom,
+        formula=lambda p, n, pr: (2 ** ((n // 2 + 1) * pr["t"]) - 1) // (2 ** pr["t"] - 1),
+        source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, 1),
+        candidates=lambda p, n: [{"t": t} for t in range(1, n // 2)],
+        source_counts_total="p^n",
     ))
 
     def h2005_dom(p, n, pr):
@@ -419,15 +403,12 @@ def _build_catalog() -> list[FamilyDescriptor]:
     fams.append(FamilyDescriptor(
         id="helleseth-4val-2005",
         label="binary d = ((2^m - 1)/(2^t - 1))(2^m - 1) + 2, 2t | m",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n",
-        applicable=h2005_dom,
-        decimation=lambda p, n, pr: ((2 ** (n // 2) - 1) // (2 ** pr["t"] - 1))
+        check_domain=h2005_dom,
+        formula=lambda p, n, pr: ((2 ** (n // 2) - 1) // (2 ** pr["t"] - 1))
         * (2 ** (n // 2) - 1) + 2,
-        predicted=lambda p, n, pr, d: _niho_four_valued_table(n, n // 2, pr["t"], d),
-        instances=lambda p, n: [
-            {"t": t} for t in range(1, n // 4 + 1) if (n // 2) % (2 * t) == 0
-        ] if p == 2 and n % 2 == 0 else [],
+        source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, pr["t"]),
+        candidates=lambda p, n: [{"t": t} for t in range(1, n // 4 + 1)],
+        source_counts_total="p^n",
     ))
 
     def unified_dom(p, n, pr):
@@ -455,16 +436,11 @@ def _build_catalog() -> list[FamilyDescriptor]:
     fams.append(FamilyDescriptor(
         id="niho-4val-unified",
         label="binary Niho s = 2^r (2^r +/- 1)^(-1) mod 2^m + 1",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n",
-        applicable=unified_dom,
-        decimation=unified_dec,
-        predicted=lambda p, n, pr, d: _niho_four_valued_table(
-            n, n // 2, gcd(pr["r"], n // 2), d),
-        instances=lambda p, n: [
-            {"r": r, "sign": sg}
-            for r in range(1, n // 2) for sg in (-1, 1)
-        ] if p == 2 and n % 2 == 0 else [],
+        check_domain=unified_dom, formula=unified_dec,
+        source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, gcd(pr["r"], n // 2)),
+        candidates=lambda p, n: [
+            {"r": r, "sign": sg} for r in range(1, n // 2) for sg in (-1, 1)],
+        source_counts_total="p^n",
     ))
 
     # ---- four-valued, nonbinary ----------------------------------------
@@ -478,24 +454,20 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "p^m != 2 mod 3 required"
         return None
 
-    def h4p_table(p, n, pr, d):
+    def h4p_table(p, n, pr):
         q = p ** (n // 2)
-        rows = [
+        return [
             (-1 - q, Fraction(q * q - q, 3)),
             (-1, Fraction(q * q - q - 2, 2)),
             (-1 + q, q),
             (-1 + 2 * q, Fraction(q * q - q, 6)),
         ]
-        return _assemble(p, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="helleseth-4val-p", label="p odd, d = 2 p^m - 1, n = 2m",
-        status="proved-distribution",
-        prime_constraint="p odd, p^m != 2 mod 3", source_counts_total="p^n-1",
-        applicable=h4p_dom,
-        decimation=lambda p, n, pr: 2 * p ** (n // 2) - 1,
-        predicted=h4p_table,
-        instances=lambda p, n: [{}] if p != 2 else [],
+        check_domain=h4p_dom,
+        formula=lambda p, n, pr: 2 * p ** (n // 2) - 1,
+        source=h4p_table,
     ))
 
     def xia4_dom(p, n, pr):
@@ -510,27 +482,23 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "form must be 1 (d = 3^k + 2) or 2 (d = 3^(2k) + 2)"
         return None
 
-    def xia4_table(p, n, pr, d):
+    def xia4_table(p, n, pr):
         # distribution written with r = k (confirmed by brute force at k = 1)
         k = n // 3
-        rows = [
+        return [
             (-1, 2 * 3 ** (3 * k - 1) + 3 ** (2 * k - 1) - 3 ** k - 1),
             (-1 + 3 ** (2 * k), 3 ** k),
             (-1 + 3 ** ((3 * k + 1) // 2), Fraction(3 ** (3 * k - 1) - 3 ** (2 * k - 1), 2)),
             (-1 - 3 ** ((3 * k + 1) // 2), Fraction(3 ** (3 * k - 1) - 3 ** (2 * k - 1), 2)),
         ]
-        return _assemble(3, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="xia-ternary-4val", label="ternary d = 3^k + 2 or 3^(2k) + 2, n = 3k odd k",
-        status="proved-distribution",
-        prime_constraint="p = 3", source_counts_total="p^n-1",
-        applicable=xia4_dom,
-        decimation=lambda p, n, pr: 3 ** (n // 3) + 2 if pr["form"] == 1
+        check_domain=xia4_dom,
+        formula=lambda p, n, pr: 3 ** (n // 3) + 2 if pr["form"] == 1
         else 3 ** (2 * (n // 3)) + 2,
-        predicted=xia4_table,
-        instances=lambda p, n: [{"form": 1}, {"form": 2}]
-        if p == 3 and n % 3 == 0 else [],
+        source=xia4_table,
+        candidates=lambda p, n: [{"form": 1}, {"form": 2}],
     ))
 
     # ---- five-valued -----------------------------------------------------
@@ -540,27 +508,23 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "p = 2, n = 2m >= 4 required"
         return None
 
-    def h5_table(p, n, pr, d):
+    def h5_table(p, n, pr):
         m = n // 2
         b3 = 2 ** m + (-1) ** (m + 1) + 1
         q = 2 ** m
-        rows = [
+        return [
             (-1 - q, Fraction(2 ** (2 * m - 1)) - Fraction(b3, 8) * q - Fraction(q, 2)),
             (-1, Fraction(q * b3 + q // 2 - 3, 3)),
             (-1 + q, Fraction(2 ** (2 * m - 1)) - Fraction(b3, 4) * q),
             (-1 + 2 * q, q // 2),
             (-1 + 3 * q, Fraction(Fraction(b3, 8) * q - q // 2, 3)),
         ]
-        return _assemble(2, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="helleseth-5val", label="binary d = 2^m + 3, n = 2m",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=h5_dom,
-        decimation=lambda p, n, pr: 2 ** (n // 2) + 3,
-        predicted=h5_table,
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=h5_dom,
+        formula=lambda p, n, pr: 2 ** (n // 2) + 3,
+        source=h5_table,
     ))
 
     def dob5_dom(p, n, pr):
@@ -568,9 +532,9 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "p = 2, n = 4r with r odd required"
         return None
 
-    def dob5_table(p, n, pr, d):
+    def dob5_table(p, n, pr):
         r = n // 4
-        rows = [
+        return [
             (-1, 2 ** (4 * r - 1) - 2 ** (3 * r - 2)),
             (-1 + 2 ** (2 * r), Fraction(2 ** (4 * r - 1) + 2 ** (3 * r - 1), 3)),
             (-1 - 2 ** (2 * r), Fraction(2 ** (4 * r - 1) + 2 ** (3 * r - 1), 3)),
@@ -579,16 +543,12 @@ def _build_catalog() -> list[FamilyDescriptor]:
             (-1 - 2 ** (2 * r + 1),
              Fraction(2 ** (4 * r - 2) - 2 ** (3 * r - 3), 3) - 2 ** (2 * r - 2)),
         ]
-        return _assemble(2, n, d, rows, include_zero_shift=True)
 
     fams.append(FamilyDescriptor(
         id="dobbertin-5val", label="binary d = 2^(2r) + 2^r + 1, n = 4r odd r",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n",
-        applicable=dob5_dom,
-        decimation=lambda p, n, pr: 2 ** (n // 2) + 2 ** (n // 4) + 1,
-        predicted=dob5_table,
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=dob5_dom,
+        formula=lambda p, n, pr: 2 ** (n // 2) + 2 ** (n // 4) + 1,
+        source=dob5_table, source_counts_total="p^n",
     ))
 
     _FRAC_PAIRS = {"2:1": (2, 1), "5:1": (5, 1), "5:3": (5, 3)}
@@ -608,23 +568,18 @@ def _build_catalog() -> list[FamilyDescriptor]:
         t = pr["t"]
         return resolve_fraction(2 ** (lm * t) + 1, 2 ** (km * t) + 1, 2 ** n - 1)
 
-    def frac_values(p, n, pr, d):
+    def frac_values(p, n, pr):
         e = gcd(n, pr["t"])
-        vals = [-1,
+        return [-1,
                 -1 + 2 ** ((n + e) // 2), -1 - 2 ** ((n + e) // 2),
                 -1 + 2 ** ((n + 3 * e) // 2), -1 - 2 ** ((n + 3 * e) // 2)]
-        return AtMostKValues(k=5, values=_value_set(2, vals))
 
     fams.append(FamilyDescriptor(
         id="kasami-frac", label="binary d = (2^(lt) + 1)/(2^(kt) + 1), odd n",
-        status="at-most-k",
-        prime_constraint="p = 2", source_counts_total="value set",
-        applicable=frac_dom,
-        decimation=frac_dec,
-        predicted=frac_values,
-        instances=lambda p, n: [
-            {"pair": pr_, "t": t} for pr_ in _FRAC_PAIRS for t in range(1, n)
-        ] if p == 2 and n % 2 else [],
+        check_domain=frac_dom, formula=frac_dec, source=frac_values,
+        candidates=lambda p, n: [
+            {"pair": pr_, "t": t} for pr_ in _FRAC_PAIRS for t in range(1, n)],
+        status="at-most-k", source_counts_total="value set",
     ))
 
     def dfhr_even_dom(p, n, pr):
@@ -635,43 +590,28 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "m even, m != 2 mod 4 required"
         return None
 
-    def dfhr_even_table(p, n, pr, d):
+    def dfhr_even_table(p, n, pr):
         m = n // 2
         q = 2 ** m
         a = q * tau_value(m)  # integer
-        rows = [
+        return [
             (-1 - q, Fraction(11 * q * q - a - 10 * q + 1, 30)),
             (-1, Fraction(3 * q * q + a - 4 * q - 9, 8)),
             (-1 + q, Fraction(q * q - a + 6 * q + 1, 6)),
             (-1 + 2 * q, Fraction(q * q + a - 2 * q - 1, 12)),
             (-1 + 4 * q, Fraction(q * q - a + 1, 120)),
         ]
-        return _assemble(2, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="dfhr-s3", label="binary d = 3(2^m - 1) + 1, m even (m != 2 mod 4)",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=dfhr_even_dom,
-        decimation=lambda p, n, pr: 3 * (2 ** (n // 2) - 1) + 1,
-        predicted=dfhr_even_table,
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=dfhr_even_dom, formula=niho_dec(3), source=dfhr_even_table,
     ))
-
-    def hkl_dom_even(p, n, pr):
-        if p != 2 or n % 2 or (n // 2) % 2:
-            return "p = 2, n = 2m with m even required"
-        return None
 
     fams.append(FamilyDescriptor(
         id="hkl-s4", label="binary d = 4(2^m - 1) + 1, m even",
-        status="at-most-k",
-        prime_constraint="p = 2", source_counts_total="value set",
-        applicable=hkl_dom_even,
-        decimation=lambda p, n, pr: 4 * (2 ** (n // 2) - 1) + 1,
-        predicted=lambda p, n, pr, d: AtMostKValues(
-            k=5, values=_value_set(2, [-1 + j * 2 ** (n // 2) for j in (-1, 0, 1, 2, 4)])),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=even_m_dom, formula=niho_dec(4),
+        source=lambda p, n, pr: [-1 + j * 2 ** (n // 2) for j in (-1, 0, 1, 2, 4)],
+        status="at-most-k", source_counts_total="value set",
     ))
 
     def xia5_dom(p, n, pr):
@@ -681,27 +621,21 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "m != 2 mod 4 required"
         return None
 
-    def xia5_table(p, n, pr, d):
+    def xia5_table(p, n, pr):
         m = n // 2
         q = 3 ** m
         sg = (-1) ** m
-        rows = [
+        return [
             (-1 - q, Fraction(11 * q * q - 16 * q - sg * q + 6, 30)),
             (-1, Fraction(3 * q * q + 2 * q + sg * q - 14, 8)),
             (-1 + q, Fraction(q * q - sg * q + 6, 6)),
             (-1 + 2 * q, Fraction(q * q + 4 * q + sg * q - 6, 12)),
             (-1 + 4 * q, Fraction(q * q - 6 * q - sg * q + 6, 120)),
         ]
-        return _assemble(3, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="xia-ternary-5val", label="ternary d = 3(3^m - 1) + 1, m != 2 mod 4",
-        status="proved-distribution",
-        prime_constraint="p = 3", source_counts_total="p^n-1",
-        applicable=xia5_dom,
-        decimation=lambda p, n, pr: 3 * (3 ** (n // 2) - 1) + 1,
-        predicted=xia5_table,
-        instances=lambda p, n: [{}] if p == 3 else [],
+        check_domain=xia5_dom, formula=niho_dec(3), source=xia5_table,
     ))
 
     def half_dom(p, n, pr):
@@ -714,7 +648,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "0 <= i < n required"
         return None
 
-    def half_table(p, n, pr, d):
+    def half_table(p, n, pr):
         P = p ** n
         if n % 2 == 0:
             root = _as_cyc(p, p ** (n // 2))
@@ -723,23 +657,19 @@ def _build_catalog() -> list[FamilyDescriptor]:
             root = _gauss_sqrt(p) * p ** ((n - 1) // 2)
         half_hi = _half_div(root + P)
         half_lo = _half_div(-root + P)
-        rows = [
+        return [
             (-1, Fraction(P - 5, 2)),
             (root - 1, Fraction(P - 1, 4)),
             (-root - 1, Fraction(P - 1, 4)),
             (half_hi - 1, 1),
             (half_lo - 1, 1),
         ]
-        return _assemble(p, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="helleseth-half", label="p odd, d = (p^n - 1)/2 + p^i",
-        status="proved-distribution",
-        prime_constraint="p odd, p^n = 1 mod 4", source_counts_total="p^n-1",
-        applicable=half_dom,
-        decimation=lambda p, n, pr: (p ** n - 1) // 2 + p ** pr["i"],
-        predicted=half_table,
-        instances=lambda p, n: [{"i": i} for i in range(n)] if p != 2 else [],
+        check_domain=half_dom,
+        formula=lambda p, n, pr: (p ** n - 1) // 2 + p ** pr["i"],
+        source=half_table, candidates=i_range,
         notes="gamma is the non-square normalizer; for odd n the two single "
               "occurrences are irrational real algebraic integers",
     ))
@@ -751,9 +681,9 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "p = 2, n = 4m with m even required"
         return None
 
-    def th78_table(p, n, pr, d):
+    def th78_table(p, n, pr):
         Q = 2 ** (n // 4)
-        rows = [
+        return [
             # leading value -1 + Q^2 is forced by sum(value*count) = 1 and
             # by the p-ary analogue at p = 2
             (-1 + Q * Q, Fraction(Q ** 4 - Q, 3)),
@@ -763,16 +693,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
             (-1 + Q ** 3, 1),
             (-1 + Q * Q * (Q - 1), Q),
         ]
-        return _assemble(2, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="th-h-1978", label="binary d = 2^(2m) - 2^m + 1, n = 4m even m",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=th78_dom,
-        decimation=lambda p, n, pr: 2 ** (n // 2) - 2 ** (n // 4) + 1,
-        predicted=th78_table,
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=th78_dom, formula=quarter_dec, source=th78_table,
         notes="leading value -1 + 2^(2m), pinned by the moment identity and "
               "brute force at m = 2",
     ))
@@ -782,11 +706,11 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "p = 2, n = 2m with odd m >= 3 required"
         return None
 
-    def dfhr_odd_table(p, n, pr, d):
+    def dfhr_odd_table(p, n, pr):
         m = n // 2
         q = 2 ** m
         a = q * tau_value(m)
-        rows = [
+        return [
             (-1 - q, Fraction(11 * q * q - a - 22 * q + 1, 30)),
             (-1, Fraction(9 * q * q + 3 * a + 16 * q - 23, 24)),
             (-1 + q, Fraction(q * q - a - 3, 6)),
@@ -794,23 +718,17 @@ def _build_catalog() -> list[FamilyDescriptor]:
             (-1 + 3 * q, Fraction(q - 2, 3)),
             (-1 + 4 * q, Fraction(q * q - a - 12 * q + 21, 120)),
         ]
-        return _assemble(2, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="dfhr-s3-odd", label="binary d = 3(2^m - 1) + 1, m odd",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=s3_odd_dom,
-        decimation=lambda p, n, pr: 3 * (2 ** (n // 2) - 1) + 1,
-        predicted=dfhr_odd_table,
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=s3_odd_dom, formula=niho_dec(3), source=dfhr_odd_table,
     ))
 
-    def dfhr_odd_kloosterman_table(p, n, pr, d):
+    def dfhr_odd_kloosterman_table(p, n, pr):
         m = n // 2
         q = 2 ** m
         R = kloosterman_weighted_sum(m)
-        rows = [
+        return [
             (-1 - q, Fraction(11 * q * q - 24 * q + R, 30)),
             (-1, Fraction(9 * q * q + 22 * q - 3 * R - 20, 24)),
             (-1 + q, Fraction(q * q - 2 * q + R - 4, 6)),
@@ -818,34 +736,20 @@ def _build_catalog() -> list[FamilyDescriptor]:
             (-1 + 3 * q, Fraction(q - 2, 3)),
             (-1 + 4 * q, Fraction(q * q - 14 * q + R + 20, 120)),
         ]
-        return _assemble(2, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="dfhr-s3-odd-kloosterman",
         label="binary d = 3(2^m - 1) + 1, m odd, Kloosterman-sum form",
-        status="proved-distribution",
-        prime_constraint="p = 2", source_counts_total="p^n-1",
-        applicable=s3_odd_dom,
-        decimation=lambda p, n, pr: 3 * (2 ** (n // 2) - 1) + 1,
-        predicted=dfhr_odd_kloosterman_table,
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=s3_odd_dom, formula=niho_dec(3),
+        source=dfhr_odd_kloosterman_table,
         notes="counts parameterized by the weighted Kloosterman double sum",
     ))
 
-    def hkl_dom_odd(p, n, pr):
-        if p != 2 or n % 2 or (n // 2) % 2 == 0:
-            return "p = 2, n = 2m with m odd required"
-        return None
-
     fams.append(FamilyDescriptor(
         id="hkl-s4-odd", label="binary d = 4(2^m - 1) + 1, m odd",
-        status="at-most-k",
-        prime_constraint="p = 2", source_counts_total="value set",
-        applicable=hkl_dom_odd,
-        decimation=lambda p, n, pr: 4 * (2 ** (n // 2) - 1) + 1,
-        predicted=lambda p, n, pr, d: AtMostKValues(
-            k=6, values=_value_set(2, [-1 + j * 2 ** (n // 2) for j in (-1, 0, 1, 2, 3, 4)])),
-        instances=lambda p, n: [{}] if p == 2 else [],
+        check_domain=cd_dom, formula=niho_dec(4),
+        source=lambda p, n, pr: [-1 + j * 2 ** (n // 2) for j in (-1, 0, 1, 2, 3, 4)],
+        status="at-most-k", source_counts_total="value set",
     ))
 
     def third_dom(p, n, pr):
@@ -861,7 +765,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "f = (p^n - 1)/3 * p^i must not be 2 mod 3"
         return None
 
-    def third_table(p, n, pr, d):
+    def third_table(p, n, pr):
         m = n // 2
         P = p ** n
         A = (-1) ** (m + 1) * p ** m
@@ -876,16 +780,13 @@ def _build_catalog() -> list[FamilyDescriptor]:
             extra = [(-1 + (P - 2 * A) // 3, 1), (-1 + (P + A) // 3, 2)]
         else:
             extra = [(-1 + (P - 2 * A) // 3, 2), (-1 + (P + 4 * A) // 3, 1)]
-        return _assemble(p, n, d, common + extra, include_zero_shift=False)
+        return common + extra
 
     fams.append(FamilyDescriptor(
         id="helleseth-third", label="p = 2 mod 3, d = (p^n - 1)/3 + p^i, n = 2m",
-        status="proved-distribution",
-        prime_constraint="p = 2 mod 3", source_counts_total="p^n-1",
-        applicable=third_dom,
-        decimation=lambda p, n, pr: (p ** n - 1) // 3 + p ** pr["i"],
-        predicted=third_table,
-        instances=lambda p, n: [{"i": i} for i in range(n)] if p % 3 == 2 else [],
+        check_domain=third_dom,
+        formula=lambda p, n, pr: (p ** n - 1) // 3 + p ** pr["i"],
+        source=third_table, candidates=i_range,
     ))
 
     def h2003_dom(p, n, pr):
@@ -895,9 +796,9 @@ def _build_catalog() -> list[FamilyDescriptor]:
             return "p^m != 2 mod 3 required"
         return None
 
-    def h2003_table(p, n, pr, d):
+    def h2003_table(p, n, pr):
         Q = p ** (n // 4)
-        rows = [
+        return [
             (-1 - 2 * Q * Q, Fraction(Q ** 4 - 3 * Q ** 3 + 3 * Q ** 2 - Q, 6)),
             (-1 - Q * Q, Q ** 3 - Q * Q),
             (-1, Fraction(Q ** 4 - Q ** 3 + Q ** 2 - Q - 4, 2)),
@@ -905,16 +806,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
             (-1 + Q ** 3 - Q * Q, Q),
             (-1 + Q ** 3, 1),
         ]
-        return _assemble(p, n, d, rows, include_zero_shift=False)
 
     fams.append(FamilyDescriptor(
         id="helleseth-2003", label="d = p^(2m) - p^m + 1, n = 4m, p^m != 2 mod 3",
-        status="proved-distribution",
-        prime_constraint="any p with p^m != 2 mod 3", source_counts_total="p^n-1",
-        applicable=h2003_dom,
-        decimation=lambda p, n, pr: p ** (n // 2) - p ** (n // 4) + 1,
-        predicted=h2003_table,
-        instances=lambda p, n: [{}],
+        check_domain=h2003_dom, formula=quarter_dec, source=h2003_table,
     ))
 
     return fams
@@ -1009,17 +904,14 @@ class Verdict:
 def verify_family(family_id: str, p: int, n: int, params: dict,
                   computed: SpectrumTable) -> Verdict:
     """proved-distribution: exact multiset equality (a = 0 normalized);
-    at-most-k: value-set containment and cardinality bound."""
+    at-most-k: value-set containment, which bounds the count by k."""
     fam = get_family(family_id)
     d = fam.decimation(p, n, params)
     pred = fam.predicted(p, n, params)
     if isinstance(pred, AtMostKValues):
-        extra = computed.values() - set(pred.values)
-        ok = not extra and computed.num_values() <= pred.k
-        detail = "" if ok else (
-            f"values outside the admissible set: {[repr(v) for v in extra]}"
-            if extra else f"{computed.num_values()} values > bound {pred.k}"
-        )
+        extra = computed.values() - pred.values
+        ok = not extra
+        detail = "" if ok else f"values outside the admissible set: {[repr(v) for v in extra]}"
     else:
         ok = pred.same_entries(computed)
         detail = "" if ok else pred.diff(computed)

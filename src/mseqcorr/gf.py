@@ -35,9 +35,8 @@ Size bounds: tables are built only for p^n <= 2^24; polynomial-level
 operations (primitivity testing, canonical polynomial search) go up to 2^40.
 Past either bound they raise `errors.Budget`.  Arguments outside what a
 function accepts (a composite p, a prime outside `SUPPORTED_PRIMES` for
-`field_ctx`, a degree n < 1, an odd n where n = 2m is needed, a non-subfield
-degree, a non-primitive or malformed modulus, the log of 0) raise
-`errors.OutOfDomain`.
+`field_ctx`, a degree n < 1, an odd n where n = 2m is needed, a
+non-primitive or malformed modulus, the log of 0) raise `errors.OutOfDomain`.
 """
 
 from __future__ import annotations
@@ -478,26 +477,6 @@ class FieldCtx:
     def trace(self, a: int) -> int:
         """Absolute trace Tr(a) = a + a^p + ... + a^(p^(n-1)) as an int in [0, p)."""
         return int(self.trace_table[a])
-
-    def relative_trace(self, a: int, m: int) -> int:
-        """Tr^n_m(a) = a + a^(p^m) + ... + a^(p^(n-m)), an element of GF(p^m)."""
-        if m < 1 or self.n % m:
-            raise OutOfDomain(f"GF(p^{m}) is not a subfield of GF(p^{self.n})")
-        acc = 0
-        for k in range(self.n // m):
-            acc = self.add(acc, self.frobenius(a, m * k))
-        return acc
-
-    def subfield_trace(self, z: int, m: int) -> int:
-        """Absolute trace of GF(p^m) evaluated at an embedded subfield
-        element z (z^(p^m) = z); composes with relative_trace to give the
-        full trace."""
-        if m < 1 or self.n % m:
-            raise OutOfDomain(f"GF(p^{m}) is not a subfield of GF(p^{self.n})")
-        acc = 0
-        for k in range(m):
-            acc = self.add(acc, self.frobenius(z, k))
-        return acc % self.p
 
     # -- subsets ----------------------------------------------------------
 

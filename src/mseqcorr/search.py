@@ -47,6 +47,18 @@ def degenerate_set(p: int, n: int) -> set[int]:
     return {pow(p, j, L) for j in range(n)}
 
 
+def _class_of(d: int, p: int, n: int) -> set[int]:
+    """Every d p^j and d^(-1) p^j mod p^n - 1 (d coprime to it)."""
+    L = p ** n - 1
+    members = set()
+    for base in (d % L, pow(d, -1, L)):
+        x = base
+        for _ in range(n):
+            members.add(x)
+            x = x * p % L
+    return members
+
+
 def class_partition(p: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     """Partition of nondegenerate coprime d under d ~ d p^j ~ d^(-1) p^j.
 
@@ -60,13 +72,7 @@ def class_partition(p: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
     for d in range(2, L):
         if d in seen or d in degen or gcd(d, L) != 1:
             continue
-        dinv = pow(d, -1, L)
-        members = set()
-        for base in (d, dinv):
-            x = base
-            for _ in range(n):
-                members.add(x)
-                x = x * p % L
+        members = _class_of(d, p, n)
         seen |= members
         out.append((min(members), tuple(sorted(members))))
     out.sort(key=lambda t: t[0])
@@ -284,14 +290,7 @@ class CompletenessReport:
 
 
 def _class_rep_of(d: int, p: int, n: int) -> int:
-    L = p ** n - 1
-    members = set()
-    for base in (d % L, pow(d, -1, L)):
-        x = base
-        for _ in range(n):
-            members.add(x)
-            x = x * p % L
-    return min(members)
+    return min(_class_of(d, p, n))
 
 
 def three_valued_completeness(p: int, n: int, **kw) -> CompletenessReport:

@@ -107,6 +107,20 @@ def test_verify_single_family_params(capsys):
     assert json.loads(out)[0]["d"] == 5
 
 
+def test_verify_text_valued_params(capsys):
+    """kasami-frac's `pair` is text in its candidates, so --params keeps it
+    text; the one verdict is the one `--family all` gives for it."""
+    code, out, _ = run_cli("verify", "--family", "kasami-frac", "--p", "2", "--n", "5",
+                           "--params", "pair=5:1,t=1", capsys=capsys)
+    assert code == 0
+    verdicts = json.loads(out)
+    code, out, _ = run_cli("verify", "--family", "all", "--p", "2", "--n", "5",
+                           capsys=capsys)
+    assert code == 0
+    assert verdicts == [v for v in json.loads(out) if v["family"] == "kasami-frac"
+                        and v["params"] == {"pair": "5:1", "t": 1}]
+
+
 MOMENTS_GOLDEN = {
     ("2", "8", "7"): {
         "b3": 2, "d": 7, "n": 8, "p": 2,
@@ -284,6 +298,9 @@ def test_degree_below_one_is_usage_error(argv, capsys):
     "spectrum --p 17 --n 2 --d 5",
     "verify --family all --p 2 --n 5 --params k=2",
     "verify --family gold --p 2 --n 5 --params k=1,x=2",
+    "verify --family kasami-frac --p 2 --n 5 --params pair=4:1,t=1",
+    "classify --p 2 --n 3 --max-n 4",
+    "conjecture --check minus-one --p 2 --n 3 --max-n 4",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")

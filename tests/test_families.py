@@ -135,6 +135,24 @@ def test_normalization_convention_recorded():
     assert by_id["gold"].source_counts_total == "p^n-1"
 
 
+def test_source_rows_count_the_a0_point_as_recorded():
+    """The raw source rows of every proved-distribution instance sum to p^n
+    when the descriptor records "p^n" and to p^n - 1 otherwise, so
+    `source_counts_total` alone decides the a = 0 normalization."""
+    checked = 0
+    for p, nmax in ((2, 12), (3, 6), (5, 4), (7, 2)):
+        for n in range(2, nmax + 1):
+            for fam in families.catalog():
+                if fam.status != "proved-distribution":
+                    continue
+                for params in fam.instances(p, n):
+                    total = sum(Fraction(c) for _, c in fam.source(p, n, params))
+                    want = p ** n if fam.source_counts_total == "p^n" else p ** n - 1
+                    assert total == want, (fam.id, p, n, params)
+                    checked += 1
+    assert checked > 200
+
+
 def test_unified_4val_normalized_minus_one_count():
     pred = families.predicted_spectrum("niho-4val-unified", 2, 8,
                                        {"r": 1, "sign": -1})

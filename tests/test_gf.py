@@ -343,24 +343,6 @@ def test_trace_matches_frobenius_sum():
         assert acc == ctx.trace(a)  # trace lands in the prime field
 
 
-def test_relative_trace():
-    ctx = gf.field_ctx(2, 6)
-    for a in range(ctx.order):
-        assert ctx.relative_trace(a, 6) == a
-        # transitivity through GF(2^3) and GF(2^2)
-        for m in (1, 2, 3):
-            t = ctx.relative_trace(a, m)
-            assert ctx.frobenius(t, m) == t  # lands in GF(2^m)
-        inner = ctx.relative_trace(a, 3)
-        assert ctx.subfield_trace(inner, 3) == ctx.trace(a)
-    ctx2 = gf.field_ctx(3, 4)
-    for a in range(0, ctx2.order, 7):
-        half = ctx2.relative_trace(a, 2)
-        assert half == ctx2.add(a, ctx2.frobenius(a, 2))
-    with pytest.raises(OutOfDomain, match=r"GF\(p\^4\) is not a subfield"):
-        ctx.relative_trace(1, 4)
-
-
 @pytest.mark.parametrize("p,n,size", [(2, 2, 3), (3, 2, 4), (2, 6, 9)])
 def test_unit_circle(p, n, size):
     ctx = gf.field_ctx(p, n)
