@@ -258,25 +258,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    if args.check == "op6":
+    if args.check == "op6":   # the one check that takes no (p, n)
         rep = expsums.conjectured_sum_identities(args.n, args.k)
         _emit([{"check": "op6", **rep}])
         return 0 if rep["both_equal"] else 1
+    # each check runs over one (p, n); its report has `holds` and `to_dict`
+    check = {"minus-one": search.check_minus_one,
+             "three-valued": search.three_valued_completeness}[args.check]
     ns = _degrees(args)
     cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
-    findings = 0
-    out = []
-    for n in ns:
-        if args.check == "minus-one":
-            rep = search.check_minus_one(args.p, n, cache=cache, threads=args.threads)
-            findings += 0 if rep.holds else 1
-        else:
-            rep = search.three_valued_completeness(
-                args.p, n, cache=cache, threads=args.threads)
-            findings += 0 if rep.exact_match else 1
-        out.append(rep.to_dict())
-    _emit(out)
-    return 0 if not findings else 1
+    reports = [check(args.p, n, cache=cache, threads=args.threads) for n in ns]
+    _emit([r.to_dict() for r in reports])
+    return 0 if all(r.holds for r in reports) else 1
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Codewords are parameterized by (a, b) in GF(p^n)^2 with position-t symbol
 Tr(a alpha^t + b alpha^(dt)); length p^n - 1.  When d = 1 mod p-1 every
 nonzero-b codeword weight is (p-1)(p^n - W_d(u))/p for a single Walsh value
-W_d(u), so the full distribution follows from the Walsh table.  The pairs
-with b = 0 (and the zero codeword) are handled directly since the reduction
-to one Walsh point divides by b.
+W_d(u) = C + 1, so the full distribution follows from the crosscorrelation
+spectrum.  The pairs with b = 0 (and the zero codeword) are handled directly
+since the reduction to one Walsh point divides by b.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def weight_distribution_via_walsh(ctx: FieldCtx, d: int) -> WeightDistribution:
     counts: dict[int, int] = {0: 1}
     w_bal = p ** (ctx.n - 1) * (p - 1)
     counts[w_bal] = counts.get(w_bal, 0) + 2 * L   # (a != 0, b = 0) and (a = 0, b != 0)
-    wt = walsh_fast(ctx, d)
-    for wval, cnt in wt.unique_values(include_zero_point=False):
-        w = (p - 1) * (p ** ctx.n - wval.as_integer()) // p
+    for c, cnt in walsh_fast(ctx, d).spectrum().entries.items():
+        w = (p - 1) * (p ** ctx.n - 1 - c.as_integer()) // p   # C = W - 1
         counts[w] = counts.get(w, 0) + cnt * L
     return WeightDistribution(p=p, n=ctx.n, d=d, counts=counts, method="walsh")

@@ -47,14 +47,11 @@ def kloosterman_all(ctx: FieldCtx) -> dict:
     from .spectra import walsh_fast
 
     wt = walsh_fast(ctx, ctx.order - 2)
-    out = {}
-    zero = wt.zero_value()
-    out[0] = zero.as_integer() if ctx.p == 2 else zero
-    negs = ctx.neg(ctx.exp_table)
-    for tau in range(ctx.period):
-        v = wt.value_at_log(tau)
-        out[int(negs[tau])] = v.as_integer() if ctx.p == 2 else v
-    return out
+    if ctx.p == 2:
+        zero, values = wt.zero_value().as_integer(), wt.by_log[:, 0].tolist()
+    else:
+        zero, values = wt.zero_value(), [CycInt(ctx.p, v) for v in wt.by_log.tolist()]
+    return {0: zero, **dict(zip(ctx.neg(ctx.exp_table).tolist(), values))}
 
 
 def _sign_sum(ctx: FieldCtx, v: np.ndarray) -> int:
@@ -95,7 +92,7 @@ def kloosterman_double_sum(m: int) -> int:
     ctx = field_ctx(2, m)
     y = ctx.exp_table[1:]   # GF(2^m) without 0 and 1
     arg = ctx.inv(ctx.add(ctx.pow(y, 3), y))
-    k = walsh_fast(ctx, ctx.order - 2).int_values_by_log()[ctx.log_table[arg]]   # K(arg)
+    k = walsh_fast(ctx, ctx.order - 2).by_log[ctx.log_table[arg], 0]   # K(arg)
     sign = 1 - 2 * ctx.trace_table[ctx.inv(y)].astype(np.int64)
     return int(sign @ k)
 

@@ -35,11 +35,6 @@ from .niho import niho_decimation, resolve_fraction
 from .spectra import SpectrumTable, _as_cyc, make_spectrum
 
 
-def tau(m: int) -> Fraction:
-    """Exact rational tau_m (see expsums.tau_value)."""
-    return tau_value(m)
-
-
 @dataclass(frozen=True)
 class AtMostKValues:
     """Admissible value set for families whose distribution is not settled;

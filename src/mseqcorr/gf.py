@@ -33,17 +33,20 @@ moduli can be loaded from a file, see `load_modulus_file`.
 
 Size bounds: tables are built only for p^n <= 2^24; polynomial-level
 operations (primitivity testing, canonical polynomial search) go up to 2^40.
-Past either bound they raise `errors.Budget`.  Arguments outside what a
-function accepts (a composite p, a prime outside `SUPPORTED_PRIMES` for
-`field_ctx`, a degree n < 1, an odd n where n = 2m is needed, a
-non-primitive or malformed modulus, the log of 0) raise `errors.OutOfDomain`.
+Primitivity needs the primes of p - 1 and p^n - 1, found by trial division
+alone, which is complete up to 2^40 (divisors up to 2^20); `factorize` and
+`is_prime` refuse larger numbers.  Past any of these bounds they raise
+`errors.Budget`.  Arguments outside what a function accepts (a composite p,
+a prime outside `SUPPORTED_PRIMES` for `field_ctx`, a degree n < 1, an odd
+n where n = 2m is needed, a non-primitive or malformed modulus, the log of
+0) raise `errors.OutOfDomain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -53,78 +56,29 @@ SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 MAX_TABLE_ORDER = 2 ** 24   # exp/log tables kept in memory
 MAX_POLY_ORDER = 2 ** 40    # polynomial arithmetic only
 
-_TRIAL_LIMIT = 10 ** 6
-_RHO_ITER_BUDGET = 10 ** 7
-
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (fixed-seed Brent rho)."""
-    if n % 2 == 0:
-        return 2
-    # Deterministic parameter sweep keeps runs reproducible.
-    for c in range(1, 64):
-        x, y, d = 2, 2, 1
-        steps = 0
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-            steps += 1
-            if steps > _RHO_ITER_BUDGET:
-                raise Budget(f"rho budget exhausted for {n}")
-        if d != n:
-            return d
-    raise Budget(f"no rho parameter split {n}")
-
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization, trial division to 10^6 then Pollard rho."""
+    """Prime factorization by trial division, complete for n <= 2^40.
+
+    The module factors only p - 1 and p^n - 1 <= MAX_POLY_ORDER, so trial
+    divisors up to sqrt(2^40) = 2^20 suffice: what is left above 1 is prime.
+    """
+    if n > MAX_POLY_ORDER:
+        raise Budget(f"{n} exceeds the factoring bound 2^40")
     out: dict[int, int] = {}
-    for q in range(2, _TRIAL_LIMIT):
-        if q * q > n:
-            break
+    q = 2
+    while q * q <= n:
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
 
 
 # ----------------------------------------------------------------------
@@ -190,12 +144,12 @@ class FieldSpec:
 
 
 def _check_poly_args(p: int, n: int) -> None:
-    if not is_prime(p):
-        raise OutOfDomain(f"p={p} is not prime")
     if n < 1:
         raise OutOfDomain(f"n={n}: the extension degree must be >= 1")
-    if p ** n > MAX_POLY_ORDER:
+    if p ** n > MAX_POLY_ORDER:   # before the primality test: p <= 2^40 from here
         raise Budget(f"p^n={p ** n} exceeds the arithmetic bound 2^40")
+    if not is_prime(p):
+        raise OutOfDomain(f"p={p} is not prime")
 
 
 def is_primitive(p: int, n: int, coeffs) -> bool:

@@ -92,39 +92,27 @@ def alignment_shift(seq: MSeq, ref: MSeq) -> int | None:
     return pos if 0 <= pos < seq.period else None
 
 
-def autocorrelation(seq: MSeq, tau: int) -> CycInt:
-    """sum_t w^(s_{t+tau} - s_t), exact in Z[w]."""
-    return _corr_counts(seq.as_array(), seq.as_array(), tau, seq.p)
-
-
-def _corr_counts(u: np.ndarray, v: np.ndarray, tau: int, p: int) -> CycInt:
+def correlation_counts(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """(p, L) int64 counts: entry [r, tau] is the number of t with
+    u_(t+tau) - v_t = r mod p (indices mod L), every shift at once by exact
+    integer correlations of the residue indicators."""
     L = len(u)
-    diff = (u[(np.arange(L) + tau) % L] - v) % p
-    counts = np.bincount(diff, minlength=p)
-    return CycInt.from_counts(p, [int(c) for c in counts])
+    out = np.zeros((p, L), dtype=np.int64)
+    ind_v = [(v == j).astype(np.int64) for j in range(p)]
+    for i in range(p):
+        ui = (u == i).astype(np.int64)
+        ui2 = np.concatenate([ui, ui[:-1]])
+        for j in range(p):
+            # over t, u_(t+tau) = i and v_t = j, for all tau at once
+            out[(i - j) % p] += np.correlate(ui2, ind_v[j], mode="valid")
+    return out
 
 
 def autocorrelation_all(seq: MSeq) -> list[CycInt]:
-    """All shifts at once via exact integer correlations (one per residue pair)."""
-    p = seq.p
+    """sum_t w^(s_(t+tau) - s_t), exact in Z[w], for every shift tau."""
     arr = seq.as_array()
-    L = len(arr)
-    if p == 2:
-        u = 1 - 2 * arr
-        circ = np.correlate(np.concatenate([u, u[:-1]]), u, mode="valid")
-        return [CycInt(2, (int(c),)) for c in circ]
-    per_residue = np.zeros((p, L), dtype=np.int64)
-    for i in range(p):
-        ai = (arr == i).astype(np.int64)
-        for j in range(p):
-            bj = (arr == j).astype(np.int64)
-            # counts over t of s_{t+tau} = i and s_t = j, all tau at once
-            c = np.correlate(np.concatenate([ai, ai[:-1]]), bj, mode="valid")
-            per_residue[(i - j) % p] += c
-    return [
-        CycInt.from_counts(p, [int(per_residue[r, tau]) for r in range(p)])
-        for tau in range(L)
-    ]
+    return [CycInt.from_counts(seq.p, col)
+            for col in correlation_counts(arr, arr, seq.p).T.tolist()]
 
 
 @dataclass

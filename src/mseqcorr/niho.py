@@ -16,7 +16,6 @@ inverse by extended gcd), used by the cataloged fractional families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -37,26 +36,9 @@ def resolve_fraction(d1: int, d2: int, modulus: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class NihoParams:
-    """d = s(p^m - 1) + 1 over GF(p^(2m)); d depends on s only mod p^m + 1."""
-
-    p: int
-    m: int
-    s: int
-
-    @property
-    def n(self) -> int:
-        return 2 * self.m
-
-    @property
-    def d(self) -> int:
-        modulus = self.p ** self.n - 1
-        return (self.s * (self.p ** self.m - 1) + 1) % modulus
-
-
 def niho_decimation(p: int, m: int, s: int) -> int:
-    return NihoParams(p, m, s).d
+    """d = s(p^m - 1) + 1 mod p^(2m) - 1; d depends on s only mod p^m + 1."""
+    return (s * (p ** m - 1) + 1) % (p ** (2 * m) - 1)
 
 
 def count_unit_roots(ctx: FieldCtx, s: int, a):
@@ -118,7 +100,7 @@ def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
     wt = walsh_fast(ctx, d, require_invertible=False)
     na = count_unit_roots(ctx, s, ctx.exp_table)   # a = alpha^tau, tau in log order
     # W(alpha^tau) in Z[w] coordinates: (N(a) - 1) p^m on 1, zero on w..w^(p-2)
-    w = wt._log_view().reshape(ctx.period, -1)
+    w = wt.by_log
     mismatches = np.flatnonzero((w[:, 0] != (na - 1) * pm) | w[:, 1:].any(axis=1)).tolist()
     hist = _histogram(na)
     return {

@@ -17,7 +17,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from math import gcd
 
 from .cyclo import CycInt, cycint_from_json
@@ -84,17 +83,15 @@ class SpectrumCache:
 
     def __init__(self, directory: str):
         self.directory = directory
-        # path -> numbers of the lines its last load skipped, if it skipped any
-        self._skipped: dict[str, set[int]] = {}
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, p: int, n: int) -> str:
         return os.path.join(self.directory, f"spectra_p{p}_n{n}.jsonl")
 
     def load(self, p: int, n: int, modulus: tuple) -> dict[int, SpectrumTable]:
-        """Records for this modulus; unparseable or invalid lines are skipped
-        (and counted on stderr), so their classes are computed again, and the
-        next `append` rewrites the file without them."""
+        """Records for this modulus.  Unparseable or invalid lines are
+        skipped (and counted on stderr), so their classes are computed
+        again, and dropped from the file at once."""
         path = self._path(p, n)
         out: dict[int, SpectrumTable] = {}
         if not os.path.exists(path):
@@ -123,42 +120,36 @@ class SpectrumCache:
                 out[rec["d"]] = SpectrumTable(
                     p=p, n=n, d=rec["d"], entries=entries, method=rec["method"])
         if skipped:
-            self._skipped[path] = skipped
             print(f"spectrum cache {path}: skipped {len(skipped)} invalid record(s)",
                   file=sys.stderr)
+            _drop_lines(path, skipped)
         return out
 
-    def needs_rewrite(self, p: int, n: int) -> bool:
-        """The last load of this file skipped lines that `append` will drop."""
-        return self._path(p, n) in self._skipped
-
     def append(self, p: int, n: int, modulus: tuple, tables) -> None:
-        path = self._path(p, n)
-        lines = (   # written as they are made
-            json.dumps({**t.to_json_dict(), "modulus": list(modulus)}, sort_keys=True)
-            for t in tables
-        )
-        skipped = self._skipped.pop(path, None)
-        if skipped is not None:
-            with open(path) as fh:
-                kept = [line.strip() for number, line in enumerate(fh)
-                        if number not in skipped and line.strip()]
-            # replace the file whole, so a crash leaves the old one or the new one
-            tmp = f"{path}.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "w") as fh:
-                    fh.writelines(line + "\n" for line in chain(kept, lines))
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-            return
-        with open(path, "ab+") as fh:
+        with open(self._path(p, n), "ab+") as fh:
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")   # a torn last line must not absorb the next record
-            fh.writelines(line.encode() + b"\n" for line in lines)
+            fh.writelines(   # written as they are made
+                json.dumps({**t.to_json_dict(), "modulus": list(modulus)},
+                           sort_keys=True).encode() + b"\n"
+                for t in tables)
+
+
+def _drop_lines(path: str, numbers: set[int]) -> None:
+    """Rewrite the file without the lines of these numbers (and without
+    blank lines), replacing it whole, so a crash leaves the old file or
+    the new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(path) as src, open(tmp, "w") as dst:
+            dst.writelines(line.strip() + "\n" for number, line in enumerate(src)
+                           if number not in numbers and line.strip())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _record_ok(rec: dict, p: int, n: int) -> bool:
@@ -208,7 +199,7 @@ def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
     else:
         for rep in todo:
             fresh[rep] = compute(rep)
-    if cache is not None and (fresh or cache.needs_rewrite(p, n)):
+    if cache is not None and fresh:
         cache.append(p, n, ctx.spec.coeffs,
                      [fresh[r] for r in sorted(fresh)])
 
@@ -274,7 +265,7 @@ class CompletenessReport:
 
     p: int
     n: int
-    exact_match: bool
+    holds: bool   # the found and the predicted classes are the same set
     found_reps: list[int]
     predicted_reps: list[int]
     unexplained: list[int]
@@ -283,7 +274,7 @@ class CompletenessReport:
     def to_dict(self) -> dict:
         return {
             "check": "three-valued-completeness", "p": self.p, "n": self.n,
-            "exact_match": self.exact_match,
+            "exact_match": self.holds,
             "found": self.found_reps, "predicted": self.predicted_reps,
             "unexplained": self.unexplained, "missing": self.missing,
         }
@@ -303,6 +294,6 @@ def three_valued_completeness(p: int, n: int, **kw) -> CompletenessReport:
     unexplained = sorted(set(found) - set(predicted))
     missing = sorted(set(predicted) - set(found))
     return CompletenessReport(
-        p=p, n=n, exact_match=not unexplained and not missing,
+        p=p, n=n, holds=not unexplained and not missing,
         found_reps=found, predicted_reps=predicted,
         unexplained=unexplained, missing=missing)

@@ -20,29 +20,35 @@ from the indicator of Tr(x^d).  Multiplying by a power of w only rotates
 the coordinates, so a stage is slice additions with no products, and every
 coordinate stays a count in [0, p^n] (int32 is exact).  The result is
 reduced once, at the end, to the unique basis 1, ..., w^(p-2) of
-`cyclo.CycInt`.  Distinct values are counted by ranking rows in mixed-radix
-integer keys, in the lexicographic order of the coordinates.
+`cyclo.CycInt`.
 
+Every value is thus a row of p - 1 int32 coordinates (one, the integer
+itself, for p = 2), and a `WalshTable` is read in one of two ways: the
+per-shift array `by_log`, row tau = W(alpha^tau), or the histogram
+`unique_values` of W(a) over a != 0, whose distinct rows are ranked in
+mixed-radix integer keys, in the lexicographic order of the coordinates.
 The crosscorrelation spectrum of the decimation pair is the multiset
-{W(a) - 1 : a != 0}; the a = 0 slot of the transform corresponds to no
-shift and is excluded.
+{W(a) - 1 : a != 0}, read from the histogram; the a = 0 point of the
+transform corresponds to no shift and is excluded.
 
-The naive path sums w^(s_{t+tau} - s_{dt}) per shift directly (organized as
-exact integer correlations of residue indicators) and is the oracle the
-transform is tested against.
+The naive path counts, for every shift at once, the t with
+s_{t+tau} - s_{dt} = r (exact integer correlations of residue indicators,
+`lfsr.correlation_counts`) and is the oracle the transform is tested
+against.
 
 The moment identities are checked from one transform of d.  The power sums
 sum C, sum C^2 and sum C^3 over all shifts are sums over the spectrum's
 histogram, value^l * count (`SpectrumTable.value_count_sum`).  Each sampled
-shifted sum sum_tau C(tau - t) C(tau) is one int64 matrix product of the
-per-shift coordinate array with its roll by t, whose (i, j) entries are
-folded onto w^((i + j) mod p).  p = 2 is the case of one coordinate.
+shifted sum sum_tau C(tau - t) C(tau) is one int64 matrix product of
+`by_log` minus 1 with its roll by t, whose (i, j) entries are folded onto
+w^((i + j) mod p).  p = 2 is the case of one coordinate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -225,12 +231,15 @@ def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
 
 
 class WalshTable:
-    """Exact Walsh transform values of f(x) = Tr(x^d) over GF(p^n).
+    """Exact Walsh transform values W(a) of f(x) = Tr(x^d) over GF(p^n).
 
-    Values are indexed two ways: by the transform's group index (internal)
-    and by discrete log of the evaluation point a = alpha^tau, plus the
-    a = 0 slot.  For p = 2 values are machine integers; otherwise rows of
-    Z[w] coordinates.
+    Each value is a row of p - 1 integer coordinates in the basis 1, w, ...,
+    w^(p-2) of `cyclo.CycInt`; for p = 2 the one coordinate is the integer.
+    The table has two read-outs: `by_log`, the per-shift array whose row
+    tau is W(alpha^tau), and `unique_values`, the histogram of W(a) over
+    a != 0, which `spectrum` reads.  The a = 0 point has no log and is
+    `zero_value`.  `_by_u` holds the rows in the transform's own group
+    index, a = 0 first.
     """
 
     def __init__(self, ctx: FieldCtx, d: int, by_u: np.ndarray):
@@ -238,42 +247,28 @@ class WalshTable:
         self.p = ctx.p
         self.n = ctx.n
         self.d = d
-        self._by_u = by_u
-        self._by_log = None
+        self._by_u = by_u.reshape(ctx.order, -1)
 
-    def _log_view(self) -> np.ndarray:
-        if self._by_log is None:
-            u_idx = self.ctx.gram_index(self.ctx.exp_table)
-            self._by_log = self._by_u[u_idx]
-        return self._by_log
-
-    def _wrap(self, row) -> CycInt:
-        if self.p == 2:
-            return CycInt(2, (int(row),))
-        return CycInt(self.p, tuple(int(c) for c in row))
-
-    def value_at_log(self, tau: int) -> CycInt:
-        """W(alpha^tau)."""
-        return self._wrap(self._log_view()[tau % self.ctx.period])
+    @cached_property
+    def by_log(self) -> np.ndarray:
+        """(p^n - 1, p - 1) int32 rows; row tau is W(alpha^tau)."""
+        return self._by_u[self.ctx.gram_index(self.ctx.exp_table)]
 
     def zero_value(self) -> CycInt:
         """W(0); vanishes whenever gcd(d, p^n-1) = 1."""
-        return self._wrap(self._by_u[0])
+        return CycInt(self.p, self._by_u[0].tolist())
 
-    def int_values_by_log(self) -> np.ndarray:
-        """Per-shift values as an integer array (p = 2 only)."""
-        if self.p != 2:
-            raise OutOfDomain("integer view only for p = 2")
-        return self._log_view()
-
-    def _histogram(self, include_zero_point: bool):
-        """(distinct values, counts) as arrays: ints for p = 2, else rows."""
-        data = self._by_u if include_zero_point else self._by_u[1:]
+    def unique_values(self):
+        """(rows, counts): the distinct W(a) over a != 0, as fresh arrays of
+        rows in lexicographic order (the order of np.unique(axis=0)), and
+        how often each occurs."""
+        data = self._by_u[1:]
         if self.p == 2:
-            return np.unique(data, return_counts=True)
-        # Number the distinct rows in lexicographic order, the order of
-        # np.unique(axis=0): pack columns into mixed-radix int64 keys and
-        # renumber densely (ids < p^n <= 2^24) before a key would pass 2^62.
+            vals, counts = np.unique(data[:, 0], return_counts=True)
+            return vals[:, None], counts
+        # Number the distinct rows in lexicographic order: pack columns into
+        # mixed-radix int64 keys and renumber densely (ids < p^n <= 2^24)
+        # before a key would pass 2^62.
         ids, size = np.zeros(len(data), dtype=np.int64), 1
         for col in data.T:
             lo = int(col.min())
@@ -289,30 +284,12 @@ class WalshTable:
         row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
         return data[row], counts
 
-    def _wrap_all(self, vals, counts) -> list:
-        vals = vals.reshape(len(vals), -1).tolist()
-        return [(CycInt(self.p, v), c) for v, c in zip(vals, counts.tolist())]
-
-    def unique_values(self, include_zero_point: bool = True):
-        """(CycInt value, count) pairs over a in F (or F* if excluded)."""
-        return self._wrap_all(*self._histogram(include_zero_point))
-
-    def power_moment(self, l: int):
-        """P^(l) = sum over all a (a = 0 included) of W(a)^l, exact."""
-        if l == 0:
-            return self.ctx.order
-        acc = CycInt.zero(self.p)
-        for v, c in self.unique_values(include_zero_point=True):
-            acc = acc + v ** l * c
-        return acc.as_integer() if acc.is_rational else acc
-
     def spectrum(self) -> SpectrumTable:
         """Crosscorrelation spectrum {W(a) - 1 : a != 0} as a counted multiset."""
-        vals, counts = self._histogram(include_zero_point=False)
-        vals = vals.reshape(len(vals), -1)   # the histogram's own array, not _by_u
-        vals[:, 0] -= 1
-        return make_spectrum(self.p, self.n, self.d, self._wrap_all(vals, counts),
-                             method="fast")
+        rows, counts = self.unique_values()
+        rows[:, 0] -= 1
+        entries = {CycInt(self.p, v): c for v, c in zip(rows.tolist(), counts.tolist())}
+        return SpectrumTable(self.p, self.n, self.d, entries, method="fast")
 
 
 def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshTable:
@@ -372,29 +349,12 @@ def spectrum_naive(ctx: FieldCtx, d: int) -> SpectrumTable:
     if ctx.order > NAIVE_MAX_ORDER:
         raise Budget(f"naive spectrum limited to p^n <= {NAIVE_MAX_ORDER}")
     p = ctx.p
-    seq = lfsr.generate_trace(ctx)
-    s = seq.as_array()
+    s = lfsr.generate_trace(ctx).as_array()
     sd = s[(np.arange(L, dtype=np.int64) * (d % L)) % L]
-    if p == 2:
-        u = 1 - 2 * s
-        v = 1 - 2 * sd
-        circ = np.correlate(np.concatenate([u, u[:-1]]), v, mode="valid")
-        vals, counts = np.unique(circ, return_counts=True)
-        pairs = [(int(v_), int(c)) for v_, c in zip(vals, counts)]
-        return make_spectrum(p, ctx.n, d, pairs, method="naive")
-    per_residue = np.zeros((p, L), dtype=np.int64)
-    ind_s = [(s == i).astype(np.int64) for i in range(p)]
-    ind_d = [(sd == j).astype(np.int64) for j in range(p)]
-    for i in range(p):
-        si2 = np.concatenate([ind_s[i], ind_s[i][:-1]])
-        for j in range(p):
-            c = np.correlate(si2, ind_d[j], mode="valid")
-            per_residue[(i - j) % p] += c
-    column_keys: dict = {}
-    for tau in range(L):
-        key = tuple(int(per_residue[r, tau]) for r in range(p))
-        column_keys[key] = column_keys.get(key, 0) + 1
-    pairs = [(CycInt.from_counts(p, k), c) for k, c in column_keys.items()]
+    # column tau counts the t with s_(t+tau) - s_(dt) = r, r = 0..p-1
+    columns, mult = np.unique(lfsr.correlation_counts(s, sd, p).T, axis=0,
+                              return_counts=True)
+    pairs = [(CycInt.from_counts(p, k), c) for k, c in zip(columns.tolist(), mult.tolist())]
     return make_spectrum(p, ctx.n, d, pairs, method="naive")
 
 
@@ -517,7 +477,7 @@ def _shifted_second_moment(wt: WalshTable, t: int) -> CycInt:
     coordinate); the product of w^i and w^j is folded onto w^((i + j) mod p).
     """
     p = wt.p
-    c = wt._log_view().reshape(wt.ctx.period, -1).astype(np.int64)
+    c = wt.by_log.astype(np.int64)
     c[:, 0] -= 1
     counts = np.zeros(p, dtype=np.int64)
     np.add.at(counts, np.add.outer(np.arange(p - 1), np.arange(p - 1)) % p,

@@ -203,7 +203,7 @@ def test_criterion_9_open_problem_evidence():
     for n in range(2, 15):
         ok &= search.check_minus_one(2, n).holds
         rep = search.three_valued_completeness(2, n)
-        ok &= rep.exact_match
+        ok &= rep.holds
         if n in (4, 8):
             ok &= rep.found_reps == []
     for n in range(2, 8):

@@ -102,10 +102,6 @@ def test_three_valued_decimations_at_small_points():
     assert set(d33) == {5, 7, 15, 21}
 
 
-def test_tau_reexport():
-    assert families.tau(3) == Fraction(-11, 8)
-
-
 def test_out_of_domain_raises_with_constraint():
     fam = families.get_family("dfhr-s3")
     with pytest.raises(OutOfDomain) as ei:

@@ -151,8 +151,32 @@ def test_decimation_index_bounds():
 
 def test_factorize_small_and_semiprime():
     assert gf.factorize(2 ** 16 - 1) == {3: 1, 5: 1, 17: 1, 257: 1}
-    n = 1000003 * 1000033  # beyond the trial-division bound
+    n = 1000003 * 1000033  # both factors above 10^6, the product below 2^40
     assert gf.factorize(n) == {1000003: 1, 1000033: 1}
+
+
+def test_factorize_and_is_prime_match_a_sieve():
+    N = 10 ** 5
+    spf = np.zeros(N, dtype=np.int64)   # smallest prime factor
+    for q in range(2, N):
+        if spf[q] == 0:
+            spf[q::q][spf[q::q] == 0] = q
+    for n in range(N):
+        want: dict[int, int] = {}
+        m = n
+        while m > 1:
+            q = int(spf[m])
+            want[q] = want.get(q, 0) + 1
+            m //= q
+        assert gf.factorize(n) == want, n
+        assert gf.is_prime(n) == (n > 1 and spf[n] == n), n
+
+
+def test_factorize_bound():
+    assert gf.is_prime(2 ** 40 - 87)   # the largest prime below 2^40
+    assert gf.factorize(2 ** 40) == {2: 40}
+    with pytest.raises(Budget):
+        gf.factorize(2 ** 40 + 1)
 
 
 @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2), (13, 2)])

@@ -100,9 +100,17 @@ def test_autocorrelation_two_level():
         ac = lfsr.autocorrelation_all(s)
         assert ac[0] == s.period
         assert all(v == -1 for v in ac[1:])
-        # single-shift path agrees
-        assert lfsr.autocorrelation(s, 1) == -1
-        assert lfsr.autocorrelation(s, 0) == s.period
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_correlation_counts_literal(p):
+    rng = np.random.default_rng(p)
+    u, v = rng.integers(0, p, 40), rng.integers(0, p, 40)
+    counts = lfsr.correlation_counts(u, v, p)
+    assert counts.shape == (p, 40)
+    for tau in range(40):
+        literal = np.bincount((np.roll(u, -tau) - v) % p, minlength=p)
+        assert counts[:, tau].tolist() == literal.tolist(), tau
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 6), (3, 3), (5, 2)])

@@ -74,8 +74,7 @@ def test_walsh_identity_sees_one_changed_entry(p, m, s, coord, monkeypatch):
 
     def changed(*args, **kwargs):
         wt = walsh_fast(*args, **kwargs)
-        view = wt._log_view()
-        view.reshape(len(view), -1)[tau, coord] += 1
+        wt.by_log[tau, coord] += 1
         return wt
 
     monkeypatch.setattr(spectra, "walsh_fast", changed)

@@ -48,10 +48,10 @@ def test_class_moves_keep_the_histogram(p, n):
     # nondegenerate class is two-valued (Helleseth 1976: at least three values).
     ctx = gf.field_ctx(p, n)
     for rep, members in search.class_partition(p, n):
-        vals, counts = spectra.walsh_fast(ctx, rep)._histogram(include_zero_point=False)
+        vals, counts = spectra.walsh_fast(ctx, rep).unique_values()
         assert len(vals) >= 3, (p, n, rep)
         for d in members:
-            v, c = spectra.walsh_fast(ctx, d)._histogram(include_zero_point=False)
+            v, c = spectra.walsh_fast(ctx, d).unique_values()
             assert np.array_equal(v, vals) and np.array_equal(c, counts), (p, n, rep, d)
 
 
@@ -81,7 +81,7 @@ def test_minus_one_reports():
 def test_completeness_small_grid():
     for p, n in ((2, 5), (2, 6), (2, 7), (3, 3), (3, 5), (5, 3)):
         rep = search.three_valued_completeness(p, n)
-        assert rep.exact_match, rep.to_dict()
+        assert rep.holds, rep.to_dict()
         assert rep.unexplained == [] and rep.missing == []
 
 
@@ -129,6 +129,23 @@ def test_cache_rewrite_drops_only_invalid_lines(tmp_path, capsys):
     assert path.read_text() == good   # both moduli kept, in order
     search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path)))
     assert capsys.readouterr().err == ""
+
+
+def test_load_drops_invalid_lines_at_once(tmp_path, capsys):
+    cache = search.SpectrumCache(str(tmp_path))
+    coeffs = gf.find_primitive_polynomial(2, 6).coeffs
+    search.canonical_classes(2, 6, cache=cache)
+    path = tmp_path / "spectra_p2_n6.jsonl"
+    good = path.read_text()
+    first, rest = good.split("\n", 1)
+    path.write_text(first + "\n{\"torn\n\n" + rest)
+    capsys.readouterr()
+    assert len(cache.load(2, 6, coeffs)) == len(good.splitlines())
+    assert "skipped 1 invalid record" in capsys.readouterr().err
+    assert path.read_text() == good   # gone before any append
+    assert len(cache.load(2, 6, coeffs)) == len(good.splitlines())
+    assert capsys.readouterr().err == ""
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
 def test_threads_deterministic():
