@@ -299,6 +299,8 @@ def test_degree_below_one_is_usage_error(argv, capsys):
     "verify --family all --p 2 --n 5 --params k=2",
     "verify --family gold --p 2 --n 5 --params k=1,x=2",
     "verify --family kasami-frac --p 2 --n 5 --params pair=4:1,t=1",
+    "verify --family gold --p 3 --n 5 --params k=1",
+    "verify --family niho-4val-unified --p 2 --n 8 --params r=4,sign=1",
     "classify --p 2 --n 3 --max-n 4",
     "conjecture --check minus-one --p 2 --n 3 --max-n 4",
 ])

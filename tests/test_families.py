@@ -1,5 +1,6 @@
 """Family catalog: predicted closed forms against computed spectra."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,36 @@ def test_gold_domain():
     assert fam.check_domain(2, 5, {"k": 1}) is None
     assert fam.check_domain(2, 4, {"k": 1}) is not None  # n/gcd even
     assert fam.check_domain(3, 5, {"k": 1}) is not None
+
+
+def _domain_grid(fam, p, n):
+    """The candidates at (p, n), no parameters at all, and an off-range
+    grid: every single key of k, t, r, i, form in -1..n, r with each sign
+    (including the invalid 0 and 2), and kasami-frac pairs with t in -1..n
+    (the unknown pair 3:1 among them) or with t missing."""
+    vals = range(-1, n + 1)
+    grid = list(fam.candidates(p, n)) + [{}, {"sign": 1}, {"pair": "2:1"}]
+    for key in ("k", "t", "r", "i", "form"):
+        grid += [{key: v} for v in vals]
+    grid += [{"r": r, "sign": s} for r in vals for s in (-1, 0, 1, 2)]
+    grid += [{"pair": pair, "t": t} for pair in ("2:1", "3:1") for t in vals]
+    return grid
+
+
+# sha256 of (id, p, n, [(params, check_domain is None) over the grid],
+# instances(p, n)) for every family, supported p and 1 <= n <= 16
+DOMAIN_SHA256 = "0b496161113f23be4de9420dd6dc8b5c08b7b844e3aabf29e60da911d49e6f2a"
+
+
+def test_domain_pinned_on_grid():
+    h = hashlib.sha256()
+    for fam in families.catalog():
+        for p in gf.SUPPORTED_PRIMES:
+            for n in range(1, 17):
+                rows = [(params, fam.check_domain(p, n, params) is None)
+                        for params in _domain_grid(fam, p, n)]
+                h.update(repr((fam.id, p, n, rows, fam.instances(p, n))).encode())
+    assert h.hexdigest() == DOMAIN_SHA256
 
 
 def test_gold_smallest_points():
