@@ -1,18 +1,22 @@
 """Catalog of decimation families with few-valued crosscorrelation spectra.
 
-Each `FamilyDescriptor` holds one family's own data: its applicability
-predicate over (p, n, params), its decimation formula, its source table
-(the published closed form as (value, count) rows, or the admissible values
-of a family whose distribution is not settled), and the parameter dicts to
-try at (p, n).  The catalog-wide steps are its methods, each written once:
-`decimation` raises `OutOfDomain` off the predicate or when d is not coprime
-to p^n - 1; `instances` keeps exactly the candidates that pass that check;
-`predicted` normalizes the source rows.  Sources that count the a = 0
-transform point (their rows sum to p^n, `source_counts_total == "p^n"`) are
-normalized there by decrementing the -1 count once, so every predicted
-table sums to p^n - 1 and satisfies sum(value * count) = 1; which convention
-each source table used was settled once by brute force and is fixed in the
-descriptor.
+Each `FamilyDescriptor` holds one family's own data: its domain, the tuple
+of named conditions on (p, n, params) it needs, its decimation formula, its
+source table (the published closed form as (value, count) rows, or the
+admissible values of a family whose distribution is not settled), and the
+parameter dicts to try at (p, n).  Each domain condition (p = 2, n = 2m with
+m odd, n/gcd(n, k) odd, ...) is a (holds, need) pair written once at module
+level; a domain checks its conditions in tuple order, so a condition may
+read a parameter that an earlier one checked, and names the family and the
+first unmet one (e.g. "gold needs p = 2").  The catalog-wide steps are
+methods, each written once: `decimation` raises `OutOfDomain` off the domain
+or when d is not coprime to p^n - 1; `instances` keeps exactly the
+candidates that pass that check; `predicted` normalizes the source rows.
+Sources that count the a = 0 transform point (their rows sum to p^n,
+`source_counts_total == "p^n"`) are normalized there by decrementing the -1
+count once, so every predicted table sums to p^n - 1 and satisfies
+sum(value * count) = 1; which convention each source table used was settled
+once by brute force and is fixed in the descriptor.
 
 Status values: "proved-distribution" descriptors predict exact multisets;
 "at-most-k" descriptors predict an admissible value set of size <= k.
@@ -50,14 +54,6 @@ class AtMostKValues:
         return sorted(self.values, key=lambda v: v.sort_key())
 
 
-def _v2(x: int) -> int:
-    k = 0
-    while x % 2 == 0 and x:
-        x //= 2
-        k += 1
-    return k
-
-
 def _assemble(p: int, n: int, d: int, rows, include_zero_shift: bool) -> SpectrumTable:
     """Merge (value, count) rows into a normalized predicted table."""
     acc: dict[CycInt, Fraction] = {}
@@ -88,12 +84,63 @@ def _no_params(p: int, n: int) -> list[dict]:
     return [{}]
 
 
+_FRAC_PAIRS = {"2:1": (2, 1), "5:1": (5, 1), "5:3": (5, 3)}
+
+# Domain conditions, each a (holds(p, n, params), need) pair, written once.
+# A family's `domain` is a tuple of them, checked in order, so a condition
+# may read a parameter that an earlier one checked (K_SET before the gcd(n, k)
+# tests): a missing parameter fails as an unmet condition, never a KeyError.
+P2 = (lambda p, n, pr: p == 2, "p = 2")
+P3 = (lambda p, n, pr: p == 3, "p = 3")
+P_ODD = (lambda p, n, pr: p != 2, "odd p")
+P_2_MOD_3 = (lambda p, n, pr: p % 3 == 2, "p = 2 mod 3")
+PN_1_MOD_4 = (lambda p, n, pr: p ** n % 4 == 1, "p^n = 1 mod 4")
+N_ODD = (lambda p, n, pr: n % 2 == 1, "odd n")
+N_EVEN = (lambda p, n, pr: n % 2 == 0, "even n")
+N_GE_3 = (lambda p, n, pr: n >= 3, "n >= 3")
+M_ODD = (lambda p, n, pr: n % 4 == 2, "n = 2m with m odd")
+M_EVEN = (lambda p, n, pr: n % 4 == 0, "n = 2m with m even")
+M_NOT_2_MOD_4 = (lambda p, n, pr: n % 2 == 0 and n % 8 != 4,
+                 "n = 2m with m != 2 mod 4")
+N_4R_R_ODD = (lambda p, n, pr: n % 8 == 4, "n = 4r with r odd")
+N_3K_K_ODD = (lambda p, n, pr: n % 6 == 3, "n = 3k with k odd")
+HALF_POWER_NOT_2_MOD_3 = (lambda p, n, pr: p ** (n // 2) % 3 != 2,
+                          "p^(n/2) != 2 mod 3")
+QUARTER_POWER_NOT_2_MOD_3 = (lambda p, n, pr: p ** (n // 4) % 3 != 2,
+                             "p^(n/4) != 2 mod 3")
+K_SET = (lambda p, n, pr: pr.get("k", 0) >= 1, "k >= 1")
+K_NOT_0_MOD_N = (lambda p, n, pr: pr["k"] % n != 0, "k != 0 mod n")
+N_OVER_GCD_K_ODD = (lambda p, n, pr: n // gcd(n, pr["k"]) % 2 == 1,
+                    "n/gcd(n, k) odd")
+N_DIVIDES_4K_MINUS_1 = (lambda p, n, pr: (4 * pr.get("k", 0) - 1) % n == 0,
+                        "n | 4k - 1")
+T_SET = (lambda p, n, pr: pr.get("t", 0) >= 1, "t >= 1")
+T_BELOW_M = (lambda p, n, pr: pr["t"] < n // 2, "t < m = n/2")
+T_COPRIME_N = (lambda p, n, pr: gcd(pr["t"], n) == 1, "gcd(t, n) = 1")
+TWO_T_DIVIDES_M = (lambda p, n, pr: n // 2 % (2 * pr["t"]) == 0, "2t | m = n/2")
+R_SET = (lambda p, n, pr: pr.get("r", 0) >= 1, "r >= 1")
+SIGN = (lambda p, n, pr: pr.get("sign", -1) in (1, -1), "sign = +1 or -1")
+# v2(x) < v2(y) exactly when the lowest set bit of x is below that of y
+V2_R_BELOW_V2_M = (lambda p, n, pr: (pr["r"] & -pr["r"]) < (n // 2 & -(n // 2)),
+                   "v2(r) < v2(m), m = n/2")
+UNIFIED_INVERTIBLE = (
+    lambda p, n, pr: gcd(2 ** pr["r"] + pr.get("sign", -1), 2 ** (n // 2) + 1) == 1,
+    "2^r + sign invertible mod 2^(n/2) + 1")
+I_BELOW_N = (lambda p, n, pr: 0 <= pr.get("i", -1) < n, "0 <= i < n")
+THIRD_F_NOT_2 = (lambda p, n, pr: (p ** n - 1) // 3 * p ** pr["i"] % 3 != 2,
+                 "f = (p^n - 1)/3 * p^i != 2 mod 3")
+FORM = (lambda p, n, pr: pr.get("form") in (1, 2),
+        "form = 1 (d = 3^k + 2) or 2 (d = 3^(2k) + 2)")
+PAIR = (lambda p, n, pr: pr.get("pair") in _FRAC_PAIRS, "pair = 2:1, 5:1 or 5:3")
+
+
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """One cataloged decimation family.
 
-    check_domain(p, n, params) is None on the family's domain, else the
-    violated constraint; formula(p, n, params) is its decimation d;
+    domain is the tuple of module-level conditions the family needs,
+    checked in order by `check_domain`, so a condition may read a parameter
+    an earlier one checked; formula(p, n, params) is its decimation d;
     source(p, n, params) is its source table: (value, count) rows, summing
     to p^n or p^n - 1 as `source_counts_total` says, or the admissible
     values when status is "at-most-k"; candidates(p, n) are the parameter
@@ -102,13 +149,21 @@ class FamilyDescriptor:
 
     id: str
     label: str
-    check_domain: Callable[[int, int, dict], str | None]
+    domain: tuple
     formula: Callable[[int, int, dict], int]
     source: Callable[[int, int, dict], list]
     candidates: Callable[[int, int], list[dict]] = _no_params
     status: str = "proved-distribution"
     source_counts_total: str = "p^n-1"
     notes: str = ""
+
+    def check_domain(self, p: int, n: int, params: dict) -> str | None:
+        """None on the family's domain, else the family and the first
+        condition of `domain` that fails."""
+        for holds, need in self.domain:
+            if not holds(p, n, params):
+                return f"{self.id} needs {need}"
+        return None
 
     def decimation(self, p: int, n: int, params: dict) -> int:
         """d mod p^n - 1; OutOfDomain off the domain or when d is not
@@ -147,14 +202,12 @@ class FamilyDescriptor:
 # ----------------------------------------------------------------------
 
 def _three_valued_table(p: int, n: int, e: int) -> list:
-    """values -1 +/- p^((n+e)/2) and -1; the classical three-valued split."""
+    """values -1 +/- p^((n+e)/2) and -1; the classical three-valued split.
+    n - e is even on every family that reads it (n/e odd, or n = 2m and
+    e = 2, or odd n and e = 1)."""
     big = p ** ((n + e) // 2)
-    if p == 2:
-        hi = 2 ** (n - e - 1) + 2 ** ((n - e - 2) // 2)
-        lo = 2 ** (n - e - 1) - 2 ** ((n - e - 2) // 2)
-    else:
-        hi = Fraction(p ** (n - e) + p ** ((n - e) // 2), 2)
-        lo = Fraction(p ** (n - e) - p ** ((n - e) // 2), 2)
+    hi = Fraction(p ** (n - e) + p ** ((n - e) // 2), 2)
+    lo = Fraction(p ** (n - e) - p ** ((n - e) // 2), 2)
     return [(-1 + big, hi), (-1 - big, lo), (-1, p ** n - p ** (n - e) - 1)]
 
 
@@ -218,59 +271,36 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     # ---- three-valued, binary ----------------------------------------
 
-    def gold_dom(p, n, pr):
-        if p != 2:
-            return "p must be 2"
-        k = pr.get("k")
-        if not k or k < 1:
-            return "k >= 1 required"
-        e = gcd(n, k)
-        if e == n:
-            return "k = 0 mod n is degenerate"
-        if (n // e) % 2 == 0:
-            return "n/gcd(n,k) must be odd"
-        return None
-
     fams.append(FamilyDescriptor(
         id="gold", label="binary d = 2^k + 1",
-        check_domain=gold_dom,
+        domain=(P2, K_SET, K_NOT_0_MOD_N, N_OVER_GCD_K_ODD),
         formula=lambda p, n, pr: 2 ** pr["k"] + 1,
         source=k_table, candidates=k_range,
     ))
 
     fams.append(FamilyDescriptor(
         id="kasami-welch", label="binary d = 2^(2k) - 2^k + 1",
-        check_domain=gold_dom, formula=kasami_dec,
+        domain=(P2, K_SET, K_NOT_0_MOD_N, N_OVER_GCD_K_ODD), formula=kasami_dec,
         source=k_table, candidates=k_range,
     ))
 
-    def cd_dom(p, n, pr):
-        if p != 2:
-            return "p must be 2"
-        if n % 2 or (n // 2) % 2 == 0:
-            return "n = 2m with m odd required"
-        return None
-
     fams.append(FamilyDescriptor(
         id="cusick-dobbertin-a", label="binary d = 2^m + 2^((m+1)/2) + 1, n = 2m",
-        check_domain=cd_dom,
+        domain=(P2, M_ODD),
         formula=lambda p, n, pr: 2 ** (n // 2) + 2 ** ((n // 2 + 1) // 2) + 1,
         source=e_table(2),
     ))
 
     fams.append(FamilyDescriptor(
         id="cusick-dobbertin-b", label="binary d = 2^(m+1) + 3, n = 2m",
-        check_domain=cd_dom,
+        domain=(P2, M_ODD),
         formula=lambda p, n, pr: 2 ** (n // 2 + 1) + 3,
         source=e_table(2),
     ))
 
-    def odd_n_dom(p, n, pr):
-        return None if (p == 2 and n % 2 == 1 and n >= 3) else "p = 2, odd n >= 3 required"
-
     fams.append(FamilyDescriptor(
         id="welch", label="binary d = 2^m + 3, n = 2m + 1",
-        check_domain=odd_n_dom,
+        domain=(P2, N_ODD, N_GE_3),
         formula=lambda p, n, pr: 2 ** ((n - 1) // 2) + 3,
         source=e_table(1),
     ))
@@ -285,7 +315,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="niho-hx", label="binary two-term Niho exponent, odd n",
-        check_domain=odd_n_dom, formula=niho_hx_dec, source=e_table(1),
+        domain=(P2, N_ODD, N_GE_3), formula=niho_hx_dec, source=e_table(1),
         notes="exponent pair fixed by exhaustive three-valued search at small n",
     ))
 
@@ -293,134 +323,69 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="welch-ternary", label="ternary d = 2*3^m + 1, n = 2m + 1",
-        check_domain=lambda p, n, pr: None if (p == 3 and n % 2 == 1 and n >= 3)
-        else "p = 3, odd n >= 3 required",
+        domain=(P3, N_ODD, N_GE_3),
         formula=lambda p, n, pr: 2 * 3 ** ((n - 1) // 2) + 1,
         source=e_table(1),
     ))
 
-    def kl_dom(p, n, pr):
-        if p != 3:
-            return "p must be 3"
-        if n % 2 == 0 or n < 3:
-            return "odd n >= 3 required"
-        k = pr.get("k")
-        if not k or (4 * k - 1) % n:
-            return "need n | 4k - 1"
-        return None
-
     fams.append(FamilyDescriptor(
         id="katz-langevin", label="ternary d = 3^k + 2, n | 4k - 1",
-        check_domain=kl_dom,
+        domain=(P3, N_ODD, N_GE_3, N_DIVIDES_4K_MINUS_1),
         formula=lambda p, n, pr: 3 ** pr["k"] + 2,
         source=e_table(1), candidates=k_range,
         notes="condition n | 4k-1 is equivalent to the d = 2*3^r + 1, n | 4r+1 "
               "form under k = n - r; verified three-valued at n = 7 (d = 11)",
     ))
 
-    def tra_dom(p, n, pr):
-        if p == 2:
-            return "odd p required"
-        k = pr.get("k")
-        if not k or k < 1:
-            return "k >= 1 required"
-        if (n // gcd(n, k)) % 2 == 0:
-            return "n/gcd(n,k) must be odd"
-        return None
-
     fams.append(FamilyDescriptor(
         id="trachtenberg-half", label="p odd, d = (p^(2k) + 1)/2",
-        check_domain=tra_dom,
+        domain=(P_ODD, K_SET, N_OVER_GCD_K_ODD),
         formula=lambda p, n, pr: (p ** (2 * pr["k"]) + 1) // 2,
         source=k_table, candidates=k_range,
     ))
 
     fams.append(FamilyDescriptor(
         id="helleseth-kasami-p", label="p odd, d = p^(2k) - p^k + 1",
-        check_domain=tra_dom, formula=kasami_dec,
+        domain=(P_ODD, K_SET, N_OVER_GCD_K_ODD), formula=kasami_dec,
         source=k_table, candidates=k_range,
     ))
 
     # ---- four-valued, binary (unified Niho table) ----------------------
 
-    def even_m_dom(p, n, pr):
-        if p != 2:
-            return "p must be 2"
-        if n % 2 or (n // 2) % 2:
-            return "n = 2m with m even required"
-        return None
-
     fams.append(FamilyDescriptor(
         id="niho-4val-1", label="binary d = 2(2^m - 1) + 1, m even",
-        check_domain=even_m_dom, formula=niho_dec(2),
+        domain=(P2, M_EVEN), formula=niho_dec(2),
         source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, 1),
         source_counts_total="p^n",
     ))
 
     fams.append(FamilyDescriptor(
         id="niho-4val-2", label="binary d = (2^(m/2) + 1)(2^m - 1) + 2, m even",
-        check_domain=even_m_dom,
+        domain=(P2, M_EVEN),
         formula=lambda p, n, pr: (2 ** (n // 4) + 1) * (2 ** (n // 2) - 1) + 2,
         source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, n // 4),
         source_counts_total="p^n",
     ))
 
-    def dob4_dom(p, n, pr):
-        base = even_m_dom(p, n, pr)
-        if base:
-            return base
-        t = pr.get("t")
-        m = n // 2
-        if not t or not (0 < t < m):
-            return "0 < t < m required"
-        if gcd(t, n) != 1:
-            return "gcd(t, n) = 1 required"
-        return None
-
     fams.append(FamilyDescriptor(
         id="dobbertin-4val", label="binary d = (2^((m+1)t) - 1)/(2^t - 1), m even",
-        check_domain=dob4_dom,
+        domain=(P2, M_EVEN, T_SET, T_BELOW_M, T_COPRIME_N),
         formula=lambda p, n, pr: (2 ** ((n // 2 + 1) * pr["t"]) - 1) // (2 ** pr["t"] - 1),
         source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, 1),
         candidates=lambda p, n: [{"t": t} for t in range(1, n // 2)],
         source_counts_total="p^n",
     ))
 
-    def h2005_dom(p, n, pr):
-        if p != 2 or n % 2:
-            return "p = 2, even n required"
-        t = pr.get("t")
-        m = n // 2
-        if not t or t < 1 or m % (2 * t):
-            return "2t | m required"
-        return None
-
     fams.append(FamilyDescriptor(
         id="helleseth-4val-2005",
         label="binary d = ((2^m - 1)/(2^t - 1))(2^m - 1) + 2, 2t | m",
-        check_domain=h2005_dom,
+        domain=(P2, N_EVEN, T_SET, TWO_T_DIVIDES_M),
         formula=lambda p, n, pr: ((2 ** (n // 2) - 1) // (2 ** pr["t"] - 1))
         * (2 ** (n // 2) - 1) + 2,
         source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, pr["t"]),
         candidates=lambda p, n: [{"t": t} for t in range(1, n // 4 + 1)],
         source_counts_total="p^n",
     ))
-
-    def unified_dom(p, n, pr):
-        if p != 2 or n % 2:
-            return "p = 2, n = 2m required"
-        m = n // 2
-        r, sign = pr.get("r"), pr.get("sign", -1)
-        if not r or r < 1:
-            return "r >= 1 required"
-        if sign not in (1, -1):
-            return "sign must be +1 or -1"
-        if _v2(r) >= _v2(m):
-            return "v2(r) < v2(m) required"
-        modulus = 2 ** m + 1
-        if gcd((2 ** r + sign) % modulus, modulus) != 1:
-            return "2^r + sign not invertible mod 2^m + 1"
-        return None
 
     def unified_dec(p, n, pr):
         m = n // 2
@@ -431,7 +396,8 @@ def _build_catalog() -> list[FamilyDescriptor]:
     fams.append(FamilyDescriptor(
         id="niho-4val-unified",
         label="binary Niho s = 2^r (2^r +/- 1)^(-1) mod 2^m + 1",
-        check_domain=unified_dom, formula=unified_dec,
+        domain=(P2, N_EVEN, R_SET, SIGN, V2_R_BELOW_V2_M, UNIFIED_INVERTIBLE),
+        formula=unified_dec,
         source=lambda p, n, pr: _niho_four_valued_table(n, n // 2, gcd(pr["r"], n // 2)),
         candidates=lambda p, n: [
             {"r": r, "sign": sg} for r in range(1, n // 2) for sg in (-1, 1)],
@@ -439,15 +405,6 @@ def _build_catalog() -> list[FamilyDescriptor]:
     ))
 
     # ---- four-valued, nonbinary ----------------------------------------
-
-    def h4p_dom(p, n, pr):
-        if p == 2:
-            return "odd p required"
-        if n % 2:
-            return "n = 2m required"
-        if p ** (n // 2) % 3 == 2:
-            return "p^m != 2 mod 3 required"
-        return None
 
     def h4p_table(p, n, pr):
         q = p ** (n // 2)
@@ -460,22 +417,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="helleseth-4val-p", label="p odd, d = 2 p^m - 1, n = 2m",
-        check_domain=h4p_dom,
+        domain=(P_ODD, N_EVEN, HALF_POWER_NOT_2_MOD_3),
         formula=lambda p, n, pr: 2 * p ** (n // 2) - 1,
         source=h4p_table,
     ))
-
-    def xia4_dom(p, n, pr):
-        if p != 3:
-            return "p must be 3"
-        if n % 3:
-            return "n = 3k required"
-        k = n // 3
-        if k % 2 == 0:
-            return "odd k required"
-        if pr.get("form") not in (1, 2):
-            return "form must be 1 (d = 3^k + 2) or 2 (d = 3^(2k) + 2)"
-        return None
 
     def xia4_table(p, n, pr):
         # distribution written with r = k (confirmed by brute force at k = 1)
@@ -489,7 +434,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="xia-ternary-4val", label="ternary d = 3^k + 2 or 3^(2k) + 2, n = 3k odd k",
-        check_domain=xia4_dom,
+        domain=(P3, N_3K_K_ODD, FORM),
         formula=lambda p, n, pr: 3 ** (n // 3) + 2 if pr["form"] == 1
         else 3 ** (2 * (n // 3)) + 2,
         source=xia4_table,
@@ -497,11 +442,6 @@ def _build_catalog() -> list[FamilyDescriptor]:
     ))
 
     # ---- five-valued -----------------------------------------------------
-
-    def h5_dom(p, n, pr):
-        if p != 2 or n % 2 or n < 4:
-            return "p = 2, n = 2m >= 4 required"
-        return None
 
     def h5_table(p, n, pr):
         m = n // 2
@@ -517,15 +457,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="helleseth-5val", label="binary d = 2^m + 3, n = 2m",
-        check_domain=h5_dom,
+        domain=(P2, N_EVEN, N_GE_3),
         formula=lambda p, n, pr: 2 ** (n // 2) + 3,
         source=h5_table,
     ))
-
-    def dob5_dom(p, n, pr):
-        if p != 2 or n % 4 or (n // 4) % 2 == 0:
-            return "p = 2, n = 4r with r odd required"
-        return None
 
     def dob5_table(p, n, pr):
         r = n // 4
@@ -541,22 +476,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="dobbertin-5val", label="binary d = 2^(2r) + 2^r + 1, n = 4r odd r",
-        check_domain=dob5_dom,
+        domain=(P2, N_4R_R_ODD),
         formula=lambda p, n, pr: 2 ** (n // 2) + 2 ** (n // 4) + 1,
         source=dob5_table, source_counts_total="p^n",
     ))
-
-    _FRAC_PAIRS = {"2:1": (2, 1), "5:1": (5, 1), "5:3": (5, 3)}
-
-    def frac_dom(p, n, pr):
-        if p != 2 or n % 2 == 0:
-            return "p = 2, odd n required"
-        if pr.get("pair") not in _FRAC_PAIRS:
-            return "pair must be one of 2:1, 5:1, 5:3"
-        t = pr.get("t")
-        if not t or t < 1:
-            return "t >= 1 required"
-        return None
 
     def frac_dec(p, n, pr):
         lm, km = _FRAC_PAIRS[pr["pair"]]
@@ -571,19 +494,11 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="kasami-frac", label="binary d = (2^(lt) + 1)/(2^(kt) + 1), odd n",
-        check_domain=frac_dom, formula=frac_dec, source=frac_values,
+        domain=(P2, N_ODD, PAIR, T_SET), formula=frac_dec, source=frac_values,
         candidates=lambda p, n: [
             {"pair": pr_, "t": t} for pr_ in _FRAC_PAIRS for t in range(1, n)],
         status="at-most-k", source_counts_total="value set",
     ))
-
-    def dfhr_even_dom(p, n, pr):
-        if p != 2 or n % 2:
-            return "p = 2, n = 2m required"
-        m = n // 2
-        if m % 2 or m % 4 == 2:
-            return "m even, m != 2 mod 4 required"
-        return None
 
     def dfhr_even_table(p, n, pr):
         m = n // 2
@@ -599,22 +514,15 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="dfhr-s3", label="binary d = 3(2^m - 1) + 1, m even (m != 2 mod 4)",
-        check_domain=dfhr_even_dom, formula=niho_dec(3), source=dfhr_even_table,
+        domain=(P2, M_EVEN, M_NOT_2_MOD_4), formula=niho_dec(3), source=dfhr_even_table,
     ))
 
     fams.append(FamilyDescriptor(
         id="hkl-s4", label="binary d = 4(2^m - 1) + 1, m even",
-        check_domain=even_m_dom, formula=niho_dec(4),
+        domain=(P2, M_EVEN), formula=niho_dec(4),
         source=lambda p, n, pr: [-1 + j * 2 ** (n // 2) for j in (-1, 0, 1, 2, 4)],
         status="at-most-k", source_counts_total="value set",
     ))
-
-    def xia5_dom(p, n, pr):
-        if p != 3 or n % 2:
-            return "p = 3, n = 2m required"
-        if (n // 2) % 4 == 2:
-            return "m != 2 mod 4 required"
-        return None
 
     def xia5_table(p, n, pr):
         m = n // 2
@@ -630,18 +538,8 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="xia-ternary-5val", label="ternary d = 3(3^m - 1) + 1, m != 2 mod 4",
-        check_domain=xia5_dom, formula=niho_dec(3), source=xia5_table,
+        domain=(P3, M_NOT_2_MOD_4), formula=niho_dec(3), source=xia5_table,
     ))
-
-    def half_dom(p, n, pr):
-        if p == 2:
-            return "odd p required"
-        if (p ** n) % 4 != 1:
-            return "p^n = 1 mod 4 required"
-        i = pr.get("i")
-        if i is None or not (0 <= i < n):
-            return "0 <= i < n required"
-        return None
 
     def half_table(p, n, pr):
         P = p ** n
@@ -662,7 +560,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="helleseth-half", label="p odd, d = (p^n - 1)/2 + p^i",
-        check_domain=half_dom,
+        domain=(P_ODD, PN_1_MOD_4, I_BELOW_N),
         formula=lambda p, n, pr: (p ** n - 1) // 2 + p ** pr["i"],
         source=half_table, candidates=i_range,
         notes="gamma is the non-square normalizer; for odd n the two single "
@@ -670,11 +568,6 @@ def _build_catalog() -> list[FamilyDescriptor]:
     ))
 
     # ---- six-valued -------------------------------------------------------
-
-    def th78_dom(p, n, pr):
-        if p != 2 or n % 4 or (n // 4) % 2:
-            return "p = 2, n = 4m with m even required"
-        return None
 
     def th78_table(p, n, pr):
         Q = 2 ** (n // 4)
@@ -691,15 +584,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="th-h-1978", label="binary d = 2^(2m) - 2^m + 1, n = 4m even m",
-        check_domain=th78_dom, formula=quarter_dec, source=th78_table,
+        domain=(P2, M_EVEN, M_NOT_2_MOD_4), formula=quarter_dec, source=th78_table,
         notes="leading value -1 + 2^(2m), pinned by the moment identity and "
               "brute force at m = 2",
     ))
-
-    def s3_odd_dom(p, n, pr):
-        if p != 2 or n % 2 or (n // 2) % 2 == 0 or n < 6:
-            return "p = 2, n = 2m with odd m >= 3 required"
-        return None
 
     def dfhr_odd_table(p, n, pr):
         m = n // 2
@@ -716,7 +604,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="dfhr-s3-odd", label="binary d = 3(2^m - 1) + 1, m odd",
-        check_domain=s3_odd_dom, formula=niho_dec(3), source=dfhr_odd_table,
+        domain=(P2, M_ODD, N_GE_3), formula=niho_dec(3), source=dfhr_odd_table,
     ))
 
     def dfhr_odd_kloosterman_table(p, n, pr):
@@ -735,30 +623,17 @@ def _build_catalog() -> list[FamilyDescriptor]:
     fams.append(FamilyDescriptor(
         id="dfhr-s3-odd-kloosterman",
         label="binary d = 3(2^m - 1) + 1, m odd, Kloosterman-sum form",
-        check_domain=s3_odd_dom, formula=niho_dec(3),
+        domain=(P2, M_ODD, N_GE_3), formula=niho_dec(3),
         source=dfhr_odd_kloosterman_table,
         notes="counts parameterized by the weighted Kloosterman double sum",
     ))
 
     fams.append(FamilyDescriptor(
         id="hkl-s4-odd", label="binary d = 4(2^m - 1) + 1, m odd",
-        check_domain=cd_dom, formula=niho_dec(4),
+        domain=(P2, M_ODD), formula=niho_dec(4),
         source=lambda p, n, pr: [-1 + j * 2 ** (n // 2) for j in (-1, 0, 1, 2, 3, 4)],
         status="at-most-k", source_counts_total="value set",
     ))
-
-    def third_dom(p, n, pr):
-        if p % 3 != 2:
-            return "p = 2 mod 3 required"
-        if n % 2:
-            return "n = 2m required"
-        i = pr.get("i")
-        if i is None or not (0 <= i < n):
-            return "0 <= i < n required"
-        f = ((p ** n - 1) // 3) * p ** i % 3
-        if f == 2:
-            return "f = (p^n - 1)/3 * p^i must not be 2 mod 3"
-        return None
 
     def third_table(p, n, pr):
         m = n // 2
@@ -779,17 +654,10 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="helleseth-third", label="p = 2 mod 3, d = (p^n - 1)/3 + p^i, n = 2m",
-        check_domain=third_dom,
+        domain=(P_2_MOD_3, N_EVEN, I_BELOW_N, THIRD_F_NOT_2),
         formula=lambda p, n, pr: (p ** n - 1) // 3 + p ** pr["i"],
         source=third_table, candidates=i_range,
     ))
-
-    def h2003_dom(p, n, pr):
-        if n % 4:
-            return "n = 4m required"
-        if p ** (n // 4) % 3 == 2:
-            return "p^m != 2 mod 3 required"
-        return None
 
     def h2003_table(p, n, pr):
         Q = p ** (n // 4)
@@ -804,7 +672,8 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="helleseth-2003", label="d = p^(2m) - p^m + 1, n = 4m, p^m != 2 mod 3",
-        check_domain=h2003_dom, formula=quarter_dec, source=h2003_table,
+        domain=(M_EVEN, QUARTER_POWER_NOT_2_MOD_3),
+        formula=quarter_dec, source=h2003_table,
     ))
 
     return fams

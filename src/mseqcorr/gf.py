@@ -387,11 +387,6 @@ class FieldCtx:
     def element_from_log(self, i: int) -> int:
         return int(self._exp[i % self.period])
 
-    def log_of(self, a: int) -> int:
-        if a == 0:
-            raise OutOfDomain("zero has no discrete log")
-        return int(self.log_table[a])
-
     def frobenius(self, a, k: int = 1):
         """a^(p^k)."""
         e = self.log_table[a].astype(np.int64) * pow(self.p, k, self.period) % self.period

@@ -69,12 +69,6 @@ def decimate(seq: MSeq, d: int) -> MSeq:
     return MSeq(seq.p, seq.n, sym.tobytes(), origin=f"{seq.origin}/dec{d}")
 
 
-def cyclic_shift(seq: MSeq, tau: int) -> MSeq:
-    L = seq.period
-    tau %= L
-    return MSeq(seq.p, seq.n, seq.symbols[tau:] + seq.symbols[:tau], origin=seq.origin)
-
-
 def minimal_period(symbols: bytes) -> int:
     L = len(symbols)
     for cand in sorted(k for k in range(1, L + 1) if L % k == 0):
@@ -84,7 +78,8 @@ def minimal_period(symbols: bytes) -> int:
 
 
 def alignment_shift(seq: MSeq, ref: MSeq) -> int | None:
-    """Shift tau with cyclic_shift(seq, tau) == ref, or None."""
+    """Shift tau with seq.symbols[tau:] + seq.symbols[:tau] == ref.symbols,
+    or None."""
     if seq.period != ref.period:
         return None
     doubled = seq.symbols + seq.symbols

@@ -26,6 +26,7 @@ from .gf import FieldCtx, field_ctx
 from .spectra import SpectrumTable, spectrum
 
 CLASSIFY_MAX_ORDER = 2 ** 24
+CACHE_VERSION = 1   # the record format; a record of any other version is recomputed
 
 
 @dataclass
@@ -89,8 +90,9 @@ class SpectrumCache:
         return os.path.join(self.directory, f"spectra_p{p}_n{n}.jsonl")
 
     def load(self, p: int, n: int, modulus: tuple) -> dict[int, SpectrumTable]:
-        """Records for this modulus.  Unparseable or invalid lines are
-        skipped (and counted on stderr), so their classes are computed
+        """Records for this modulus.  Unparseable or invalid lines, and
+        records of another `CACHE_VERSION` (or none) whatever their modulus,
+        are skipped (and counted on stderr), so their classes are computed
         again, and dropped from the file at once."""
         path = self._path(p, n)
         out: dict[int, SpectrumTable] = {}
@@ -105,7 +107,8 @@ class SpectrumCache:
                 try:
                     rec = json.loads(line)
                     ours = tuple(rec["modulus"]) == tuple(modulus)
-                    ok = not ours or _record_ok(rec, p, n)
+                    ok = rec.get("version") == CACHE_VERSION \
+                        and (not ours or _record_ok(rec, p, n))
                 except (ValueError, KeyError, TypeError):
                     ok = False
                 if not ok:
@@ -132,8 +135,8 @@ class SpectrumCache:
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")   # a torn last line must not absorb the next record
             fh.writelines(   # written as they are made
-                json.dumps({**t.to_json_dict(), "modulus": list(modulus)},
-                           sort_keys=True).encode() + b"\n"
+                json.dumps({**t.to_json_dict(), "modulus": list(modulus),
+                            "version": CACHE_VERSION}, sort_keys=True).encode() + b"\n"
                 for t in tables)
 
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from .cyclo import CycInt
 from .errors import Budget, OutOfDomain
-from .gf import MAX_TABLE_ORDER, FieldCtx, decimation_index
+from .gf import FieldCtx, decimation_index
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -302,8 +302,6 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
     L = ctx.period
     if require_invertible and gcd(d, L) != 1:
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
-    if ctx.order > MAX_TABLE_ORDER:
-        raise Budget(f"p^n={ctx.order} beyond the full-spectrum grid")
     f_nonzero = ctx.mseq[decimation_index(L, d)]   # Tr(x^d) at x = alpha^k
     if ctx.p == 2:
         g = np.ones(ctx.order, dtype=np.int32)

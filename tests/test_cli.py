@@ -268,6 +268,7 @@ def _assert_usage_error(argv, capsys):
     code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,6 +281,16 @@ def _assert_usage_error(argv, capsys):
 ])
 def test_degree_below_one_is_usage_error(argv, capsys):
     _assert_usage_error(argv.split(), capsys)
+
+
+# an off-domain instance names the family and its first unmet condition
+DOMAIN_ERRORS = {
+    "verify --family gold --p 3 --n 5 --params k=1": "gold needs p = 2",
+    "verify --family niho-4val-unified --p 2 --n 8 --params r=4,sign=1":
+        "niho-4val-unified needs v2(r) < v2(m)",
+    "verify --family niho-4val-unified --p 2 --n 8 --params sign=1":
+        "niho-4val-unified needs r >= 1",   # a missing key, not a KeyError
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,12 +312,14 @@ def test_degree_below_one_is_usage_error(argv, capsys):
     "verify --family kasami-frac --p 2 --n 5 --params pair=4:1,t=1",
     "verify --family gold --p 3 --n 5 --params k=1",
     "verify --family niho-4val-unified --p 2 --n 8 --params r=4,sign=1",
+    "verify --family niho-4val-unified --p 2 --n 8 --params sign=1",
     "classify --p 2 --n 3 --max-n 4",
     "conjecture --check minus-one --p 2 --n 3 --max-n 4",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")
-    _assert_usage_error(argv.format(tmp=tmp_path).split(), capsys)
+    err = _assert_usage_error(argv.format(tmp=tmp_path).split(), capsys)
+    assert DOMAIN_ERRORS.get(argv, "") in err
 
 
 @pytest.mark.parametrize("exc", [ValueError, KeyError])

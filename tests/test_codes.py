@@ -24,7 +24,7 @@ def test_weight_from_walsh_value():
     for tau in (0, 3, 11):
         a = ctx.element_from_log(tau)
         w = codes.codeword_weight(ctx, a, 1, d)
-        wv = int(wt.by_log[ctx.log_of(ctx.neg(a)), 0])
+        wv = int(wt.by_log[ctx.log_table[ctx.neg(a)], 0])
         assert w == (64 - wv) // 2
 
 

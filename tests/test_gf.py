@@ -187,7 +187,7 @@ def test_exp_log_tables(p, n):
     # bijection onto nonzero elements
     assert sorted(int(v) for v in ctx.exp_table) == list(range(1, L + 1))
     for v in range(1, L + 1):
-        assert ctx.element_from_log(ctx.log_of(v)) == v
+        assert ctx.element_from_log(int(ctx.log_table[v])) == v
     # multiplicativity, exhaustive on small fields
     rng = random.Random(7)
     pairs = (

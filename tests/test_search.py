@@ -1,5 +1,6 @@
 """Decimation classification, caching, and conjecture evidence."""
 
+import json
 from math import gcd
 
 import numpy as np
@@ -138,10 +139,14 @@ def test_load_drops_invalid_lines_at_once(tmp_path, capsys):
     path = tmp_path / "spectra_p2_n6.jsonl"
     good = path.read_text()
     first, rest = good.split("\n", 1)
-    path.write_text(first + "\n{\"torn\n\n" + rest)
+    unversioned = json.loads(first)
+    del unversioned["version"]
+    newer = {**unversioned, "version": 2, "modulus": [0]}   # skipped, though not ours
+    path.write_text("\n".join([first, "{\"torn", "", json.dumps(unversioned),
+                               json.dumps(newer), rest]))
     capsys.readouterr()
     assert len(cache.load(2, 6, coeffs)) == len(good.splitlines())
-    assert "skipped 1 invalid record" in capsys.readouterr().err
+    assert "skipped 3 invalid record" in capsys.readouterr().err
     assert path.read_text() == good   # gone before any append
     assert len(cache.load(2, 6, coeffs)) == len(good.splitlines())
     assert capsys.readouterr().err == ""
