@@ -221,6 +221,46 @@ def test_code_weights_command(capsys):
         {"count": 527, "w": 16}, {"count": 186, "w": 20}]
 
 
+# sha256 of the stdout of `classify`, `conjecture --check minus-one` and
+# `conjecture --check three-valued` with --max-n n, all on one cache
+# directory: cold classify, then warm classify (the same bytes), then the two
+# checks.  At p = 5, 7 and 13 the classify reports list non-rational values,
+# so the order of values (integers ascending, then coordinate tuples) is pinned.
+CLASSIFY_SHA256 = {
+    (2, 10): ("6d281436dd93676b450727d73f12e7db0659b89959c06656533ec17a9479fecf",
+              "6d8279d6232392fe6e322a4ad524371ad2733b5b1b07ff111aedae3ef0017757",
+              "4a25ab79fb96f7eb4b9cc2d0ed592da516c9a811e9c1975bba60bb954eae3371"),
+    (3, 6): ("e7d0cef9f555c58771e5773c58747049a845bee06acd19df5df867e04304a85e",
+             "9120619d1ccb9ef8b5bb96ba416ec3c58fc76d0c500d3cd40c8eb32e693b30b0",
+             "ed26a98c7ed599e1effe169797bbf76dbe5466ebae6618c142c8b46db2f0232c"),
+    (5, 4): ("beb8eadfe66ee33452267ff4106b80d3c357ed37997f47f9440ced484f37bf8e",
+             "430115dd8f1a7f57816b6a2138ac37cd927dea64b0cba615d4fb8744b41329fc",
+             "d07590dfe40f8808b50c35490973db72c165bb5d8061ba5700907980afab1745"),
+    (7, 3): ("e8441ed2398ae7d44651950aa463706e48732b18b31bd57bfc3512541f957ac0",
+             "18b1d2a27b0c01774d87b25ca404f3161b80d1c4a7b647971678f820dae47524",
+             "e2b87e5df81f221f7c2bc4f92e36d7e3ef51f011d737271ed1a6c8b941c44406"),
+    (11, 2): ("685bbe74e77f0c1f9b2a97cf5c08cb48e8048bbc8c7035c78da88488dc324a39",
+              "5df31f6c518fdb19f172c2f1524e1146ee173ebd17f47f0e2f8efb249b40639e",
+              "73d6f8d7eb80dd40f6b99cddac813e3e77d15a02f1cced10f9b7479e57a06f50"),
+    (13, 2): ("bbadf0c7dc15c5f3d186ca99b800a4a3952912d6783bea8f35258f1e96722ff0",
+              "3fb91a73c59fba1d6a06a4a848ec74d9a968063ffa29c558647b66bf999175ee",
+              "f14c0792f439a71ea3d7b1c1613e3d392e44d9f25c30991425d13e53030c86b5"),
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(CLASSIFY_SHA256))
+def test_classify_golden_bytes(p, n, tmp_path, capsys):
+    grid = ("--p", str(p), "--max-n", str(n), "--cache-dir", str(tmp_path))
+    runs = [run_cli("classify", *grid, capsys=capsys),
+            run_cli("classify", *grid, capsys=capsys),
+            run_cli("conjecture", "--check", "minus-one", *grid, capsys=capsys),
+            run_cli("conjecture", "--check", "three-valued", *grid, capsys=capsys)]
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 4
+    digests = [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in runs]
+    classify, minus_one, three_valued = CLASSIFY_SHA256[p, n]
+    assert digests == [classify, classify, minus_one, three_valued]
+
+
 def test_classify_with_cache(tmp_path, capsys):
     args = ("classify", "--p", "2", "--n", "6", "--cache-dir", str(tmp_path))
     code, out1, _ = run_cli(*args, capsys=capsys)
