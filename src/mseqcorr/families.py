@@ -330,7 +330,7 @@ def _build_catalog() -> list[FamilyDescriptor]:
 
     fams.append(FamilyDescriptor(
         id="katz-langevin", label="ternary d = 3^k + 2, n | 4k - 1",
-        domain=(P3, N_ODD, N_GE_3, N_DIVIDES_4K_MINUS_1),
+        domain=(P3, N_ODD, N_GE_3, K_SET, N_DIVIDES_4K_MINUS_1),
         formula=lambda p, n, pr: 3 ** pr["k"] + 2,
         source=e_table(1), candidates=k_range,
         notes="condition n | 4k-1 is equivalent to the d = 2*3^r + 1, n | 4r+1 "

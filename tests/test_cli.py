@@ -330,6 +330,8 @@ DOMAIN_ERRORS = {
         "niho-4val-unified needs v2(r) < v2(m)",
     "verify --family niho-4val-unified --p 2 --n 8 --params sign=1":
         "niho-4val-unified needs r >= 1",   # a missing key, not a KeyError
+    "verify --family katz-langevin --p 3 --n 5 --params k=-1":
+        "katz-langevin needs k >= 1",   # n | 4k - 1 holds at k = -1, n = 5
 }
 
 
@@ -353,6 +355,7 @@ DOMAIN_ERRORS = {
     "verify --family gold --p 3 --n 5 --params k=1",
     "verify --family niho-4val-unified --p 2 --n 8 --params r=4,sign=1",
     "verify --family niho-4val-unified --p 2 --n 8 --params sign=1",
+    "verify --family katz-langevin --p 3 --n 5 --params k=-1",
     "classify --p 2 --n 3 --max-n 4",
     "conjecture --check minus-one --p 2 --n 3 --max-n 4",
 ])

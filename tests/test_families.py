@@ -52,7 +52,7 @@ def _domain_grid(fam, p, n):
 
 # sha256 of (id, p, n, [(params, check_domain is None) over the grid],
 # instances(p, n)) for every family, supported p and 1 <= n <= 16
-DOMAIN_SHA256 = "0b496161113f23be4de9420dd6dc8b5c08b7b844e3aabf29e60da911d49e6f2a"
+DOMAIN_SHA256 = "5ad57779c83d6702a3d3c87370e29c7d99764bf7ffc85a4ca6baceb306f85901"
 
 
 def test_domain_pinned_on_grid():
