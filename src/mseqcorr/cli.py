@@ -22,7 +22,7 @@ import sys
 import traceback
 from math import gcd
 
-from . import codes, expsums, families, lfsr, niho, search, spectra
+from . import codes, cyclo, expsums, families, lfsr, niho, search, spectra
 from .errors import Budget, MseqCorrError, OutOfDomain
 from .gf import field_ctx, load_modulus_file
 
@@ -248,7 +248,7 @@ def _cmd_classify(args) -> int:
             "buckets": {
                 str(t): [
                     {"rep": c.rep, "members": len(c.members),
-                     "values": [v.to_json() for v, _ in c.spectrum.sorted_entries()]}
+                     "values": [cyclo.coords_json(args.p, r) for r in c.rows.tolist()]}
                     for c in lst
                 ] for t, lst in buckets.items()
             },

@@ -187,13 +187,12 @@ class CycInt:
         return f"CycInt(p={self.p}, coords={list(self.coords)})"
 
     def to_json(self):
-        """Plain int when rational, else {"p": p, "coords": [...]}."""
-        if self.is_rational:
-            return self.coords[0]
-        return {"p": self.p, "coords": list(self.coords)}
+        return coords_json(self.p, self.coords)
 
 
-def cycint_from_json(obj, p: int) -> CycInt:
-    if isinstance(obj, int):
-        return CycInt.from_int(p, obj)
-    return CycInt(obj["p"], obj["coords"])
+def coords_json(p: int, coords):
+    """The JSON form of the Z[w] value with these basis coordinates: a plain
+    int when it is rational, else {"p": p, "coords": [...]}."""
+    if any(coords[1:]):
+        return {"p": p, "coords": list(coords)}
+    return coords[0]

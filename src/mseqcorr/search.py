@@ -3,8 +3,20 @@
 Coprime nondegenerate decimations are partitioned into equivalence classes
 closed under d -> d * p^j and d -> d^(-1) (all members share one spectrum);
 one Walsh transform per class representative covers the whole coprime range.
-Spectra can be persisted to a JSON-lines cache keyed by (p, n, modulus,
-class representative) so repeated runs are incremental.
+
+A class carries its spectrum as one integer record: `rows`, the distinct
+values C = W - 1 as rows of p - 1 basis coordinates of Z[w] (`cyclo`), and
+`counts`, how often each occurs.  The rows are in the order of
+`SpectrumTable.sorted_entries`: the rational values ascending, then the
+others in the lexicographic order of their coordinates.
+
+Records can be persisted to a JSON-lines cache keyed by (p, n, modulus,
+class representative) so repeated runs are incremental.  A line holds
+{p, n, d, modulus, version, rows, counts}, the rows and counts as lists of
+JSON integers, and is trusted only after the checks of `_record_ok`.  A
+line of another version (version 1 held `CycInt` JSON entries) is skipped,
+counted once on stderr and dropped from the file, and its class computed
+again.
 
 A conjecture check that FAILS is a reportable finding (recorded in the
 returned report), never a crash.
@@ -17,29 +29,48 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
+from operator import itemgetter, lt, mul
 
-from .cyclo import CycInt, cycint_from_json
+import numpy as np
+
 from .errors import Budget
 from . import families
 from .gf import FieldCtx, field_ctx
-from .spectra import SpectrumTable, spectrum
+from .spectra import walsh_fast
 
 CLASSIFY_MAX_ORDER = 2 ** 24
-CACHE_VERSION = 1   # the record format; a record of any other version is recomputed
+CACHE_VERSION = 2   # the record format; a record of any other version is recomputed
 
 
-@dataclass
+@dataclass(eq=False)
 class DecimationClass:
-    """One equivalence class of decimations with its shared spectrum."""
+    """One equivalence class of decimations with its shared spectrum:
+    `rows`, the (k, p - 1) int32 coordinates of its k distinct values, in
+    the module's order, and `counts`, int64."""
 
     rep: int
     members: tuple[int, ...]
-    spectrum: SpectrumTable
+    rows: np.ndarray
+    counts: np.ndarray
 
     @property
     def value_count(self) -> int:
-        return self.spectrum.num_values()
+        return len(self.counts)
+
+
+def class_record(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts) of the spectrum {W(a) - 1 : a != 0} of d.
+
+    `unique_values` gives the rows of W in lexicographic order, which
+    subtracting 1 from the first coordinate keeps; one stable sort then
+    puts the rational rows (no nonzero coordinate past the first) first.
+    """
+    rows, counts = walsh_fast(ctx, d).unique_values()
+    rows[:, 0] -= 1
+    order = np.argsort(rows[:, 1:].any(axis=1), kind="stable")
+    return rows[order], counts[order]
 
 
 def degenerate_set(p: int, n: int) -> set[int]:
@@ -89,13 +120,13 @@ class SpectrumCache:
     def _path(self, p: int, n: int) -> str:
         return os.path.join(self.directory, f"spectra_p{p}_n{n}.jsonl")
 
-    def load(self, p: int, n: int, modulus: tuple) -> dict[int, SpectrumTable]:
-        """Records for this modulus.  Unparseable or invalid lines, and
-        records of another `CACHE_VERSION` (or none) whatever their modulus,
-        are skipped (and counted on stderr), so their classes are computed
-        again, and dropped from the file at once."""
+    def load(self, p: int, n: int, modulus: tuple) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """{d: (rows, counts)} for this modulus.  Unparseable or invalid
+        lines, and records of another `CACHE_VERSION` (or none) whatever
+        their modulus, are skipped (and counted on stderr), so their classes
+        are computed again, and dropped from the file at once."""
         path = self._path(p, n)
-        out: dict[int, SpectrumTable] = {}
+        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if not os.path.exists(path):
             return out
         skipped: set[int] = set()
@@ -109,35 +140,31 @@ class SpectrumCache:
                     ours = tuple(rec["modulus"]) == tuple(modulus)
                     ok = rec.get("version") == CACHE_VERSION \
                         and (not ours or _record_ok(rec, p, n))
-                except (ValueError, KeyError, TypeError):
+                    if ok and ours:   # OverflowError past int32, beyond any |W| <= p^n
+                        out[rec["d"]] = (np.array(rec["rows"], dtype=np.int32),
+                                         np.array(rec["counts"], dtype=np.int64))
+                except (ValueError, KeyError, TypeError, OverflowError):
                     ok = False
                 if not ok:
                     skipped.add(number)
-                    continue
-                if not ours:
-                    continue
-                entries = {
-                    cycint_from_json(e["value"], p): e["count"]
-                    for e in rec["entries"]
-                }
-                out[rec["d"]] = SpectrumTable(
-                    p=p, n=n, d=rec["d"], entries=entries, method=rec["method"])
         if skipped:
             print(f"spectrum cache {path}: skipped {len(skipped)} invalid record(s)",
                   file=sys.stderr)
             _drop_lines(path, skipped)
         return out
 
-    def append(self, p: int, n: int, modulus: tuple, tables) -> None:
+    def append(self, p: int, n: int, modulus: tuple, records) -> None:
+        """Write (d, rows, counts) records as lines."""
         with open(self._path(p, n), "ab+") as fh:
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")   # a torn last line must not absorb the next record
             fh.writelines(   # written as they are made
-                json.dumps({**t.to_json_dict(), "modulus": list(modulus),
-                            "version": CACHE_VERSION}, sort_keys=True).encode() + b"\n"
-                for t in tables)
+                json.dumps({"p": p, "n": n, "d": d, "modulus": list(modulus),
+                            "version": CACHE_VERSION, "rows": rows.tolist(),
+                            "counts": counts.tolist()}, sort_keys=True).encode() + b"\n"
+                for d, rows, counts in records)
 
 
 def _drop_lines(path: str, numbers: set[int]) -> None:
@@ -156,25 +183,25 @@ def _drop_lines(path: str, numbers: set[int]) -> None:
 
 
 def _record_ok(rec: dict, p: int, n: int) -> bool:
-    """A cache record is trusted only if it is keyed (p, n) and its entries
-    satisfy sum count = p^n - 1 and sum value * count = 1 in Z[w]; checked
-    on the JSON integers, before any CycInt is built."""
-    total, acc = 0, [0] * (p - 1)
-    for e in rec["entries"]:
-        v, c = e["value"], e["count"]
-        if type(c) is not int or c < 1:
-            return False
-        total += c
-        if type(v) is int:
-            acc[0] += v * c
-        elif v["p"] == p and len(v["coords"]) == p - 1 \
-                and all(type(x) is int for x in v["coords"]):
-            for i, x in enumerate(v["coords"]):
-                acc[i] += x * c
-        else:
-            return False
-    return (rec["p"], rec["n"], type(rec["d"]), type(rec["method"])) == (p, n, int, str) \
-        and total == p ** n - 1 and acc == [1] + [0] * (p - 2)
+    """A cache record is trusted only if it is keyed (p, n), every row is
+    p - 1 JSON integers (a bool, float, string or null is none), every count
+    is an integer >= 1, one per row, the rows are strictly increasing in the
+    module's order (so no value is listed twice), and sum count = p^n - 1
+    and sum row * count = 1 in Z[w]; checked on the JSON lists, before any
+    array is built."""
+    rows, counts = rec["rows"], rec["counts"]
+    if (rec["p"], rec["n"], type(rec["d"]), type(rows), type(counts)) \
+            != (p, n, int, list, list) or len(rows) != len(counts):
+        return False
+    if set(map(type, counts)) != {int} or min(counts) < 1 \
+            or set(map(type, rows)) != {list} or set(map(len, rows)) != {p - 1} \
+            or set(map(type, chain.from_iterable(rows))) != {int}:
+        return False
+    keys = list(zip(map(any, map(itemgetter(slice(1, None)), rows)), rows))
+    if not all(map(lt, keys, keys[1:])):
+        return False
+    acc = [sum(map(mul, column, counts)) for column in zip(*rows)]
+    return sum(counts) == p ** n - 1 and acc == [1] + [0] * (p - 2)
 
 
 def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
@@ -185,32 +212,23 @@ def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
         raise Budget(f"classification bounded to p^n <= {CLASSIFY_MAX_ORDER}")
     ctx = ctx or field_ctx(p, n)
     parts = class_partition(p, n)
-    cached: dict[int, SpectrumTable] = {}
-    if cache is not None:
-        cached = cache.load(p, n, ctx.spec.coeffs)
+    records = cache.load(p, n, ctx.spec.coeffs) if cache is not None else {}
 
-    todo = [rep for rep, _ in parts if rep not in cached]
+    todo = [rep for rep, _ in parts if rep not in records]   # ascending
 
-    def compute(rep: int) -> SpectrumTable:
-        return spectrum(ctx, rep, method="fast")
+    def compute(rep: int):
+        return class_record(ctx, rep)
 
-    fresh: dict[int, SpectrumTable] = {}
     if threads > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, table in zip(todo, pool.map(compute, todo)):
-                fresh[rep] = table
+            fresh = list(pool.map(compute, todo))
     else:
-        for rep in todo:
-            fresh[rep] = compute(rep)
+        fresh = [compute(rep) for rep in todo]
     if cache is not None and fresh:
         cache.append(p, n, ctx.spec.coeffs,
-                     [fresh[r] for r in sorted(fresh)])
-
-    out = []
-    for rep, members in parts:
-        table = cached.get(rep) or fresh[rep]
-        out.append(DecimationClass(rep=rep, members=members, spectrum=table))
-    return out
+                     [(rep, *rec) for rep, rec in zip(todo, fresh)])
+    records.update(zip(todo, fresh))
+    return [DecimationClass(rep, members, *records[rep]) for rep, members in parts]
 
 
 def classify_by_value_count(p: int, n: int, **kw) -> dict[int, list[DecimationClass]]:
@@ -249,14 +267,14 @@ def check_minus_one(p: int, n: int, **kw) -> MinusOneReport:
     Degenerate d hold trivially (-1 at every nonzero shift); the qualifying
     set is closed under the class moves, so one check per class suffices.
     """
-    minus_one = CycInt.from_int(p, -1)
+    minus_one = [-1] + [0] * (p - 2)
     counter = []
     checked = 0
     for cls in canonical_classes(p, n, **kw):
         if (cls.rep - 1) % (p - 1):
             continue
         checked += 1
-        if minus_one not in cls.spectrum.entries:
+        if not (cls.rows == minus_one).all(axis=1).any():
             counter.append(cls.rep)
     return MinusOneReport(p=p, n=n, holds=not counter,
                           checked_classes=checked, counterexamples=counter)

@@ -296,8 +296,8 @@ def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
     assert code == 0
     path = tmp_path / "spectra_p2_n7.jsonl"
     text = path.read_text()
-    assert '"value": -1}' in text
-    path.write_text(text.replace('"value": -1}', '"value": 3}'))
+    assert "[-1]" in text   # the row of the value -1
+    path.write_text(text.replace("[-1]", "[3]"))
     code, out, err = run_cli(*args, capsys=capsys)
     assert code == 0 and out == fresh
     assert json.loads(out)[0]["counterexamples"] == []

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mseqcorr.cyclo import CycInt, NotRational, cycint_from_json
+from mseqcorr.cyclo import CycInt, NotRational, coords_json
 
 
 def _close(z1, z2):
@@ -109,12 +109,12 @@ def test_hash_and_dict_keys():
 
 def test_json_roundtrip():
     v = CycInt.from_int(3, -4)
-    assert v.to_json() == -4
-    assert cycint_from_json(v.to_json(), 3) == v
+    assert v.to_json() == -4 == coords_json(3, [-4, 0])
     w = CycInt(5, (1, -2, 0, 3))
     blob = w.to_json()
-    assert blob == {"p": 5, "coords": [1, -2, 0, 3]}
-    assert cycint_from_json(blob, 5) == w
+    assert blob == {"p": 5, "coords": [1, -2, 0, 3]} == coords_json(5, [1, -2, 0, 3])
+    assert CycInt(blob["p"], blob["coords"]) == w
+    assert coords_json(2, [7]) == 7
 
 
 def test_immutability_and_length_check():

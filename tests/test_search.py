@@ -32,11 +32,21 @@ def test_partition_reps_gf32():
     assert set(by_rep[3]) == {3, 6, 12, 24, 17, 11, 22, 13, 26, 21}
 
 
+def _as_record(table):
+    """(rows, counts) of a SpectrumTable, in the order of sorted_entries."""
+    entries = table.sorted_entries()
+    return ([v.coords for v, _ in entries], [c for _, c in entries])
+
+
+def _same_record(cls, rows, counts):
+    return np.array_equal(cls.rows, rows) and np.array_equal(cls.counts, counts)
+
+
 def test_members_share_spectrum():
     ctx = gf.field_ctx(2, 6)
     for cls in search.canonical_classes(2, 6):
         for member in cls.members[:2]:
-            assert spectra.spectrum(ctx, member).same_entries(cls.spectrum)
+            assert _same_record(cls, *_as_record(spectra.spectrum(ctx, member)))
 
 
 SMALL_GRID = [(p, n) for p in gf.SUPPORTED_PRIMES for n in range(1, 11) if p ** n <= 2 ** 10]
@@ -47,13 +57,19 @@ def test_class_moves_keep_the_histogram(p, n):
     # d -> d p^j and d -> d^(-1) leave the spectrum unchanged: every member
     # of a class has its representative's histogram of W(a), a != 0.  And no
     # nondegenerate class is two-valued (Helleseth 1976: at least three values).
+    # The class record is the representative's spectrum, in the order of
+    # sorted_entries (CycInt.sort_key).
     ctx = gf.field_ctx(p, n)
-    for rep, members in search.class_partition(p, n):
-        vals, counts = spectra.walsh_fast(ctx, rep).unique_values()
-        assert len(vals) >= 3, (p, n, rep)
-        for d in members:
+    classes = search.canonical_classes(p, n, ctx=ctx)
+    assert [(c.rep, c.members) for c in classes] == search.class_partition(p, n)
+    for cls in classes:
+        assert _same_record(cls, *_as_record(spectra.spectrum(ctx, cls.rep))), (p, n, cls.rep)
+        assert cls.rows.dtype == np.int32 and cls.counts.dtype == np.int64
+        vals, counts = spectra.walsh_fast(ctx, cls.rep).unique_values()
+        assert len(vals) >= 3, (p, n, cls.rep)
+        for d in cls.members:
             v, c = spectra.walsh_fast(ctx, d).unique_values()
-            assert np.array_equal(v, vals) and np.array_equal(c, counts), (p, n, rep, d)
+            assert np.array_equal(v, vals) and np.array_equal(c, counts), (p, n, cls.rep, d)
 
 
 def test_classify_buckets_gf16_no_three_valued():
@@ -102,7 +118,8 @@ def test_cache_roundtrip(tmp_path):
     second = search.canonical_classes(2, 6, cache=cache)
     assert len(path.read_text().strip().splitlines()) == len(lines)
     for a, b in zip(first, second):
-        assert a.rep == b.rep and a.spectrum.same_entries(b.spectrum)
+        assert a.rep == b.rep and _same_record(a, b.rows, b.counts)
+        assert (a.rows.dtype, a.counts.dtype) == (b.rows.dtype, b.counts.dtype)
 
 
 def test_cache_isolated_by_modulus(tmp_path):
@@ -141,7 +158,8 @@ def test_load_drops_invalid_lines_at_once(tmp_path, capsys):
     first, rest = good.split("\n", 1)
     unversioned = json.loads(first)
     del unversioned["version"]
-    newer = {**unversioned, "version": 2, "modulus": [0]}   # skipped, though not ours
+    newer = {**unversioned, "version": search.CACHE_VERSION + 1,
+             "modulus": [0]}   # skipped, though not ours
     path.write_text("\n".join([first, "{\"torn", "", json.dumps(unversioned),
                                json.dumps(newer), rest]))
     capsys.readouterr()
@@ -160,4 +178,79 @@ def test_threads_deterministic():
            {t: [c.rep for c in v] for t, v in threaded.items()}
     for t in serial:
         for a, b in zip(serial[t], threaded[t]):
-            assert a.spectrum.same_entries(b.spectrum)
+            assert _same_record(a, b.rows, b.counts)
+
+
+def test_version_1_record_recomputed_once(tmp_path, capsys):
+    # a line of the first format: the spectrum's CycInt JSON entries
+    ctx = gf.field_ctx(2, 6)
+    classes = search.canonical_classes(2, 6)
+    old = {**spectra.spectrum(ctx, classes[0].rep).to_json_dict(),
+           "modulus": list(ctx.spec.coeffs), "version": 1}
+    path = tmp_path / "spectra_p2_n6.jsonl"
+    path.write_text(json.dumps(old, sort_keys=True) + "\n")
+    cache = search.SpectrumCache(str(tmp_path))
+    capsys.readouterr()
+    again = search.canonical_classes(2, 6, cache=cache)
+    assert capsys.readouterr().err.count("skipped 1 invalid record") == 1
+    assert [json.loads(line)["d"] for line in path.read_text().splitlines()] == \
+           [c.rep for c in classes]   # every class computed once, in version 2
+    assert all(_same_record(a, b.rows, b.counts) for a, b in zip(classes, again))
+    assert len(cache.load(2, 6, ctx.spec.coeffs)) == len(classes)
+    assert capsys.readouterr().err == ""
+
+
+def _mutations(rec):
+    """Invalid variants of a valid record (rows rational and not, counts
+    with one count >= 2), each with a name."""
+    rows, counts = rec["rows"], rec["counts"]
+    i = next(j for j, c in enumerate(counts) if c >= 2)
+    top = [max(r[0] for r in rows) + 1] + [1] * (len(rows[0]) - 1)
+
+    def with_(rows=rows, counts=counts):
+        return {**rec, "rows": rows, "counts": counts}
+
+    swapped = [1, 0] + list(range(2, len(rows)))
+    out = {
+        "bool count": with_(counts=[True] + counts[1:]),
+        "float coordinate": with_(rows=[[float(rows[0][0])] + rows[0][1:]] + rows[1:]),
+        "string count": with_(counts=[str(counts[0])] + counts[1:]),
+        "null coordinate": with_(rows=[[None] + rows[0][1:]] + rows[1:]),
+        "row too long": with_(rows=[rows[0] + [0]] + rows[1:]),
+        "row too short": with_(rows=[rows[0][:-1]] + rows[1:]),
+        "more counts than rows": with_(counts=counts + [1]),
+        "zero count": with_(rows=rows + [top], counts=counts + [0]),
+        # the sums still hold: only the order of the rows is wrong
+        "duplicate row": with_(rows=rows[:i + 1] + rows[i:],
+                               counts=counts[:i] + [1, counts[i] - 1] + counts[i + 1:]),
+        "unsorted rows": with_(rows=[rows[j] for j in swapped],
+                               counts=[counts[j] for j in swapped]),
+        "count sum off": with_(counts=[counts[0] + 1] + counts[1:]),
+        "value sum off": with_(counts=[c - (j == i) + (j == (i == 0))   # one moved
+                                       for j, c in enumerate(counts)]),
+        "rows not a list": with_(rows={"0": rows[0]}),
+    }
+    if len(rows[0]) > 1:   # False for the 0 past the first coordinate of a rational row
+        j = next(j for j, r in enumerate(rows) if not any(r[1:]))
+        out["bool coordinate"] = with_(
+            rows=rows[:j] + [[rows[j][0], False] + rows[j][2:]] + rows[j + 1:])
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3)])
+def test_cache_rejects_invalid_records(p, n, tmp_path, capsys):
+    ctx = gf.field_ctx(p, n)
+    cls = search.canonical_classes(p, n, ctx=ctx)[-1]
+    cache = search.SpectrumCache(str(tmp_path))
+    cache.append(p, n, ctx.spec.coeffs, [(cls.rep, cls.rows, cls.counts)])
+    path = tmp_path / f"spectra_p{p}_n{n}.jsonl"
+    good = json.loads(path.read_text())
+    assert good["version"] == search.CACHE_VERSION
+    loaded = cache.load(p, n, ctx.spec.coeffs)
+    assert _same_record(cls, *loaded[cls.rep])
+    for name, bad in _mutations(good).items():
+        path.write_text(json.dumps(bad) + "\n")
+        capsys.readouterr()
+        assert cache.load(p, n, ctx.spec.coeffs) == {}, name
+        assert "skipped 1 invalid record" in capsys.readouterr().err, name
+        assert path.read_text() == "", name
