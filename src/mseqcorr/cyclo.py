@@ -187,12 +187,13 @@ class CycInt:
         return f"CycInt(p={self.p}, coords={list(self.coords)})"
 
     def to_json(self):
+        """Plain int when rational, else {"p": p, "coords": [...]}."""
         return coords_json(self.p, self.coords)
 
 
 def coords_json(p: int, coords):
-    """The JSON form of the Z[w] value with these basis coordinates: a plain
-    int when it is rational, else {"p": p, "coords": [...]}."""
+    """The JSON form of the Z[w] value with these basis coordinates, the one
+    that `CycInt.to_json` gives, for coordinates held outside a CycInt."""
     if any(coords[1:]):
         return {"p": p, "coords": list(coords)}
     return coords[0]

@@ -215,15 +215,11 @@ def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
     records = cache.load(p, n, ctx.spec.coeffs) if cache is not None else {}
 
     todo = [rep for rep, _ in parts if rep not in records]   # ascending
-
-    def compute(rep: int):
-        return class_record(ctx, rep)
-
     if threads > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fresh = list(pool.map(compute, todo))
+            fresh = list(pool.map(class_record, [ctx] * len(todo), todo))
     else:
-        fresh = [compute(rep) for rep in todo]
+        fresh = [class_record(ctx, rep) for rep in todo]
     if cache is not None and fresh:
         cache.append(p, n, ctx.spec.coeffs,
                      [(rep, *rec) for rep, rec in zip(todo, fresh)])
