@@ -140,7 +140,8 @@ class SpectrumCache:
                     ours = tuple(rec["modulus"]) == tuple(modulus)
                     ok = rec.get("version") == CACHE_VERSION \
                         and (not ours or _record_ok(rec, p, n))
-                    if ok and ours:   # OverflowError past int32, beyond any |W| <= p^n
+                    # a coordinate past int32 (no |W| <= p^n is) raises OverflowError
+                    if ok and ours:
                         out[rec["d"]] = (np.array(rec["rows"], dtype=np.int32),
                                          np.array(rec["counts"], dtype=np.int64))
                 except (ValueError, KeyError, TypeError, OverflowError):

@@ -202,7 +202,8 @@ def test_version_1_record_recomputed_once(tmp_path, capsys):
 
 def _mutations(rec):
     """Invalid variants of a valid record (rows rational and not, counts
-    with one count >= 2), each with a name."""
+    with one count >= 2, a rational row counted at least 3 times), each
+    with a name."""
     rows, counts = rec["rows"], rec["counts"]
     i = next(j for j, c in enumerate(counts) if c >= 2)
     top = [max(r[0] for r in rows) + 1] + [1] * (len(rows[0]) - 1)
@@ -230,6 +231,16 @@ def _mutations(rec):
                                        for j, c in enumerate(counts)]),
         "rows not a list": with_(rows={"0": rows[0]}),
     }
+    # rows of -B and B + 2v around the rational ones, two fewer of the value v:
+    # the sums and the order hold, but B does not fit the int32 rows
+    j = next(j for j, (r, c) in enumerate(zip(rows, counts)) if not any(r[1:]) and c >= 3)
+    last = max(k for k, r in enumerate(rows) if not any(r[1:]))
+    zeros, big = [0] * (len(rows[0]) - 1), 2 ** 40
+    out["coordinate past int32"] = with_(
+        rows=[[-big] + zeros] + rows[:last + 1] + [[big + 2 * rows[j][0]] + zeros]
+        + rows[last + 1:],
+        counts=[1] + [c - 2 * (k == j) for k, c in enumerate(counts[:last + 1])] + [1]
+        + counts[last + 1:])
     if len(rows[0]) > 1:   # False for the 0 past the first coordinate of a rational row
         j = next(j for j, r in enumerate(rows) if not any(r[1:]))
         out["bool coordinate"] = with_(
