@@ -1,5 +1,6 @@
 """Field construction: canonical polynomials, tables, traces, unit circle."""
 
+import hashlib
 import random
 import sys
 import threading
@@ -288,6 +289,75 @@ def test_mseq_matches_recursion_and_trace_table():
             assert rec.symbols == s.astype(np.uint8).tobytes(), (p, n)
             assert (s == ctx.trace_table[ctx.exp_table]).all(), (p, n)
             n += 1
+
+
+# sha256 of (canonical coefficients, exp_table, mseq, trace_table,
+# gram_index(exp_table)), each array with its dtype, for every supported
+# (p, n) with p^n <= 2^16: any change to how the tables are built must keep
+# every table bit-identical
+FIELD_TABLES_SHA256 = {
+    (2, 1): "95299d293c78db42ef82d61b99d293a78f103ff721c80379b3a5e4ea17467a2f",
+    (2, 2): "a6b74e21a02eda4dc97905b792f6d1f05a51a22d90747a22f4b20cb5b6bbdf4b",
+    (2, 3): "43747841ad4473f03c16e4e37dd01b0bda2fb4f47f0b1c5f87fc1c46d63db0d5",
+    (2, 4): "7abc9ce4c7a41608e96a206e1350bda334911bcc7c4dbc64987a4bcfe2f39892",
+    (2, 5): "b5c5794a1ec079e62106183cb7093c28ba49f26dc2c620ae7f50505e1cac4a8b",
+    (2, 6): "24228e483aa3a4f5cb4e181fd35892de3f824b778165793bc68cd92a2ec42b01",
+    (2, 7): "a9360f250296f6a96044feec6981873a607a202404b63cd58813269ceefe98cd",
+    (2, 8): "c1b356bea89cffda49a7c2e83eba769744545cc41d03ff1e069a75ca4c34cb87",
+    (2, 9): "c6594b2bc44b1b16437cea63a4e2207333f3fb491e4f000df685058e8f4bbb3c",
+    (2, 10): "58a94aa3939790106142ffdf962e5ee553a15d4fd0fbbcb5e1ba6e6506383f10",
+    (2, 11): "d9fed4b182905b508e3e564045ceee4d7c8ee0244259a82ba980e81c7d075b1d",
+    (2, 12): "d09e507104acec2275408e819507d003db675a2f4de88862cb3805032750a1ce",
+    (2, 13): "3176300b6955d72db5dba0ea303e5ff3ca68fd8ff5f1a068143a99d9c0fb8959",
+    (2, 14): "e9b8a2e33fd556edbe6eab245ab23775d2c234c80aec394c469e220bcb294e20",
+    (2, 15): "80a44200c6f68ca55433083270ea04ab11294f0d67c0df67f54428a5a0291cb9",
+    (2, 16): "71228a5b9a58bfc57753f80a015df95d4002cd6d1da85ee0aef02247d4c77d12",
+    (3, 1): "8029aeb35a017681803464d609dbcf767d158a1e6e2d319bf758fda4a3345267",
+    (3, 2): "e1a393072af8d9d84e3591e2870bfbc3f3990e1a848a0f404e581577425e5e39",
+    (3, 3): "5cae20feefc6bb26e3fe3ede306dc01ada264cdd8e517ff4baa839e2d209d6f7",
+    (3, 4): "19619aaf57eec581d06fe0f545747d9798dddd4d42b213638d87d79e0d6f0d6e",
+    (3, 5): "cf3c788282744d27a1cd22fef1d10204d8c497f75552a30ff8d20f467ef26d54",
+    (3, 6): "fb4d36cc0b254dbf42fd1a2caa9b8ebbf13146a61127278595217922f1b963bf",
+    (3, 7): "19898fd1825858d5c3928ae26865d6c754bd630c509aff49c4e5a0c907ce9fe5",
+    (3, 8): "47a727b38468c9d4741098612371d21a11d66c35fbffc6087d13e9c8cc479900",
+    (3, 9): "0528967115e7d093c95471b64975d5e0d8317bc7bd357a6c8bc53f394cc53bc2",
+    (3, 10): "fdad3739865e606b9ae9ce5656167a5ae555cc97f47d78b12edb268d48c1d577",
+    (5, 1): "681919eb617466299b508b7729331be461778f8a5ee9baaa93233070bfea8e09",
+    (5, 2): "521bcbf5625d481be4c805952854d67b537abb46b7f4a09d45b877b321fb401d",
+    (5, 3): "1ff381e66f5edfdbb92c8bcb8636918b282d97f3c7f31a811674a43cacb0974b",
+    (5, 4): "2d1f23fdc0a36e65724a507abdb13f7f5fa770b898b6eab67d119befc25bfeb5",
+    (5, 5): "480fc5266e26fb9d48e54fa3f8aba992e12d48784a4a34235f309d4eb81bce9c",
+    (5, 6): "0e00eb85434eae6acebb09f2273612c26c3de9e27e7040e216fb2f01d632d511",
+    (7, 1): "1545c9e8213c9ec7e8a38d774fdc4cffd54b04de7bd68bf9bd3a5cf061ab5df2",
+    (7, 2): "c0f1beb9b394ac9a01a6dc140dcc750ff1ec1ccfc22d690f6892e8afed2ee979",
+    (7, 3): "ea23c445b0021170d41e17804af0ad8d7cd8d0be66c9505f9d233775a099a271",
+    (7, 4): "1b44bb80cec5b412bb5fb5eae8aa1469d4df13275fe92120b37c2ac257796afd",
+    (7, 5): "3449b68c6a6b686613bfbc4b2465d3603957929e167c71fedede0903d82482da",
+    (11, 1): "ade172b3bb6bf8f5ee69f7b7354778972c403775d4bba6708020e5e077cd72c1",
+    (11, 2): "09fa4e8342735543f4195a5fe6c61190e81d1bf5f32a221971156475f5232e55",
+    (11, 3): "39f5bbab22029a9a52b572e2f7d57fb89a38184442841ec0c42513388d3b5d69",
+    (11, 4): "cabc4d9aa12c9422380255fb640f7d28d135d4a8ac15f48df64c2cceb9f472ef",
+    (13, 1): "6eec0bf4f601225be8258b6bcf72722454adf9aa677824deeea5092509c4f54a",
+    (13, 2): "667fe7be4e3a852ca80851bb65f69f83364b9c5db130d9f83af73d1afbd22451",
+    (13, 3): "316b61c3a19564c9722aea63560627dc06be266d16b55c23e2b0a736e64edd27",
+    (13, 4): "5908909c7baf38ad0bdb98cc4401ac03f946c0fa386511d6f9f403cd048934d4",
+}
+
+
+def _field_tables_digest(ctx):
+    h = hashlib.sha256(repr(ctx.spec.coeffs).encode())
+    for a in (ctx.exp_table, ctx.mseq, ctx.trace_table, ctx.gram_index(ctx.exp_table)):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_field_tables_pinned():
+    fields = [(p, n) for p in gf.SUPPORTED_PRIMES
+              for n in range(1, 17) if p ** n <= 2 ** 16]
+    assert sorted(FIELD_TABLES_SHA256) == sorted(fields)
+    for p, n in fields:
+        assert _field_tables_digest(gf.field_ctx(p, n)) == FIELD_TABLES_SHA256[p, n], (p, n)
 
 
 def test_lazy_tables_are_thread_safe():
