@@ -14,10 +14,15 @@ negation is multiplication by the constant p - 1 = -1.
 
 The exp table is built by doubling, the same way for every p: exp[k:2k] =
 alpha^k * exp[:k].  Multiplication by alpha^k is GF(p)-linear, so it is
-applied to a whole array from the images of the basis alpha^0..alpha^(n-1),
-looking digits up a group at a time in tables of at most 256 entries.  The
-trace and the Gram index map u(a) are the same kind of linear map, from the
-traces Tr(alpha^i) of the basis.
+applied to a whole array from the images of the basis alpha^0..alpha^(n-1).
+Each group of g digits (p^g <= 256) indexes a table of the images of its
+digit patterns, held as words with one digit per fixed-width bit slot: one
+bit for p = 2, where the word is the packed element and the sum is XOR, and
+3-5 bits with a guard bit for odd p, summed by a carry-free SWAR add (several
+digits in one machine word) and repacked to base p by shift and mask.  The
+odd-p words are int64 and live only for one chunk of 2^16 elements.  The Gram
+index map u(a) is the same linear map; the trace, whose images Tr(alpha^i)
+lie in GF(p), sums small ints and reduces mod p once.
 
 `FieldCtx` builds only the exp table and those n traces when it is made.
 The log table, the m-sequence s_k = Tr(alpha^k) (for p = 2, a parity of
@@ -55,6 +60,8 @@ from .errors import Budget, OutOfDomain
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 MAX_TABLE_ORDER = 2 ** 24   # exp/log tables kept in memory
 MAX_POLY_ORDER = 2 ** 40    # polynomial arithmetic only
+_GROUP_TABLE = 256          # entries of one digit-group lookup table
+_CHUNK = 2 ** 16            # elements per pass of a linear map
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -181,11 +188,20 @@ def is_primitive(p: int, n: int, coeffs) -> bool:
     return True
 
 
+def _has_root(coeffs: tuple, c: int, p: int) -> bool:
+    """True iff c is a root of the monic x^n + c_{n-1} x^{n-1} + ... + c_0."""
+    v = 1
+    for ci in reversed(coeffs):
+        v = (v * c + ci) % p
+    return v == 0
+
+
 def find_primitive_polynomial(p: int, n: int) -> FieldSpec:
     """Lexicographically least primitive polynomial of degree n over GF(p).
 
     The order is lexicographic on (c_{n-1}, ..., c_1, c_0); deterministic
-    across runs, no external tables.
+    across runs, no external tables.  For n > 1 a candidate with a root in
+    GF(p)* has a linear factor, so it is skipped before `is_primitive`.
     """
     _check_poly_args(p, n)
     for packed in range(p ** n):
@@ -199,6 +215,8 @@ def find_primitive_polynomial(p: int, n: int) -> FieldSpec:
         coeffs = tuple(digits)
         if coeffs[0] == 0:
             continue
+        if n > 1 and any(_has_root(coeffs, c, p) for c in range(1, p)):
+            continue   # a linear factor x - c: reducible, so not primitive
         if is_primitive(p, n, coeffs):
             return FieldSpec(p, n, coeffs)
     raise RuntimeError(f"no primitive polynomial found for ({p},{n})")
@@ -225,6 +243,11 @@ def load_modulus_file(path) -> dict[tuple[int, int], tuple[int, ...]]:
                 raise OutOfDomain(f"{path}:{lineno}: modulus is not primitive over GF({p})")
             table[(p, n)] = coeffs
     return table
+
+
+def _digits(v, p: int, n: int) -> np.ndarray:
+    """(len(v), n) int64 base-p digits of the packed ints v, low digit first."""
+    return np.asarray(v, dtype=np.int64)[:, None] // p ** np.arange(n, dtype=np.int64) % p
 
 
 def decimation_index(L: int, d: int) -> np.ndarray:
@@ -282,6 +305,25 @@ class FieldCtx:
         self.period = order - 1
 
         self._place = tuple(p ** i for i in range(n))   # packed weight of digit i
+        self._group = 1                                  # digits per lookup table
+        while p ** (self._group + 1) <= _GROUP_TABLE:
+            self._group += 1
+        self._patterns = _digits(np.arange(p ** self._group), p, self._group)
+        # Word layout of `_linear_map`: digit i in the w bits from w * i up,
+        # w = 1 for p = 2.  For odd p the top bit of a slot is a guard bit
+        # (see `_slot_add`), and `_unslot` merges neighbouring fields
+        # pairwise, low + high * p^j, until one is left.
+        w = self._slot_bits = 1 if p == 2 else (p - 1).bit_length() + 1
+        self._slot_weights = np.int64(1) << w * np.arange(n, dtype=np.int64)
+        ones = sum(1 << w * i for i in range(n))
+        self._guard = ones << (w - 1)
+        self._bias = self._guard - p * ones        # 2^(w-1) - p in every slot
+        self._merges = []
+        width, fields = w, n
+        while p != 2 and fields > 1:
+            low = sum(((1 << width) - 1) << (2 * width * j) for j in range((fields + 1) // 2))
+            self._merges.append((width, low, p ** (width // w)))
+            width, fields = 2 * width, (fields + 1) // 2
 
         self._exp = self._build_exp()
         self._trace_basis = self._build_trace_basis()
@@ -305,27 +347,99 @@ class FieldCtx:
             k += m
         return exp
 
+    def _group_tables(self, images, weights, dtype):
+        """[(lo, table)]: the images of every digit pattern of each group.
+
+        The digits lo .. lo+g-1 of x, read as one number c < p^g, index
+        table[c] = sum_j c_j images[lo + j], where the images are rows of
+        digits and the sum is reduced mod p digit by digit and packed with
+        `weights`.
+        """
+        p, g = self.p, self._group
+        tables = []
+        for lo in range(0, len(images), g):
+            rows = images[lo:lo + g]
+            patterns = self._patterns[:p ** len(rows), :len(rows)]
+            tables.append((lo, (patterns @ rows % p @ weights).astype(dtype)))
+        return tables
+
+    def _apply(self, tables, x, add, finish, dtype):
+        """Sum the group tables' parts for packed x, `_CHUNK` elements at a
+        time: add(acc, part) sums in place, finish(acc) gives the result."""
+        x = np.asarray(x)
+        flat = x.ravel()
+        out = np.empty(flat.shape, dtype=dtype)
+        for s in range(0, len(flat), _CHUNK):
+            parts = self._parts(tables, flat[s:s + _CHUNK])
+            acc = next(parts)
+            for part in parts:
+                add(acc, part)
+            out[s:s + _CHUNK] = finish(acc)
+        return out.reshape(x.shape)
+
+    def _parts(self, tables, x):
+        """Each group table's entry for the packed x: for odd p the groups
+        are peeled off low first, x = q * p^g + c, and c = x - q * p^g."""
+        rest = x
+        for lo, table in tables:
+            if self.p == 2:
+                c = x >> lo & (len(table) - 1)
+            elif lo + self._group < self.n:
+                q = rest // len(table)
+                c = rest - q * len(table)
+                rest = q
+            else:
+                c = rest   # the last group
+            yield table.take(c.astype(np.intp))
+
     def _linear_map(self, images, x):
         """Apply the GF(p)-linear map sending alpha^i to images[i] to packed x.
 
-        Digits are taken g at a time (p^g <= 256): each group indexes a table
-        of the images of its p^g digit patterns, built one digit at a time
-        from the multiples k * v (k in GF(p), digit-wise) of that digit's
-        image v, and the looked-up parts are summed with the array `add`.
+        Each digit group of x indexes a table of at most 256 words (see
+        `_group_tables`), each word holding one image digit per slot.  The
+        parts are summed carry-free slot by slot (`_slot_add`) and repacked
+        to base p (`_unslot`).  For p = 2 a word is the packed element
+        itself.  Working in chunks keeps the int64 words to a few hundred
+        KB whatever the size of x.  Returns int32.
         """
-        p, g = self.p, 1
-        while p ** (g + 1) <= 256:
-            g += 1
-        place = np.array(self._place, dtype=np.int64)
-        out = None
-        for lo in range(0, self.n, g):
-            table = np.zeros(1, dtype=np.int32)
-            for v in images[lo:lo + g]:
-                multiples = (np.arange(p)[:, None] * (int(v) // place % p) % p) @ place
-                table = self.add(multiples[:, None], table).ravel().astype(np.int32)
-            part = table[x // self._place[lo] % len(table)]
-            out = part if out is None else self.add(out, part)
-        return out
+        dtype = np.int32 if self.p == 2 else np.int64
+        tables = self._group_tables(_digits(images, self.p, self.n), self._slot_weights, dtype)
+        return self._apply(tables, x, self._slot_add, self._unslot, np.int32)
+
+    def _slot_add(self, acc, part):
+        """acc += part digit-wise mod p, in place, on slot words.
+
+        For p = 2 this is XOR.  For odd p a slot has w bits with 2p - 2 <
+        2^w, so s = a + b stays within every slot; s + 2^(w-1) - p sets the
+        slot's top (guard) bit exactly when s >= p, and p is taken off those
+        slots.
+        """
+        if self.p == 2:
+            acc ^= part
+            return
+        acc += part
+        acc -= (((acc + self._bias) & self._guard) >> (self._slot_bits - 1)) * self.p
+
+    def _unslot(self, acc):
+        """Slot words to packed base-p ints, in place: merging neighbouring
+        fields as low + high * p^j halves their number, log2(n) steps."""
+        for shift, low, weight in self._merges:
+            high = acc >> shift
+            high &= low
+            high *= weight
+            acc &= low
+            acc += high
+        return acc
+
+    def _trace_map(self, values, x):
+        """Apply the GF(p)-linear map sending alpha^i to values[i] in GF(p)
+        to packed x: the parts are small ints, summed and reduced mod p
+        once.  Returns int8."""
+        tables = self._group_tables(np.asarray(values)[:, None], np.ones(1, dtype=np.int64),
+                                    np.int8)
+        return self._apply(tables, x, lambda acc, part: np.add(acc, part, out=acc),
+                           # acc % p, which numpy runs far slower on int8
+                           lambda acc: acc - acc // self.p * self.p, np.int8)
 
     # -- raw tables ----------------------------------------------------
 
@@ -347,13 +461,12 @@ class FieldCtx:
             # Tr is the parity of the digits selected by the trace basis
             t = sum(b << i for i, b in enumerate(self._trace_basis))
             return (np.bitwise_count(self._exp & t) & 1).astype(np.int8)
-        return self._linear_map(self._trace_basis, self._exp).astype(np.int8)
+        return self._trace_map(self._trace_basis, self._exp)
 
     @cached_property
     def trace_table(self) -> np.ndarray:
         """Tr(a) for every packed a in [0, p^n), as int8."""
-        return self._linear_map(
-            self._trace_basis, np.arange(self.order, dtype=np.int32)).astype(np.int8)
+        return self._trace_map(self._trace_basis, np.arange(self.order, dtype=np.int32))
 
     # -- element arithmetic --------------------------------------------
 

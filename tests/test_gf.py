@@ -360,6 +360,36 @@ def test_field_tables_pinned():
         assert _field_tables_digest(gf.field_ctx(p, n)) == FIELD_TABLES_SHA256[p, n], (p, n)
 
 
+# the largest supported field of each prime, where the digit slots of the
+# table build are widest
+LARGEST_FIELD_PER_PRIME = [(2, 24), (3, 15), (5, 10), (7, 8), (11, 6), (13, 6)]
+
+
+@pytest.mark.parametrize("p,n", LARGEST_FIELD_PER_PRIME)
+def test_tables_match_polynomial_oracle_on_largest_fields(p, n):
+    # exp[k] = x^k mod f by square-and-multiply, and mseq[k] = Tr(x^k) as
+    # sum_i [x^i] (x^k mod f) * Tr(x^i), with Tr(x^i) the trace of the
+    # multiplication-by-x^i matrix, sum_j [x^j] (x^(i+j) mod f)
+    ctx = gf.field_ctx(p, n)
+    assert ctx.exp_table.dtype == np.int32
+    mod = list(ctx.spec.coeffs) + [1]
+    powers = [[1]]
+    for _ in range(2 * n - 2):
+        powers.append(_poly_mod(_poly_mul(powers[-1], [0, 1], p), mod, p))
+    tr_basis = [sum((powers[i + j] + [0] * n)[j] for j in range(n)) % p for i in range(n)]
+    squares = [[0, 1]]   # x^(2^j) mod f
+    while 2 ** len(squares) <= ctx.period:
+        squares.append(_poly_mod(_poly_mul(squares[-1], squares[-1], p), mod, p))
+    rng = random.Random(p * 100 + n)
+    for k in [0, 1, n, ctx.period - 1] + [rng.randrange(ctx.period) for _ in range(2000)]:
+        v = [1]
+        for j, sq in enumerate(squares):
+            if k >> j & 1:
+                v = _poly_mod(_poly_mul(v, sq, p), mod, p)
+        assert int(ctx.exp_table[k]) == sum(c * p ** i for i, c in enumerate(v)), (p, n, k)
+        assert int(ctx.mseq[k]) == sum(c * t for c, t in zip(v, tr_basis)) % p, (p, n, k)
+
+
 def test_lazy_tables_are_thread_safe():
     # four threads make the first reads of one fresh context's lazy tables
     spec = gf.find_primitive_polynomial(3, 8)
