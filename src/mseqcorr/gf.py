@@ -312,7 +312,8 @@ class FieldCtx:
         # Word layout of `_linear_map`: digit i in the w bits from w * i up,
         # w = 1 for p = 2.  For odd p the top bit of a slot is a guard bit
         # (see `_slot_add`), and `_unslot` merges neighbouring fields
-        # pairwise, low + high * p^j, until one is left.
+        # pairwise, low + high * p^j, until one is left.  p^n <= 2^24 keeps
+        # n * w <= 45 bits, so a word fits an int64.
         w = self._slot_bits = 1 if p == 2 else (p - 1).bit_length() + 1
         self._slot_weights = np.int64(1) << w * np.arange(n, dtype=np.int64)
         ones = sum(1 << w * i for i in range(n))
@@ -434,7 +435,8 @@ class FieldCtx:
     def _trace_map(self, values, x):
         """Apply the GF(p)-linear map sending alpha^i to values[i] in GF(p)
         to packed x: the parts are small ints, summed and reduced mod p
-        once.  Returns int8."""
+        once.  At p^n <= 2^24 there are at most 4 parts below 13 each, so
+        the sum fits int8.  Returns int8."""
         tables = self._group_tables(np.asarray(values)[:, None], np.ones(1, dtype=np.int64),
                                     np.int8)
         return self._apply(tables, x, lambda acc, part: np.add(acc, part, out=acc),
