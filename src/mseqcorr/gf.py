@@ -93,20 +93,23 @@ def is_prime(n: int) -> bool:
 # ----------------------------------------------------------------------
 
 def _poly_mulmod(a: tuple, b: tuple, mod_low: tuple, p: int) -> tuple:
-    """(a*b) mod (x^n + mod poly), operands of degree < n."""
+    """(a*b) mod (x^n + mod poly), operands of degree < n.
+
+    The sums are exact integers, reduced mod p once per coefficient: a
+    high coefficient when it is folded, the low ones at the end.
+    """
     n = len(mod_low)
     prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+                prod[i + j] += ai * bj
     for k in range(2 * n - 2, n - 1, -1):
-        ck = prod[k]
+        ck = prod[k] % p
         if ck:
-            prod[k] = 0
             for j, mj in enumerate(mod_low):
-                prod[k - n + j] = (prod[k - n + j] - ck * mj) % p
-    return tuple(prod[:n])
+                prod[k - n + j] -= ck * mj
+    return tuple(c % p for c in prod[:n])
 
 
 def _poly_powmod(base: tuple, e: int, mod_low: tuple, p: int) -> tuple:
