@@ -5,6 +5,14 @@ code-weights, classify, conjecture.  JSON is the canonical output format
 (sorted keys, deterministic bytes regardless of worker count); CSV is a
 lossy value,count projection of spectra.
 
+Every JSON document goes to stdout through `_emit`, in exactly the bytes of
+json.dumps(obj, sort_keys=True, indent=2) and a newline.  It is not that
+call: with an indent, json.dumps runs the pure-Python encoder, a generator
+per nested value, which made printing a spectrum of thousands of Z[w]
+values take longer than computing it.  `_emit` builds the same text with
+one str.join per container.  `spectrum` prints from the integer record of
+`spectra.class_record`, with no `CycInt` per value.
+
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
 or conjecture counterexample), 2 usage error, 3 internal error.  The code
 is decided by the exception type alone: `errors.OutOfDomain`,
@@ -20,6 +28,7 @@ import os
 import re
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from . import codes, cyclo, expsums, families, lfsr, niho, search, spectra
@@ -33,8 +42,39 @@ def _int(text: str, what: str) -> int:
     return int(text)
 
 
+def _json_text(obj, indent: str) -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2) gives obj, for an
+    obj whose lines start at `indent` (a newline and the spaces of its
+    depth), built by one str.join per container.  Exact str and int
+    values, bools, None, lists, tuples and dicts with str keys are written
+    here; anything else (a float, a subclass, a dict with other keys) is
+    left to json.dumps, and its lines moved to this depth."""
+    t = type(obj)
+    if t is dict and obj:
+        inner = indent + "  "
+        try:
+            body = ("," + inner).join([_quote(k) + ": " + _json_text(v, inner)
+                                       for k, v in sorted(obj.items())])
+        except TypeError:   # a key that is not a str
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+        return "{" + inner + body + indent + "}"
+    if (t is list or t is tuple) and obj:
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
+            + indent + "]"
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is bool or obj is None:
+        return {True: "true", False: "false", None: "null"}[obj]
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    """Write obj to stdout as json.dumps(obj, sort_keys=True, indent=2) does,
+    and a newline; every JSON document of the CLI is written here."""
+    sys.stdout.write(_json_text(obj, "\n") + "\n")
 
 
 def _parse_decimation(text: str, modulus: int) -> int:
@@ -110,14 +150,16 @@ def _cmd_seq(args) -> int:
 def _cmd_spectrum(args) -> int:
     ctx = _ctx_for(args)
     d = _parse_decimation(args.d, ctx.period)
-    table = spectra.spectrum(ctx, d, method=args.method)
+    rows, counts = spectra.class_record(ctx, d, method=args.method)
+    pairs = zip(rows.tolist(), counts.tolist())
     if args.out == "csv":
-        print("value,count")
-        for v, c in table.sorted_entries():
-            vtxt = v.as_integer() if v.is_rational else "\"" + str(list(v.coords)) + "\""
-            print(f"{vtxt},{c}")
+        # a rational value is its integer, any other its quoted coordinates
+        sys.stdout.write("".join(["value,count\n"] + [
+            f'"{r}",{c}\n' if any(r[1:]) else f"{r[0]},{c}\n" for r, c in pairs]))
     else:
-        _emit(table.to_json_dict())
+        _emit({"p": ctx.p, "n": ctx.n, "d": d, "method": args.method,
+               "entries": [{"value": cyclo.coords_json(ctx.p, r), "count": c}
+                           for r, c in pairs]})
     return 0
 
 

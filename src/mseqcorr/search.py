@@ -4,8 +4,9 @@ Coprime nondegenerate decimations are partitioned into equivalence classes
 closed under d -> d * p^j and d -> d^(-1) (all members share one spectrum);
 one Walsh transform per class representative covers the whole coprime range.
 
-A class carries its spectrum as one integer record: `rows`, the distinct
-values C = W - 1 as rows of p - 1 basis coordinates of Z[w] (`cyclo`), and
+A class carries its spectrum as one integer record (`spectra.class_record`,
+the one the `spectrum` command prints): `rows`, the distinct values
+C = W - 1 as rows of p - 1 basis coordinates of Z[w] (`cyclo`), and
 `counts`, how often each occurs.  The rows are in the order of
 `SpectrumTable.sorted_entries`: the rational values ascending, then the
 others in the lexicographic order of their coordinates.
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import Budget
 from . import families
 from .gf import FieldCtx, field_ctx
-from .spectra import walsh_fast
+from .spectra import class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
 CACHE_VERSION = 2   # the record format; a record of any other version is recomputed
@@ -58,19 +59,6 @@ class DecimationClass:
     @property
     def value_count(self) -> int:
         return len(self.counts)
-
-
-def class_record(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, counts) of the spectrum {W(a) - 1 : a != 0} of d.
-
-    `unique_values` gives the rows of W in lexicographic order, which
-    subtracting 1 from the first coordinate keeps; one stable sort then
-    puts the rational rows (no nonzero coordinate past the first) first.
-    """
-    rows, counts = walsh_fast(ctx, d).unique_values()
-    rows[:, 0] -= 1
-    order = np.argsort(rows[:, 1:].any(axis=1), kind="stable")
-    return rows[order], counts[order]
 
 
 def degenerate_set(p: int, n: int) -> set[int]:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -266,13 +266,30 @@ class WalshTable:
         if self.p == 2:
             vals, counts = np.unique(data[:, 0], return_counts=True)
             return vals[:, None], counts
-        # Number the distinct rows in lexicographic order: pack columns into
-        # mixed-radix int64 keys and renumber densely (ids < p^n <= 2^24)
-        # before a key would pass 2^62.
+        # Pack the columns into mixed-radix int64 keys, the first column
+        # most significant, so that key order is row order.
+        lows = data.min(axis=0).tolist()
+        spans = [hi - lo + 1 for lo, hi in zip(lows, data.max(axis=0).tolist())]
+        if prod(spans) <= 4 * len(data):
+            # a small key space: count every key, no sort, and decode the
+            # rows from the keys present
+            keys = np.zeros(len(data), dtype=np.int64)
+            for col, lo, span in zip(data.T, lows, spans):
+                keys *= span
+                keys += col - lo
+            counts = np.bincount(keys)
+            keys = np.flatnonzero(counts)
+            counts = counts[keys]
+            rows = np.empty((len(keys), len(spans)), dtype=data.dtype)
+            for c in reversed(range(len(spans))):
+                keys, digit = np.divmod(keys, spans[c])
+                rows[:, c] = digit + lows[c]
+            return rows, counts
+        # Otherwise number the distinct rows in lexicographic order:
+        # renumber the keys densely (ids < p^n <= 2^24) before one would
+        # pass 2^62.
         ids, size = np.zeros(len(data), dtype=np.int64), 1
-        for col in data.T:
-            lo = int(col.min())
-            span = int(col.max()) - lo + 1
+        for col, lo, span in zip(data.T, lows, spans):
             if size * span > 2 ** 62:
                 ids = np.unique(ids, return_inverse=True)[1]
                 size = int(ids.max()) + 1
@@ -288,8 +305,14 @@ class WalshTable:
         """Crosscorrelation spectrum {W(a) - 1 : a != 0} as a counted multiset."""
         rows, counts = self.unique_values()
         rows[:, 0] -= 1
-        entries = {CycInt(self.p, v): c for v, c in zip(rows.tolist(), counts.tolist())}
-        return SpectrumTable(self.p, self.n, self.d, entries, method="fast")
+        return _table(self.ctx, self.d, rows, counts, "fast")
+
+
+def _table(ctx: FieldCtx, d: int, rows: np.ndarray, counts: np.ndarray,
+           method: str) -> SpectrumTable:
+    """The `SpectrumTable` of a record: rows of value coordinates, counts."""
+    entries = {CycInt(ctx.p, v): c for v, c in zip(rows.tolist(), counts.tolist())}
+    return SpectrumTable(ctx.p, ctx.n, d, entries, method=method)
 
 
 def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshTable:
@@ -304,8 +327,10 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
     f_nonzero = ctx.mseq[decimation_index(L, d)]   # Tr(x^d) at x = alpha^k
     if ctx.p == 2:
-        g = np.ones(ctx.order, dtype=np.int32)
-        g[ctx.exp_table] = 1 - 2 * f_nonzero
+        # scatter f in int8, then widen g = 1 - 2 f to int32 in one pass
+        f = np.zeros(ctx.order, dtype=np.int8)
+        f[ctx.exp_table] = f_nonzero
+        g = np.subtract(1, 2 * f, dtype=np.int32)
         _wht_inplace_2(g)
         return WalshTable(ctx, d, g)
     # ring coordinates are counts in [0, p^n], so int32 is exact
@@ -336,11 +361,10 @@ def crosscorr_naive(ctx: FieldCtx, d: int, tau: int) -> CycInt:
     return CycInt.from_counts(p, counts)
 
 
-def spectrum_naive(ctx: FieldCtx, d: int) -> SpectrumTable:
-    """Full spectrum by the tau-sums, organized as exact integer correlations.
-
-    Still O(p^(2n)); permitted only on small fields.
-    """
+def _naive_record(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts) of the spectrum by the tau-sums, organized as exact
+    integer correlations; rows in lexicographic order.  Still O(p^(2n));
+    permitted only on small fields."""
     L = ctx.period
     if gcd(d, L) != 1:
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
@@ -349,20 +373,48 @@ def spectrum_naive(ctx: FieldCtx, d: int) -> SpectrumTable:
     p = ctx.p
     s = lfsr.generate_trace(ctx).as_array()
     sd = s[(np.arange(L, dtype=np.int64) * (d % L)) % L]
-    # column tau counts the t with s_(t+tau) - s_(dt) = r, r = 0..p-1
-    columns, mult = np.unique(lfsr.correlation_counts(s, sd, p).T, axis=0,
-                              return_counts=True)
-    pairs = [(CycInt.from_counts(p, k), c) for k, c in zip(columns.tolist(), mult.tolist())]
-    return make_spectrum(p, ctx.n, d, pairs, method="naive")
+    # column tau counts the t with s_(t+tau) - s_(dt) = r, r = 0..p-1, and
+    # sum_r count_r w^r has the coordinates count_r - count_(p-1)
+    columns, counts = np.unique(lfsr.correlation_counts(s, sd, p).T, axis=0,
+                                return_counts=True)
+    rows = (columns[:, :-1] - columns[:, -1:]).astype(np.int32)
+    order = np.lexsort(rows.T[::-1])
+    return rows[order], counts[order]
+
+
+def spectrum_naive(ctx: FieldCtx, d: int) -> SpectrumTable:
+    """Full spectrum by the tau-sums; the oracle of the transform."""
+    return _table(ctx, d, *_naive_record(ctx, d), "naive")
+
+
+def class_record(ctx: FieldCtx, d: int,
+                 method: str = "fast") -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum {C_d(tau)} = {W(a) - 1 : a != 0} of d as one integer
+    record, shared by every decimation in the class of d (`search`):
+    `rows`, the (k, p - 1) int32 coordinates of its k distinct values, and
+    `counts`, int64, how often each occurs.
+
+    The rows are in the order of `SpectrumTable.sorted_entries`: the
+    rational values ascending, then the others in the lexicographic order
+    of their coordinates.  Both methods give rows in lexicographic order,
+    which subtracting 1 from the first coordinate keeps; one stable sort
+    then puts the rational rows (no nonzero coordinate past the first)
+    first.
+    """
+    if method == "fast":
+        rows, counts = walsh_fast(ctx, d).unique_values()
+        rows[:, 0] -= 1
+    elif method == "naive":
+        rows, counts = _naive_record(ctx, d)
+    else:
+        raise OutOfDomain(f"unknown method {method!r}")
+    order = np.argsort(rows[:, 1:].any(axis=1), kind="stable")
+    return rows[order], counts[order]
 
 
 def spectrum(ctx: FieldCtx, d: int, method: str = "fast") -> SpectrumTable:
     """Crosscorrelation spectrum of the d-decimation pair over GF(p^n)."""
-    if method == "fast":
-        return walsh_fast(ctx, d).spectrum()
-    if method == "naive":
-        return spectrum_naive(ctx, d)
-    raise OutOfDomain(f"unknown method {method!r}")
+    return _table(ctx, d, *class_record(ctx, d, method), method)
 
 
 # ----------------------------------------------------------------------

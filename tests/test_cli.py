@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from mseqcorr import gf, search, spectra
+from mseqcorr import cli, gf, search, spectra
 from mseqcorr.cli import main
 
 
@@ -370,7 +371,8 @@ def test_internal_error_exits_3(exc, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise exc("a bug inside the library")
 
-    monkeypatch.setattr(spectra, "spectrum", broken)
+    # the spectrum command reads its record from the transform
+    monkeypatch.setattr(spectra, "walsh_fast", broken)
     code, out, err = run_cli("spectrum", "--p", "2", "--n", "5", "--d", "3",
                              capsys=capsys)
     assert code == 3 and out == ""
@@ -420,3 +422,89 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 3
+
+
+# Keys and strings that need escapes or are not ASCII.
+JSON_TEXTS = ["", "p", "value", 'quote"d', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f",
+              "/", "é", "日本", "\U0001f600", "\u2028", "\ud800"]
+
+
+def _random_json(rng, depth):
+    """A random document of the types the CLI emits, with some floats and
+    int keys for the json.dumps fallback."""
+    kind = rng.randrange(12 if depth < 6 else 7)
+    if kind == 0:
+        return rng.randrange(-10 ** 3, 10 ** 3)
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.randrange(2 ** 63 - 2, 2 ** 100)
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.choice(JSON_TEXTS)
+    if kind == 4:
+        return rng.choice((0.5, -0.0, 1e300, float("inf"), float("nan")))
+    if kind == 5:
+        return [rng.randrange(-5, 5) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return rng.choice(([], {}, (), [[]], {"": {}}))
+    size = rng.randrange(1, 5)
+    if kind in (7, 8):
+        return [_random_json(rng, depth + 1) for _ in range(size)]
+    if kind == 9:
+        return tuple(_random_json(rng, depth + 1) for _ in range(size))
+    if kind == 10:
+        return {rng.randrange(-9, 9): _random_json(rng, depth + 1) for _ in range(size)}
+    return {rng.choice(JSON_TEXTS): _random_json(rng, depth + 1) for _ in range(size)}
+
+
+def _emitted(obj, capsys):
+    cli._emit(obj)
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_emit_matches_json_dumps_on_random_documents(capsys):
+    rng = random.Random(13)
+    docs = [_random_json(rng, 0) for _ in range(400)]
+    deep = 1
+    for i in range(60):   # deep nesting, lists and dicts in turn
+        deep = [deep, True] if i % 2 else {"k\u00e9": deep, "a": None}
+    docs += [deep, [], {}, True, False, None, -1, 2 ** 64, "\n"]
+    kinds = set()
+    for doc in docs:
+        kinds.add(type(doc))
+        assert _emitted(doc, capsys) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert kinds >= {dict, list, tuple, int, str, bool, type(None), float}
+
+
+# one invocation of every subcommand that prints JSON
+EMITTING_ARGV = [
+    "field --p 2 --n 4",
+    "spectrum --p 3 --n 3 --d 7",
+    "spectrum --p 5 --n 2 --d 7 --method naive",
+    "moments --p 3 --n 4 --d 11",
+    "verify --family all --p 2 --n 6",
+    "verify --family kasami-frac --p 2 --n 5 --params pair=5:1,t=1",
+    "niho --p 2 --m 4 --s 2 --check-identity",
+    "expsum --kind kloosterman --p 3 --m 2 --a-log 1",
+    "expsum --kind r --m 3",
+    "expsum --kind op6 --n 5 --k 2",
+    "expsum --kind cubic --n 5 --b-zero --a-log 3",
+    "code-weights --p 2 --n 5 --d 3",
+    "classify --p 7 --n 2",
+    "conjecture --check minus-one --p 2 --max-n 6",
+    "conjecture --check three-valued --p 3 --n 4",
+    "conjecture --check op6 --n 7 --k 3",
+]
+
+
+@pytest.mark.parametrize("argv", EMITTING_ARGV)
+def test_emit_matches_json_dumps_for_every_subcommand(argv, monkeypatch, capsys):
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda obj: (docs.append(obj), emit(obj)))
+    assert main(argv.split()) in (0, 1)
+    out, _ = capsys.readouterr()
+    assert len(docs) == 1
+    assert out == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"

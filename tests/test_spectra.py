@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -135,6 +135,30 @@ def test_unique_values_matches_numpy_unique(p, n, d):
     assert rows.tolist() == vals.tolist() and c.tolist() == counts.tolist()
     if (p, n) == (11, 5):
         assert len(rows) == 30069   # tens of thousands of distinct values
+
+
+HISTOGRAM_GRID = [(p, n) for p in gf.SUPPORTED_PRIMES for n in range(1, 11)
+                  if p ** n <= 2 ** 10]
+
+
+def test_unique_values_matches_numpy_unique_on_grid():
+    # Every coprime d of every field up to 2^10 elements: the histogram has
+    # np.unique's rows, counts and dtypes, on both of its odd-p branches (a
+    # bincount when the packed keys span at most 4 (p^n - 1) integers, a
+    # sort otherwise).
+    branches = set()
+    for p, n in HISTOGRAM_GRID:
+        ctx = gf.field_ctx(p, n)
+        for d in _coprime_ds(ctx.period):
+            wt = spectra.walsh_fast(ctx, d)
+            vals, counts = np.unique(wt.by_log, axis=0, return_counts=True)
+            rows, c = wt.unique_values()
+            assert rows.dtype == vals.dtype and c.dtype == counts.dtype, (p, n, d)
+            assert np.array_equal(rows, vals) and np.array_equal(c, counts), (p, n, d)
+            if p > 2:
+                spans = wt.by_log.max(axis=0) - wt.by_log.min(axis=0) + 1
+                branches.add(prod(spans.tolist()) <= 4 * ctx.period)
+    assert branches == {True, False}
 
 
 def test_walsh_global_sums():
