@@ -46,28 +46,30 @@ def _json_text(obj, indent: str) -> str:
     """The text json.dumps(obj, sort_keys=True, indent=2) gives obj, for an
     obj whose lines start at `indent` (a newline and the spaces of its
     depth), built by one str.join per container.  Exact str and int
-    values, bools, None, lists, tuples and dicts with str keys are written
-    here; anything else (a float, a subclass, a dict with other keys) is
-    left to json.dumps, and its lines moved to this depth."""
+    values, bools, None, and non-empty lists, tuples and dicts with str
+    keys are written here; anything else (a float, a subclass, an empty
+    container, a dict with other keys) is left to json.dumps, and its lines
+    moved to this depth."""
     t = type(obj)
-    if t is dict and obj:
-        inner = indent + "  "
-        try:
-            body = ("," + inner).join([_quote(k) + ": " + _json_text(v, inner)
-                                       for k, v in sorted(obj.items())])
-        except TypeError:   # a key that is not a str
-            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
-        return "{" + inner + body + indent + "}"
-    if (t is list or t is tuple) and obj:
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
-            + indent + "]"
     if t is str:
         return _quote(obj)
     if t is int:
         return int.__repr__(obj)
-    if t is bool or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    if (t is list or t is tuple) and obj:
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
+            + indent + "]"
+    if t is dict and obj:
+        try:
+            return "{" + inner + ("," + inner).join(
+                [_quote(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]) \
+                + indent + "}"
+        except TypeError:   # a key that is not a str
+            pass
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
 
 

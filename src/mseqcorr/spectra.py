@@ -26,10 +26,15 @@ Every value is thus a row of p - 1 int32 coordinates (one, the integer
 itself, for p = 2), and a `WalshTable` is read in one of two ways: the
 per-shift array `by_log`, row tau = W(alpha^tau), or the histogram
 `unique_values` of W(a) over a != 0, whose distinct rows are ranked in
-mixed-radix integer keys, in the lexicographic order of the coordinates.
-The crosscorrelation spectrum of the decimation pair is the multiset
-{W(a) - 1 : a != 0}, read from the histogram; the a = 0 point of the
-transform corresponds to no shift and is excluded.
+mixed-radix integer keys, in the lexicographic order of the coordinates
+(counted by `np.bincount` when the keys span at most 4 (p^n - 1) integers,
+sorted otherwise).  The crosscorrelation spectrum of the decimation pair
+is the multiset {W(a) - 1 : a != 0}, read from the histogram; the a = 0
+point of the transform corresponds to no shift and is excluded.
+`class_record` gives it as one integer record, rows of coordinates and
+their counts, which the `spectrum` command prints and `search` classifies
+and caches; a `SpectrumTable` holds the same values as `CycInt` keys, for
+the catalog checks and the moments.
 
 The naive path counts, for every shift at once, the t with
 s_{t+tau} - s_{dt} = r (exact integer correlations of residue indicators,
@@ -331,6 +336,7 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
         f = np.zeros(ctx.order, dtype=np.int8)
         f[ctx.exp_table] = f_nonzero
         g = np.subtract(1, 2 * f, dtype=np.int32)
+        del f, f_nonzero   # not held through the transform's own buffers
         _wht_inplace_2(g)
         return WalshTable(ctx, d, g)
     # ring coordinates are counts in [0, p^n], so int32 is exact
