@@ -272,27 +272,10 @@ class WalshTable:
             vals, counts = np.unique(data[:, 0], return_counts=True)
             return vals[:, None], counts
         # Pack the columns into mixed-radix int64 keys, the first column
-        # most significant, so that key order is row order.
+        # most significant, so that key order is row order; renumber the
+        # keys densely (ids < p^n <= 2^24) before one would pass 2^62.
         lows = data.min(axis=0).tolist()
         spans = [hi - lo + 1 for lo, hi in zip(lows, data.max(axis=0).tolist())]
-        if prod(spans) <= 4 * len(data):
-            # a small key space: count every key, no sort, and decode the
-            # rows from the keys present
-            keys = np.zeros(len(data), dtype=np.int64)
-            for col, lo, span in zip(data.T, lows, spans):
-                keys *= span
-                keys += col - lo
-            counts = np.bincount(keys)
-            keys = np.flatnonzero(counts)
-            counts = counts[keys]
-            rows = np.empty((len(keys), len(spans)), dtype=data.dtype)
-            for c in reversed(range(len(spans))):
-                keys, digit = np.divmod(keys, spans[c])
-                rows[:, c] = digit + lows[c]
-            return rows, counts
-        # Otherwise number the distinct rows in lexicographic order:
-        # renumber the keys densely (ids < p^n <= 2^24) before one would
-        # pass 2^62.
         ids, size = np.zeros(len(data), dtype=np.int64), 1
         for col, lo, span in zip(data.T, lows, spans):
             if size * span > 2 ** 62:
@@ -300,6 +283,17 @@ class WalshTable:
                 size = int(ids.max()) + 1
             ids = ids * span + (col - lo)
             size *= span
+        if prod(spans) <= 4 * len(data):
+            # few possible keys, none renumbered: count each, with no sort,
+            # and decode the rows from the keys present
+            counts = np.bincount(ids)
+            keys = np.flatnonzero(counts)
+            counts = counts[keys]
+            rows = np.empty((len(keys), len(spans)), dtype=data.dtype)
+            for c in reversed(range(len(spans))):
+                keys, digit = np.divmod(keys, spans[c])
+                rows[:, c] = digit + lows[c]
+            return rows, counts
         ids = np.unique(ids, return_inverse=True)[1]
         counts = np.bincount(ids)
         row = np.empty(len(counts), dtype=np.int64)
