@@ -3,9 +3,9 @@
 Every supported prime at a small degree, JSON and CSV, both methods, an
 integer, a fractional and a degenerate decimation (9/5 = 8 = 2^3 mod 31 at
 (2, 5)), and spectra with non-rational values at p = 5, 7, 11 and 13.  The
-`spectrum-odd-p` commands of the benchmark at seed 1 are run in-process and
-checked against the digests the benchmark recorded; both bench files are
-only read.
+`spectrum-odd-p` and `catalog-checks` commands of the benchmark at seed 1
+are run in-process and checked against the digests the benchmark recorded;
+both bench files are only read.
 """
 
 import hashlib
@@ -197,14 +197,32 @@ def test_spectrum_bytes_pinned(args, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_SHA256[args]
 
 
-def test_bench_odd_p_spectra_match_recorded_digests(capsys):
+def _bench_commands(workload: str) -> tuple[list, dict]:
+    """The workload's commands at seed 1 and the recorded stdout digests."""
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     digests = json.loads((BENCH / "digests.json").read_text())
-    commands = workloads.commands("spectrum-odd-p", 1)
+    return workloads.commands(workload, 1), digests
+
+
+def test_bench_odd_p_spectra_match_recorded_digests(capsys):
+    commands, digests = _bench_commands("spectrum-odd-p")
     assert len(commands) == 5
+    for argv in commands:
+        out = _stdout(argv, capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)], argv
+
+
+def test_bench_catalog_checks_match_recorded_digests(capsys):
+    # verify --family all at (2,14) and (3,8), moments at (2,16) and (3,10),
+    # niho, expsum and code-weights at p = 3: each exits 0 with the bytes
+    # the benchmark recorded
+    commands, digests = _bench_commands("catalog-checks")
+    assert [argv[0] for argv in commands] == [
+        "verify", "verify", "moments", "moments", "niho", "niho",
+        "expsum", "expsum", "code-weights"]
     for argv in commands:
         out = _stdout(argv, capsys)
         assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)], argv
