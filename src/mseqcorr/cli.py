@@ -10,8 +10,9 @@ json.dumps(obj, sort_keys=True, indent=2) and a newline.  It is not that
 call: with an indent, json.dumps runs the pure-Python encoder, a generator
 per nested value, which made printing a spectrum of thousands of Z[w]
 values take longer than computing it.  `_emit` builds the same text with
-one str.join per container.  `spectrum` prints from the integer record of
-`spectra.class_record`, with no `CycInt` per value.
+one str.join per container.  A spectrum is printed from its integer record
+(`spectra.class_record`) through `spectra.entries_json`, by `spectrum` and
+`verify` alike.
 
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
 or conjecture counterexample), 2 usage error, 3 internal error.  The code
@@ -153,15 +154,14 @@ def _cmd_spectrum(args) -> int:
     ctx = _ctx_for(args)
     d = _parse_decimation(args.d, ctx.period)
     rows, counts = spectra.class_record(ctx, d, method=args.method)
-    pairs = zip(rows.tolist(), counts.tolist())
     if args.out == "csv":
         # a rational value is its integer, any other its quoted coordinates
         sys.stdout.write("".join(["value,count\n"] + [
-            f'"{r}",{c}\n' if any(r[1:]) else f"{r[0]},{c}\n" for r, c in pairs]))
+            f'"{r}",{c}\n' if any(r[1:]) else f"{r[0]},{c}\n"
+            for r, c in zip(rows.tolist(), counts.tolist())]))
     else:
         _emit({"p": ctx.p, "n": ctx.n, "d": d, "method": args.method,
-               "entries": [{"value": cyclo.coords_json(ctx.p, r), "count": c}
-                           for r, c in pairs]})
+               "entries": spectra.entries_json(ctx.p, rows, counts)})
     return 0
 
 
@@ -169,12 +169,11 @@ def _cmd_moments(args) -> int:
     ctx = _ctx_for(args)
     d = _parse_decimation(args.d, ctx.period)
     report = spectra.moment_identity_check(ctx, d)
-    moments = {}
-    for l in range(5):
-        m = spectra.moment(report.spectrum, l)
-        moments[str(l)] = m if isinstance(m, int) else m.to_json()
     out = report.to_dict()
-    out["power_moments"] = moments
+    # sum W(a)^l over every a: the histogram holds a != 0, and W(0)^l = 0^l
+    out["power_moments"] = {
+        str(l): (spectra.power_sum(ctx.p, *report.histogram, l) + (l == 0)).to_json()
+        for l in range(5)}
     _emit(out)
     return 0 if report.all_pass() else 1
 
@@ -207,14 +206,13 @@ def _cmd_verify(args) -> int:
                 f"(p={args.p}, n={args.n}); pass --params")
         jobs = [(fam.id, inst) for inst in insts]
     verdicts = []
-    spectra_cache: dict[int, spectra.SpectrumTable] = {}
+    records: dict[int, tuple] = {}
     for fid, inst in jobs:
         fam = families.get_family(fid)
         d = fam.decimation(args.p, args.n, inst)
-        if d not in spectra_cache:
-            spectra_cache[d] = spectra.spectrum(ctx, d)
-        verdicts.append(families.verify_family(fid, args.p, args.n, inst,
-                                               spectra_cache[d]))
+        if d not in records:
+            records[d] = spectra.class_record(ctx, d)
+        verdicts.append(families.verify_family(fid, args.p, args.n, inst, records[d]))
     _emit([v.to_dict() for v in verdicts])
     return 0 if all(v.passed for v in verdicts) else 1
 

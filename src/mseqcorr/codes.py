@@ -15,10 +15,11 @@ from math import gcd
 
 import numpy as np
 
+from .cyclo import CycInt
 from .errors import OutOfDomain
 from .gf import FieldCtx
 from . import lfsr
-from .spectra import walsh_fast
+from .spectra import class_record
 
 
 @dataclass
@@ -82,7 +83,8 @@ def weight_distribution_brute(ctx: FieldCtx, d: int) -> WeightDistribution:
 
 
 def weight_distribution_via_walsh(ctx: FieldCtx, d: int) -> WeightDistribution:
-    """Distribution from the Walsh table; requires d = 1 mod p-1."""
+    """Distribution from the spectrum (`class_record`); requires d = 1 mod
+    p-1, and raises `cyclo.NotRational` on a value that is not an integer."""
     p = ctx.p
     L = ctx.period
     if gcd(d, L) != 1:
@@ -93,7 +95,8 @@ def weight_distribution_via_walsh(ctx: FieldCtx, d: int) -> WeightDistribution:
     counts: dict[int, int] = {0: 1}
     w_bal = p ** (ctx.n - 1) * (p - 1)
     counts[w_bal] = counts.get(w_bal, 0) + 2 * L   # (a != 0, b = 0) and (a = 0, b != 0)
-    for c, cnt in walsh_fast(ctx, d).spectrum().entries.items():
-        w = (p - 1) * (p ** ctx.n - 1 - c.as_integer()) // p   # C = W - 1
+    rows, occurs = class_record(ctx, d)
+    for row, cnt in zip(rows.tolist(), occurs.tolist()):
+        w = (p - 1) * (p ** ctx.n - 1 - CycInt(p, row).as_integer()) // p   # C = W - 1
         counts[w] = counts.get(w, 0) + cnt * L
     return WeightDistribution(p=p, n=ctx.n, d=d, counts=counts, method="walsh")

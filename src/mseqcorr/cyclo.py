@@ -154,12 +154,6 @@ class CycInt:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def sort_key(self):
-        """Integers ascending first, then the rest by coordinate tuple."""
-        if self.is_rational:
-            return (0, self.coords[0], self.coords)
-        return (1, 0, self.coords)
-
     def complex_value(self) -> complex:
         """Float evaluation, debug/tests only."""
         import cmath
@@ -197,3 +191,10 @@ def coords_json(p: int, coords):
     if any(coords[1:]):
         return {"p": p, "coords": list(coords)}
     return coords[0]
+
+
+def value_key(coords) -> tuple:
+    """The one order of the values of a spectrum, as a key on their basis
+    coordinates: the rational values ascending, then the others in the
+    lexicographic order of their coordinates."""
+    return any(coords[1:]), tuple(coords)

@@ -2,7 +2,7 @@
 
 There are two, and the CLI maps both to exit code 2 (usage error):
 `OutOfDomain` when an argument is outside what a function accepts, and
-`Budget` when a size or iteration limit is hit.  Any other exception is a
+`Budget` when a size limit is hit.  Any other exception is a
 bug, and the CLI reports it as an internal error (exit code 3).
 """
 
@@ -18,5 +18,6 @@ class OutOfDomain(MseqCorrError, ValueError):
 
 
 class Budget(MseqCorrError, ValueError):
-    """A size or iteration limit: a field, table or enumeration exceeds its
-    bound, or factoring p^n - 1 exceeds its iteration budget."""
+    """A size limit: a field, table or enumeration exceeds its bound, or a
+    number to factor (p^n - 1 among them) exceeds `gf.MAX_POLY_ORDER` =
+    2^40, the bound of trial division."""

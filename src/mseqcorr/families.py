@@ -18,8 +18,10 @@ count once, so every predicted table sums to p^n - 1 and satisfies
 sum(value * count) = 1; which convention each source table used was settled
 once by brute force and is fixed in the descriptor.
 
-Status values: "proved-distribution" descriptors predict exact multisets;
-"at-most-k" descriptors predict an admissible value set of size <= k.
+Status values: "proved-distribution" descriptors predict exact multisets,
+as the integer record (rows, counts) of `spectra.class_record`, which
+`verify_family` compares with the computed one; "at-most-k" descriptors
+predict an admissible value set of size <= k.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from typing import Callable
 
 import numpy as np
 
-from .cyclo import CycInt
+from .cyclo import CycInt, value_key
 from .errors import OutOfDomain
 from .expsums import kloosterman_weighted_sum, tau_value
-from .gf import FieldCtx
+from .gf import FieldCtx, degenerate_set
 from .niho import niho_decimation, resolve_fraction
-from .spectra import SpectrumTable, _as_cyc, make_spectrum
+from .spectra import entries_json
 
 
 @dataclass(frozen=True)
@@ -51,33 +53,39 @@ class AtMostKValues:
         return len(self.values)
 
     def sorted_values(self):
-        return sorted(self.values, key=lambda v: v.sort_key())
+        return sorted(self.values, key=lambda v: value_key(v.coords))
 
 
-def _assemble(p: int, n: int, d: int, rows, include_zero_shift: bool) -> SpectrumTable:
-    """Merge (value, count) rows into a normalized predicted table."""
-    acc: dict[CycInt, Fraction] = {}
-    for v, c in rows:
-        key = _as_cyc(p, v)
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(c)
-    if include_zero_shift:
-        minus1 = CycInt.from_int(p, -1)
-        acc[minus1] = acc.get(minus1, Fraction(0)) - 1
-    entries: dict[CycInt, int] = {}
-    for k, c in acc.items():
-        if c.denominator != 1:
-            raise OutOfDomain(f"non-integer predicted count {c} for value {k!r}")
-        ci = int(c)
-        if ci < 0:
-            raise OutOfDomain(f"negative predicted count {ci} for value {k!r}")
-        if ci:
-            entries[k] = ci
-    table = SpectrumTable(p=p, n=n, d=d, entries=entries, method="predicted")
-    if table.total() != p ** n - 1:
+def _as_cyc(p: int, v) -> CycInt:
+    return v if isinstance(v, CycInt) else CycInt.from_int(p, v)
+
+
+def _record(p: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The record (rows, counts) of (value, count) pairs, a value an int or a
+    CycInt and a count an int or a Fraction: the counts of equal values
+    summed, each sum a nonnegative integer, the values whose sum is 0 left
+    out, and the rows in the order of `cyclo.value_key`."""
+    acc: dict[tuple, Fraction] = {}
+    for v, c in pairs:
+        key = _as_cyc(p, v).coords
+        acc[key] = acc.get(key, 0) + c
+    for key, c in acc.items():
+        if c.denominator != 1 or c < 0:
+            raise OutOfDomain(f"count {c} for value {CycInt(p, key)!r} is not "
+                              f"a nonnegative integer")
+    keys = sorted((key for key, c in acc.items() if c), key=value_key)
+    return (np.array(keys, dtype=np.int32).reshape(-1, p - 1),
+            np.array([int(acc[key]) for key in keys], dtype=np.int64))
+
+
+def _assemble(p: int, n: int, rows, include_zero_shift: bool) -> tuple:
+    """The predicted record of (value, count) source rows; a source that
+    counts the a = 0 point has it taken off the value -1."""
+    rows, counts = _record(p, [*rows, (-1, -1)] if include_zero_shift else rows)
+    if counts.sum() != p ** n - 1:
         raise OutOfDomain(
-            f"predicted counts sum to {table.total()}, expected {p ** n - 1}"
-        )
-    return table
+            f"predicted counts sum to {counts.sum()}, expected {p ** n - 1}")
+    return rows, counts
 
 
 def _no_params(p: int, n: int) -> list[dict]:
@@ -178,12 +186,12 @@ class FamilyDescriptor:
         return d
 
     def predicted(self, p: int, n: int, params: dict):
-        """The predicted table, a = 0 normalized, or the admissible values."""
-        d = self.decimation(p, n, params)
+        """The predicted record, a = 0 normalized, or the admissible values."""
+        self.decimation(p, n, params)   # on the domain, d coprime
         rows = self.source(p, n, params)
         if self.status == "at-most-k":
             return AtMostKValues(frozenset(_as_cyc(p, v) for v in rows))
-        return _assemble(p, n, d, rows, self.source_counts_total == "p^n")
+        return _assemble(p, n, rows, self.source_counts_total == "p^n")
 
     def instances(self, p: int, n: int) -> list[dict]:
         """The candidates at (p, n) on which `decimation` does not raise."""
@@ -712,8 +720,7 @@ THREE_VALUED_FAMILY_IDS = (
 def three_valued_decimations(p: int, n: int) -> dict[int, list]:
     """Every d predicted three-valued at (p, n) by the catalog, with the
     family instances that produce it.  Coprime and nondegenerate only."""
-    L = p ** n - 1
-    degenerate = {pow(p, j, L) for j in range(n)}
+    degenerate = degenerate_set(p, n)
     out: dict[int, list] = {}
     for fid in THREE_VALUED_FAMILY_IDS:
         fam = get_family(fid)
@@ -739,18 +746,16 @@ class Verdict:
     status: str
     passed: bool
     detail: str = ""
-    computed: SpectrumTable | None = field(default=None, repr=False)
+    computed: tuple | None = field(default=None, repr=False)   # (rows, counts)
     predicted: object = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         pred = self.predicted
-        if isinstance(pred, SpectrumTable):
-            pred_json = pred.to_json_dict()["entries"]
-        elif isinstance(pred, AtMostKValues):
+        if isinstance(pred, AtMostKValues):
             pred_json = {"at_most": pred.k,
                          "values": [v.to_json() for v in pred.sorted_values()]}
         else:
-            pred_json = None
+            pred_json = None if pred is None else entries_json(self.p, *pred)
         return {
             "family": self.family,
             "p": self.p,
@@ -760,25 +765,38 @@ class Verdict:
             "status": self.status,
             "verdict": "pass" if self.passed else "fail",
             "detail": self.detail,
-            "computed": self.computed.to_json_dict()["entries"] if self.computed else None,
+            "computed": None if self.computed is None
+            else entries_json(self.p, *self.computed),
             "predicted": pred_json,
         }
 
 
+def _diff(p: int, a: tuple, b: tuple) -> str:
+    """The values whose counts differ between two records, in value order."""
+    a, b = ({tuple(r): c for r, c in zip(rows.tolist(), counts.tolist())}
+            for rows, counts in (a, b))
+    return "; ".join(f"value {CycInt(p, k)!r}: {a.get(k, 0)} vs {b.get(k, 0)}"
+                     for k in sorted(a.keys() | b.keys(), key=value_key)
+                     if a.get(k, 0) != b.get(k, 0))
+
+
 def verify_family(family_id: str, p: int, n: int, params: dict,
-                  computed: SpectrumTable) -> Verdict:
-    """proved-distribution: exact multiset equality (a = 0 normalized);
-    at-most-k: value-set containment, which bounds the count by k."""
+                  computed: tuple) -> Verdict:
+    """Check a computed record (`spectra.class_record`) against the family:
+    proved-distribution, the same record (a = 0 normalized); at-most-k,
+    every computed value admissible, which bounds the count by k."""
     fam = get_family(family_id)
     d = fam.decimation(p, n, params)
     pred = fam.predicted(p, n, params)
     if isinstance(pred, AtMostKValues):
-        extra = computed.values() - pred.values
+        admissible = {v.coords for v in pred.values}
+        extra = [repr(CycInt(p, r)) for r in computed[0].tolist()
+                 if tuple(r) not in admissible]
         ok = not extra
-        detail = "" if ok else f"values outside the admissible set: {[repr(v) for v in extra]}"
+        detail = "" if ok else f"values outside the admissible set: {extra}"
     else:
-        ok = pred.same_entries(computed)
-        detail = "" if ok else pred.diff(computed)
+        ok = all(map(np.array_equal, pred, computed))
+        detail = "" if ok else _diff(p, pred, computed)
     return Verdict(family=family_id, p=p, n=n, params=dict(params), d=d,
                    status=fam.status, passed=ok, detail=detail,
                    computed=computed, predicted=pred)
@@ -788,8 +806,8 @@ def verify_family(family_id: str, p: int, n: int, params: dict,
 # Coset decomposition method
 # ----------------------------------------------------------------------
 
-def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> SpectrumTable:
-    """Spectrum via the N-coset decomposition.
+def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> tuple:
+    """The record of the spectrum via the N-coset decomposition.
 
     Applicable when (d * p^j - 1) * N = 0 mod p^n - 1 for some twist j:
     then with d1 = d p^j, each W(alpha^tau) is (1/N) sum over j < N of
@@ -844,4 +862,4 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> SpectrumTable:
             divided.append(c // N)
         w = CycInt(p, divided)
         pairs.append((w - 1, cnt))
-    return make_spectrum(p, ctx.n, d, pairs, method="coset")
+    return _record(p, pairs)

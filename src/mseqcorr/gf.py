@@ -253,6 +253,13 @@ def _digits(v, p: int, n: int) -> np.ndarray:
     return np.asarray(v, dtype=np.int64)[:, None] // p ** np.arange(n, dtype=np.int64) % p
 
 
+def degenerate_set(p: int, n: int) -> set[int]:
+    """The degenerate decimations d = p^j mod p^n - 1, j < n: each
+    decimates the m-sequence to a shift of itself."""
+    L = p ** n - 1
+    return {pow(p, j, L) for j in range(n)}
+
+
 def decimation_index(L: int, d: int) -> np.ndarray:
     """k * d mod L for k = 0 .. L - 1, as int32; needs 1 <= L < 2^31.
 

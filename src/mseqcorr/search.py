@@ -5,11 +5,11 @@ closed under d -> d * p^j and d -> d^(-1) (all members share one spectrum);
 one Walsh transform per class representative covers the whole coprime range.
 
 A class carries its spectrum as one integer record (`spectra.class_record`,
-the one the `spectrum` command prints): `rows`, the distinct values
-C = W - 1 as rows of p - 1 basis coordinates of Z[w] (`cyclo`), and
-`counts`, how often each occurs.  The rows are in the order of
-`SpectrumTable.sorted_entries`: the rational values ascending, then the
-others in the lexicographic order of their coordinates.
+the one form of a spectrum): `rows`, the distinct values C = W - 1 as rows
+of p - 1 basis coordinates of Z[w] (`cyclo`), and `counts`, how often each
+occurs.  The rows are in the order of `cyclo.value_key`: the rational
+values ascending, then the others in the lexicographic order of their
+coordinates.
 
 Records can be persisted to a JSON-lines cache keyed by (p, n, modulus,
 class representative) so repeated runs are incremental.  A line holds
@@ -32,13 +32,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
-from operator import itemgetter, lt, mul
+from operator import lt, mul
 
 import numpy as np
 
+from .cyclo import value_key
 from .errors import Budget
 from . import families
-from .gf import FieldCtx, field_ctx
+from .gf import FieldCtx, degenerate_set, field_ctx
 from .spectra import class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
@@ -59,11 +60,6 @@ class DecimationClass:
     @property
     def value_count(self) -> int:
         return len(self.counts)
-
-
-def degenerate_set(p: int, n: int) -> set[int]:
-    L = p ** n - 1
-    return {pow(p, j, L) for j in range(n)}
 
 
 def _class_of(d: int, p: int, n: int) -> set[int]:
@@ -143,13 +139,14 @@ class SpectrumCache:
         return out
 
     def append(self, p: int, n: int, modulus: tuple, records) -> None:
-        """Write (d, rows, counts) records as lines."""
+        """Write (d, rows, counts) records as lines, all in one call: the
+        records are computed before it."""
         with open(self._path(p, n), "ab+") as fh:
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     fh.write(b"\n")   # a torn last line must not absorb the next record
-            fh.writelines(   # written as they are made
+            fh.writelines(
                 json.dumps({"p": p, "n": n, "d": d, "modulus": list(modulus),
                             "version": CACHE_VERSION, "rows": rows.tolist(),
                             "counts": counts.tolist()}, sort_keys=True).encode() + b"\n"
@@ -186,7 +183,7 @@ def _record_ok(rec: dict, p: int, n: int) -> bool:
             or set(map(type, rows)) != {list} or set(map(len, rows)) != {p - 1} \
             or set(map(type, chain.from_iterable(rows))) != {int}:
         return False
-    keys = list(zip(map(any, map(itemgetter(slice(1, None)), rows)), rows))
+    keys = list(map(value_key, rows))
     if not all(map(lt, keys, keys[1:])):
         return False
     acc = [sum(map(mul, column, counts)) for column in zip(*rows)]

@@ -31,10 +31,13 @@ mixed-radix integer keys, in the lexicographic order of the coordinates
 sorted otherwise).  The crosscorrelation spectrum of the decimation pair
 is the multiset {W(a) - 1 : a != 0}, read from the histogram; the a = 0
 point of the transform corresponds to no shift and is excluded.
-`class_record` gives it as one integer record, rows of coordinates and
-their counts, which the `spectrum` command prints and `search` classifies
-and caches; a `SpectrumTable` holds the same values as `CycInt` keys, for
-the catalog checks and the moments.
+
+A spectrum has one form, the integer record of `class_record`: `rows`,
+the int32 coordinates of its distinct values, and `counts`, int64, how
+often each occurs, the rows in the order of `cyclo.value_key` (the
+rational values ascending, then the others by their coordinates).  The
+`spectrum` command prints it, `search` classifies and caches it, and the
+catalog checks (`families`) and `codes` read it.
 
 The naive path counts, for every shift at once, the t with
 s_{t+tau} - s_{dt} = r (exact integer correlations of residue indicators,
@@ -42,11 +45,11 @@ s_{t+tau} - s_{dt} = r (exact integer correlations of residue indicators,
 against.
 
 The moment identities are checked from one transform of d.  The power sums
-sum C, sum C^2 and sum C^3 over all shifts are sums over the spectrum's
-histogram, value^l * count (`SpectrumTable.value_count_sum`).  Each sampled
-shifted sum sum_tau C(tau - t) C(tau) is one int64 matrix product of
-`by_log` minus 1 with its roll by t, whose (i, j) entries are folded onto
-w^((i + j) mod p).  p = 2 is the case of one coordinate.
+sum C, sum C^2 and sum C^3 over all shifts are sums over the histogram,
+(value - 1)^l * count (`power_sum`).  Each sampled shifted sum
+sum_tau C(tau - t) C(tau) is one int64 matrix product of `by_log` minus 1
+with its roll by t, whose (i, j) entries are folded onto w^((i + j) mod p).
+p = 2 is the case of one coordinate.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .cyclo import CycInt
+from .cyclo import CycInt, coords_json
 from .errors import Budget, OutOfDomain
 from .gf import FieldCtx, decimation_index
 from . import lfsr
@@ -69,76 +72,6 @@ NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
 # stays below 2^48, and folding onto the p powers of w adds at most p - 1
 # <= 12 such sums: every sum stays below 12 * 2^48 < 2^63.
 MOMENT_CHECK_MAX_ORDER = 2 ** 16
-
-
-# ----------------------------------------------------------------------
-# Spectrum container
-# ----------------------------------------------------------------------
-
-@dataclass
-class SpectrumTable:
-    """Multiset {crosscorrelation value -> occurrence count} over all shifts."""
-
-    p: int
-    n: int
-    d: int
-    entries: dict = field(default_factory=dict)   # CycInt -> int
-    method: str = "fast"
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def num_values(self) -> int:
-        return len(self.entries)
-
-    def values(self) -> set:
-        return set(self.entries)
-
-    def value_count_sum(self, l: int = 1) -> CycInt:
-        """sum value^l * count, exact in Z[w]; l = 1 gives 1 for true spectra."""
-        acc = CycInt.zero(self.p)
-        for v, c in self.entries.items():
-            acc = acc + v ** l * c
-        return acc
-
-    def sorted_entries(self) -> list:
-        return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
-
-    def same_entries(self, other: "SpectrumTable") -> bool:
-        return self.p == other.p and self.entries == other.entries
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "d": self.d,
-            "method": self.method,
-            "entries": [
-                {"value": v.to_json(), "count": c} for v, c in self.sorted_entries()
-            ],
-        }
-
-    def diff(self, other: "SpectrumTable") -> str:
-        lines = []
-        keys = set(self.entries) | set(other.entries)
-        for k in sorted(keys, key=lambda v: v.sort_key()):
-            a, b = self.entries.get(k, 0), other.entries.get(k, 0)
-            if a != b:
-                lines.append(f"value {k!r}: {a} vs {b}")
-        return "; ".join(lines) or "identical"
-
-
-def _as_cyc(p: int, v) -> CycInt:
-    return v if isinstance(v, CycInt) else CycInt.from_int(p, v)
-
-
-def make_spectrum(p: int, n: int, d: int, pairs, method: str) -> SpectrumTable:
-    entries: dict = {}
-    for v, c in pairs:
-        if c:
-            key = _as_cyc(p, v)
-            entries[key] = entries.get(key, 0) + int(c)
-    return SpectrumTable(p=p, n=n, d=d, entries=entries, method=method)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +175,7 @@ class WalshTable:
     w^(p-2) of `cyclo.CycInt`; for p = 2 the one coordinate is the integer.
     The table has two read-outs: `by_log`, the per-shift array whose row
     tau is W(alpha^tau), and `unique_values`, the histogram of W(a) over
-    a != 0, which `spectrum` reads.  The a = 0 point has no log and is
+    a != 0, which `class_record` reads.  The a = 0 point has no log and is
     `zero_value`.  `_by_u` holds the rows in the transform's own group
     index, a = 0 first.
     """
@@ -299,19 +232,6 @@ class WalshTable:
         row = np.empty(len(counts), dtype=np.int64)
         row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
         return data[row], counts
-
-    def spectrum(self) -> SpectrumTable:
-        """Crosscorrelation spectrum {W(a) - 1 : a != 0} as a counted multiset."""
-        rows, counts = self.unique_values()
-        rows[:, 0] -= 1
-        return _table(self.ctx, self.d, rows, counts, "fast")
-
-
-def _table(ctx: FieldCtx, d: int, rows: np.ndarray, counts: np.ndarray,
-           method: str) -> SpectrumTable:
-    """The `SpectrumTable` of a record: rows of value coordinates, counts."""
-    entries = {CycInt(ctx.p, v): c for v, c in zip(rows.tolist(), counts.tolist())}
-    return SpectrumTable(ctx.p, ctx.n, d, entries, method=method)
 
 
 def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshTable:
@@ -375,16 +295,9 @@ def _naive_record(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     sd = s[(np.arange(L, dtype=np.int64) * (d % L)) % L]
     # column tau counts the t with s_(t+tau) - s_(dt) = r, r = 0..p-1, and
     # sum_r count_r w^r has the coordinates count_r - count_(p-1)
-    columns, counts = np.unique(lfsr.correlation_counts(s, sd, p).T, axis=0,
-                                return_counts=True)
-    rows = (columns[:, :-1] - columns[:, -1:]).astype(np.int32)
-    order = np.lexsort(rows.T[::-1])
-    return rows[order], counts[order]
-
-
-def spectrum_naive(ctx: FieldCtx, d: int) -> SpectrumTable:
-    """Full spectrum by the tau-sums; the oracle of the transform."""
-    return _table(ctx, d, *_naive_record(ctx, d), "naive")
+    columns = lfsr.correlation_counts(s, sd, p)
+    return np.unique((columns[:-1] - columns[-1]).T.astype(np.int32), axis=0,
+                     return_counts=True)
 
 
 def class_record(ctx: FieldCtx, d: int,
@@ -392,14 +305,14 @@ def class_record(ctx: FieldCtx, d: int,
     """The spectrum {C_d(tau)} = {W(a) - 1 : a != 0} of d as one integer
     record, shared by every decimation in the class of d (`search`):
     `rows`, the (k, p - 1) int32 coordinates of its k distinct values, and
-    `counts`, int64, how often each occurs.
+    `counts`, int64, how often each occurs.  The "naive" method, by the
+    tau-sums, is the oracle of the "fast" transform.
 
-    The rows are in the order of `SpectrumTable.sorted_entries`: the
-    rational values ascending, then the others in the lexicographic order
-    of their coordinates.  Both methods give rows in lexicographic order,
-    which subtracting 1 from the first coordinate keeps; one stable sort
-    then puts the rational rows (no nonzero coordinate past the first)
-    first.
+    The rows are in the order of `cyclo.value_key`: the rational values
+    ascending, then the others in the lexicographic order of their
+    coordinates.  Both methods give rows in lexicographic order, which
+    subtracting 1 from the first coordinate keeps; one stable sort then
+    puts the rational rows (no nonzero coordinate past the first) first.
     """
     if method == "fast":
         rows, counts = walsh_fast(ctx, d).unique_values()
@@ -412,27 +325,29 @@ def class_record(ctx: FieldCtx, d: int,
     return rows[order], counts[order]
 
 
-def spectrum(ctx: FieldCtx, d: int, method: str = "fast") -> SpectrumTable:
-    """Crosscorrelation spectrum of the d-decimation pair over GF(p^n)."""
-    return _table(ctx, d, *class_record(ctx, d, method), method)
+def entries_json(p: int, rows: np.ndarray, counts: np.ndarray) -> list:
+    """The JSON entries {"value", "count"} of a record, in its order."""
+    return [{"value": coords_json(p, r), "count": c}
+            for r, c in zip(rows.tolist(), counts.tolist())]
 
 
 # ----------------------------------------------------------------------
 # Moments and solution counts
 # ----------------------------------------------------------------------
 
-def moment(table: SpectrumTable, l: int):
-    """l-th power moment of the Walsh transform, from a spectrum table.
-
-    Sums W(a)^l = (C + 1)^l over all a including a = 0 (which contributes
-    only to l = 0 since W(0) = 0 for invertible d).
-    """
-    if l == 0:
-        return table.p ** table.n
-    acc = CycInt.zero(table.p)
-    for v, c in table.entries.items():
-        acc = acc + (v + 1) ** l * c
-    return acc.as_integer() if acc.is_rational else acc
+def power_sum(p: int, rows: np.ndarray, counts: np.ndarray, l: int,
+              shift: int = 0) -> CycInt:
+    """sum (value + shift)^l * count over the distinct values of a record,
+    exact in Z[w].  On a spectrum, shift 0 gives the power sums of C over
+    all shifts (l = 1 gives 1).  On the histogram of W(a), a != 0
+    (`WalshTable.unique_values`), shift -1 gives the same sums, and shift
+    0 those of W, the power moments of W for l >= 1 (W(0) = 0 for
+    invertible d)."""
+    acc = CycInt.zero(p)
+    for row, c in zip(rows.tolist(), counts.tolist()):
+        row[0] += shift
+        acc = acc + CycInt(p, row) ** l * c
+    return acc
 
 
 def _pow_d_table(ctx: FieldCtx, d: int) -> np.ndarray:
@@ -486,7 +401,8 @@ def b_l_count(ctx: FieldCtx, d: int, l: int) -> int:
 @dataclass
 class MomentReport:
     """Exact verdicts for the first/second moment identities and b_3 form,
-    with the spectrum they were read from."""
+    with the histogram of W(a), a != 0 (`WalshTable.unique_values`), that
+    they were read from."""
 
     p: int
     n: int
@@ -500,7 +416,7 @@ class MomentReport:
     third_moment: object
     b3: int
     third_moment_ok: bool
-    spectrum: SpectrumTable = field(repr=False, compare=False)
+    histogram: tuple = field(repr=False, compare=False)
 
     def all_pass(self) -> bool:
         return self.sum_c_ok and self.autocorr_t0_ok and self.shifted_ok and self.third_moment_ok
@@ -542,8 +458,8 @@ def moment_identity_check(ctx: FieldCtx, d: int, seed: int = 2024) -> MomentRepo
         raise Budget("moment identity check is grid-bounded")
     L, q = ctx.period, ctx.order
     wt = walsh_fast(ctx, d)
-    table = wt.spectrum()
-    total, t0, third = (table.value_count_sum(l) for l in (1, 2, 3))
+    histogram = wt.unique_values()
+    total, t0, third = (power_sum(ctx.p, *histogram, l, -1) for l in (1, 2, 3))
     rng = random.Random(seed)
     shifted = [(t, _shifted_second_moment(wt, t) == -q - 1)
                for t in sorted(rng.sample(range(1, L), min(3, L - 1)))]
@@ -554,5 +470,5 @@ def moment_identity_check(ctx: FieldCtx, d: int, seed: int = 2024) -> MomentRepo
         autocorr_t0=t0, autocorr_t0_ok=t0 == q * q - q - 1,
         shifted=shifted, shifted_ok=all(ok for _, ok in shifted),
         third_moment=third, b3=b3, third_moment_ok=third == -((q - 1) ** 2) + 2 + b3 * q * q,
-        spectrum=table,
+        histogram=histogram,
     )

@@ -47,7 +47,7 @@ def test_spectrum_fraction_and_csv(capsys):
     assert "31,1" in out
 
 
-def test_spectrum_naive_method(capsys):
+def test_spectrum_method_naive(capsys):
     code, out, _ = run_cli("spectrum", "--p", "2", "--n", "6", "--d", "11",
                            "--method", "naive", capsys=capsys)
     assert code == 0

@@ -1,8 +1,10 @@
 """Weight distributions of two-nonzero cyclic codes vs brute enumeration."""
 
+import numpy as np
 import pytest
 
 from mseqcorr import codes, gf
+from mseqcorr.cyclo import NotRational
 from mseqcorr.errors import OutOfDomain
 from mseqcorr.spectra import walsh_fast
 
@@ -59,3 +61,14 @@ def test_not_coprime():
         codes.weight_distribution_via_walsh(gf.field_ctx(2, 4), 3)
     with pytest.raises(OutOfDomain, match=r"gcd\(3, 15\) != 1"):
         codes.weight_distribution_brute(gf.field_ctx(2, 4), 3)
+
+
+def test_weights_refuse_an_irrational_spectrum_value(monkeypatch):
+    # a weight needs C as an integer; d = 1 mod p-1 makes every value
+    # rational, so an irrational row is a fault and raises, not a weight
+    def record(ctx, d):
+        return np.array([[-1, 0], [1, 1]], dtype=np.int32), np.array([7, 1])
+
+    monkeypatch.setattr(codes, "class_record", record)
+    with pytest.raises(NotRational):
+        codes.weight_distribution_via_walsh(gf.field_ctx(3, 2), 5)

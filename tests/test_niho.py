@@ -12,7 +12,8 @@ def test_resolve_fraction_examples():
     d = niho.resolve_fraction(2 ** 9 + 1, 2 ** 3 + 1, 31)
     assert d == 26
     ctx = gf.field_ctx(2, 5)
-    assert spectra.spectrum(ctx, d).same_entries(spectra.spectrum(ctx, 13))
+    assert all(map(np.array_equal, spectra.class_record(ctx, d),
+                   spectra.class_record(ctx, 13)))
     assert niho.resolve_fraction(9, 1, 31) == 9
     assert niho.resolve_fraction(5, 3, 31) == 12
 

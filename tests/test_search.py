@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mseqcorr import gf, search, spectra
+from mseqcorr.cyclo import value_key
 from mseqcorr.errors import Budget
 
 
@@ -32,12 +33,6 @@ def test_partition_reps_gf32():
     assert set(by_rep[3]) == {3, 6, 12, 24, 17, 11, 22, 13, 26, 21}
 
 
-def _as_record(table):
-    """(rows, counts) of a SpectrumTable, in the order of sorted_entries."""
-    entries = table.sorted_entries()
-    return ([v.coords for v, _ in entries], [c for _, c in entries])
-
-
 def _same_record(cls, rows, counts):
     return np.array_equal(cls.rows, rows) and np.array_equal(cls.counts, counts)
 
@@ -46,7 +41,7 @@ def test_members_share_spectrum():
     ctx = gf.field_ctx(2, 6)
     for cls in search.canonical_classes(2, 6):
         for member in cls.members[:2]:
-            assert _same_record(cls, *_as_record(spectra.spectrum(ctx, member)))
+            assert _same_record(cls, *spectra.class_record(ctx, member))
 
 
 SMALL_GRID = [(p, n) for p in gf.SUPPORTED_PRIMES for n in range(1, 11) if p ** n <= 2 ** 10]
@@ -57,15 +52,19 @@ def test_class_moves_keep_the_histogram(p, n):
     # d -> d p^j and d -> d^(-1) leave the spectrum unchanged: every member
     # of a class has its representative's histogram of W(a), a != 0.  And no
     # nondegenerate class is two-valued (Helleseth 1976: at least three values).
-    # The class record is the representative's spectrum, in the order of
-    # sorted_entries (CycInt.sort_key).
+    # The class record is the representative's histogram less 1, its rows
+    # sorted by cyclo.value_key: the vectorized sort of class_record agrees
+    # with the key on every class.
     ctx = gf.field_ctx(p, n)
     classes = search.canonical_classes(p, n, ctx=ctx)
     assert [(c.rep, c.members) for c in classes] == search.class_partition(p, n)
     for cls in classes:
-        assert _same_record(cls, *_as_record(spectra.spectrum(ctx, cls.rep))), (p, n, cls.rep)
         assert cls.rows.dtype == np.int32 and cls.counts.dtype == np.int64
         vals, counts = spectra.walsh_fast(ctx, cls.rep).unique_values()
+        rows = [[r[0] - 1, *r[1:]] for r in vals.tolist()]
+        order = sorted(range(len(rows)), key=lambda i: value_key(rows[i]))
+        assert cls.rows.tolist() == [rows[i] for i in order], (p, n, cls.rep)
+        assert cls.counts.tolist() == counts[order].tolist(), (p, n, cls.rep)
         assert len(vals) >= 3, (p, n, cls.rep)
         for d in cls.members:
             v, c = spectra.walsh_fast(ctx, d).unique_values()
@@ -185,7 +184,9 @@ def test_version_1_record_recomputed_once(tmp_path, capsys):
     # a line of the first format: the spectrum's CycInt JSON entries
     ctx = gf.field_ctx(2, 6)
     classes = search.canonical_classes(2, 6)
-    old = {**spectra.spectrum(ctx, classes[0].rep).to_json_dict(),
+    rep = classes[0].rep
+    old = {"p": 2, "n": 6, "d": rep, "method": "fast",
+           "entries": spectra.entries_json(2, *spectra.class_record(ctx, rep)),
            "modulus": list(ctx.spec.coeffs), "version": 1}
     path = tmp_path / "spectra_p2_n6.jsonl"
     path.write_text(json.dumps(old, sort_keys=True) + "\n")
