@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -211,6 +212,33 @@ def test_coset_method_matches_direct():
     assert _same(coset_spectrum_method(ctx, 13, 5), class_record(ctx, 13))
     ctx52 = gf.field_ctx(5, 2)
     assert _same(coset_spectrum_method(ctx52, 13, 3), class_record(ctx52, 13))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (2, 8), (3, 4), (5, 2), (7, 2), (13, 2)])
+def test_coset_method_matches_direct_on_grid(p, n):
+    """Every coprime d and every N | p^n - 1, 2 <= N <= 15: the coset method
+    gives the transform's record, order included, exactly when some twist j
+    has (d p^j - 1) N = 0 mod p^n - 1, and otherwise names the failed
+    congruence."""
+    ctx = gf.field_ctx(p, n)
+    L = ctx.period
+    applied = 0
+    for d in range(1, L):
+        if gcd(d, L) != 1:
+            continue
+        direct = class_record(ctx, d)
+        for N in range(2, 16):
+            if L % N:
+                continue
+            if any((d * p ** j - 1) * N % L == 0 for j in range(n)):
+                assert _same(coset_spectrum_method(ctx, d, N), direct), (d, N)
+                applied += 1
+            else:
+                with pytest.raises(OutOfDomain) as err:
+                    coset_spectrum_method(ctx, d, N)
+                assert str(err.value) == \
+                    f"(d p^j - 1) N != 0 mod p^n - 1 for every j < {n}", (d, N)
+    assert applied
 
 
 def test_coset_method_inapplicable():

@@ -1,5 +1,10 @@
 """m-sequence generation, decimation, and the classical property checks."""
 
+import hashlib
+import json
+import random
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -141,3 +146,65 @@ def test_golomb_rejects_wrong_balance():
     fake = lfsr.MSeq(p=2, n=3, symbols=bytes([1, 1, 1, 1, 1, 1, 0]), origin="fake")
     rep = lfsr.check_golomb(fake)
     assert not rep.all_pass()
+
+
+def _de_bruijn(p, n):
+    """The least de Bruijn sequence of order n over Z_p (concatenated Lyndon
+    words); it starts with n zeros."""
+    a, out = [0] * (n + 1), []
+
+    def gen(t, q):
+        if t > n:
+            if n % q == 0:
+                out.extend(a[1:q + 1])
+            return
+        a[t] = a[t - q]
+        gen(t + 1, q)
+        for j in range(a[t - q] + 1, p):
+            a[t] = j
+            gen(t + 1, t)
+
+    gen(1, 1)
+    return out
+
+
+def _golomb_inputs():
+    """The sequences the Golomb golden digest covers: the criterion-1 grid of
+    m-sequences and, for each (p, n), a seeded one-symbol mutation, a seeded
+    swap of two unequal symbols (balance kept), a seeded random sequence, a
+    decimation of the m-sequence, and the de Bruijn sequence with one zero
+    removed (every nonzero window once, but not linear for most n); then the
+    hand-made fakes above and a ternary one."""
+    out = []
+    for p, nmax in ((2, 12), (3, 7), (5, 4)):
+        for n in range(2, nmax + 1):
+            seq = lfsr.generate_trace(gf.field_ctx(p, n))
+            L = seq.period
+            rng = random.Random(f"golomb {p} {n}")
+            sym = bytearray(seq.symbols)
+            pos = rng.randrange(L)
+            sym[pos] = (sym[pos] + rng.randrange(1, p)) % p
+            swap = bytearray(seq.symbols)
+            i = rng.randrange(L)
+            j = rng.choice([k for k in range(L) if swap[k] != swap[i]])
+            swap[i], swap[j] = swap[j], swap[i]
+            noise = bytes(rng.randrange(p) for _ in range(L))
+            d = rng.choice([k for k in range(2, L) if gcd(k, L) == 1] or [1])
+            out += [seq, lfsr.MSeq(p, n, bytes(sym), "mutated"),
+                    lfsr.MSeq(p, n, bytes(swap), "swapped"),
+                    lfsr.MSeq(p, n, noise, "random"), lfsr.decimate(seq, d),
+                    lfsr.MSeq(p, n, bytes(_de_bruijn(p, n)[1:]), "de Bruijn")]
+    out += [lfsr.MSeq(p=2, n=2, symbols=bytes([0, 1, 0, 1]), origin="fake"),
+            lfsr.MSeq(p=2, n=3, symbols=bytes([1, 1, 1, 1, 1, 1, 0]), origin="fake"),
+            lfsr.MSeq(p=3, n=2, symbols=bytes([0, 1, 2, 0, 1, 2, 0, 1]), origin="fake")]
+    return out
+
+
+# sha256 of every report of `_golomb_inputs`, as sorted JSON, one per line
+GOLOMB_SHA256 = "e0073123e37d9825f852f9b71c34d10909950f3e6ac46d2560a01fdf6c54e4c0"
+
+
+def test_golomb_reports_pinned():
+    lines = [json.dumps(lfsr.check_golomb(seq).to_dict(), sort_keys=True)
+             for seq in _golomb_inputs()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLOMB_SHA256
