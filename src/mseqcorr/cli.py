@@ -34,13 +34,17 @@ from math import gcd
 
 from . import codes, cyclo, expsums, families, lfsr, niho, search, spectra
 from .errors import Budget, MseqCorrError, OutOfDomain
-from .gf import field_ctx, load_modulus_file
+from .gf import field_ctx, load_modulus_file, power_exceeds
 
 
 def _int(text: str, what: str) -> int:
     if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):   # the forms int() reads
         raise OutOfDomain(f"{what} {text!r} is not an integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:   # more digits than int() converts from a str
+        raise Budget(f"{what} has more than {sys.get_int_max_str_digits()} digits") \
+            from None
 
 
 def _json_text(obj, indent: str) -> str:
@@ -272,7 +276,7 @@ def _degrees(args) -> range:
     ns = range(2, args.max_n + 1) if args.max_n else range(args.n, args.n + 1)
     if not (args.n or args.max_n) or not ns:
         raise OutOfDomain("pass --n, or --max-n >= 2")
-    if args.p ** ns[-1] > search.CLASSIFY_MAX_ORDER:
+    if args.p >= 2 and power_exceeds(args.p, ns[-1], search.CLASSIFY_MAX_ORDER):
         raise Budget(f"p^n = {args.p}^{ns[-1]} exceeds the classification bound "
                      f"p^n <= {search.CLASSIFY_MAX_ORDER}")
     return ns

@@ -13,9 +13,11 @@ the divisibility sweeps test).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
+from . import spectra
 from .cyclo import CycInt
 from .errors import OutOfDomain
 from .gf import FieldCtx, field_ctx
@@ -44,9 +46,7 @@ def kloosterman_all(ctx: FieldCtx) -> dict:
     Tr(ax), so its point at a equals K(-a) (irrelevant for p = 2).
     Values are ints for p = 2, CycInt otherwise, matching `kloosterman`.
     """
-    from .spectra import walsh_fast
-
-    wt = walsh_fast(ctx, ctx.order - 2)
+    wt = spectra.walsh_fast(ctx, ctx.order - 2)
     if ctx.p == 2:
         zero, values = wt.zero_value().as_integer(), wt.by_log[:, 0].tolist()
     else:
@@ -87,12 +87,10 @@ def kloosterman_double_sum(m: int) -> int:
     """
     if m < 3 or m % 2 == 0:
         raise OutOfDomain("defined for odd m >= 3")
-    from .spectra import walsh_fast
-
     ctx = field_ctx(2, m)
     y = ctx.exp_table[1:]   # GF(2^m) without 0 and 1
     arg = ctx.inv(ctx.add(ctx.pow(y, 3), y))
-    k = walsh_fast(ctx, ctx.order - 2).by_log[ctx.log_table[arg], 0]   # K(arg)
+    k = spectra.walsh_fast(ctx, ctx.order - 2).by_log[ctx.log_table[arg], 0]   # K(arg)
     sign = 1 - 2 * ctx.trace_table[ctx.inv(y)].astype(np.int64)
     return int(sign @ k)
 
@@ -135,19 +133,19 @@ def conjectured_sum_identities(n: int, k: int) -> dict:
     """
     if n % 2 == 0:
         raise OutOfDomain("identities live over odd-degree binary fields")
-    from math import gcd as _gcd
-
-    if _gcd(k, n) != 1:
+    if gcd(k, n) != 1:
         raise OutOfDomain("need gcd(k, n) = 1")
     ctx = field_ctx(2, n)
+    # exponents act mod 2^n - 1, so 2^k is taken there, however large k is
+    two_k = pow(2, k, ctx.period)
     x = ctx.exp_table   # every nonzero x (and every nonzero v)
     xinv = ctx.inv(x)
-    lhs1 = _sign_sum(ctx, ctx.add(ctx.pow(x, (1 << k) + 1), xinv))
+    lhs1 = _sign_sum(ctx, ctx.add(ctx.pow(x, two_k + 1), xinv))
     rhs1 = _sign_sum(ctx, ctx.add(ctx.pow(x, 3), xinv))
     lhs2 = _sign_sum(ctx, ctx.add(x, xinv))
-    vk = ctx.pow(x, 1 << k)
+    vk = ctx.pow(x, two_k)
     num = ctx.mul(ctx.add(vk, 1), vk)
-    den = ctx.pow(ctx.add(vk, x), (1 << k) + 1)
+    den = ctx.pow(ctx.add(vk, x), two_k + 1)
     arg = np.zeros_like(den)   # a zero denominator gives arg 0, a +1 term
     ok = den != 0
     arg[ok] = ctx.mul(num[ok], ctx.inv(den[ok]))

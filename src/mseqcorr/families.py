@@ -34,11 +34,11 @@ from typing import Callable
 import numpy as np
 
 from .cyclo import CycInt, value_key
-from .errors import OutOfDomain
+from .errors import Budget, OutOfDomain
 from .expsums import kloosterman_weighted_sum, tau_value
 from .gf import FieldCtx, degenerate_set
 from .niho import niho_decimation, resolve_fraction
-from .spectra import entries_json
+from .spectra import entries_json, value_ordered
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,14 @@ def _as_cyc(p: int, v) -> CycInt:
     return v if isinstance(v, CycInt) else CycInt.from_int(p, v)
 
 
-def _record(p: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The record (rows, counts) of (value, count) pairs, a value an int or a
-    CycInt and a count an int or a Fraction: the counts of equal values
-    summed, each sum a nonnegative integer, the values whose sum is 0 left
-    out, and the rows in the order of `cyclo.value_key`."""
+def _assemble(p: int, n: int, rows, include_zero_shift: bool) -> tuple:
+    """The predicted record of (value, count) source rows, a value an int or
+    a CycInt and a count an int or a Fraction: a source that counts the
+    a = 0 point has it taken off the value -1, the counts of equal values
+    are summed, each sum a nonnegative integer, the values whose sum is 0
+    are left out, and the rows are in the order of `cyclo.value_key`."""
     acc: dict[tuple, Fraction] = {}
-    for v, c in pairs:
+    for v, c in [*rows, (-1, -1)] if include_zero_shift else rows:
         key = _as_cyc(p, v).coords
         acc[key] = acc.get(key, 0) + c
     for key, c in acc.items():
@@ -74,23 +75,20 @@ def _record(p: int, pairs) -> tuple[np.ndarray, np.ndarray]:
             raise OutOfDomain(f"count {c} for value {CycInt(p, key)!r} is not "
                               f"a nonnegative integer")
     keys = sorted((key for key, c in acc.items() if c), key=value_key)
-    return (np.array(keys, dtype=np.int32).reshape(-1, p - 1),
-            np.array([int(acc[key]) for key in keys], dtype=np.int64))
-
-
-def _assemble(p: int, n: int, rows, include_zero_shift: bool) -> tuple:
-    """The predicted record of (value, count) source rows; a source that
-    counts the a = 0 point has it taken off the value -1."""
-    rows, counts = _record(p, [*rows, (-1, -1)] if include_zero_shift else rows)
+    counts = np.array([int(acc[key]) for key in keys], dtype=np.int64)
     if counts.sum() != p ** n - 1:
         raise OutOfDomain(
             f"predicted counts sum to {counts.sum()}, expected {p ** n - 1}")
-    return rows, counts
+    return np.array(keys, dtype=np.int32).reshape(-1, p - 1), counts
 
 
 def _no_params(p: int, n: int) -> list[dict]:
     return [{}]
 
+
+# Every family parameter (k, t, r, i < n <= 24, sign, form) is far below
+# this bound; a larger one would only make the formulas build huge powers.
+MAX_PARAM = 2 ** 10
 
 _FRAC_PAIRS = {"2:1": (2, 1), "5:1": (5, 1), "5:3": (5, 3)}
 
@@ -174,8 +172,12 @@ class FamilyDescriptor:
         return None
 
     def decimation(self, p: int, n: int, params: dict) -> int:
-        """d mod p^n - 1; OutOfDomain off the domain or when d is not
-        coprime to p^n - 1."""
+        """d mod p^n - 1; Budget for an integer parameter past `MAX_PARAM`,
+        OutOfDomain off the domain or when d is not coprime to p^n - 1."""
+        for key, v in params.items():
+            if isinstance(v, int) and abs(v) > MAX_PARAM:
+                raise Budget(f"{self.id} parameter {key} = {v} exceeds the bound "
+                             f"|{key}| <= 2^10")
         viol = self.check_domain(p, n, params)
         if viol:
             raise OutOfDomain(viol)
@@ -813,6 +815,11 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> tuple:
     then with d1 = d p^j, each W(alpha^tau) is (1/N) sum over j < N of
     S(alpha^(j d1) - alpha^(tau + j)), where S(c) = sum_x w^(Tr(c x^N))
     depends only on the coset of c among the N-th power classes.
+
+    S(alpha^k) for k < N is counted from the m-sequence at k, k + N, ...:
+    x^N meets each N-th power N times and x = 0 adds 1; S(0) = p^n.  All
+    p^n - 1 shifts are then one (p^n - 1, N) array of coset indices, whose
+    rows of S are summed and divided by N; the array takes O(p^n N) memory.
     """
     L = ctx.period
     p = ctx.p
@@ -820,46 +827,27 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> tuple:
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if N < 2 or L % N:
         raise OutOfDomain(f"N = {N} does not divide p^n - 1 = {L}")
-    step = L // N
-    d1 = None
-    for j in range(ctx.n):
-        cand = d * pow(p, j, L) % L
-        if (cand - 1) % step == 0:
-            d1 = cand
-            break
+    twists = (d * pow(p, j, L) % L for j in range(ctx.n))
+    d1 = next((t for t in twists if (t - 1) % (L // N) == 0), None)
     if d1 is None:
         raise OutOfDomain(
             f"(d p^j - 1) N != 0 mod p^n - 1 for every j < {ctx.n}")
 
+    # counts[k, r]: the x != 0 with Tr(alpha^k x^N) = r, plus x = 0 at r = 0
+    coset = ctx.mseq.reshape(-1, N) + p * np.arange(N)
+    counts = N * np.bincount(coset.ravel(), minlength=N * p).reshape(N, p)
+    counts[:, 0] += 1
+    S = np.zeros((N + 1, p - 1), dtype=np.int64)
+    S[:N] = counts[:, :-1] - counts[:, -1:]
+    S[N, 0] = ctx.order   # S(0), at index N
+
     exp = ctx.exp_table
-    tr = ctx.trace_table
-    # S_k = sum over all x of w^(Tr(alpha^k x^N)): one count pass per coset
-    S: list[tuple] = []
-    for k in range(N):
-        counts = [0] * p
-        counts[0] += 1
-        for i in range(L):
-            counts[int(tr[exp[(k + i * N) % L]])] += 1
-        S.append(CycInt.from_counts(p, counts))
-    S.append(CycInt.from_int(p, ctx.order))   # S(0), at index N
-
-    log = ctx.log_table
     j = np.arange(N, dtype=np.int64)
-    lead = exp[j * d1 % L]
-    column_counts: dict[tuple, int] = {}
-    for tau in range(L):
-        c = ctx.sub(lead, exp[(tau + j) % L])
-        acc = sum((S[k] for k in np.where(c == 0, N, log[c] % N)), CycInt.zero(p))
-        column_counts[acc.coords] = column_counts.get(acc.coords, 0) + 1
-
-    pairs = []
-    for coords, cnt in column_counts.items():
-        divided = []
-        for c in coords:
-            if c % N:
-                raise OutOfDomain(
-                    "coset sum not divisible by N; decomposition invalid")
-            divided.append(c // N)
-        w = CycInt(p, divided)
-        pairs.append((w - 1, cnt))
-    return _record(p, pairs)
+    tau = np.arange(L, dtype=np.int64)[:, None]
+    c = ctx.sub(exp[j * d1 % L], exp[(tau + j) % L])
+    W = S[np.where(c == 0, N, ctx.log_table[c] % N)].sum(axis=1)
+    if (W % N).any():
+        raise OutOfDomain("coset sum not divisible by N; decomposition invalid")
+    C = (W // N).astype(np.int32)
+    C[:, 0] -= 1
+    return value_ordered(*np.unique(C, axis=0, return_counts=True))

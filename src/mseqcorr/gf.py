@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -153,11 +154,18 @@ class FieldSpec:
         return self.p ** self.n - 1
 
 
+def power_exceeds(p: int, n: int, bound: int) -> bool:
+    """p^n > bound, for p >= 2 and n >= 0, without computing a huge power:
+    p^n >= 2^n, so a degree n at or past the bit length of bound decides it."""
+    return n >= bound.bit_length() or p ** n > bound
+
+
 def _check_poly_args(p: int, n: int) -> None:
     if n < 1:
         raise OutOfDomain(f"n={n}: the extension degree must be >= 1")
-    if p ** n > MAX_POLY_ORDER:   # before the primality test: p <= 2^40 from here
-        raise Budget(f"p^n={p ** n} exceeds the arithmetic bound 2^40")
+    # before the primality test: p <= 2^40 from here
+    if p >= 2 and power_exceeds(p, n, MAX_POLY_ORDER):
+        raise Budget(f"p^n = {p}^{n} exceeds the arithmetic bound 2^40")
     if not is_prime(p):
         raise OutOfDomain(f"p={p} is not prime")
 
@@ -207,15 +215,8 @@ def find_primitive_polynomial(p: int, n: int) -> FieldSpec:
     GF(p)* has a linear factor, so it is skipped before `is_primitive`.
     """
     _check_poly_args(p, n)
-    for packed in range(p ** n):
-        # packed encodes (c_{n-1}, ..., c_0) in lexicographic order
-        digits = []
-        v = packed
-        for _ in range(n):
-            digits.append(v % p)
-            v //= p
-        # digits[0] = c_0 (least significant in the lex run)
-        coeffs = tuple(digits)
+    for lex in product(range(p), repeat=n):   # (c_{n-1}, ..., c_0) in order
+        coeffs = lex[::-1]
         if coeffs[0] == 0:
             continue
         if n > 1 and any(_has_root(coeffs, c, p) for c in range(1, p)):
@@ -559,11 +560,8 @@ class FieldCtx:
         if self.n % 2:
             raise OutOfDomain("unit circle needs n = 2m")
         m = self.n // 2
-        step = self.p ** m - 1
-        elems = tuple(
-            int(self._exp[(k * step) % self.period]) for k in range(self.p ** m + 1)
-        )
-        return UnitCircle(m=m, elements=elems)
+        logs = np.arange(self.p ** m + 1, dtype=np.int64) * (self.p ** m - 1)
+        return UnitCircle(m=m, elements=tuple(self._exp[logs % self.period].tolist()))
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.n}), modulus={self.spec.coeffs})"

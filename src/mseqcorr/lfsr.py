@@ -8,13 +8,18 @@ Symbols are stored one per byte regardless of p (grid symbols fit a byte).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclo import CycInt
 from .errors import OutOfDomain
 from .gf import FieldCtx, FieldSpec, decimation_index
+
+SAMPLE_DECIMATIONS = 3     # coprime d >= 2 of the decimation-closure check
+SAMPLE_TAUS = (1, 2, 3)    # shifts of the shift-and-subtract check
 
 
 @dataclass(frozen=True)
@@ -149,74 +154,58 @@ def _infer_degree(p: int, L: int) -> int | None:
 
 def _run_lengths(symbols: bytes) -> dict[int, int]:
     """Circular run-length histogram (over any alphabet)."""
-    L = len(symbols)
-    if len(set(symbols)) == 1:
-        return {L: 1}
-    # rotate so position 0 starts a run
-    start = next(i for i in range(L) if symbols[i] != symbols[i - 1])
-    s = symbols[start:] + symbols[:start]
-    hist: dict[int, int] = {}
-    run = 1
-    for i in range(1, L + 1):
-        if i < L and s[i] == s[i - 1]:
-            run += 1
-        else:
-            hist[run] = hist.get(run, 0) + 1
-            run = 1
-    return hist
+    arr = np.frombuffer(symbols, dtype=np.uint8)
+    starts = np.flatnonzero(arr != np.roll(arr, 1))   # where a run begins
+    if not len(starts):
+        return {len(arr): 1}
+    lengths = np.diff(starts, append=starts[0] + len(arr))
+    return dict(zip(*(a.tolist() for a in np.unique(lengths, return_counts=True))))
 
 
-def check_golomb(seq: MSeq, sample_taus=(1, 2, 3), sample_decimations=3) -> GolombReport:
+def _span_and_balance(arr: np.ndarray, p: int, n: int) -> tuple[bool, bool]:
+    """Whether the L cyclic n-windows of arr are distinct and none is all
+    zero, and whether each symbol s < p occurs p^(n-1) times, 0 once less."""
+    windows = sliding_window_view(np.concatenate([arr, arr[:n - 1]]), n)
+    distinct = np.unique(windows, axis=0)
+    expected = np.full(p, p ** (n - 1))
+    expected[0] -= 1
+    return (len(distinct) == len(arr) and bool(distinct.any(axis=1).all()),
+            np.array_equal(np.bincount(arr, minlength=p)[:p], expected))
+
+
+def check_golomb(seq: MSeq) -> GolombReport:
     """Span, decimation closure, shift-and-subtract, balance, two-level
     autocorrelation, and (p=2) the run-length profile.
 
     All six hold exactly for a genuine m-sequence; non-m-sequences fail
-    at least one.
+    at least one.  Decimation closure is spot-checked on the first
+    `SAMPLE_DECIMATIONS` coprime d >= 2, each decimation for span and
+    balance (a sequence with distinct windows and balanced counts misses
+    exactly the zero window), and shift-and-subtract on `SAMPLE_TAUS`.
     """
     p, L = seq.p, seq.period
     arr = seq.as_array()
     n = _infer_degree(p, L)
-
     if n is None:
-        span = False
+        span = balance = decim_ok = False
     else:
-        windows = {tuple(arr[(t + np.arange(n)) % L]) for t in range(L)}
-        span = len(windows) == L and all(any(w) for w in windows)
+        span, balance = _span_and_balance(arr, p, n)
+        coprime = (d for d in range(2, L) if gcd(d, L) == 1)
+        decim_ok = all(all(_span_and_balance(decimate(seq, d).as_array(), p, n))
+                       for d in islice(coprime, SAMPLE_DECIMATIONS))
 
-    expected = {s: p ** (n - 1) if s else p ** (n - 1) - 1 for s in range(p)} if n else {}
-    counts = np.bincount(arr, minlength=p)
-    balance = n is not None and all(int(counts[s]) == expected[s] for s in range(p))
-
-    # decimation closure, spot checks: first few coprime nontrivial d
-    decim_ok = True
-    if n is None:
-        decim_ok = False
-    else:
-        tested = 0
-        d = 2
-        while tested < sample_decimations and d < L:
-            if gcd(d, L) == 1:
-                dec = decimate(seq, d)
-                darr = dec.as_array()
-                dcounts = np.bincount(darr, minlength=p)
-                dwin = {tuple(darr[(t + np.arange(n)) % L]) for t in range(L)}
-                decim_ok &= len(dwin) == L and all(
-                    int(dcounts[s]) == expected[s] for s in range(p)
-                )
-                tested += 1
-            d += 1
-
-    shift_ok = True
     doubled = seq.symbols + seq.symbols
-    for tau in sample_taus:
-        tau %= L
-        if tau == 0:
-            continue
-        diff = bytes(int(v) for v in (np.roll(arr, -tau) - arr) % p)
-        shift_ok &= doubled.find(diff) >= 0
+    shift_ok = all(
+        doubled.find(((np.roll(arr, -tau) - arr) % p).astype(np.uint8).tobytes()) >= 0
+        for tau in SAMPLE_TAUS if tau % L)
 
-    ac = autocorrelation_all(seq)
-    auto_ok = ac[0] == L and all(v == -1 for v in ac[1:])
+    # the Z[w] coordinates of the autocorrelation at every shift, one per column
+    counts = correlation_counts(arr, arr, p)
+    ac = counts[:-1] - counts[-1]
+    two_level = np.zeros_like(ac)
+    two_level[0] = -1
+    two_level[0, 0] = L
+    auto_ok = np.array_equal(ac, two_level)
 
     runs_ok: bool | None = None
     if p == 2:

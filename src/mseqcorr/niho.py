@@ -20,6 +20,7 @@ from math import gcd
 
 import numpy as np
 
+from . import spectra
 from .errors import OutOfDomain
 from .gf import FieldCtx
 
@@ -46,18 +47,15 @@ def count_unit_roots(ctx: FieldCtx, s: int, a):
 
     a is one element or an array of them (int in, int out; array in, array
     out).  The three powers of x are taken once over all |U| = p^m + 1
-    points, in the discrete-log domain; the a's are evaluated in chunks of
-    about 2^16 cells.
+    points; the a's are evaluated in chunks of about 2^16 cells.
     """
     if ctx.n % 2:
         raise OutOfDomain("Niho machinery needs n = 2m")
-    L = ctx.period
-    pm = ctx.p ** (ctx.n // 2)
-    lx = np.arange(pm + 1, dtype=np.int64) * (pm - 1)   # logs of U
-    x2s1, xs, xs1 = (ctx.exp_table[lx * (e % L) % L] for e in (2 * s - 1, s, s - 1))
+    U = np.array(ctx.unit_circle().elements)
+    x2s1, xs, xs1 = (ctx.pow(U, e) for e in (2 * s - 1, s, s - 1))
     av = np.atleast_1d(a)
     counts = np.empty(len(av), dtype=np.int64)
-    step = max(1, 2 ** 16 // len(lx))
+    step = max(1, 2 ** 16 // len(U))
     for lo in range(0, len(av), step):
         ac = av[lo:lo + step, None]
         term = ctx.add(x2s1, ctx.mul(ctx.neg(ac), xs))
@@ -90,14 +88,12 @@ def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
     Works for non-invertible d too (the transform is defined for any
     exponent).  Returns per-a equality plus the histogram.
     """
-    from .spectra import walsh_fast
-
     if ctx.n % 2:
         raise OutOfDomain("Niho machinery needs n = 2m")
     m = ctx.n // 2
     pm = ctx.p ** m
     d = niho_decimation(ctx.p, m, s)
-    wt = walsh_fast(ctx, d, require_invertible=False)
+    wt = spectra.walsh_fast(ctx, d, require_invertible=False)
     na = count_unit_roots(ctx, s, ctx.exp_table)   # a = alpha^tau, tau in log order
     # W(alpha^tau) in Z[w] coordinates: (N(a) - 1) p^m on 1, zero on w..w^(p-2)
     w = wt.by_log

@@ -72,6 +72,7 @@ NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
 # stays below 2^48, and folding onto the p powers of w adds at most p - 1
 # <= 12 such sums: every sum stays below 12 * 2^48 < 2^63.
 MOMENT_CHECK_MAX_ORDER = 2 ** 16
+MOMENT_CHECK_SEED = 2024   # draws the shifts of the shifted second moments
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +309,9 @@ def class_record(ctx: FieldCtx, d: int,
     `counts`, int64, how often each occurs.  The "naive" method, by the
     tau-sums, is the oracle of the "fast" transform.
 
-    The rows are in the order of `cyclo.value_key`: the rational values
-    ascending, then the others in the lexicographic order of their
-    coordinates.  Both methods give rows in lexicographic order, which
-    subtracting 1 from the first coordinate keeps; one stable sort then
-    puts the rational rows (no nonzero coordinate past the first) first.
+    The rows are in the order of `cyclo.value_key` (`value_ordered`).  Both
+    methods give rows in lexicographic order, which subtracting 1 from the
+    first coordinate keeps.
     """
     if method == "fast":
         rows, counts = walsh_fast(ctx, d).unique_values()
@@ -321,6 +320,14 @@ def class_record(ctx: FieldCtx, d: int,
         rows, counts = _naive_record(ctx, d)
     else:
         raise OutOfDomain(f"unknown method {method!r}")
+    return value_ordered(rows, counts)
+
+
+def value_ordered(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A record whose rows are in lexicographic order, put in the order of
+    `cyclo.value_key`: the rational values ascending, then the others in
+    the lexicographic order of their coordinates.  One stable sort puts the
+    rational rows (no nonzero coordinate past the first) first."""
     order = np.argsort(rows[:, 1:].any(axis=1), kind="stable")
     return rows[order], counts[order]
 
@@ -350,19 +357,13 @@ def power_sum(p: int, rows: np.ndarray, counts: np.ndarray, l: int,
     return acc
 
 
-def _pow_d_table(ctx: FieldCtx, d: int) -> np.ndarray:
-    out = np.zeros(ctx.order, dtype=np.int32)
-    out[ctx.exp_table] = ctx.exp_table[decimation_index(ctx.period, d)]
-    return out
-
-
 def _power_sum_count(ctx: FieldCtx, d: int, k: int, target: int, xs: np.ndarray) -> int:
     """Count (x_1..x_k) over xs with sum x_i = target and sum x_i^d = target.
 
     x_k is solved for, so x_2..x_(k-1) are enumerated as one array of sums
     and x_1 runs over chunks of xs, keeping each step near 2^16 cells.
     """
-    powd = _pow_d_table(ctx, d)
+    powd = ctx.pow(np.arange(ctx.order, dtype=np.int32), d)
     inside = np.zeros(ctx.order, dtype=bool)
     inside[xs] = True
     s, t = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
@@ -451,16 +452,17 @@ def _shifted_second_moment(wt: WalshTable, t: int) -> CycInt:
     return CycInt.from_counts(p, counts.tolist())
 
 
-def moment_identity_check(ctx: FieldCtx, d: int, seed: int = 2024) -> MomentReport:
-    """Check sum C = 1, the shifted second moments, and the l = 3 moment
-    against the brute-force pair count b_3 (all exact)."""
+def moment_identity_check(ctx: FieldCtx, d: int) -> MomentReport:
+    """Check sum C = 1, the shifted second moments at three shifts drawn
+    with `MOMENT_CHECK_SEED`, and the l = 3 moment against the brute-force
+    pair count b_3 (all exact)."""
     if ctx.order > MOMENT_CHECK_MAX_ORDER:
         raise Budget("moment identity check is grid-bounded")
     L, q = ctx.period, ctx.order
     wt = walsh_fast(ctx, d)
     histogram = wt.unique_values()
     total, t0, third = (power_sum(ctx.p, *histogram, l, -1) for l in (1, 2, 3))
-    rng = random.Random(seed)
+    rng = random.Random(MOMENT_CHECK_SEED)
     shifted = [(t, _shifted_second_moment(wt, t) == -q - 1)
                for t in sorted(rng.sample(range(1, L), min(3, L - 1)))]
     b3 = b_l_count(ctx, d, 3)

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -364,6 +365,29 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     err = _assert_usage_error(argv.format(tmp=tmp_path).split(), capsys)
     assert DOMAIN_ERRORS.get(argv, "") in err
+
+
+# each would compute with the huge integer before any bound; each must stop
+# at a bound at once
+HUGE_INTEGERS = [
+    "field --p 2 --n 20000",
+    "niho --p 2 --m 10000 --s 2",
+    "spectrum --p 13 --n 100000000 --d 5",
+    "classify --p 2 --max-n 1000000000",
+    "conjecture --check minus-one --p 3 --n 1000000000",
+    "verify --family trachtenberg-half --p 13 --n 3 --params k=3000001",
+    "verify --family gold --p 2 --n 5 --params k=-5000",
+    "verify --family gold --p 2 --n 5 --params k=" + "1" * 5000,
+    "spectrum --p 2 --n 5 --d " + "7" * 5000,
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_INTEGERS)
+def test_huge_integers_fail_fast(argv, capsys):
+    t0 = time.perf_counter()
+    err = _assert_usage_error(argv.split(), capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert err.startswith("usage error: Budget:")
 
 
 @pytest.mark.parametrize("exc", [ValueError, KeyError])

@@ -143,6 +143,15 @@ def test_conjectured_identity_k1_trivial():
     assert rep["first"]["lhs"] == rep["first"]["rhs"]  # 2^1 + 1 = 3 syntactically
 
 
+def test_conjectured_identities_reduce_k_mod_n():
+    # 2 has order n mod 2^n - 1, so k and k + 7 * 10^12 give the same
+    # exponents at n = 7; the sums are taken without building 2^k
+    small = expsums.conjectured_sum_identities(7, 3)
+    huge = expsums.conjectured_sum_identities(7, 3 + 7 * 10 ** 12)
+    assert huge["k"] == 3 + 7 * 10 ** 12
+    assert (huge["first"], huge["second"]) == (small["first"], small["second"])
+
+
 def test_identities_need_odd_n():
     with pytest.raises(OutOfDomain, match="odd-degree binary fields"):
         expsums.conjectured_sum_identities(6, 1)

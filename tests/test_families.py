@@ -9,7 +9,7 @@ import pytest
 
 from mseqcorr import families, gf
 from mseqcorr.cyclo import CycInt
-from mseqcorr.errors import OutOfDomain
+from mseqcorr.errors import Budget, OutOfDomain
 from mseqcorr.families import AtMostKValues, coset_spectrum_method, verify_family
 from mseqcorr.spectra import class_record, power_sum
 
@@ -79,6 +79,15 @@ def test_domain_pinned_on_grid():
                         for params in _domain_grid(fam, p, n)]
                 h.update(repr((fam.id, p, n, rows, fam.instances(p, n))).encode())
     assert h.hexdigest() == DOMAIN_SHA256
+
+
+def test_huge_parameter_is_budget():
+    fam = families.get_family("trachtenberg-half")
+    for k in (families.MAX_PARAM + 1, 3000001, -(10 ** 9)):
+        with pytest.raises(Budget, match=f"trachtenberg-half parameter k = {k} exceeds"):
+            fam.decimation(13, 3, {"k": k})
+    # at the bound itself the formula runs: 13^2048 = 13^(2048 mod 6) mod 13^3 - 1
+    assert fam.decimation(13, 3, {"k": families.MAX_PARAM}) == 85
 
 
 def test_gold_smallest_points():

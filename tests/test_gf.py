@@ -106,6 +106,11 @@ def test_composite_p_rejected():
 def test_too_large_rejected():
     with pytest.raises(Budget):
         gf.find_primitive_polynomial(2, 41)
+    # the degree alone decides a huge power, which is neither built nor printed
+    with pytest.raises(Budget, match=r"^p\^n = 13\^100000000 exceeds the arithmetic bound 2\^40$"):
+        gf.is_primitive(13, 10 ** 8, (1,))
+    assert gf.power_exceeds(2, 41, 2 ** 40) and not gf.power_exceeds(2, 40, 2 ** 40)
+    assert gf.power_exceeds(3, 26, 3 ** 26 - 1) and not gf.power_exceeds(3, 26, 3 ** 26)
     with pytest.raises(Budget):
         gf.FieldCtx(gf.FieldSpec(2, 25, tuple([1] + [0] * 23 + [1])))
 
