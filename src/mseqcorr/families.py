@@ -177,7 +177,7 @@ class FamilyDescriptor:
         for key, v in params.items():
             if isinstance(v, int) and abs(v) > MAX_PARAM:
                 raise Budget(f"{self.id} parameter {key} = {v} exceeds the bound "
-                             f"|{key}| <= 2^10")
+                             f"|{key}| <= {MAX_PARAM}")
         viol = self.check_domain(p, n, params)
         if viol:
             raise OutOfDomain(viol)
@@ -819,7 +819,7 @@ def coset_spectrum_method(ctx: FieldCtx, d: int, N: int) -> tuple:
     S(alpha^k) for k < N is counted from the m-sequence at k, k + N, ...:
     x^N meets each N-th power N times and x = 0 adds 1; S(0) = p^n.  All
     p^n - 1 shifts are then one (p^n - 1, N) array of coset indices, whose
-    rows of S are summed and divided by N; the array takes O(p^n N) memory.
+    rows of S are summed and divided by N, in O(p^n N p) memory.
     """
     L = ctx.period
     p = ctx.p
