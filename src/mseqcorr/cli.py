@@ -12,7 +12,8 @@ per nested value, which made printing a spectrum of thousands of Z[w]
 values take longer than computing it.  `_emit` builds the same text with
 one str.join per container.  A spectrum is printed from its integer record
 (`spectra.class_record`) through `spectra.entries_json`, by `spectrum` and
-`verify` alike.
+`verify` alike: the list it returns keeps that record, and its text is
+written from one template per entry.
 
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
 or conjecture counterexample), 2 usage error, 3 internal error.  The code
@@ -51,10 +52,11 @@ def _json_text(obj, indent: str) -> str:
     """The text json.dumps(obj, sort_keys=True, indent=2) gives obj, for an
     obj whose lines start at `indent` (a newline and the spaces of its
     depth), built by one str.join per container.  Exact str and int
-    values, bools, None, and non-empty lists, tuples and dicts with str
-    keys are written here; anything else (a float, a subclass, an empty
-    container, a dict with other keys) is left to json.dumps, and its lines
-    moved to this depth."""
+    values, bools, None, non-empty `spectra.Entries` (from their record),
+    and non-empty lists, tuples and dicts with str keys are written here;
+    anything else (a float, another subclass, an empty container, a dict
+    with other keys) is left to json.dumps, and its lines moved to this
+    depth."""
     t = type(obj)
     if t is str:
         return _quote(obj)
@@ -65,6 +67,8 @@ def _json_text(obj, indent: str) -> str:
     if obj is None:
         return "null"
     inner = indent + "  "
+    if t is spectra.Entries and obj:
+        return _entries_text(*obj.record, indent)
     if (t is list or t is tuple) and obj:
         return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
             + indent + "]"
@@ -76,6 +80,20 @@ def _json_text(obj, indent: str) -> str:
         except TypeError:   # a key that is not a str
             pass
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+
+def _entries_text(p: int, rows: list, counts: list, indent: str) -> str:
+    """The text `_json_text` gives the non-empty `spectra.Entries` of this
+    record: each entry from one template, that of a rational value or that
+    of a {"coords": [...], "p": p} one."""
+    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
+    head = "{" + i2 + '"count": %d,' + i2 + '"value": '
+    rational = head + "%d" + i1 + "}"
+    other = (head + "{" + i3 + '"coords": [' + i4 + ("," + i4).join(["%d"] * (p - 1))
+             + i3 + "]," + i3 + f'"p": {p}' + i2 + "}" + i1 + "}")
+    return "[" + i1 + ("," + i1).join([
+        other % (c, *r) if any(r[1:]) else rational % (c, r[0])
+        for r, c in zip(rows, counts)]) + indent + "]"
 
 
 def _emit(obj) -> None:

@@ -14,7 +14,6 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclo import CycInt
 from .errors import OutOfDomain
 from .gf import FieldCtx, FieldSpec, decimation_index
 
@@ -74,14 +73,6 @@ def decimate(seq: MSeq, d: int) -> MSeq:
     return MSeq(seq.p, seq.n, sym.tobytes(), origin=f"{seq.origin}/dec{d}")
 
 
-def minimal_period(symbols: bytes) -> int:
-    L = len(symbols)
-    for cand in sorted(k for k in range(1, L + 1) if L % k == 0):
-        if all(symbols[i] == symbols[i % cand] for i in range(L)):
-            return cand
-    return L
-
-
 def alignment_shift(seq: MSeq, ref: MSeq) -> int | None:
     """Shift tau with seq.symbols[tau:] + seq.symbols[:tau] == ref.symbols,
     or None."""
@@ -106,13 +97,6 @@ def correlation_counts(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
             # over t, u_(t+tau) = i and v_t = j, for all tau at once
             out[(i - j) % p] += np.correlate(ui2, ind_v[j], mode="valid")
     return out
-
-
-def autocorrelation_all(seq: MSeq) -> list[CycInt]:
-    """sum_t w^(s_(t+tau) - s_t), exact in Z[w], for every shift tau."""
-    arr = seq.as_array()
-    return [CycInt.from_counts(seq.p, col)
-            for col in correlation_counts(arr, arr, seq.p).T.tolist()]
 
 
 @dataclass

@@ -6,21 +6,29 @@ stage per digit of x; no floating point anywhere.  The input reads the
 m-sequence at k d mod p^n - 1 for every k, an int32 index from
 `gf.decimation_index` (exact while p^n - 1 < 2^31; tables stop at 2^24).
 
-For p = 2 it is the binary Walsh-Hadamard transform in int32 (w = -1; every
-value is a sum of at most 2^n <= 2^24 terms +-1, so int32 is exact).  The
-bits go two per radix-4 stage, an odd leftover bit gets one radix-2 stage.
-As for odd p below, the high half of the bits is transformed first, then
-the two halves of the index are swapped (a transpose copied in cache-sized
-bands), the low half is transformed and the halves are swapped back, so
-every stage streams contiguous blocks of at least 2^(n/2) entries.
+Every stage runs at the width its numbers need, no wider, and every width
+is exact by a bound on the values, not by a check.
+
+For p = 2 it is the binary Walsh-Hadamard transform (w = -1) of the +-1
+input.  After i bits every value is a sum of 2^i terms +-1, so |value| <=
+2^i.  The bits go two per radix-4 stage, an odd leftover bit gets one
+radix-2 stage.  As for odd p below, the high half of the bits is
+transformed first, then the two halves of the index are swapped (a
+transpose copied in cache-sized bands), the low half is transformed and the
+halves are swapped back, so every stage streams contiguous blocks of at
+least 2^(n/2) entries.  The high half, n - n // 2 <= 12 bits at n <= 24
+(the table bound), runs in int16 (|value| <= 2^12); the first swap widens
+to int32, which holds 2^24.
 
 For odd p the transform runs in the group ring Z[Z_p]: each point carries
 p integer coordinates, the coefficients of 1, w, ..., w^(p-1), starting
-from the indicator of Tr(x^d).  Multiplying by a power of w only rotates
-the coordinates, so a stage is slice additions with no products, and every
-coordinate stays a count in [0, p^n] (int32 is exact).  The result is
-reduced once, at the end, to the unique basis 1, ..., w^(p-2) of
-`cyclo.CycInt`.
+from the uint8 indicator of Tr(x^d).  Multiplying by a power of w only
+rotates the coordinates, so a stage is slice additions with no products.
+After k stages a coordinate counts the points of a block of p^k that take
+one exponent value, so it lies in [0, p^k]: stage k writes uint8 while p^k
+< 2^8, uint16 while p^k < 2^16, and int32 after that (p^n <= 2^24).  The
+result is reduced once, at the end, into int32, to the unique basis 1,
+..., w^(p-2) of `cyclo.CycInt`.
 
 Every value is thus a row of p - 1 int32 coordinates (one, the integer
 itself, for p = 2), and a `WalshTable` is read in one of two ways: the
@@ -109,38 +117,48 @@ def _wht_stages(g: np.ndarray, lo: int, hi: int) -> None:
 
 
 def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
-    """out = x.T for 2-D arrays, copied 64 rows of x at a time so that the
+    """out = x.T for 2-D arrays, copied 16 rows of x at a time so that the
     reads and writes of each band stay in cache."""
-    for r in range(0, x.shape[0], 64):
-        out[:, r:r + 64] = x[r:r + 64].T
+    for r in range(0, x.shape[0], 16):
+        out[:, r:r + 16] = x[r:r + 16].T
 
 
-def _wht_inplace_2(g: np.ndarray) -> None:
-    """Binary Walsh-Hadamard transform, kernel (-1)^<u,x>, of g (length 2^n).
+def _wht_2(g: np.ndarray) -> np.ndarray:
+    """Binary Walsh-Hadamard transform, kernel (-1)^<u,x>, of g (length 2^n),
+    returned as a fresh int32 array; g is overwritten.
 
     The layout of `_transform_ring`: the high half of the bits is
-    transformed first, the index halves are swapped so that the low half
-    becomes the high one, and swapped back into g at the end, so that every
-    stage runs on contiguous blocks of at least 2^(n/2) entries.
+    transformed first, in g's own dtype, the index halves are swapped into
+    an int32 array, so that the low half becomes the high one, and swapped
+    back into a new int32 array at the end; every stage runs on contiguous
+    blocks of at least 2^(n/2) entries.  An int16 g of entries +-1 is exact
+    while n - n // 2 <= 14 bits (|value| <= 2^14 after them).
     """
     n = g.size.bit_length() - 1
     h = n // 2
     _wht_stages(g, h, n)
-    rows = g.reshape(-1, 2 ** h)
-    swapped = np.empty(rows.shape[::-1], dtype=g.dtype)
-    _transpose_into(rows, swapped)
+    swapped = np.empty((2 ** h, 2 ** (n - h)), dtype=np.int32)
+    _transpose_into(g.reshape(-1, 2 ** h), swapped)
+    del g   # the caller's narrow buffer, if it handed over its only reference
     _wht_stages(swapped.reshape(-1), n - h, n)
-    _transpose_into(swapped, rows)
+    out = np.empty(swapped.shape[::-1], dtype=np.int32)
+    _transpose_into(swapped, out)
+    return out.reshape(-1)
 
 
-def _ring_stage(v: np.ndarray, p: int) -> np.ndarray:
-    """One butterfly stage in Z[Z_p]: out_j = sum_k w^(-jk) v_k.
+def _count_dtype(bound: int) -> type:
+    """The narrowest of uint8, uint16 and int32 that holds [0, bound]."""
+    return np.uint8 if bound < 2 ** 8 else np.uint16 if bound < 2 ** 16 else np.int32
+
+
+def _ring_stage(v: np.ndarray, p: int, dtype: type) -> np.ndarray:
+    """One butterfly stage in Z[Z_p]: out_j = sum_k w^(-jk) v_k, in dtype.
 
     v has shape (p, A, p, B): ring coordinate c, outer block, the digit
     transformed, inner block.  Multiplying by w^(-s) moves coefficient
     c + s to c, so each (j, k) is two slice-adds, with no products.
     """
-    out = np.empty_like(v)
+    out = np.empty(v.shape, dtype=dtype)
     for j in range(p):
         o = out[:, :, j]
         o[...] = v[:, :, 0]
@@ -155,18 +173,22 @@ def _ring_stage(v: np.ndarray, p: int) -> np.ndarray:
 def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
     """Transform with kernel w^(-<u,x>) over (Z_p)^n, in the group ring Z[Z_p].
 
-    g has shape (p, p^n): g[c, x] is the coefficient of w^c at x.  A stage
+    g has shape (p, p^n): g[c, x] is the coefficient of w^c at x, an
+    indicator of one c per x.  After k stages a coordinate counts the points
+    of a block of p^k, so stage k writes `_count_dtype(p^k)`.  A stage
     is fast when the digit it transforms has a long contiguous inner block,
     so the high half of the digits is transformed first, then the two
-    halves of the index are swapped for the low half and swapped back.
+    halves of the index are swapped for the low half.  The result is
+    swapped back as a (p, p^(n - n // 2), p^(n // 2)) view, in index order
+    along its last two axes, which the caller's one copy makes contiguous.
     """
     h = n // 2
-    for i in range(h, n):
-        g = _ring_stage(g.reshape(p, -1, p, p ** i), p)
+    for k, i in enumerate(range(h, n), 1):
+        g = _ring_stage(g.reshape(p, -1, p, p ** i), p, _count_dtype(p ** k))
     g = g.reshape(p, -1, p ** h).transpose(0, 2, 1).copy()
-    for i in range(h):
-        g = _ring_stage(g.reshape(p, -1, p, p ** (n - h + i)), p)
-    return g.reshape(p, p ** h, -1).transpose(0, 2, 1).reshape(p, -1)
+    for k, i in enumerate(range(h), n - h + 1):
+        g = _ring_stage(g.reshape(p, -1, p, p ** (n - h + i)), p, _count_dtype(p ** k))
+    return g.reshape(p, p ** h, -1).transpose(0, 2, 1)
 
 
 class WalshTable:
@@ -235,6 +257,21 @@ class WalshTable:
         return data[row], counts
 
 
+def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
+    """The transform's input for f(x) = Tr(x^d): (-1)^f(x) in int16 for
+    p = 2, else the (p, p^n) uint8 indicator whose row c marks f(x) = c."""
+    f_nonzero = ctx.mseq[decimation_index(ctx.period, d)]   # f at x = alpha^k
+    if ctx.p == 2:
+        # scatter f in int8 (a casting scatter is slower), then widen 1 - 2 f
+        f = np.zeros(ctx.order, dtype=np.int8)
+        f[ctx.exp_table] = f_nonzero
+        return np.subtract(1, 2 * f, dtype=np.int16)
+    g = np.zeros((ctx.p, ctx.order), dtype=np.uint8)
+    g[0, 0] = 1
+    g[f_nonzero, ctx.exp_table] = 1
+    return g
+
+
 def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshTable:
     """Walsh transform table of Tr(x^d) via the group transform.
 
@@ -245,22 +282,13 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
     L = ctx.period
     if require_invertible and gcd(d, L) != 1:
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
-    f_nonzero = ctx.mseq[decimation_index(L, d)]   # Tr(x^d) at x = alpha^k
+    # the input goes to the transform unnamed, so that it can be freed there
     if ctx.p == 2:
-        # scatter f in int8, then widen g = 1 - 2 f to int32 in one pass
-        f = np.zeros(ctx.order, dtype=np.int8)
-        f[ctx.exp_table] = f_nonzero
-        g = np.subtract(1, 2 * f, dtype=np.int32)
-        del f, f_nonzero   # not held through the transform's own buffers
-        _wht_inplace_2(g)
-        return WalshTable(ctx, d, g)
-    # ring coordinates are counts in [0, p^n], so int32 is exact
-    g = np.zeros((ctx.p, ctx.order), dtype=np.int32)
-    g[0, 0] = 1
-    g[f_nonzero, ctx.exp_table] = 1
-    g = _transform_ring(g, ctx.p, ctx.n)
+        return WalshTable(ctx, d, _wht_2(_transform_input(ctx, d)))
+    g = _transform_ring(_transform_input(ctx, d), ctx.p, ctx.n)
     # reduce to the basis 1..w^(p-2) by w^(p-1) = -(1 + ... + w^(p-2))
-    return WalshTable(ctx, d, (g[:-1] - g[-1]).T)
+    g = np.subtract(g[:-1], g[-1], dtype=np.int32)
+    return WalshTable(ctx, d, g.reshape(ctx.p - 1, -1).T)
 
 
 # ----------------------------------------------------------------------
@@ -332,10 +360,21 @@ def value_ordered(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     return rows[order], counts[order]
 
 
-def entries_json(p: int, rows: np.ndarray, counts: np.ndarray) -> list:
+class Entries(list):
+    """The JSON entries of a record, a list of dicts like any other, that
+    also keeps `record`, the (p, rows, counts) it was built from, with rows
+    and counts as lists, for a writer that renders it row by row
+    (`cli._json_text`)."""
+
+    record: tuple
+
+
+def entries_json(p: int, rows: np.ndarray, counts: np.ndarray) -> Entries:
     """The JSON entries {"value", "count"} of a record, in its order."""
-    return [{"value": coords_json(p, r), "count": c}
-            for r, c in zip(rows.tolist(), counts.tolist())]
+    rows, counts = rows.tolist(), counts.tolist()
+    out = Entries({"value": coords_json(p, r), "count": c} for r, c in zip(rows, counts))
+    out.record = (p, rows, counts)
+    return out
 
 
 # ----------------------------------------------------------------------

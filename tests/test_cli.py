@@ -507,6 +507,7 @@ EMITTING_ARGV = [
     "field --p 2 --n 4",
     "spectrum --p 3 --n 3 --d 7",
     "spectrum --p 5 --n 2 --d 7 --method naive",
+    "spectrum --p 7 --n 6 --d 8273",   # 12110 values, most of them not rational
     "moments --p 3 --n 4 --d 11",
     "verify --family all --p 2 --n 6",
     "verify --family kasami-frac --p 2 --n 5 --params pair=5:1,t=1",

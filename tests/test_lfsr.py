@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from mseqcorr import gf, lfsr
+from mseqcorr.cyclo import CycInt
 from mseqcorr.errors import OutOfDomain
+
+
+def _minimal_period(symbols: bytes) -> int:
+    """The least k > 0 by which a rotation of the period maps it onto itself."""
+    return next(k for k in range(1, len(symbols) + 1)
+                if symbols[k:] + symbols[:k] == symbols)
 
 
 def test_trace_sequence_gf8():
@@ -34,7 +41,7 @@ def test_recursion_matches_trace_up_to_shift():
     spec = gf.find_primitive_polynomial(2, 3)
     rec = lfsr.generate_recursion(spec, (1, 0, 0))
     trace = lfsr.generate_trace(gf.field_ctx(2, 3))
-    assert lfsr.minimal_period(rec.symbols) == 7
+    assert _minimal_period(rec.symbols) == 7
     assert lfsr.alignment_shift(rec, trace) is not None
 
 
@@ -59,7 +66,7 @@ def test_recursion_minimal_period_gf9():
     spec = gf.find_primitive_polynomial(3, 2)
     for init in ((1, 0), (0, 1), (2, 2), (1, 2)):
         seq = lfsr.generate_recursion(spec, init)
-        assert lfsr.minimal_period(seq.symbols) == 8
+        assert _minimal_period(seq.symbols) == 8
 
 
 def test_decimate_identity_and_power_of_p():
@@ -100,9 +107,13 @@ def test_decimate_matches_direct_expression():
 
 
 def test_autocorrelation_two_level():
+    # sum_t w^(s_(t+tau) - s_t) in Z[w], one literal residue count per shift
     for p, n in ((2, 5), (3, 3), (5, 2)):
         s = lfsr.generate_trace(gf.field_ctx(p, n))
-        ac = lfsr.autocorrelation_all(s)
+        arr = s.as_array()
+        ac = [CycInt.from_counts(p, np.bincount((np.roll(arr, -tau) - arr) % p,
+                                                minlength=p).tolist())
+              for tau in range(s.period)]
         assert ac[0] == s.period
         assert all(v == -1 for v in ac[1:])
 

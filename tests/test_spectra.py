@@ -1,5 +1,6 @@
 """Spectra: naive oracle vs fast transform, moments, solution counts."""
 
+import copy
 import itertools
 import random
 from math import gcd, prod
@@ -37,9 +38,58 @@ def test_binary_transform_matches_sylvester_product(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
         x = (1 - 2 * rng.integers(0, 2, 2 ** n)).astype(np.int32)
-        out = x.copy()
-        spectra._wht_inplace_2(out)
-        assert np.array_equal(out, h @ x)
+        for dtype in (np.int32, np.int16):
+            out = spectra._wht_2(x.astype(dtype))
+            assert out.dtype == np.int32
+            assert np.array_equal(out, h @ x)
+
+
+def _ring_transform_int64(ctx, d):
+    """The group-ring transform of Tr(x^d) with every buffer int64, one
+    stage per digit in digit order, reduced to the basis 1..w^(p-2)."""
+    p, L = ctx.p, ctx.period
+    g = np.zeros((p, ctx.order), dtype=np.int64)
+    g[0, 0] = 1
+    g[ctx.mseq[np.arange(L, dtype=np.int64) * d % L], ctx.exp_table] = 1
+    for i in range(ctx.n):
+        v = g.reshape(p, -1, p, p ** i)
+        g = np.empty_like(v)
+        for j in range(p):
+            o = g[:, :, j]
+            o[...] = v[:, :, 0]
+            for k in range(1, p):
+                s = j * k % p
+                o[:p - s] += v[s:, :, k]
+                if s:
+                    o[p - s:] += v[:s, :, k]
+        g = g.reshape(p, -1)
+    return (g[:-1] - g[-1]).T
+
+
+@pytest.mark.parametrize("p,n", [(3, 11), (5, 7), (7, 6), (11, 5), (13, 5)])
+def test_ring_transform_matches_int64_kernel(p, n):
+    # p^n > 2^16: the stages go uint8, uint16 and int32 in turn
+    ctx = gf.field_ctx(p, n)
+    rng = random.Random(p * 100 + n)
+    for d in rng.sample(_coprime_ds(ctx.period)[1:], 2):
+        by_u = spectra.walsh_fast(ctx, d)._by_u
+        ref = _ring_transform_int64(ctx, d)
+        assert by_u.dtype == np.int32 and np.abs(ref).max() < 2 ** 31
+        assert by_u.tobytes() == ref.astype(np.int32).tobytes(), d
+
+
+@pytest.mark.parametrize("p,n", [(2, 17), (2, 24), (3, 11), (5, 7), (7, 6),
+                                 (11, 5), (13, 5)])
+def test_transform_of_constant_sequence_reaches_the_bound(p, n):
+    # f = 0 everywhere puts the whole input on w^0 (all ones for p = 2), so
+    # after k stages the u = 0 point of each block holds p^k, the top of the
+    # stage's range, and W is p^n at u = 0 and 0 elsewhere
+    ctx = copy.copy(gf.field_ctx(p, n))
+    ctx.mseq = np.zeros(ctx.period, dtype=np.int8)
+    by_u = spectra.walsh_fast(ctx, 1)._by_u
+    expected = np.zeros((p ** n, p - 1), dtype=np.int32)
+    expected[0, 0] = p ** n
+    assert by_u.dtype == np.int32 and np.array_equal(by_u, expected)
 
 
 def test_degenerate_crosscorrelation():

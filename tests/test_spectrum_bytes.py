@@ -3,9 +3,9 @@
 Every supported prime at a small degree, JSON and CSV, both methods, an
 integer, a fractional and a degenerate decimation (9/5 = 8 = 2^3 mod 31 at
 (2, 5)), and spectra with non-rational values at p = 5, 7, 11 and 13.  The
-`spectrum-odd-p` and `catalog-checks` commands of the benchmark at seed 1
-are run in-process and checked against the digests the benchmark recorded;
-both bench files are only read.
+`spectrum-odd-p`, `spectrum-p2-n24` and `catalog-checks` commands of the
+benchmark at seed 1 are run in-process and checked against the digests the
+benchmark recorded; both bench files are only read.
 """
 
 import hashlib
@@ -213,6 +213,14 @@ def test_bench_odd_p_spectra_match_recorded_digests(capsys):
     for argv in commands:
         out = _stdout(argv, capsys)
         assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)], argv
+
+
+def test_bench_p2_n24_spectrum_matches_recorded_digest(capsys):
+    # the largest field, whose binary transform runs 12 bits in int16
+    commands, digests = _bench_commands("spectrum-p2-n24")
+    assert [argv[:5] for argv in commands] == [["spectrum", "--p", "2", "--n", "24"]]
+    out = _stdout(commands[0], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(commands[0])]
 
 
 def test_bench_catalog_checks_match_recorded_digests(capsys):
