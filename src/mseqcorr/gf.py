@@ -26,9 +26,10 @@ lie in GF(p), sums small ints and reduces mod p once.
 
 `FieldCtx` builds only the exp table and those n traces when it is made.
 The log table, the m-sequence s_k = Tr(alpha^k) (for p = 2, a parity of
-masked exp entries), the full trace table and the Gram matrix are built on
-first use, so a spectrum, which reads exp and the m-sequence alone, never
-pays for the others.
+masked exp entries, `_CHUNK` at a time), the full trace table and the Gram
+matrix are built on first use, so a spectrum, which reads exp and the
+m-sequence alone, never pays for the others.  `decimated` reads a sequence
+at k d mod L block by block, without an index array of the field's size.
 
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
@@ -63,6 +64,7 @@ MAX_TABLE_ORDER = 2 ** 24   # exp/log tables kept in memory
 MAX_POLY_ORDER = 2 ** 40    # polynomial arithmetic only
 _GROUP_TABLE = 256          # entries of one digit-group lookup table
 _CHUNK = 2 ** 16            # elements per pass of a linear map
+_GATHER_BLOCK = 2 ** 16     # indices per block of `decimated`
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -261,23 +263,42 @@ def degenerate_set(p: int, n: int) -> set[int]:
     return {pow(p, j, L) for j in range(n)}
 
 
-def decimation_index(L: int, d: int) -> np.ndarray:
-    """k * d mod L for k = 0 .. L - 1, as int32; needs 1 <= L < 2^31.
+def _multiples(count: int, step: int, L: int) -> np.ndarray:
+    """k * step mod L for k = 0 .. count - 1, as uint32."""
+    return (np.arange(count, dtype=np.int64) * (step % L) % L).astype(np.uint32)
 
-    With k = q B + r and B = ceil(sqrt(L)), k d = q (B d) + r d: two tables
-    of about sqrt(L) entries hold (q B d) mod L and (r d) mod L, their outer
-    sum is below 2L < 2^32 in uint32, and one unsigned min(s, s - L) wraps
-    it (s - L runs past 2^32 exactly when s < L).
+
+def _wrap(s: np.ndarray, L: int) -> np.ndarray:
+    """s mod L in place, for uint32 s < 2L < 2^32: one unsigned
+    min(s, s - L), since s - L runs past 2^32 exactly when s < L."""
+    return np.minimum(s, s - np.uint32(L), out=s)
+
+
+def decimated(values: np.ndarray, d: int) -> np.ndarray:
+    """values[k d mod L] for k = 0 .. L - 1, L = len(values), a fresh array;
+    needs 1 <= L < 2^31.
+
+    The indices are made `_GATHER_BLOCK` at a time, so no index array of
+    the field's size is built.  With k = q B + r, B the block size, k d =
+    q (B d) + r d: block q adds (q B d) mod L to the table of (r d) mod L,
+    r < B, and the sum, below 2L, wraps with `_wrap`.  The same split,
+    with blocks of about sqrt(B), builds that table from two tables of
+    about sqrt(B) entries.
     """
+    L = len(values)
     if not 1 <= L < 2 ** 31:
         raise Budget(f"period {L} outside the int32 index range [1, 2^31)")
-    B = isqrt(L - 1) + 1
     d %= L
-    q = np.arange(-(-L // B), dtype=np.int64) * (B * d % L) % L
-    r = np.arange(B, dtype=np.int64) * d % L
-    s = np.add.outer(q.astype(np.uint32), r.astype(np.uint32)).ravel()
-    np.minimum(s, s - L, out=s)
-    return s[:L].view(np.int32)
+    B = min(_GATHER_BLOCK, L)
+    b = isqrt(B - 1) + 1
+    r = np.add.outer(_multiples(-(-B // b), b * d, L), _multiples(b, d, L)).ravel()[:B]
+    _wrap(r, L)
+    out = np.empty(L, dtype=values.dtype)
+    for q, lo in enumerate(range(0, L, B)):
+        m = min(B, L - lo)
+        idx = _wrap(r[:m] + np.uint32(q * B * d % L), L) if q else r[:m]
+        out[lo:lo + m] = values.take(idx)
+    return out
 
 
 @dataclass(frozen=True)
@@ -471,9 +492,13 @@ class FieldCtx:
     def mseq(self) -> np.ndarray:
         """The m-sequence s_k = Tr(alpha^k), k = 0 .. p^n - 2, as int8."""
         if self.p == 2:
-            # Tr is the parity of the digits selected by the trace basis
+            # Tr is the parity of the digits selected by the trace basis,
+            # `_CHUNK` elements at a time
             t = sum(b << i for i, b in enumerate(self._trace_basis))
-            return (np.bitwise_count(self._exp & t) & 1).astype(np.int8)
+            out = np.empty(self.period, dtype=np.int8)
+            for s in range(0, self.period, _CHUNK):
+                out[s:s + _CHUNK] = np.bitwise_count(self._exp[s:s + _CHUNK] & t) & 1
+            return out
         return self._trace_map(self._trace_basis, self._exp)
 
     @cached_property

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfDomain
-from .gf import FieldCtx, FieldSpec, decimation_index
+from .gf import FieldCtx, FieldSpec, decimated
 
 SAMPLE_DECIMATIONS = 3     # coprime d >= 2 of the decimation-closure check
 SAMPLE_TAUS = (1, 2, 3)    # shifts of the shift-and-subtract check
@@ -69,7 +69,7 @@ def decimate(seq: MSeq, d: int) -> MSeq:
     L = seq.period
     if gcd(d, L) != 1:
         raise OutOfDomain(f"gcd({d}, {L}) != 1")
-    sym = np.frombuffer(seq.symbols, dtype=np.uint8)[decimation_index(L, d)]
+    sym = decimated(np.frombuffer(seq.symbols, dtype=np.uint8), d)
     return MSeq(seq.p, seq.n, sym.tobytes(), origin=f"{seq.origin}/dec{d}")
 
 

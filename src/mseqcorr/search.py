@@ -31,7 +31,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
-from math import gcd
 from operator import lt, mul
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 from .cyclo import value_key
 from .errors import Budget
 from . import families
-from .gf import FieldCtx, degenerate_set, field_ctx
+from .gf import FieldCtx, factorize, field_ctx
 from .spectra import class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
@@ -79,19 +78,34 @@ def class_partition(p: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
 
     Returns (representative, sorted members) pairs ordered by representative;
     the representative is the least member of the merged coset pair.
+
+    The coprime d are sieved by the primes of p^n - 1, and their coset
+    minima min_j d p^j are n array products; the degenerate d are the coset
+    of 1.  The inverse coset of a coset with least member c is that of
+    c^(-1), so one modular inverse per coset reads its minimum back, and
+    the lesser minimum of the pair is the class's representative.  One
+    sort of the keys rep * L + d groups the classes, each in ascending
+    order.
     """
     L = p ** n - 1
-    degen = degenerate_set(p, n)
-    seen: set[int] = set()
-    out = []
-    for d in range(2, L):
-        if d in seen or d in degen or gcd(d, L) != 1:
-            continue
-        members = _class_of(d, p, n)
-        seen |= members
-        out.append((min(members), tuple(sorted(members))))
-    out.sort(key=lambda t: t[0])
-    return out
+    coprime = np.ones(max(L, 2), dtype=bool)
+    coprime[:2] = False
+    for r in factorize(L):
+        coprime[::r] = False
+    d = np.flatnonzero(coprime)
+    least, x = d.copy(), d
+    for _ in range(n - 1):
+        x = x * p % L
+        np.minimum(least, x, out=least)
+    nondegenerate = least != 1
+    d, least = d[nondegenerate], least[nondegenerate]
+    cosets, coset_of = np.unique(least, return_inverse=True)
+    inverses = np.array([pow(c, -1, L) for c in cosets.tolist()], dtype=np.int64)
+    rep = np.minimum(cosets, least[np.searchsorted(d, inverses)])[coset_of]
+    rep, members = np.divmod(np.sort(rep * L + d), L)
+    starts = np.flatnonzero(np.diff(rep, prepend=-1)).tolist() + [len(members)]
+    members = members.tolist()
+    return [(members[a], tuple(members[a:b])) for a, b in zip(starts, starts[1:])]
 
 
 class SpectrumCache:

@@ -3,8 +3,8 @@
 The Walsh transform W(u) = sum_x w^(Tr(x^d) - <u,x>) is computed as a
 length-p^n transform over the additive group (Z_p)^n, one p-point butterfly
 stage per digit of x; no floating point anywhere.  The input reads the
-m-sequence at k d mod p^n - 1 for every k, an int32 index from
-`gf.decimation_index` (exact while p^n - 1 < 2^31; tables stop at 2^24).
+m-sequence at k d mod p^n - 1 for every k, gathered block by block by
+`gf.decimated`, so that no index array of the field's size is built.
 
 Every stage runs at the width its numbers need, no wider, and every width
 is exact by a bound on the values, not by a check.
@@ -14,11 +14,14 @@ input.  After i bits every value is a sum of 2^i terms +-1, so |value| <=
 2^i.  The bits go two per radix-4 stage, an odd leftover bit gets one
 radix-2 stage.  As for odd p below, the high half of the bits is
 transformed first, then the two halves of the index are swapped (a
-transpose copied in cache-sized bands), the low half is transformed and the
-halves are swapped back, so every stage streams contiguous blocks of at
-least 2^(n/2) entries.  The high half, n - n // 2 <= 12 bits at n <= 24
-(the table bound), runs in int16 (|value| <= 2^12); the first swap widens
-to int32, which holds 2^24.
+transpose copied in cache-sized bands) and the low half is transformed, so
+every stage streams contiguous blocks of at least 2^(n/2) entries.  The
+result stays in that half-swapped order, which `WalshTable` reads, so no
+second swap and no second buffer are made.  The high half, n - n // 2 <= 12
+bits at n <= 24 (the table bound), runs in int16 (|value| <= 2^12); the
+swap widens to int32, which holds 2^24.  At (2,24) the int16 input and the
+int32 output, 32 + 64 MiB, are the only field-sized arrays alive at once
+past the field's own tables.
 
 For odd p the transform runs in the group ring Z[Z_p]: each point carries
 p integer coordinates, the coefficients of 1, w, ..., w^(p-1), starting
@@ -33,10 +36,12 @@ result is reduced once, at the end, into int32, to the unique basis 1,
 Every value is thus a row of p - 1 int32 coordinates (one, the integer
 itself, for p = 2), and a `WalshTable` is read in one of two ways: the
 per-shift array `by_log`, row tau = W(alpha^tau), or the histogram
-`unique_values` of W(a) over a != 0, whose distinct rows are ranked in
-mixed-radix integer keys, in the lexicographic order of the coordinates
-(counted by `np.bincount` when the keys span at most 4 (p^n - 1) integers,
-sorted otherwise).  The crosscorrelation spectrum of the decimation pair
+`unique_values` of W(a) over a != 0.  For p = 2 the histogram is
+`np.unique` on blocks of 2^20 values, whose counts are summed in int64.
+For odd p the distinct rows are ranked in mixed-radix integer keys, in the
+lexicographic order of the coordinates (counted by `np.bincount` when the
+keys span at most 4 (p^n - 1) integers, sorted otherwise).  The
+crosscorrelation spectrum of the decimation pair
 is the multiset {W(a) - 1 : a != 0}, read from the histogram; the a = 0
 point of the transform corresponds to no shift and is excluded.
 
@@ -71,7 +76,7 @@ import numpy as np
 
 from .cyclo import CycInt, coords_json
 from .errors import Budget, OutOfDomain
-from .gf import FieldCtx, decimation_index
+from .gf import FieldCtx, decimated
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -81,6 +86,7 @@ NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
 # <= 12 such sums: every sum stays below 12 * 2^48 < 2^63.
 MOMENT_CHECK_MAX_ORDER = 2 ** 16
 MOMENT_CHECK_SEED = 2024   # draws the shifts of the shifted second moments
+_HISTOGRAM_BLOCK = 2 ** 20   # values per np.unique call of the p = 2 histogram
 
 
 # ----------------------------------------------------------------------
@@ -125,25 +131,26 @@ def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
 
 def _wht_2(g: np.ndarray) -> np.ndarray:
     """Binary Walsh-Hadamard transform, kernel (-1)^<u,x>, of g (length 2^n),
-    returned as a fresh int32 array; g is overwritten.
+    returned as a fresh int32 array in the half-swapped order (`WalshTable`):
+    the value at u sits at (u mod 2^h) 2^(n-h) + u div 2^h, h = n // 2.  g
+    is overwritten.
 
     The layout of `_transform_ring`: the high half of the bits is
-    transformed first, in g's own dtype, the index halves are swapped into
-    an int32 array, so that the low half becomes the high one, and swapped
-    back into a new int32 array at the end; every stage runs on contiguous
-    blocks of at least 2^(n/2) entries.  An int16 g of entries +-1 is exact
-    while n - n // 2 <= 14 bits (|value| <= 2^14 after them).
+    transformed first, in g's own dtype, then the index halves are swapped
+    into an int32 array, so that the low half becomes the high one, and
+    transformed there; every stage runs on contiguous blocks of at least
+    2^(n/2) entries.  An int16 g of entries +-1 is exact while n - n // 2
+    <= 14 bits (|value| <= 2^14 after them).
     """
     n = g.size.bit_length() - 1
     h = n // 2
     _wht_stages(g, h, n)
-    swapped = np.empty((2 ** h, 2 ** (n - h)), dtype=np.int32)
-    _transpose_into(g.reshape(-1, 2 ** h), swapped)
+    out = np.empty((2 ** h, 2 ** (n - h)), dtype=np.int32)
+    _transpose_into(g.reshape(-1, 2 ** h), out)
     del g   # the caller's narrow buffer, if it handed over its only reference
-    _wht_stages(swapped.reshape(-1), n - h, n)
-    out = np.empty(swapped.shape[::-1], dtype=np.int32)
-    _transpose_into(swapped, out)
-    return out.reshape(-1)
+    out = out.reshape(-1)
+    _wht_stages(out, n - h, n)
+    return out
 
 
 def _count_dtype(bound: int) -> type:
@@ -178,9 +185,8 @@ def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
     of a block of p^k, so stage k writes `_count_dtype(p^k)`.  A stage
     is fast when the digit it transforms has a long contiguous inner block,
     so the high half of the digits is transformed first, then the two
-    halves of the index are swapped for the low half.  The result is
-    swapped back as a (p, p^(n - n // 2), p^(n // 2)) view, in index order
-    along its last two axes, which the caller's one copy makes contiguous.
+    halves of the index are swapped for the low half.  The result, of shape
+    (p, p^n), stays in that half-swapped order (`WalshTable`).
     """
     h = n // 2
     for k, i in enumerate(range(h, n), 1):
@@ -188,7 +194,7 @@ def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
     g = g.reshape(p, -1, p ** h).transpose(0, 2, 1).copy()
     for k, i in enumerate(range(h), n - h + 1):
         g = _ring_stage(g.reshape(p, -1, p, p ** (n - h + i)), p, _count_dtype(p ** k))
-    return g.reshape(p, p ** h, -1).transpose(0, 2, 1)
+    return g.reshape(p, -1)
 
 
 class WalshTable:
@@ -199,8 +205,9 @@ class WalshTable:
     The table has two read-outs: `by_log`, the per-shift array whose row
     tau is W(alpha^tau), and `unique_values`, the histogram of W(a) over
     a != 0, which `class_record` reads.  The a = 0 point has no log and is
-    `zero_value`.  `_by_u` holds the rows in the transform's own group
-    index, a = 0 first.
+    `zero_value`.  `_by_u` holds the rows in the order the transform ends
+    in, with the two halves of the group index u swapped: W at u is row
+    (u mod p^h) p^(n-h) + u div p^h, h = n // 2, so u = 0 is row 0.
     """
 
     def __init__(self, ctx: FieldCtx, d: int, by_u: np.ndarray):
@@ -213,7 +220,9 @@ class WalshTable:
     @cached_property
     def by_log(self) -> np.ndarray:
         """(p^n - 1, p - 1) int32 rows; row tau is W(alpha^tau)."""
-        return self._by_u[self.ctx.gram_index(self.ctx.exp_table)]
+        low = self.p ** (self.n // 2)
+        u = self.ctx.gram_index(self.ctx.exp_table)
+        return self._by_u[u % low * (self.ctx.order // low) + u // low]
 
     def zero_value(self) -> CycInt:
         """W(0); vanishes whenever gcd(d, p^n-1) = 1."""
@@ -225,8 +234,7 @@ class WalshTable:
         how often each occurs."""
         data = self._by_u[1:]
         if self.p == 2:
-            vals, counts = np.unique(data[:, 0], return_counts=True)
-            return vals[:, None], counts
+            return _histogram_1d(data[:, 0])
         # Pack the columns into mixed-radix int64 keys, the first column
         # most significant, so that key order is row order; renumber the
         # keys densely (ids < p^n <= 2^24) before one would pass 2^62.
@@ -257,10 +265,27 @@ class WalshTable:
         return data[row], counts
 
 
+def _histogram_1d(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, counts) of a 1-D array: its distinct values ascending, as one
+    column, and how often each occurs.  `np.unique` runs on blocks of
+    `_HISTOGRAM_BLOCK` values, so that its sorted copy stays small, and the
+    blocks' counts are summed in int64 by value."""
+    if len(values) <= _HISTOGRAM_BLOCK:
+        vals, counts = np.unique(values, return_counts=True)
+        return vals[:, None], counts
+    parts = [np.unique(values[lo:lo + _HISTOGRAM_BLOCK], return_counts=True)
+             for lo in range(0, len(values), _HISTOGRAM_BLOCK)]
+    vals = np.concatenate([v for v, _ in parts])
+    order = np.argsort(vals)
+    vals, counts = vals[order], np.concatenate([c for _, c in parts])[order]
+    starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    return vals[starts, None], np.add.reduceat(counts, starts)
+
+
 def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
     """The transform's input for f(x) = Tr(x^d): (-1)^f(x) in int16 for
     p = 2, else the (p, p^n) uint8 indicator whose row c marks f(x) = c."""
-    f_nonzero = ctx.mseq[decimation_index(ctx.period, d)]   # f at x = alpha^k
+    f_nonzero = decimated(ctx.mseq, d)   # f at x = alpha^k
     if ctx.p == 2:
         # scatter f in int8 (a casting scatter is slower), then widen 1 - 2 f
         f = np.zeros(ctx.order, dtype=np.int8)
@@ -288,7 +313,7 @@ def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshT
     g = _transform_ring(_transform_input(ctx, d), ctx.p, ctx.n)
     # reduce to the basis 1..w^(p-2) by w^(p-1) = -(1 + ... + w^(p-2))
     g = np.subtract(g[:-1], g[-1], dtype=np.int32)
-    return WalshTable(ctx, d, g.reshape(ctx.p - 1, -1).T)
+    return WalshTable(ctx, d, g.T)
 
 
 # ----------------------------------------------------------------------

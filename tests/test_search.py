@@ -19,11 +19,29 @@ def test_partition_is_partition():
         assert len(everything) == len(set(everything))
         expected = {
             d for d in range(2, L)
-            if gcd(d, L) == 1 and d not in search.degenerate_set(p, n)
+            if gcd(d, L) == 1 and d not in gf.degenerate_set(p, n)
         }
         assert set(everything) == expected
         for rep, members in parts:
             assert rep == min(members)
+
+
+def test_partition_matches_orbit_oracle():
+    # the literal orbits of d p^j and d^(-1) p^j, d stepped one at a time
+    for p in gf.SUPPORTED_PRIMES:
+        n = 1
+        while p ** n <= 2 ** 12:
+            L = p ** n - 1
+            degenerate = {pow(p, j, L) for j in range(n)} if L > 1 else set()
+            seen, expected = set(), []
+            for d in range(2, L):
+                if d in seen or d in degenerate or gcd(d, L) != 1:
+                    continue
+                members = {b * pow(p, j, L) % L for b in (d, pow(d, -1, L)) for j in range(n)}
+                seen |= members
+                expected.append((min(members), tuple(sorted(members))))
+            assert search.class_partition(p, n) == sorted(expected), (p, n)
+            n += 1
 
 
 def test_partition_reps_gf32():

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import tracemalloc
 from math import gcd, prod
 
 import numpy as np
@@ -38,10 +39,13 @@ def test_binary_transform_matches_sylvester_product(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
         x = (1 - 2 * rng.integers(0, 2, 2 ** n)).astype(np.int32)
+        # the transform ends with the index halves swapped: the value at u
+        # sits at (u mod 2^(n//2)) 2^(n - n//2) + u div 2^(n//2)
+        ref = (h @ x).reshape(-1, 2 ** (n // 2)).T.reshape(-1)
         for dtype in (np.int32, np.int16):
             out = spectra._wht_2(x.astype(dtype))
             assert out.dtype == np.int32
-            assert np.array_equal(out, h @ x)
+            assert np.array_equal(out, ref)
 
 
 def _ring_transform_int64(ctx, d):
@@ -75,6 +79,9 @@ def test_ring_transform_matches_int64_kernel(p, n):
         by_u = spectra.walsh_fast(ctx, d)._by_u
         ref = _ring_transform_int64(ctx, d)
         assert by_u.dtype == np.int32 and np.abs(ref).max() < 2 ** 31
+        # in the transform's order, the halves of the index u swapped: row
+        # (u mod p^(n//2)) p^(n - n//2) + u div p^(n//2) holds u
+        ref = ref.reshape(-1, p ** (n // 2), p - 1).transpose(1, 0, 2).reshape(-1, p - 1)
         assert by_u.tobytes() == ref.astype(np.int32).tobytes(), d
 
 
@@ -90,6 +97,55 @@ def test_transform_of_constant_sequence_reaches_the_bound(p, n):
     expected = np.zeros((p ** n, p - 1), dtype=np.int32)
     expected[0, 0] = p ** n
     assert by_u.dtype == np.int32 and np.array_equal(by_u, expected)
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)])
+def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
+    # with blocks of 2^6 the gather, the p = 2 m-sequence and the p = 2
+    # histogram each run tens of blocks, the last one partial
+    spec = gf.field_ctx(p, n).spec
+    one = gf.FieldCtx(spec)
+    L = one.period
+    degenerate = {pow(p, j, L) for j in range(n)}
+    ds = random.Random(p * 100 + n).sample(
+        [d for d in _coprime_ds(L) if d not in degenerate], 3)
+    expected = {d: class_record(one, d) for d in ds}
+    for name, module in (("_GATHER_BLOCK", gf), ("_CHUNK", gf), ("_HISTOGRAM_BLOCK", spectra)):
+        monkeypatch.setattr(module, name, 2 ** 6)
+    many = gf.FieldCtx(spec)
+    assert many.mseq.dtype == np.int8 and np.array_equal(many.mseq, one.mseq)
+    for d in ds:
+        assert np.array_equal(gf.decimated(many.mseq, d), one.mseq[np.arange(L) * d % L]), d
+        rows, counts = class_record(many, d)
+        assert counts.dtype == np.int64
+        assert _same((rows, counts), expected[d]), d
+        assert _same((rows, counts), class_record(many, d, method="naive")), d
+
+
+def test_blocked_histogram_matches_numpy_unique(monkeypatch):
+    monkeypatch.setattr(spectra, "_HISTOGRAM_BLOCK", 2 ** 6)
+    rng = np.random.default_rng(6)
+    for size in (1, 63, 64, 65, 1000, 4095):
+        values = rng.integers(-40, 40, size).astype(np.int32)
+        rows, counts = spectra._histogram_1d(values)
+        vals, ref = np.unique(values, return_counts=True)
+        assert rows.dtype == np.int32 and counts.dtype == np.int64
+        assert rows[:, 0].tolist() == vals.tolist() and counts.tolist() == ref.tolist()
+
+
+def test_binary_class_record_memory_peak():
+    # past the m-sequence, the int16 input and the int32 output of the
+    # transform are the only field-sized buffers alive at once at (2,24):
+    # 32 + 64 MiB
+    ctx = gf.field_ctx(2, 24)
+    ctx.mseq
+    tracemalloc.start()
+    try:
+        class_record(ctx, 12582919)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 2 ** 20, peak / 2 ** 20
 
 
 def test_degenerate_crosscorrelation():
@@ -159,12 +215,14 @@ def test_walsh_linear_exponent_single_spike():
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (2, 8), (3, 2), (3, 4), (5, 3), (7, 3),
-                                 (11, 2), (13, 2)])
+                                 (11, 2), (13, 2), (2, 1), (3, 1), (5, 1), (7, 1),
+                                 (11, 1), (13, 1), (3, 5), (13, 3)])
 def test_walsh_value_at_log_matches_direct_sum(p, n):
-    # W(a) = sum over x of w^(Tr(x^d) - Tr(ax)), placed at a = alpha^tau
+    # W(a) = sum over x of w^(Tr(x^d) - Tr(ax)), placed at a = alpha^tau;
+    # n = 1 (no index half to swap) and odd n check the order `by_log` reads
     ctx = gf.field_ctx(p, n)
     degenerate = {pow(p, j, ctx.period) for j in range(n)}
-    d = next(d for d in _coprime_ds(ctx.period) if d not in degenerate)
+    d = next((d for d in _coprime_ds(ctx.period) if d not in degenerate), 1)
     wt = spectra.walsh_fast(ctx, d)
     assert wt.by_log.shape == (ctx.period, p - 1) and wt.by_log.dtype == np.int32
     xs = np.arange(ctx.order)
