@@ -26,10 +26,10 @@ lie in GF(p), sums small ints and reduces mod p once.
 
 `FieldCtx` builds only the exp table and those n traces when it is made.
 The log table, the m-sequence s_k = Tr(alpha^k) (for p = 2, a parity of
-masked exp entries, `_CHUNK` at a time), the full trace table and the Gram
-matrix are built on first use, so a spectrum, which reads exp and the
-m-sequence alone, never pays for the others.  `decimated` reads a sequence
-at k d mod L block by block, without an index array of the field's size.
+masked exp entries), the full trace table and the Gram matrix are built on
+first use, so a spectrum, which reads exp and the m-sequence alone, never
+pays for the others.  `decimated` reads a sequence at k d mod L block by
+block, without an index array of the field's size.
 
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
@@ -64,7 +64,6 @@ MAX_TABLE_ORDER = 2 ** 24   # exp/log tables kept in memory
 MAX_POLY_ORDER = 2 ** 40    # polynomial arithmetic only
 _GROUP_TABLE = 256          # entries of one digit-group lookup table
 _CHUNK = 2 ** 16            # elements per pass of a linear map
-_GATHER_BLOCK = 2 ** 16     # indices per block of `decimated`
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -278,8 +277,8 @@ def decimated(values: np.ndarray, d: int) -> np.ndarray:
     """values[k d mod L] for k = 0 .. L - 1, L = len(values), a fresh array;
     needs 1 <= L < 2^31.
 
-    The indices are made `_GATHER_BLOCK` at a time, so no index array of
-    the field's size is built.  With k = q B + r, B the block size, k d =
+    The indices are made `_CHUNK` at a time, so no index array of the
+    field's size is built.  With k = q B + r, B the block size, k d =
     q (B d) + r d: block q adds (q B d) mod L to the table of (r d) mod L,
     r < B, and the sum, below 2L, wraps with `_wrap`.  The same split,
     with blocks of about sqrt(B), builds that table from two tables of
@@ -289,7 +288,7 @@ def decimated(values: np.ndarray, d: int) -> np.ndarray:
     if not 1 <= L < 2 ** 31:
         raise Budget(f"period {L} outside the int32 index range [1, 2^31)")
     d %= L
-    B = min(_GATHER_BLOCK, L)
+    B = min(_CHUNK, L)
     b = isqrt(B - 1) + 1
     r = np.add.outer(_multiples(-(-B // b), b * d, L), _multiples(b, d, L)).ravel()[:B]
     _wrap(r, L)
@@ -492,13 +491,9 @@ class FieldCtx:
     def mseq(self) -> np.ndarray:
         """The m-sequence s_k = Tr(alpha^k), k = 0 .. p^n - 2, as int8."""
         if self.p == 2:
-            # Tr is the parity of the digits selected by the trace basis,
-            # `_CHUNK` elements at a time
+            # Tr is the parity of the digits selected by the trace basis
             t = sum(b << i for i, b in enumerate(self._trace_basis))
-            out = np.empty(self.period, dtype=np.int8)
-            for s in range(0, self.period, _CHUNK):
-                out[s:s + _CHUNK] = np.bitwise_count(self._exp[s:s + _CHUNK] & t) & 1
-            return out
+            return (np.bitwise_count(self._exp & t) & 1).astype(np.int8)
         return self._trace_map(self._trace_basis, self._exp)
 
     @cached_property

@@ -270,9 +270,6 @@ def _histogram_1d(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column, and how often each occurs.  `np.unique` runs on blocks of
     `_HISTOGRAM_BLOCK` values, so that its sorted copy stays small, and the
     blocks' counts are summed in int64 by value."""
-    if len(values) <= _HISTOGRAM_BLOCK:
-        vals, counts = np.unique(values, return_counts=True)
-        return vals[:, None], counts
     parts = [np.unique(values[lo:lo + _HISTOGRAM_BLOCK], return_counts=True)
              for lo in range(0, len(values), _HISTOGRAM_BLOCK)]
     vals = np.concatenate([v for v, _ in parts])

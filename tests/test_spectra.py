@@ -101,8 +101,8 @@ def test_transform_of_constant_sequence_reaches_the_bound(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)])
 def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
-    # with blocks of 2^6 the gather, the p = 2 m-sequence and the p = 2
-    # histogram each run tens of blocks, the last one partial
+    # with blocks of 2^6 the gather and the p = 2 histogram each run tens
+    # of blocks, the last one partial
     spec = gf.field_ctx(p, n).spec
     one = gf.FieldCtx(spec)
     L = one.period
@@ -110,7 +110,7 @@ def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
     ds = random.Random(p * 100 + n).sample(
         [d for d in _coprime_ds(L) if d not in degenerate], 3)
     expected = {d: class_record(one, d) for d in ds}
-    for name, module in (("_GATHER_BLOCK", gf), ("_CHUNK", gf), ("_HISTOGRAM_BLOCK", spectra)):
+    for name, module in (("_CHUNK", gf), ("_HISTOGRAM_BLOCK", spectra)):
         monkeypatch.setattr(module, name, 2 ** 6)
     many = gf.FieldCtx(spec)
     assert many.mseq.dtype == np.int8 and np.array_equal(many.mseq, one.mseq)
