@@ -305,18 +305,12 @@ def _cmd_classify(args) -> int:
     cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
     out = []
     for n in ns:
-        buckets = search.classify_by_value_count(
-            args.p, n, cache=cache, threads=args.threads)
-        out.append({
-            "p": args.p, "n": n,
-            "buckets": {
-                str(t): [
-                    {"rep": c.rep, "members": len(c.members),
-                     "values": [cyclo.coords_json(args.p, r) for r in c.rows.tolist()]}
-                    for c in lst
-                ] for t, lst in buckets.items()
-            },
-        })
+        buckets: dict[str, list] = {}   # by value count; `_emit` sorts the keys
+        for c in search.canonical_classes(args.p, n, cache=cache, threads=args.threads):
+            buckets.setdefault(str(len(c.counts)), []).append(
+                {"rep": c.rep, "members": len(c.members),
+                 "values": [cyclo.coords_json(args.p, r) for r in c.rows.tolist()]})
+        out.append({"p": args.p, "n": n, "buckets": buckets})
     _emit(out)
     return 0
 

@@ -11,13 +11,17 @@ occurs.  The rows are in the order of `cyclo.value_key`: the rational
 values ascending, then the others in the lexicographic order of their
 coordinates.
 
-Records can be persisted to a JSON-lines cache keyed by (p, n, modulus,
-class representative) so repeated runs are incremental.  A line holds
-{p, n, d, modulus, version, rows, counts}, the rows and counts as lists of
-JSON integers, and is trusted only after the checks of `_record_ok`.  A
-line of another version (version 1 held `CycInt` JSON entries) is skipped,
-counted once on stderr and dropped from the file, and its class computed
-again.
+`canonical_classes` is the one pass over the classes of a field: an
+iterator of `DecimationClass` in representative order, which each check
+and `classify` reads once.  Records can be persisted to a JSON-lines cache
+keyed by (p, n, modulus, class representative) so repeated runs are
+incremental: the stream appends its computed records `_APPEND_EVERY` at a
+time, so a run stopped partway keeps them and the next computes only the
+rest.  A line holds {p, n, d, modulus, version, rows, counts}, the rows and
+counts as lists of JSON integers, and is trusted only after the checks of
+`_record_ok`.  A line of another version (version 1 held `CycInt` JSON
+entries) is skipped, counted once on stderr and dropped from the file, and
+its class computed again.
 
 A conjecture check that FAILS is a reportable finding (recorded in the
 returned report), never a crash.
@@ -28,21 +32,24 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import lt, mul
 
 import numpy as np
 
 from .cyclo import value_key
-from .errors import Budget
+from .errors import Budget, OutOfDomain
 from . import families
 from .gf import FieldCtx, factorize, field_ctx
 from .spectra import class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
 CACHE_VERSION = 2   # the record format; a record of any other version is recomputed
+_APPEND_EVERY = 64   # computed records per cache append
 
 
 @dataclass(eq=False)
@@ -55,22 +62,6 @@ class DecimationClass:
     members: tuple[int, ...]
     rows: np.ndarray
     counts: np.ndarray
-
-    @property
-    def value_count(self) -> int:
-        return len(self.counts)
-
-
-def _class_of(d: int, p: int, n: int) -> set[int]:
-    """Every d p^j and d^(-1) p^j mod p^n - 1 (d coprime to it)."""
-    L = p ** n - 1
-    members = set()
-    for base in (d % L, pow(d, -1, L)):
-        x = base
-        for _ in range(n):
-            members.add(x)
-            x = x * p % L
-    return members
 
 
 def class_partition(p: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -153,8 +144,9 @@ class SpectrumCache:
         return out
 
     def append(self, p: int, n: int, modulus: tuple, records) -> None:
-        """Write (d, rows, counts) records as lines, all in one call: the
-        records are computed before it."""
+        """Write a list of (d, rows, counts) records as lines at the end of
+        the file; `canonical_classes` calls it once per `_APPEND_EVERY`
+        computed classes and once for the rest."""
         with open(self._path(p, n), "ab+") as fh:
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
@@ -206,33 +198,41 @@ def _record_ok(rec: dict, p: int, n: int) -> bool:
 
 def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
                       threads: int = 1,
-                      ctx: FieldCtx | None = None) -> list[DecimationClass]:
-    """All nondegenerate coprime classes with one computed spectrum each."""
+                      ctx: FieldCtx | None = None) -> Iterator[DecimationClass]:
+    """Every nondegenerate coprime class with its spectrum, as an iterator
+    in representative order.  The arguments are checked at the call; the
+    cache is read and the missing records computed (by `threads` workers)
+    as the iterator is read."""
     if p ** n > CLASSIFY_MAX_ORDER:
         raise Budget(f"classification bounded to p^n <= {CLASSIFY_MAX_ORDER}")
-    ctx = ctx or field_ctx(p, n)
+    if threads < 1:
+        raise OutOfDomain(f"threads must be at least 1, not {threads}")
+    return _class_stream(p, n, cache, threads, ctx or field_ctx(p, n))
+
+
+def _class_stream(p: int, n: int, cache: SpectrumCache | None, threads: int,
+                  ctx: FieldCtx) -> Iterator[DecimationClass]:
     parts = class_partition(p, n)
     records = cache.load(p, n, ctx.spec.coeffs) if cache is not None else {}
-
     todo = [rep for rep, _ in parts if rep not in records]   # ascending
-    if threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fresh = list(pool.map(class_record, [ctx] * len(todo), todo))
-    else:
-        fresh = [class_record(ctx, rep) for rep in todo]
-    if cache is not None and fresh:
-        cache.append(p, n, ctx.spec.coeffs,
-                     [(rep, *rec) for rep, rec in zip(todo, fresh)])
-    records.update(zip(todo, fresh))
-    return [DecimationClass(rep, members, *records[rep]) for rep, members in parts]
-
-
-def classify_by_value_count(p: int, n: int, **kw) -> dict[int, list[DecimationClass]]:
-    """Bucket canonical classes by spectrum cardinality."""
-    buckets: dict[int, list[DecimationClass]] = {}
-    for cls in canonical_classes(p, n, **kw):
-        buckets.setdefault(cls.value_count, []).append(cls)
-    return {t: buckets[t] for t in sorted(buckets)}
+    batch = []
+    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    try:
+        fresh = (pool.map if pool else map)(partial(class_record, ctx), todo)
+        for rep, members in parts:
+            if rep in records:
+                rows, counts = records.pop(rep)
+            else:
+                rows, counts = next(fresh)
+                if cache is not None:
+                    batch.append((rep, rows, counts))
+                    if len(batch) == _APPEND_EVERY or rep == todo[-1]:
+                        cache.append(p, n, ctx.spec.coeffs, batch)
+                        batch = []
+            yield DecimationClass(rep, members, rows, counts)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)   # a stopped stream computes no more
 
 
 # ----------------------------------------------------------------------
@@ -297,17 +297,17 @@ class CompletenessReport:
         }
 
 
-def _class_rep_of(d: int, p: int, n: int) -> int:
-    return min(_class_of(d, p, n))
-
-
 def three_valued_completeness(p: int, n: int, **kw) -> CompletenessReport:
-    """Compare the exhaustive t = 3 bucket with catalog-predicted classes."""
-    buckets = classify_by_value_count(p, n, **kw)
-    found = sorted(cls.rep for cls in buckets.get(3, []))
-    predicted = sorted({
-        _class_rep_of(d, p, n) for d in families.three_valued_decimations(p, n)
-    })
+    """Compare the exhaustive three-valued classes with the classes of the
+    catalog-predicted d."""
+    classes = canonical_classes(p, n, **kw)
+    predicted_d = set(families.three_valued_decimations(p, n))
+    found, predicted = [], []
+    for cls in classes:
+        if len(cls.counts) == 3:
+            found.append(cls.rep)
+        if not predicted_d.isdisjoint(cls.members):
+            predicted.append(cls.rep)
     unexplained = sorted(set(found) - set(predicted))
     missing = sorted(set(predicted) - set(found))
     return CompletenessReport(

@@ -291,6 +291,44 @@ def test_classify_recovers_from_truncated_cache(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == [path.name]   # no temp file left
 
 
+def test_stopped_classify_resumes_from_its_appends(tmp_path, monkeypatch, capsys):
+    # (2,14) has 379 classes.  A run stopped at the 200th computed class
+    # keeps the three appends of 64 before it; the next run computes only
+    # the other 187 and prints the bytes of a run with no cache.
+    args = ["classify", "--p", "2", "--n", "14"]
+    code, fresh, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    reps = [rep for rep, _ in search.class_partition(2, 14)]
+    assert len(reps) == 379 and search._APPEND_EVERY == 64
+    record, calls = search.class_record, []
+
+    def stopped(ctx, d):
+        calls.append(d)
+        if len(calls) == 200:
+            raise KeyboardInterrupt
+        return record(ctx, d)
+
+    monkeypatch.setattr(search, "class_record", stopped)
+    args += ["--cache-dir", str(tmp_path)]
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    assert capsys.readouterr().out == ""
+    path = tmp_path / "spectra_p2_n14.jsonl"
+    kept = [json.loads(line)["d"] for line in path.read_text().splitlines()]
+    assert kept == reps[:192]
+
+    def counted(ctx, d):
+        calls.append(d)
+        return record(ctx, d)
+
+    calls.clear()
+    monkeypatch.setattr(search, "class_record", counted)
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert (code, err) == (0, "") and out == fresh
+    assert calls == reps[192:] and len(calls) == 187
+    assert [json.loads(line)["d"] for line in path.read_text().splitlines()] == reps
+
+
 def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
     args = ("conjecture", "--check", "minus-one", "--p", "2", "--n", "7",
             "--cache-dir", str(tmp_path))
@@ -360,6 +398,10 @@ DOMAIN_ERRORS = {
     "verify --family katz-langevin --p 3 --n 5 --params k=-1",
     "classify --p 2 --n 3 --max-n 4",
     "conjecture --check minus-one --p 2 --n 3 --max-n 4",
+    "classify --p 2 --n 4 --threads 0",
+    "classify --p 2 --max-n 4 --threads -3",
+    "conjecture --check minus-one --p 2 --n 4 --threads 0",
+    "conjecture --check three-valued --p 2 --n 4 --threads -3",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")

@@ -1,6 +1,7 @@
 """Decimation classification, caching, and conjecture evidence."""
 
 import json
+import time
 from math import gcd
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from mseqcorr import gf, search, spectra
 from mseqcorr.cyclo import value_key
-from mseqcorr.errors import Budget
+from mseqcorr.errors import Budget, OutOfDomain
 
 
 def test_partition_is_partition():
@@ -74,7 +75,7 @@ def test_class_moves_keep_the_histogram(p, n):
     # sorted by cyclo.value_key: the vectorized sort of class_record agrees
     # with the key on every class.
     ctx = gf.field_ctx(p, n)
-    classes = search.canonical_classes(p, n, ctx=ctx)
+    classes = list(search.canonical_classes(p, n, ctx=ctx))
     assert [(c.rep, c.members) for c in classes] == search.class_partition(p, n)
     for cls in classes:
         assert cls.rows.dtype == np.int32 and cls.counts.dtype == np.int64
@@ -90,16 +91,15 @@ def test_class_moves_keep_the_histogram(p, n):
 
 
 def test_classify_buckets_gf16_no_three_valued():
-    buckets = search.classify_by_value_count(2, 4)
-    assert 3 not in buckets
+    classes = list(search.canonical_classes(2, 4))
+    assert classes and all(len(cls.counts) != 3 for cls in classes)
 
 
 def test_classify_buckets_gf64_three_valued_matches_catalog():
-    buckets = search.classify_by_value_count(2, 6)
-    got = {cls.rep for cls in buckets.get(3, [])}
+    got = {cls.rep for cls in search.canonical_classes(2, 6) if len(cls.counts) == 3}
     from mseqcorr import families
-    want = {search._class_rep_of(d, 2, 6)
-            for d in families.three_valued_decimations(2, 6)}
+    rep_of = {d: rep for rep, members in search.class_partition(2, 6) for d in members}
+    want = {rep_of[d] for d in families.three_valued_decimations(2, 6)}
     assert got == want
 
 
@@ -120,19 +120,60 @@ def test_completeness_small_grid():
 
 
 def test_budget_guard():
-    with pytest.raises(Budget):
+    with pytest.raises(Budget):   # at the call, before the stream is read
         search.canonical_classes(2, 25)
+
+
+def test_threads_below_one_rejected_at_the_call():
+    for threads in (0, -3):
+        with pytest.raises(OutOfDomain, match="threads"):
+            search.canonical_classes(2, 4, threads=threads)
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 5)])
+def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch):
+    # appends of 3 records, with every third class already cached between
+    # them: a serial and a threaded run write the same bytes, one append per
+    # 3 computed classes and one for the rest, and yield the same records
+    monkeypatch.setattr(search, "_APPEND_EVERY", 3)
+    append, sizes = search.SpectrumCache.append, []
+
+    def counted(self, p, n, modulus, records):
+        sizes.append(len(records))
+        append(self, p, n, modulus, records)
+
+    monkeypatch.setattr(search.SpectrumCache, "append", counted)
+    ctx = gf.field_ctx(p, n)
+    reference = list(search.canonical_classes(p, n, ctx=ctx))
+    assert [(c.rep, c.members) for c in reference] == search.class_partition(p, n)
+    seeded = reference[::3]
+    todo = len(reference) - len(seeded)
+    files = []
+    for threads in (1, 2):
+        cache = search.SpectrumCache(str(tmp_path / f"threads{threads}"))
+        append(cache, p, n, ctx.spec.coeffs, [(c.rep, c.rows, c.counts) for c in seeded])
+        sizes.clear()
+        stream = list(search.canonical_classes(p, n, cache=cache, threads=threads, ctx=ctx))
+        assert sizes == [3] * (todo // 3) + [todo % 3] * (todo % 3 > 0), threads
+        assert [(c.rep, c.members) for c in stream] == [(c.rep, c.members) for c in reference]
+        assert all(_same_record(a, b.rows, b.counts) for a, b in zip(reference, stream))
+        files.append((tmp_path / f"threads{threads}" / f"spectra_p{p}_n{n}.jsonl").read_bytes())
+    serial, threaded = files
+    assert serial == threaded
+    seeded_reps = [c.rep for c in seeded]
+    assert [json.loads(line)["d"] for line in serial.splitlines()] == \
+           seeded_reps + [c.rep for c in reference if c.rep not in seeded_reps]
 
 
 def test_cache_roundtrip(tmp_path):
     cache = search.SpectrumCache(str(tmp_path))
-    first = search.canonical_classes(2, 6, cache=cache)
+    first = list(search.canonical_classes(2, 6, cache=cache))
     path = tmp_path / "spectra_p2_n6.jsonl"
     assert path.exists()
     lines = path.read_text().strip().splitlines()
     assert len(lines) == len(first)
     # second run consumes the cache and appends nothing
-    second = search.canonical_classes(2, 6, cache=cache)
+    second = list(search.canonical_classes(2, 6, cache=cache))
     assert len(path.read_text().strip().splitlines()) == len(lines)
     for a, b in zip(first, second):
         assert a.rep == b.rep and _same_record(a, b.rows, b.counts)
@@ -141,7 +182,7 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_isolated_by_modulus(tmp_path):
     cache = search.SpectrumCache(str(tmp_path))
-    search.canonical_classes(2, 6, cache=cache)
+    list(search.canonical_classes(2, 6, cache=cache))
     # the reciprocal of x^6 + x + 1 is primitive but keys different rows
     other = (1, 0, 0, 0, 0, 1)
     assert gf.is_primitive(2, 6, other)
@@ -152,24 +193,24 @@ def test_cache_isolated_by_modulus(tmp_path):
 def test_cache_rewrite_drops_only_invalid_lines(tmp_path, capsys):
     cache = search.SpectrumCache(str(tmp_path))
     other = (1, 0, 0, 0, 0, 1)
-    search.canonical_classes(2, 6, cache=cache)
-    search.canonical_classes(2, 6, cache=cache, ctx=gf.field_ctx(2, 6, other))
+    list(search.canonical_classes(2, 6, cache=cache))
+    list(search.canonical_classes(2, 6, cache=cache, ctx=gf.field_ctx(2, 6, other)))
     path = tmp_path / "spectra_p2_n6.jsonl"
     good = path.read_text()
     # a garbage line names no class, so nothing is recomputed; it still goes
     path.write_text(good + "not json\n")
     capsys.readouterr()
-    search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path)))
+    list(search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path))))
     assert "skipped 1 invalid record" in capsys.readouterr().err
     assert path.read_text() == good   # both moduli kept, in order
-    search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path)))
+    list(search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path))))
     assert capsys.readouterr().err == ""
 
 
 def test_load_drops_invalid_lines_at_once(tmp_path, capsys):
     cache = search.SpectrumCache(str(tmp_path))
     coeffs = gf.find_primitive_polynomial(2, 6).coeffs
-    search.canonical_classes(2, 6, cache=cache)
+    list(search.canonical_classes(2, 6, cache=cache))
     path = tmp_path / "spectra_p2_n6.jsonl"
     good = path.read_text()
     first, rest = good.split("\n", 1)
@@ -189,19 +230,35 @@ def test_load_drops_invalid_lines_at_once(tmp_path, capsys):
 
 
 def test_threads_deterministic():
-    serial = search.classify_by_value_count(3, 4, threads=1)
-    threaded = search.classify_by_value_count(3, 4, threads=4)
-    assert {t: [c.rep for c in v] for t, v in serial.items()} == \
-           {t: [c.rep for c in v] for t, v in threaded.items()}
-    for t in serial:
-        for a, b in zip(serial[t], threaded[t]):
-            assert _same_record(a, b.rows, b.counts)
+    serial = list(search.canonical_classes(3, 4, threads=1))
+    threaded = list(search.canonical_classes(3, 4, threads=4))
+    assert [(c.rep, c.members) for c in serial] == \
+           [(c.rep, c.members) for c in threaded] == search.class_partition(3, 4)
+    for a, b in zip(serial, threaded):
+        assert _same_record(a, b.rows, b.counts)
+
+
+def test_stopped_threaded_stream_computes_no_more(monkeypatch):
+    # closing the stream cancels the classes its workers have not started
+    record, calls = search.class_record, []
+
+    def slow(ctx, d):
+        calls.append(d)
+        time.sleep(0.05)
+        return record(ctx, d)
+
+    monkeypatch.setattr(search, "class_record", slow)
+    stream = search.canonical_classes(2, 10, threads=2)
+    first = next(stream)
+    stream.close()
+    assert first.rep == search.class_partition(2, 10)[0][0]
+    assert len(calls) <= 4 < len(search.class_partition(2, 10))
 
 
 def test_version_1_record_recomputed_once(tmp_path, capsys):
     # a line of the first format: the spectrum's CycInt JSON entries
     ctx = gf.field_ctx(2, 6)
-    classes = search.canonical_classes(2, 6)
+    classes = list(search.canonical_classes(2, 6))
     rep = classes[0].rep
     old = {"p": 2, "n": 6, "d": rep, "method": "fast",
            "entries": spectra.entries_json(2, *spectra.class_record(ctx, rep)),
@@ -210,7 +267,7 @@ def test_version_1_record_recomputed_once(tmp_path, capsys):
     path.write_text(json.dumps(old, sort_keys=True) + "\n")
     cache = search.SpectrumCache(str(tmp_path))
     capsys.readouterr()
-    again = search.canonical_classes(2, 6, cache=cache)
+    again = list(search.canonical_classes(2, 6, cache=cache))
     assert capsys.readouterr().err.count("skipped 1 invalid record") == 1
     assert [json.loads(line)["d"] for line in path.read_text().splitlines()] == \
            [c.rep for c in classes]   # every class computed once, in version 2
@@ -270,7 +327,7 @@ def _mutations(rec):
 @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3)])
 def test_cache_rejects_invalid_records(p, n, tmp_path, capsys):
     ctx = gf.field_ctx(p, n)
-    cls = search.canonical_classes(p, n, ctx=ctx)[-1]
+    cls = list(search.canonical_classes(p, n, ctx=ctx))[-1]
     cache = search.SpectrumCache(str(tmp_path))
     cache.append(p, n, ctx.spec.coeffs, [(cls.rep, cls.rows, cls.counts)])
     path = tmp_path / f"spectra_p{p}_n{n}.jsonl"
