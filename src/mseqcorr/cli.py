@@ -153,17 +153,15 @@ def _cmd_seq(args) -> int:
     if args.d:
         seq = lfsr.decimate(seq, _parse_decimation(args.d, ctx.period))
     if args.format == "raw":
-        target = args.out_file
-        if target:
-            with open(target, "wb") as fh:
+        if args.out_file:
+            with open(args.out_file, "wb") as fh:
                 fh.write(seq.symbols)
         else:
             sys.stdout.buffer.write(seq.symbols)
         return 0
-    if ctx.p <= 9:
-        line = "".join(str(s) for s in seq.symbols)
-    else:
-        line = " ".join(str(s) for s in seq.symbols)
+    line = seq.symbols.translate(bytes.maketrans(bytes(range(13)), b"0123456789:;<")).decode()
+    if ctx.p > 9:   # space-separated, 10..12 in two digits
+        line = " ".join(line).replace(":", "10").replace(";", "11").replace("<", "12")
     if args.out_file:
         with open(args.out_file, "w") as fh:
             fh.write(line + "\n")
@@ -241,14 +239,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_niho(args) -> int:
     ctx = field_ctx(args.p, 2 * args.m)
-    out = {
-        "p": args.p, "m": args.m, "s": args.s,
-        "d": niho.niho_decimation(args.p, args.m, args.s),
-        "histogram": {str(k): v for k, v in niho.unit_root_histogram(ctx, args.s).items()},
-        "value_set": sorted(niho.niho_value_set(ctx, args.s)),
-    }
+    # one root count: the identity report has the histogram and values too
     if args.check_identity:
         rep = niho.walsh_identity_report(ctx, args.s)
+    else:
+        hist = niho.unit_root_histogram(ctx, args.s)
+        rep = {"histogram": hist, "value_set": niho.value_list(ctx, hist)}
+    out = {"p": args.p, "m": args.m, "s": args.s,
+           "d": niho.niho_decimation(args.p, args.m, args.s),
+           "histogram": {str(k): v for k, v in rep["histogram"].items()},
+           "value_set": rep["value_set"]}
+    if args.check_identity:
         out["identity_holds"] = rep["holds"]
     _emit(out)
     return 0 if out.get("identity_holds", True) else 1

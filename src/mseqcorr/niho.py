@@ -74,12 +74,14 @@ def unit_root_histogram(ctx: FieldCtx, s: int) -> dict[int, int]:
     return _histogram(count_unit_roots(ctx, s, ctx.exp_table))
 
 
+def value_list(ctx: FieldCtx, histogram: dict[int, int]) -> list[int]:
+    """The values (N - 1) * p^m of the root counts N of a histogram, sorted."""
+    return sorted((na - 1) * ctx.p ** (ctx.n // 2) for na in histogram)
+
+
 def niho_value_set(ctx: FieldCtx, s: int) -> set[int]:
     """{(N(a) - 1) * p^m : a != 0} computed exactly from the root counts."""
-    if ctx.n % 2:
-        raise OutOfDomain("Niho machinery needs n = 2m")
-    pm = ctx.p ** (ctx.n // 2)
-    return {(na - 1) * pm for na in unit_root_histogram(ctx, s)}
+    return set(value_list(ctx, unit_root_histogram(ctx, s)))
 
 
 def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
@@ -107,5 +109,5 @@ def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
         "holds": not mismatches,
         "mismatch_shifts": mismatches[:16],
         "histogram": hist,
-        "value_set": sorted((na - 1) * pm for na in hist),
+        "value_set": value_list(ctx, hist),
     }

@@ -36,14 +36,14 @@ result is reduced once, at the end, into int32, to the unique basis 1,
 Every value is thus a row of p - 1 int32 coordinates (one, the integer
 itself, for p = 2), and a `WalshTable` is read in one of two ways: the
 per-shift array `by_log`, row tau = W(alpha^tau), or the histogram
-`unique_values` of W(a) over a != 0.  For p = 2 the histogram is
-`np.unique` on blocks of 2^20 values, whose counts are summed in int64.
-For odd p the distinct rows are ranked in mixed-radix integer keys, in the
-lexicographic order of the coordinates (counted by `np.bincount` when the
-keys span at most 4 (p^n - 1) integers, sorted otherwise).  The
-crosscorrelation spectrum of the decimation pair
-is the multiset {W(a) - 1 : a != 0}, read from the histogram; the a = 0
-point of the transform corresponds to no shift and is excluded.
+`unique_values` of W(a) over a != 0.  For every p the histogram packs each
+row into one mixed-radix integer key, in the lexicographic order of the
+coordinates (for p = 2 the key is the value), and counts the keys by
+`np.unique` on blocks of 2^20; only keys that would pass 2^62 are
+renumbered densely instead.  The crosscorrelation spectrum of the
+decimation pair is the multiset {W(a) - 1 : a != 0}, read from the
+histogram; the a = 0 point of the transform corresponds to no shift and is
+excluded.
 
 A spectrum has one form, the integer record of `class_record`: `rows`,
 the int32 coordinates of its distinct values, and `counts`, int64, how
@@ -86,7 +86,7 @@ NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
 # <= 12 such sums: every sum stays below 12 * 2^48 < 2^63.
 MOMENT_CHECK_MAX_ORDER = 2 ** 16
 MOMENT_CHECK_SEED = 2024   # draws the shifts of the shifted second moments
-_HISTOGRAM_BLOCK = 2 ** 20   # values per np.unique call of the p = 2 histogram
+_HISTOGRAM_BLOCK = 2 ** 20   # keys per np.unique call of the histogram
 
 
 # ----------------------------------------------------------------------
@@ -231,52 +231,49 @@ class WalshTable:
     def unique_values(self):
         """(rows, counts): the distinct W(a) over a != 0, as fresh arrays of
         rows in lexicographic order (the order of np.unique(axis=0)), and
-        how often each occurs."""
+        how often each occurs.  Each row is one mixed-radix key, the first
+        column most significant and signed (|W| <= p^n), the others offset
+        by their minimum, so that key order is row order."""
         data = self._by_u[1:]
-        if self.p == 2:
-            return _histogram_1d(data[:, 0])
-        # Pack the columns into mixed-radix int64 keys, the first column
-        # most significant, so that key order is row order; renumber the
-        # keys densely (ids < p^n <= 2^24) before one would pass 2^62.
-        lows = data.min(axis=0).tolist()
-        spans = [hi - lo + 1 for lo, hi in zip(lows, data.max(axis=0).tolist())]
-        ids, size = np.zeros(len(data), dtype=np.int64), 1
-        for col, lo, span in zip(data.T, lows, spans):
-            if size * span > 2 ** 62:
-                ids = np.unique(ids, return_inverse=True)[1]
-                size = int(ids.max()) + 1
-            ids = ids * span + (col - lo)
-            size *= span
-        if prod(spans) <= 4 * len(data):
-            # few possible keys, none renumbered: count each, with no sort,
-            # and decode the rows from the keys present
+        lows = data[:, 1:].min(axis=0).tolist()
+        spans = [hi - lo + 1 for lo, hi in zip(lows, data[:, 1:].max(axis=0).tolist())]
+        bound = 2 * (self.ctx.order + 1) * prod(spans)   # above twice every |key|
+        if bound > 2 ** 63:
+            # renumber the keys densely (ids < p^n <= 2^24) before one would pass 2^62
+            lows.insert(0, int(data[:, 0].min()))
+            spans.insert(0, int(data[:, 0].max()) - lows[0] + 1)
+            ids, size = np.zeros(len(data), dtype=np.int64), 1
+            for col, lo, span in zip(data.T, lows, spans):
+                if size * span > 2 ** 62:
+                    ids = np.unique(ids, return_inverse=True)[1]
+                    size = int(ids.max()) + 1
+                ids = ids * span + (col - lo)
+                size *= span
+            ids = np.unique(ids, return_inverse=True)[1]
             counts = np.bincount(ids)
-            keys = np.flatnonzero(counts)
-            counts = counts[keys]
-            rows = np.empty((len(keys), len(spans)), dtype=data.dtype)
-            for c in reversed(range(len(spans))):
-                keys, digit = np.divmod(keys, spans[c])
-                rows[:, c] = digit + lows[c]
-            return rows, counts
-        ids = np.unique(ids, return_inverse=True)[1]
-        counts = np.bincount(ids)
-        row = np.empty(len(counts), dtype=np.int64)
-        row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
-        return data[row], counts
-
-
-def _histogram_1d(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, counts) of a 1-D array: its distinct values ascending, as one
-    column, and how often each occurs.  `np.unique` runs on blocks of
-    `_HISTOGRAM_BLOCK` values, so that its sorted copy stays small, and the
-    blocks' counts are summed in int64 by value."""
-    parts = [np.unique(values[lo:lo + _HISTOGRAM_BLOCK], return_counts=True)
-             for lo in range(0, len(values), _HISTOGRAM_BLOCK)]
-    vals = np.concatenate([v for v, _ in parts])
-    order = np.argsort(vals)
-    vals, counts = vals[order], np.concatenate([c for _, c in parts])[order]
-    starts = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
-    return vals[starts, None], np.add.reduceat(counts, starts)
+            row = np.empty(len(counts), dtype=np.int64)
+            row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
+            return data[row], counts
+        # np.unique per block of keys, in int32 when they fit; counts summed in int64
+        dtype = np.int32 if bound <= 2 ** 31 else np.int64
+        parts = []
+        for lo in range(0, len(data), _HISTOGRAM_BLOCK):
+            block = data[lo:lo + _HISTOGRAM_BLOCK]
+            keys = block[:, 0].astype(dtype, copy=False)   # p = 2: the value, no copy
+            for c, (low, span) in enumerate(zip(lows, spans), 1):
+                keys = keys * span + (block[:, c] - low)
+            parts.append(np.unique(keys, return_counts=True))
+        keys = np.concatenate([k for k, _ in parts])
+        order = np.argsort(keys)
+        keys, counts = keys[order], np.concatenate([c for _, c in parts])[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, counts = keys[starts], np.add.reduceat(counts, starts)
+        rows = np.empty((len(keys), data.shape[1]), dtype=data.dtype)
+        for c in reversed(range(1, data.shape[1])):
+            keys, digit = np.divmod(keys, spans[c - 1])
+            rows[:, c] = digit + lows[c - 1]
+        rows[:, 0] = keys
+        return rows, counts
 
 
 def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:

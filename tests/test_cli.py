@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from mseqcorr import cli, gf, search, spectra
+from mseqcorr import cli, gf, lfsr, niho, search, spectra
 from mseqcorr.cli import main
 
 
@@ -90,6 +91,22 @@ def test_seq_with_decimation(capsys):
     code, out, _ = run_cli("seq", "--p", "2", "--n", "3", "--d", "3", capsys=capsys)
     assert code == 0
     assert len(out.strip()) == 7
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2), (11, 2), (13, 2)])
+def test_seq_digits_match_the_literal_join(p, n, capsys):
+    # p <= 9: one digit per symbol, no separator; p > 9: space-separated
+    ctx = gf.field_ctx(p, n)
+    d = next(d for d in range(2, ctx.period) if math.gcd(d, ctx.period) == 1)
+    for extra in ([], ["--d", str(d)]):
+        seq = lfsr.generate_trace(ctx)
+        if extra:
+            seq = lfsr.decimate(seq, d)
+        literal = ("" if p <= 9 else " ").join(str(s) for s in seq.symbols)
+        code, out, _ = run_cli("seq", "--p", str(p), "--n", str(n), *extra, capsys=capsys)
+        assert code == 0 and out == literal + "\n", extra
+    if p > 9:
+        assert {"10", str(p - 1)} <= set(literal.split())
 
 
 def test_verify_family_all_small(capsys):
@@ -197,6 +214,20 @@ def test_niho_command(capsys):
     doc = json.loads(out)
     assert doc["value_set"] == [-16, 0, 16, 32]
     assert doc["identity_holds"] is True
+
+
+def test_niho_counts_unit_roots_once(monkeypatch, capsys):
+    # the histogram, the value set and the identity check read one count
+    calls = []
+    count = niho.count_unit_roots
+    monkeypatch.setattr(niho, "count_unit_roots", lambda *a: (calls.append(a), count(*a))[1])
+    argv = ["niho", "--p", "3", "--m", "3", "--s", "11"]
+    code, checked, _ = run_cli(*argv, "--check-identity", capsys=capsys)
+    assert code == 0 and len(calls) == 1
+    code, plain, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0 and len(calls) == 2
+    doc = json.loads(checked)
+    assert doc.pop("identity_holds") is True and doc == json.loads(plain)
 
 
 def test_expsum_commands(capsys):
@@ -407,6 +438,15 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     err = _assert_usage_error(argv.format(tmp=tmp_path).split(), capsys)
     assert DOMAIN_ERRORS.get(argv, "") in err
+
+
+@pytest.mark.parametrize("argv", [
+    "classify --p 2 --n 4 --threads 0",
+    "conjecture --check minus-one --p 2 --n 4 --threads -3",
+])
+def test_rejected_run_makes_no_cache_dir(argv, tmp_path, capsys):
+    _assert_usage_error(argv.split() + ["--cache-dir", str(tmp_path / "new")], capsys)
+    assert not (tmp_path / "new").exists()
 
 
 # each would compute with the huge integer before any bound; each must stop

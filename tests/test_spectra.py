@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 from math import gcd, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,8 +102,8 @@ def test_transform_of_constant_sequence_reaches_the_bound(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)])
 def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
-    # with blocks of 2^6 the gather and the p = 2 histogram each run tens
-    # of blocks, the last one partial
+    # with blocks of 2^6 the gather and the histogram (every p) each run
+    # tens of blocks, the last one partial
     spec = gf.field_ctx(p, n).spec
     one = gf.FieldCtx(spec)
     L = one.period
@@ -123,14 +124,19 @@ def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
 
 
 def test_blocked_histogram_matches_numpy_unique(monkeypatch):
+    # random tables of one column (p = 2) and of p - 1 columns, whose keys
+    # are int32 ((5, 40)), int64 ((13, 3)) or renumbered ((13, 40)), with
+    # row counts one below, equal to and one above a multiple of the block
     monkeypatch.setattr(spectra, "_HISTOGRAM_BLOCK", 2 ** 6)
-    rng = np.random.default_rng(6)
-    for size in (1, 63, 64, 65, 1000, 4095):
-        values = rng.integers(-40, 40, size).astype(np.int32)
-        rows, counts = spectra._histogram_1d(values)
-        vals, ref = np.unique(values, return_counts=True)
-        assert rows.dtype == np.int32 and counts.dtype == np.int64
-        assert rows[:, 0].tolist() == vals.tolist() and counts.tolist() == ref.tolist()
+    for p, high in ((2, 40), (5, 40), (13, 3), (13, 40)):
+        rng = np.random.default_rng(p * 100 + high)
+        for rows in (63, 64, 65, 127, 128, 129, 1023, 1024, 1025):
+            ctx = SimpleNamespace(p=p, n=1, order=rows + 1)   # |value| <= high <= order
+            by_u = rng.integers(-high, high + 1, (rows + 1, p - 1)).astype(np.int32)
+            vals, ref = np.unique(by_u[1:], axis=0, return_counts=True)
+            got, counts = spectra.WalshTable(ctx, 1, by_u).unique_values()
+            assert got.dtype == vals.dtype and counts.dtype == ref.dtype, (p, high, rows)
+            assert np.array_equal(got, vals) and np.array_equal(counts, ref), (p, high, rows)
 
 
 def test_binary_class_record_memory_peak():
@@ -257,15 +263,16 @@ def test_unique_values_matches_numpy_unique(p, n, d):
 
 
 HISTOGRAM_GRID = [(p, n) for p in gf.SUPPORTED_PRIMES for n in range(1, 11)
-                  if p ** n <= 2 ** 10]
+                  if p ** n <= 2 ** 10] + [(11, 3), (13, 3)]
 
 
 def test_unique_values_matches_numpy_unique_on_grid():
-    # Every coprime d of every field up to 2^10 elements: the histogram has
-    # np.unique's rows, counts and dtypes, on both of its odd-p branches (a
-    # bincount when the packed keys span at most 4 (p^n - 1) integers, a
-    # sort otherwise).
-    branches = set()
+    # Every coprime d of every field up to 2^10 elements, and of (11,3) and
+    # (13,3): the histogram has np.unique's rows, counts and dtypes on each
+    # of its paths, packed keys in int32 or in int64 (when twice the key
+    # bound (p^n + 1) * (product of the other columns' spans) passes 2^31)
+    # and renumbered keys (when it passes 2^63, first at (11,3)).
+    paths = set()
     for p, n in HISTOGRAM_GRID:
         ctx = gf.field_ctx(p, n)
         for d in _coprime_ds(ctx.period):
@@ -274,10 +281,39 @@ def test_unique_values_matches_numpy_unique_on_grid():
             rows, c = wt.unique_values()
             assert rows.dtype == vals.dtype and c.dtype == counts.dtype, (p, n, d)
             assert np.array_equal(rows, vals) and np.array_equal(c, counts), (p, n, d)
-            if p > 2:
-                spans = wt.by_log.max(axis=0) - wt.by_log.min(axis=0) + 1
-                branches.add(prod(spans.tolist()) <= 4 * ctx.period)
-    assert branches == {True, False}
+            rest = wt.by_log[:, 1:]
+            spans = rest.max(axis=0) - rest.min(axis=0) + 1
+            bound = 2 * (ctx.order + 1) * prod(spans.tolist())
+            paths.add("int32" if bound <= 2 ** 31 else "int64" if bound <= 2 ** 63
+                      else "renumbered")
+    assert paths == {"int32", "int64", "renumbered"}
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (5, 6), (7, 5), (11, 4), (13, 4)])
+def test_linear_exponent_histogram_reaches_the_key_bound(p, n):
+    # d = 1: W(a) is p^n at a = 1, the bound of the signed first digit, and
+    # 0 at every other a != 0
+    wt = spectra.walsh_fast(gf.field_ctx(p, n), 1)
+    vals, counts = np.unique(wt.by_log, axis=0, return_counts=True)
+    rows, c = wt.unique_values()
+    assert rows.dtype == vals.dtype and c.dtype == counts.dtype
+    assert np.array_equal(rows, vals) and np.array_equal(c, counts)
+    assert rows[-1, 0] == p ** n and c.tolist() == [p ** n - 2, 1]
+
+
+def test_odd_histogram_memory_peak():
+    # (5,8): the int32 keys of one block and np.unique's sorted copy, not a
+    # field-sized int64 key array per column pass
+    ctx = gf.field_ctx(5, 8)
+    d = random.Random(1).choice([d for d in range(2, 10 ** 4) if gcd(d, ctx.period) == 1])
+    wt = spectra.walsh_fast(ctx, d)
+    tracemalloc.start()
+    try:
+        wt.unique_values()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20, peak / 2 ** 20
 
 
 def test_walsh_global_sums():
