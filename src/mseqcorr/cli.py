@@ -239,18 +239,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_niho(args) -> int:
     ctx = field_ctx(args.p, 2 * args.m)
+    out = {"p": args.p, "m": args.m, "s": args.s,
+           "d": niho.niho_decimation(args.p, args.m, args.s)}
     # one root count: the identity report has the histogram and values too
     if args.check_identity:
         rep = niho.walsh_identity_report(ctx, args.s)
+        hist, values = rep["histogram"], rep["value_set"]
+        out["identity_holds"] = rep["holds"]
     else:
         hist = niho.unit_root_histogram(ctx, args.s)
-        rep = {"histogram": hist, "value_set": niho.value_list(ctx, hist)}
-    out = {"p": args.p, "m": args.m, "s": args.s,
-           "d": niho.niho_decimation(args.p, args.m, args.s),
-           "histogram": {str(k): v for k, v in rep["histogram"].items()},
-           "value_set": rep["value_set"]}
-    if args.check_identity:
-        out["identity_holds"] = rep["holds"]
+        values = niho.value_list(ctx, hist)
+    out["histogram"] = {str(k): v for k, v in hist.items()}
+    out["value_set"] = values
     _emit(out)
     return 0 if out.get("identity_holds", True) else 1
 
@@ -289,7 +289,10 @@ def _cmd_code_weights(args) -> int:
 
 def _degrees(args) -> range:
     """The degrees n of a classify/conjecture run, all within the
-    classification bound; checked before any work."""
+    classification bound; checked, with --threads, before any work and
+    before the cache directory is made."""
+    if args.threads < 1:
+        raise OutOfDomain(f"threads must be at least 1, not {args.threads}")
     if args.n and args.max_n:
         raise OutOfDomain("pass --n or --max-n, not both")
     ns = range(2, args.max_n + 1) if args.max_n else range(args.n, args.n + 1)

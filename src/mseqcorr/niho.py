@@ -79,11 +79,6 @@ def value_list(ctx: FieldCtx, histogram: dict[int, int]) -> list[int]:
     return sorted((na - 1) * ctx.p ** (ctx.n // 2) for na in histogram)
 
 
-def niho_value_set(ctx: FieldCtx, s: int) -> set[int]:
-    """{(N(a) - 1) * p^m : a != 0} computed exactly from the root counts."""
-    return set(value_list(ctx, unit_root_histogram(ctx, s)))
-
-
 def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
     """Compare (N(a)-1) p^m with the transform value W_d(a) at every a != 0.
 

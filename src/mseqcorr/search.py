@@ -103,7 +103,8 @@ class SpectrumCache:
     """JSON-lines spectrum store, one file per (p, n) under a directory."""
 
     def __init__(self, directory: str):
-        self.directory = directory   # made by the first `append`
+        self.directory = directory
+        os.makedirs(directory, exist_ok=True)
 
     def _path(self, p: int, n: int) -> str:
         return os.path.join(self.directory, f"spectra_p{p}_n{n}.jsonl")
@@ -146,7 +147,6 @@ class SpectrumCache:
         """Write a list of (d, rows, counts) records as lines at the end of
         the file; `canonical_classes` calls it once per `_APPEND_EVERY`
         computed classes and once for the rest."""
-        os.makedirs(self.directory, exist_ok=True)
         with open(self._path(p, n), "ab+") as fh:
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)

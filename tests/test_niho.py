@@ -85,18 +85,18 @@ def test_walsh_identity_sees_one_changed_entry(p, m, s, coord, monkeypatch):
 
 def test_value_set_four_valued_case():
     ctx = gf.field_ctx(2, 8)
-    assert niho.niho_value_set(ctx, 2) == {-16, 0, 16, 32}
+    assert set(niho.value_list(ctx, niho.unit_root_histogram(ctx, 2))) == {-16, 0, 16, 32}
 
 
 def test_value_set_nonbinary_bound():
     ctx = gf.field_ctx(3, 4)
-    assert niho.niho_value_set(ctx, 2) <= {-9, 0, 9, 18}
+    assert set(niho.value_list(ctx, niho.unit_root_histogram(ctx, 2))) <= {-9, 0, 9, 18}
 
 
 def test_value_set_quintic_bound():
     ctx = gf.field_ctx(2, 4)
     allowed = {(j - 1) * 4 for j in range(6)}
-    assert niho.niho_value_set(ctx, 3) <= allowed
+    assert set(niho.value_list(ctx, niho.unit_root_histogram(ctx, 3))) <= allowed
 
 
 def test_seven_roots_never_4_6_7():
@@ -123,7 +123,7 @@ def test_odd_degree_rejected():
     with pytest.raises(OutOfDomain, match="Niho machinery needs n = 2m"):
         niho.count_unit_roots(ctx, 2, 1)
     with pytest.raises(OutOfDomain, match="Niho machinery needs n = 2m"):
-        niho.niho_value_set(ctx, 2)
+        niho.unit_root_histogram(ctx, 2)
 
 
 def test_walsh_identity_larger_grid():

@@ -126,15 +126,18 @@ def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
 def test_blocked_histogram_matches_numpy_unique(monkeypatch):
     # random tables of one column (p = 2) and of p - 1 columns, whose keys
     # are int32 ((5, 40)), int64 ((13, 3)) or renumbered ((13, 40)), with
-    # row counts one below, equal to and one above a multiple of the block
+    # one row (one key to merge), row counts one below, equal to and one
+    # above a multiple of the block, and 4095 rows (64 blocks)
     monkeypatch.setattr(spectra, "_HISTOGRAM_BLOCK", 2 ** 6)
     for p, high in ((2, 40), (5, 40), (13, 3), (13, 40)):
         rng = np.random.default_rng(p * 100 + high)
-        for rows in (63, 64, 65, 127, 128, 129, 1023, 1024, 1025):
-            ctx = SimpleNamespace(p=p, n=1, order=rows + 1)   # |value| <= high <= order
+        for rows in (1, 63, 64, 65, 127, 128, 129, 1000, 1023, 1024, 1025, 4095):
+            ctx = SimpleNamespace(p=p, n=1, order=rows + 1)   # by_u's rows, a = 0 first
             by_u = rng.integers(-high, high + 1, (rows + 1, p - 1)).astype(np.int32)
             vals, ref = np.unique(by_u[1:], axis=0, return_counts=True)
-            got, counts = spectra.WalshTable(ctx, 1, by_u).unique_values()
+            wt = spectra.WalshTable(ctx, 1, by_u)
+            ctx.order = max(rows + 1, high)   # the key bound: |value| <= high <= order
+            got, counts = wt.unique_values()
             assert got.dtype == vals.dtype and counts.dtype == ref.dtype, (p, high, rows)
             assert np.array_equal(got, vals) and np.array_equal(counts, ref), (p, high, rows)
 
