@@ -35,7 +35,8 @@ from math import gcd
 
 from . import codes, cyclo, expsums, families, lfsr, niho, search, spectra
 from .errors import Budget, MseqCorrError, OutOfDomain
-from .gf import field_ctx, load_modulus_file, power_exceeds
+from .gf import (check_degree, check_supported_prime, field_ctx, load_modulus_file,
+                 power_exceeds)
 
 
 def _int(text: str, what: str) -> int:
@@ -289,8 +290,8 @@ def _cmd_code_weights(args) -> int:
 
 def _degrees(args) -> range:
     """The degrees n of a classify/conjecture run, all within the
-    classification bound; checked, with --threads, before any work and
-    before the cache directory is made."""
+    classification bound; checked, with p and --threads, before any work
+    and before the cache directory is made."""
     if args.threads < 1:
         raise OutOfDomain(f"threads must be at least 1, not {args.threads}")
     if args.n and args.max_n:
@@ -301,6 +302,8 @@ def _degrees(args) -> range:
     if args.p >= 2 and power_exceeds(args.p, ns[-1], search.CLASSIFY_MAX_ORDER):
         raise Budget(f"p^n = {args.p}^{ns[-1]} exceeds the classification bound "
                      f"p^n <= {search.CLASSIFY_MAX_ORDER}")
+    check_supported_prime(args.p)
+    check_degree(ns[0])
     return ns
 
 

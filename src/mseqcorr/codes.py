@@ -87,8 +87,6 @@ def weight_distribution_via_walsh(ctx: FieldCtx, d: int) -> WeightDistribution:
     p-1, and raises `cyclo.NotRational` on a value that is not an integer."""
     p = ctx.p
     L = ctx.period
-    if gcd(d, L) != 1:
-        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if (d - 1) % (p - 1):
         raise OutOfDomain(
             f"d = {d} is not 1 mod p-1 = {p - 1}; weights depend on y")

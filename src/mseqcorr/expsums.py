@@ -20,7 +20,7 @@ import numpy as np
 from . import spectra
 from .cyclo import CycInt
 from .errors import OutOfDomain
-from .gf import FieldCtx, field_ctx
+from .gf import FieldCtx, decimated, field_ctx
 
 
 def kloosterman(ctx: FieldCtx, a: int):
@@ -31,7 +31,7 @@ def kloosterman(ctx: FieldCtx, a: int):
     """
     p = ctx.p
     x = ctx.exp_table
-    xinv = x[-np.arange(ctx.period) % ctx.period]
+    xinv = decimated(x, ctx.order - 2)
     counts = np.bincount(ctx.trace_table[ctx.add(xinv, ctx.mul(a, x))], minlength=p)
     counts[0] += 1  # x = 0
     v = CycInt.from_counts(p, [int(c) for c in counts])
@@ -64,8 +64,7 @@ def cubic_sum(ctx: FieldCtx, b: int, a: int) -> int:
     if ctx.p != 2:
         raise OutOfDomain("cubic sum is a binary-field sum")
     x = ctx.exp_table
-    cube = x[3 * np.arange(ctx.period) % ctx.period]
-    v = ctx.add(ctx.mul(b, cube), ctx.mul(a, x))
+    v = ctx.add(ctx.mul(b, decimated(x, 3)), ctx.mul(a, x))
     return 1 + _sign_sum(ctx, v)   # x = 0 gives 1
 
 
@@ -73,9 +72,8 @@ def g_sum(ctx: FieldCtx, b: int, a: int) -> int:
     """G(b, a) = sum over nonzero x of (-1)^(Tr(b x^3 + a x^(-1)))."""
     if ctx.p != 2:
         raise OutOfDomain("mixed cubic/inverse sum is a binary-field sum")
-    i = np.arange(ctx.period)
     x = ctx.exp_table
-    v = ctx.add(ctx.mul(b, x[3 * i % ctx.period]), ctx.mul(a, x[-i % ctx.period]))
+    v = ctx.add(ctx.mul(b, decimated(x, 3)), ctx.mul(a, decimated(x, ctx.order - 2)))
     return _sign_sum(ctx, v)
 
 

@@ -161,9 +161,20 @@ def power_exceeds(p: int, n: int, bound: int) -> bool:
     return n >= bound.bit_length() or p ** n > bound
 
 
-def _check_poly_args(p: int, n: int) -> None:
+def check_degree(n: int) -> None:
+    """Raise `OutOfDomain` unless the extension degree n is at least 1."""
     if n < 1:
         raise OutOfDomain(f"n={n}: the extension degree must be >= 1")
+
+
+def check_supported_prime(p: int) -> None:
+    """Raise `OutOfDomain` unless p is one of `SUPPORTED_PRIMES`."""
+    if p not in SUPPORTED_PRIMES:
+        raise OutOfDomain(f"p={p} is not a supported prime {SUPPORTED_PRIMES}")
+
+
+def _check_poly_args(p: int, n: int) -> None:
+    check_degree(n)
     # before the primality test: p <= 2^40 from here
     if p >= 2 and power_exceeds(p, n, MAX_POLY_ORDER):
         raise Budget(f"p^n = {p}^{n} exceeds the arithmetic bound 2^40")
@@ -183,14 +194,8 @@ def is_primitive(p: int, n: int, coeffs) -> bool:
     if len(coeffs) != n or coeffs[0] == 0:
         return False
     L = p ** n - 1
-    x = tuple([0, 1] + [0] * (n - 2)) if n >= 2 else (coeffs[0],)
-    if n == 1:
-        # x = -c_0 in GF(p); primitive iff -c_0 generates GF(p)*.
-        g = (-coeffs[0]) % p
-        if g == 0:
-            return False
-        return all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1)) \
-            if p > 2 else g == 1
+    # x mod the modulus; for n = 1 that is x mod (x + c_0) = -c_0
+    x = tuple([0, 1] + [0] * (n - 2)) if n >= 2 else (-coeffs[0] % p,)
     one = tuple([1] + [0] * (n - 1))
     if _poly_powmod(x, L, coeffs, p) != one:
         return False
@@ -298,14 +303,6 @@ def decimated(values: np.ndarray, d: int) -> np.ndarray:
         idx = _wrap(r[:m] + np.uint32(q * B * d % L), L) if q else r[:m]
         out[lo:lo + m] = values.take(idx)
     return out
-
-
-@dataclass(frozen=True)
-class UnitCircle:
-    """The p^m + 1 solutions of x * x^(p^m) = 1 in GF(p^(2m))."""
-
-    m: int
-    elements: tuple[int, ...]
 
 
 class FieldCtx:
@@ -575,13 +572,14 @@ class FieldCtx:
 
     # -- subsets ----------------------------------------------------------
 
-    def unit_circle(self) -> UnitCircle:
-        """All x with x * x^(p^m) = 1 (n = 2m): the subgroup of order p^m + 1."""
+    def unit_circle(self) -> np.ndarray:
+        """All x with x * x^(p^m) = 1 (n = 2m), the subgroup of order p^m + 1,
+        as an int32 array in log order."""
         if self.n % 2:
             raise OutOfDomain("unit circle needs n = 2m")
         m = self.n // 2
         logs = np.arange(self.p ** m + 1, dtype=np.int64) * (self.p ** m - 1)
-        return UnitCircle(m=m, elements=tuple(self._exp[logs % self.period].tolist()))
+        return self._exp[logs % self.period]
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.n}), modulus={self.spec.coeffs})"
@@ -605,8 +603,7 @@ def field_ctx(p: int, n: int, coeffs=None) -> FieldCtx:
     Small fields are cached; contexts above 2^16 elements are rebuilt on
     demand so long runs do not pin hundreds of MB.
     """
-    if p not in SUPPORTED_PRIMES:
-        raise OutOfDomain(f"p={p} is not a supported prime {SUPPORTED_PRIMES}")
+    check_supported_prime(p)
     key = (p, n, tuple(coeffs) if coeffs is not None else None)
     hit = _CTX_CACHE.get(key)
     if hit is not None:

@@ -51,7 +51,7 @@ def count_unit_roots(ctx: FieldCtx, s: int, a):
     """
     if ctx.n % 2:
         raise OutOfDomain("Niho machinery needs n = 2m")
-    U = np.array(ctx.unit_circle().elements)
+    U = ctx.unit_circle()
     x2s1, xs, xs1 = (ctx.pow(U, e) for e in (2 * s - 1, s, s - 1))
     av = np.atleast_1d(a)
     counts = np.empty(len(av), dtype=np.int64)
@@ -90,7 +90,7 @@ def walsh_identity_report(ctx: FieldCtx, s: int) -> dict:
     m = ctx.n // 2
     pm = ctx.p ** m
     d = niho_decimation(ctx.p, m, s)
-    wt = spectra.walsh_fast(ctx, d, require_invertible=False)
+    wt = spectra.walsh_fast(ctx, d)
     na = count_unit_roots(ctx, s, ctx.exp_table)   # a = alpha^tau, tau in log order
     # W(alpha^tau) in Z[w] coordinates: (N(a) - 1) p^m on 1, zero on w..w^(p-2)
     w = wt.by_log

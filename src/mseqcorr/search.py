@@ -197,8 +197,7 @@ def _record_ok(rec: dict, p: int, n: int) -> bool:
 
 
 def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
-                      threads: int = 1,
-                      ctx: FieldCtx | None = None) -> Iterator[DecimationClass]:
+                      threads: int = 1) -> Iterator[DecimationClass]:
     """Every nondegenerate coprime class with its spectrum, as an iterator
     in representative order.  The arguments are checked at the call; the
     cache is read and the missing records computed (by `threads` workers)
@@ -207,7 +206,7 @@ def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
         raise Budget(f"classification bounded to p^n <= {CLASSIFY_MAX_ORDER}")
     if threads < 1:
         raise OutOfDomain(f"threads must be at least 1, not {threads}")
-    return _class_stream(p, n, cache, threads, ctx or field_ctx(p, n))
+    return _class_stream(p, n, cache, threads, field_ctx(p, n))
 
 
 def _class_stream(p: int, n: int, cache: SpectrumCache | None, threads: int,

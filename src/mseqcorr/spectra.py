@@ -45,6 +45,13 @@ decimation pair is the multiset {W(a) - 1 : a != 0}, read from the
 histogram; the a = 0 point of the transform corresponds to no shift and is
 excluded.
 
+The transform takes any exponent d; a spectrum is that of a d coprime to
+p^n - 1, which `class_record` and `moment_identity_check` require.  For odd
+p every W(a) of such a d is real: p^n - 1 is even, so d is odd, and x -> -x
+negates the exponent Tr(x^d) - <a, x>, so w^c and w^(-c) occur equally
+often.  In the basis 1, w, ..., w^(p-2) coordinate 1 is therefore 0 and
+coordinate c equals coordinate p - c.
+
 A spectrum has one form, the integer record of `class_record`: `rows`,
 the int32 coordinates of its distinct values, and `counts`, int64, how
 often each occurs, the rows in the order of `cyclo.value_key` (the
@@ -210,11 +217,10 @@ class WalshTable:
     (u mod p^h) p^(n-h) + u div p^h, h = n // 2, so u = 0 is row 0.
     """
 
-    def __init__(self, ctx: FieldCtx, d: int, by_u: np.ndarray):
+    def __init__(self, ctx: FieldCtx, by_u: np.ndarray):
         self.ctx = ctx
         self.p = ctx.p
         self.n = ctx.n
-        self.d = d
         self._by_u = by_u.reshape(ctx.order, -1)
 
     @cached_property
@@ -291,34 +297,33 @@ def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
     return g
 
 
-def walsh_fast(ctx: FieldCtx, d: int, require_invertible: bool = True) -> WalshTable:
-    """Walsh transform table of Tr(x^d) via the group transform.
-
-    d need not be coprime to p^n - 1 (the transform is defined for any
-    exponent); pass require_invertible=False to allow that, e.g. for
-    unit-circle identity checks on non-invertible Niho exponents.
-    """
-    L = ctx.period
-    if require_invertible and gcd(d, L) != 1:
-        raise OutOfDomain(f"gcd({d}, {L}) != 1")
+def walsh_fast(ctx: FieldCtx, d: int) -> WalshTable:
+    """Walsh transform table of Tr(x^d) via the group transform, for any
+    exponent d; the readers of a spectrum (`class_record`,
+    `moment_identity_check`) require gcd(d, p^n - 1) = 1."""
     # the input goes to the transform unnamed, so that it can be freed there
     if ctx.p == 2:
-        return WalshTable(ctx, d, _wht_2(_transform_input(ctx, d)))
+        return WalshTable(ctx, _wht_2(_transform_input(ctx, d)))
     g = _transform_ring(_transform_input(ctx, d), ctx.p, ctx.n)
     # reduce to the basis 1..w^(p-2) by w^(p-1) = -(1 + ... + w^(p-2))
     g = np.subtract(g[:-1], g[-1], dtype=np.int32)
-    return WalshTable(ctx, d, g.T)
+    return WalshTable(ctx, g.T)
 
 
 # ----------------------------------------------------------------------
 # Naive oracle
 # ----------------------------------------------------------------------
 
+def _require_coprime(ctx: FieldCtx, d: int) -> None:
+    """A spectrum, and its moments, are those of a d coprime to p^n - 1."""
+    if gcd(d, ctx.period) != 1:
+        raise OutOfDomain(f"gcd({d}, {ctx.period}) != 1")
+
+
 def crosscorr_naive(ctx: FieldCtx, d: int, tau: int) -> CycInt:
     """Direct O(p^n) sum of w^(s_{t+tau} - s_{dt}); the reference oracle."""
+    _require_coprime(ctx, d)
     L = ctx.period
-    if gcd(d, L) != 1:
-        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     tr = ctx.trace_table
     exp = ctx.exp_table
     p = ctx.p
@@ -333,12 +338,9 @@ def _naive_record(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, counts) of the spectrum by the tau-sums, organized as exact
     integer correlations; rows in lexicographic order.  Still O(p^(2n));
     permitted only on small fields."""
-    L = ctx.period
-    if gcd(d, L) != 1:
-        raise OutOfDomain(f"gcd({d}, {L}) != 1")
     if ctx.order > NAIVE_MAX_ORDER:
         raise Budget(f"naive spectrum limited to p^n <= {NAIVE_MAX_ORDER}")
-    p = ctx.p
+    p, L = ctx.p, ctx.period
     s = lfsr.generate_trace(ctx).as_array()
     sd = s[(np.arange(L, dtype=np.int64) * (d % L)) % L]
     # column tau counts the t with s_(t+tau) - s_(dt) = r, r = 0..p-1, and
@@ -360,6 +362,7 @@ def class_record(ctx: FieldCtx, d: int,
     methods give rows in lexicographic order, which subtracting 1 from the
     first coordinate keeps.
     """
+    _require_coprime(ctx, d)
     if method == "fast":
         rows, counts = walsh_fast(ctx, d).unique_values()
         rows[:, 0] -= 1
@@ -468,11 +471,9 @@ class MomentReport:
     d: int
     sum_c: CycInt
     sum_c_ok: bool
-    autocorr_t0: object
     autocorr_t0_ok: bool
     shifted: list
     shifted_ok: bool
-    third_moment: object
     b3: int
     third_moment_ok: bool
     histogram: tuple = field(repr=False, compare=False)
@@ -516,6 +517,7 @@ def moment_identity_check(ctx: FieldCtx, d: int) -> MomentReport:
     pair count b_3 (all exact)."""
     if ctx.order > MOMENT_CHECK_MAX_ORDER:
         raise Budget("moment identity check is grid-bounded")
+    _require_coprime(ctx, d)
     L, q = ctx.period, ctx.order
     wt = walsh_fast(ctx, d)
     histogram = wt.unique_values()
@@ -527,8 +529,8 @@ def moment_identity_check(ctx: FieldCtx, d: int) -> MomentReport:
     return MomentReport(
         p=ctx.p, n=ctx.n, d=d,
         sum_c=total, sum_c_ok=total == 1,
-        autocorr_t0=t0, autocorr_t0_ok=t0 == q * q - q - 1,
+        autocorr_t0_ok=t0 == q * q - q - 1,
         shifted=shifted, shifted_ok=all(ok for _, ok in shifted),
-        third_moment=third, b3=b3, third_moment_ok=third == -((q - 1) ** 2) + 2 + b3 * q * q,
+        b3=b3, third_moment_ok=third == -((q - 1) ** 2) + 2 + b3 * q * q,
         histogram=histogram,
     )

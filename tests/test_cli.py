@@ -440,12 +440,23 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     assert DOMAIN_ERRORS.get(argv, "") in err
 
 
-@pytest.mark.parametrize("argv", [
-    "classify --p 2 --n 4 --threads 0",
-    "conjecture --check minus-one --p 2 --n 4 --threads -3",
-])
+# each is rejected before the cache directory is made, with the message the
+# class stream or the field build gives
+REJECTED_RUNS = {
+    "classify --p 2 --n 4 --threads 0": "threads must be at least 1, not 0",
+    "conjecture --check minus-one --p 2 --n 4 --threads -3": "threads must be at least 1, not -3",
+    "classify --p 4 --n 3": "p=4 is not a supported prime (2, 3, 5, 7, 11, 13)",
+    "conjecture --check three-valued --p 17 --n 2":
+        "p=17 is not a supported prime (2, 3, 5, 7, 11, 13)",
+    "classify --p 1 --max-n 3": "p=1 is not a supported prime (2, 3, 5, 7, 11, 13)",
+    "classify --p 2 --n -3": "n=-3: the extension degree must be >= 1",
+}
+
+
+@pytest.mark.parametrize("argv", REJECTED_RUNS)
 def test_rejected_run_makes_no_cache_dir(argv, tmp_path, capsys):
-    _assert_usage_error(argv.split() + ["--cache-dir", str(tmp_path / "new")], capsys)
+    err = _assert_usage_error(argv.split() + ["--cache-dir", str(tmp_path / "new")], capsys)
+    assert REJECTED_RUNS[argv] in err
     assert not (tmp_path / "new").exists()
 
 

@@ -96,6 +96,13 @@ def test_is_primitive_matches_order_oracle_gf3_quadratics():
             assert gf.is_primitive(3, 2, coeffs) == (_root_order(coeffs, 3) == 8)
 
 
+@pytest.mark.parametrize("p", gf.SUPPORTED_PRIMES)
+def test_is_primitive_degree_one_matches_order_oracle(p):
+    # x mod (x + c) is -c, primitive iff -c generates GF(p)*
+    for c in range(1, p):
+        assert gf.is_primitive(p, 1, (c,)) == (_root_order((c,), p) == p - 1), (p, c)
+
+
 def test_composite_p_rejected():
     with pytest.raises(OutOfDomain, match="p=4 is not prime"):
         gf.find_primitive_polynomial(4, 2)
@@ -476,12 +483,12 @@ def test_trace_matches_frobenius_sum():
 @pytest.mark.parametrize("p,n,size", [(2, 2, 3), (3, 2, 4), (2, 6, 9)])
 def test_unit_circle(p, n, size):
     ctx = gf.field_ctx(p, n)
-    uc = ctx.unit_circle()
-    assert len(uc.elements) == size
-    assert len(set(uc.elements)) == size
-    assert 1 in uc.elements
+    uc = ctx.unit_circle().tolist()
+    assert len(uc) == size
+    assert len(set(uc)) == size
+    assert 1 in uc
     m = n // 2
-    for x in uc.elements:
+    for x in uc:
         assert ctx.pow(x, p ** m + 1) == 1
         assert ctx.mul(x, ctx.conj_half(x)) == 1
         # closed under x -> 1/conj(x) (which fixes every element of U)
@@ -495,7 +502,7 @@ def test_unit_circle_needs_even_degree():
 
 def test_unit_circle_is_norm_kernel():
     ctx = gf.field_ctx(2, 6)
-    members = set(ctx.unit_circle().elements)
+    members = set(ctx.unit_circle().tolist())
     kernel = {x for x in range(1, ctx.order) if ctx.pow(x, 2 ** 3 + 1) == 1}
     assert members == kernel
 

@@ -39,7 +39,7 @@ def test_count_unit_roots_direct_cross_check():
     # evaluate the quintic over U by plain field arithmetic, compare
     ctx = gf.field_ctx(2, 6)
     s = 3
-    U = ctx.unit_circle().elements
+    U = ctx.unit_circle().tolist()
     for tau in range(0, ctx.period, 5):
         a = ctx.element_from_log(tau)
         abar = ctx.conj_half(a)
@@ -111,9 +111,7 @@ def test_root_count_total_consistency():
         ctx = gf.field_ctx(p, 2 * m)
         hist = niho.unit_root_histogram(ctx, s)
         total = sum((na - 1) * cnt for na, cnt in hist.items())
-        w0 = spectra.walsh_fast(
-            ctx, niho.niho_decimation(p, m, s), require_invertible=False
-        ).zero_value()
+        w0 = spectra.walsh_fast(ctx, niho.niho_decimation(p, m, s)).zero_value()
         # sum over nonzero a of W = p^n - W(0)
         assert total * p ** m == p ** (2 * m) - w0.as_integer()
 

@@ -75,7 +75,7 @@ def test_class_moves_keep_the_histogram(p, n):
     # sorted by cyclo.value_key: the vectorized sort of class_record agrees
     # with the key on every class.
     ctx = gf.field_ctx(p, n)
-    classes = list(search.canonical_classes(p, n, ctx=ctx))
+    classes = list(search.canonical_classes(p, n))
     assert [(c.rep, c.members) for c in classes] == search.class_partition(p, n)
     for cls in classes:
         assert cls.rows.dtype == np.int32 and cls.counts.dtype == np.int64
@@ -144,7 +144,7 @@ def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch):
 
     monkeypatch.setattr(search.SpectrumCache, "append", counted)
     ctx = gf.field_ctx(p, n)
-    reference = list(search.canonical_classes(p, n, ctx=ctx))
+    reference = list(search.canonical_classes(p, n))
     assert [(c.rep, c.members) for c in reference] == search.class_partition(p, n)
     seeded = reference[::3]
     todo = len(reference) - len(seeded)
@@ -153,7 +153,7 @@ def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch):
         cache = search.SpectrumCache(str(tmp_path / f"threads{threads}"))
         append(cache, p, n, ctx.spec.coeffs, [(c.rep, c.rows, c.counts) for c in seeded])
         sizes.clear()
-        stream = list(search.canonical_classes(p, n, cache=cache, threads=threads, ctx=ctx))
+        stream = list(search.canonical_classes(p, n, cache=cache, threads=threads))
         assert sizes == [3] * (todo // 3) + [todo % 3] * (todo % 3 > 0), threads
         assert [(c.rep, c.members) for c in stream] == [(c.rep, c.members) for c in reference]
         assert all(_same_record(a, b.rows, b.counts) for a, b in zip(reference, stream))
@@ -194,7 +194,9 @@ def test_cache_rewrite_drops_only_invalid_lines(tmp_path, capsys):
     cache = search.SpectrumCache(str(tmp_path))
     other = (1, 0, 0, 0, 0, 1)
     list(search.canonical_classes(2, 6, cache=cache))
-    list(search.canonical_classes(2, 6, cache=cache, ctx=gf.field_ctx(2, 6, other)))
+    ctx = gf.field_ctx(2, 6, other)
+    cache.append(2, 6, other, [(rep, *spectra.class_record(ctx, rep))
+                               for rep, _ in search.class_partition(2, 6)])
     path = tmp_path / "spectra_p2_n6.jsonl"
     good = path.read_text()
     # a garbage line names no class, so nothing is recomputed; it still goes
@@ -327,7 +329,7 @@ def _mutations(rec):
 @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3)])
 def test_cache_rejects_invalid_records(p, n, tmp_path, capsys):
     ctx = gf.field_ctx(p, n)
-    cls = list(search.canonical_classes(p, n, ctx=ctx))[-1]
+    cls = list(search.canonical_classes(p, n))[-1]
     cache = search.SpectrumCache(str(tmp_path))
     cache.append(p, n, ctx.spec.coeffs, [(cls.rep, cls.rows, cls.counts)])
     path = tmp_path / f"spectra_p{p}_n{n}.jsonl"

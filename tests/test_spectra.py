@@ -135,7 +135,7 @@ def test_blocked_histogram_matches_numpy_unique(monkeypatch):
             ctx = SimpleNamespace(p=p, n=1, order=rows + 1)   # by_u's rows, a = 0 first
             by_u = rng.integers(-high, high + 1, (rows + 1, p - 1)).astype(np.int32)
             vals, ref = np.unique(by_u[1:], axis=0, return_counts=True)
-            wt = spectra.WalshTable(ctx, 1, by_u)
+            wt = spectra.WalshTable(ctx, by_u)
             ctx.order = max(rows + 1, high)   # the key bound: |value| <= high <= order
             got, counts = wt.unique_values()
             assert got.dtype == vals.dtype and counts.dtype == ref.dtype, (p, high, rows)
@@ -370,6 +370,21 @@ def test_spectrum_keys_are_real():
                 assert CycInt(p, row).conjugate() == CycInt(p, row)
 
 
+ODD_GRID = [(p, n) for p in gf.SUPPORTED_PRIMES[1:] for n in range(1, 11) if p ** n <= 2 ** 10]
+
+
+@pytest.mark.parametrize("p,n", ODD_GRID)
+def test_odd_spectra_are_real_on_grid(p, n):
+    # a d coprime to the even p^n - 1 is odd, so x -> -x negates Tr(x^d) -
+    # <u, x> and N_c(u) = N_(-c)(u): in the basis 1, w, ..., w^(p-2)
+    # coordinate 1 is 0 and coordinate c equals coordinate p - c
+    ctx = gf.field_ctx(p, n)
+    for d in _coprime_ds(ctx.period):
+        rows = class_record(ctx, d)[0]
+        assert not rows[:, 1].any(), (p, n, d)
+        assert np.array_equal(rows[:, 2:], rows[:, 2:][:, ::-1]), (p, n, d)
+
+
 def test_nondegenerate_spectra_have_at_least_three_values():
     for p, n in ((2, 6), (3, 3), (5, 2)):
         ctx = gf.field_ctx(p, n)
@@ -539,9 +554,9 @@ def test_not_coprime_errors():
     with pytest.raises(OutOfDomain, match=r"gcd\(5, 15\) != 1"):
         spectra.crosscorr_naive(ctx, 5, 0)
     with pytest.raises(OutOfDomain, match=r"gcd\(3, 15\) != 1"):
-        spectra.walsh_fast(ctx, 3)
-    # the transform itself is defined for any exponent when asked
-    wt = spectra.walsh_fast(ctx, 3, require_invertible=False)
+        spectra.moment_identity_check(ctx, 3)
+    # the transform itself is defined for any exponent
+    wt = spectra.walsh_fast(ctx, 3)
     assert int(wt.by_log.sum()) + wt.zero_value() == 16
 
 
@@ -561,7 +576,7 @@ def test_walsh_matches_literal_shift_sums_non_coprime():
     # coprimality; check d = 3 over GF(64) (gcd(3, 63) = 3) by literal sums
     ctx = gf.field_ctx(2, 6)
     d = 3
-    wt = spectra.walsh_fast(ctx, d, require_invertible=False)
+    wt = spectra.walsh_fast(ctx, d)
     exp = ctx.exp_table
     tr = ctx.trace_table
     for tau in range(0, 63, 7):
