@@ -13,15 +13,14 @@ coordinates.
 
 `canonical_classes` is the one pass over the classes of a field: an
 iterator of `DecimationClass` in representative order, which each check
-and `classify` reads once.  Records can be persisted to a JSON-lines cache
-keyed by (p, n, modulus, class representative) so repeated runs are
-incremental: the stream appends its computed records `_APPEND_EVERY` at a
-time, so a run stopped partway keeps them and the next computes only the
-rest.  A line holds {p, n, d, modulus, version, rows, counts}, the rows and
-counts as lists of JSON integers, and is trusted only after the checks of
-`_record_ok`.  A line of another version (version 1 held `CycInt` JSON
-entries) is skipped, counted once on stderr and dropped from the file, and
-its class computed again.
+and `classify` reads once.  Its computed records are appended to a
+`SpectrumCache`, if given, `_APPEND_EVERY` at a time, so a run stopped
+partway keeps them and the next computes only the rest.  The cache is a
+directory per (p, n) holding one `.npz` file per append, whole or absent,
+named by the modulus and the append's first representative.  A file that
+fails the array checks of `_split` is deleted, counted on stderr, and its
+classes computed again.  The JSON-lines files of earlier versions
+(`spectra_p*_n*.jsonl`) are no longer read and may be deleted.
 
 A conjecture check that FAILS is a reportable finding (recorded in the
 returned report), never a crash.
@@ -29,26 +28,24 @@ returned report), never a crash.
 
 from __future__ import annotations
 
-import json
+import glob
 import os
 import sys
+import tempfile
+import zipfile
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
-from operator import lt, mul
 
 import numpy as np
 
-from .cyclo import value_key
 from .errors import Budget, OutOfDomain
 from . import families
 from .gf import FieldCtx, factorize, field_ctx
 from .spectra import class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
-CACHE_VERSION = 2   # the record format; a record of any other version is recomputed
 _APPEND_EVERY = 64   # computed records per cache append
 
 
@@ -100,100 +97,99 @@ def class_partition(p: int, n: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 class SpectrumCache:
-    """JSON-lines spectrum store, one file per (p, n) under a directory."""
+    """Binary spectrum store, a directory per (p, n) under `directory`."""
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, p: int, n: int) -> str:
-        return os.path.join(self.directory, f"spectra_p{p}_n{n}.jsonl")
+        return os.path.join(self.directory, f"spectra_p{p}_n{n}")
 
     def load(self, p: int, n: int, modulus: tuple) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """{d: (rows, counts)} for this modulus.  Unparseable or invalid
-        lines, and records of another `CACHE_VERSION` (or none) whatever
-        their modulus, are skipped (and counted on stderr), so their classes
-        are computed again, and dropped from the file at once."""
-        path = self._path(p, n)
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if not os.path.exists(path):
-            return out
-        skipped: set[int] = set()
-        with open(path) as fh:
-            for number, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    ours = tuple(rec["modulus"]) == tuple(modulus)
-                    ok = rec.get("version") == CACHE_VERSION \
-                        and (not ours or _record_ok(rec, p, n))
-                    # a coordinate past int32 (no |W| <= p^n is) raises OverflowError
-                    if ok and ours:
-                        out[rec["d"]] = (np.array(rec["rows"], dtype=np.int32),
-                                         np.array(rec["counts"], dtype=np.int64))
-                except (ValueError, KeyError, TypeError, OverflowError):
-                    ok = False
-                if not ok:
-                    skipped.add(number)
-        if skipped:
-            print(f"spectrum cache {path}: skipped {len(skipped)} invalid record(s)",
+        """{d: (rows, counts)} from this modulus's files (another modulus's
+        are not opened).  A file that does not open or fails `_split` is
+        deleted (and counted on stderr), so its classes are computed again."""
+        directory = self._path(p, n)
+        out, dropped = {}, 0
+        for name in sorted(glob.glob(f"{_file_prefix(modulus)}*.npz", root_dir=directory)):
+            path = os.path.join(directory, name)
+            try:
+                with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as arrays:
+                    records = _split(dict(arrays), p, n, modulus)
+            except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+                records = None
+            if records is None:
+                os.remove(path)
+                dropped += 1
+            else:
+                out.update(records)
+        if dropped:
+            print(f"spectrum cache {directory}: deleted {dropped} invalid file(s)",
                   file=sys.stderr)
-            _drop_lines(path, skipped)
         return out
 
     def append(self, p: int, n: int, modulus: tuple, records) -> None:
-        """Write a list of (d, rows, counts) records as lines at the end of
-        the file; `canonical_classes` calls it once per `_APPEND_EVERY`
-        computed classes and once for the rest."""
-        with open(self._path(p, n), "ab+") as fh:
-            if fh.seek(0, os.SEEK_END):
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    fh.write(b"\n")   # a torn last line must not absorb the next record
-            fh.writelines(
-                json.dumps({"p": p, "n": n, "d": d, "modulus": list(modulus),
-                            "version": CACHE_VERSION, "rows": rows.tolist(),
-                            "counts": counts.tolist()}, sort_keys=True).encode() + b"\n"
-                for d, rows, counts in records)
+        """Write a list of (d, rows, counts) records as one file, named by
+        the modulus and the first d, under a temporary name and renamed, so
+        it is whole or absent; `canonical_classes` calls it once per
+        `_APPEND_EVERY` computed classes and once for the rest."""
+        d, rows, counts = zip(*records)
+        directory = self._path(p, n)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, modulus=np.array(modulus, dtype=np.int64),
+                         d=np.array(d, dtype=np.int64),
+                         sizes=np.array(list(map(len, counts)), dtype=np.int64),
+                         rows=np.concatenate(rows), counts=np.concatenate(counts))
+            os.replace(tmp, os.path.join(directory, f"{_file_prefix(modulus)}{d[0]}.npz"))
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
-def _drop_lines(path: str, numbers: set[int]) -> None:
-    """Rewrite the file without the lines of these numbers (and without
-    blank lines), replacing it whole, so a crash leaves the old file or
-    the new one."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(path) as src, open(tmp, "w") as dst:
-            dst.writelines(line.strip() + "\n" for number, line in enumerate(src)
-                           if number not in numbers and line.strip())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+def _file_prefix(modulus: tuple) -> str:
+    return "m" + "-".join(map(str, modulus)) + "_d"
 
 
-def _record_ok(rec: dict, p: int, n: int) -> bool:
-    """A cache record is trusted only if it is keyed (p, n), every row is
-    p - 1 JSON integers (a bool, float, string or null is none), every count
-    is an integer >= 1, one per row, the rows are strictly increasing in the
-    module's order (so no value is listed twice), and sum count = p^n - 1
-    and sum row * count = 1 in Z[w]; checked on the JSON lists, before any
-    array is built."""
-    rows, counts = rec["rows"], rec["counts"]
-    if (rec["p"], rec["n"], type(rec["d"]), type(rows), type(counts)) \
-            != (p, n, int, list, list) or len(rows) != len(counts):
-        return False
-    if set(map(type, counts)) != {int} or min(counts) < 1 \
-            or set(map(type, rows)) != {list} or set(map(len, rows)) != {p - 1} \
-            or set(map(type, chain.from_iterable(rows))) != {int}:
-        return False
-    keys = list(map(value_key, rows))
-    if not all(map(lt, keys, keys[1:])):
-        return False
-    acc = [sum(map(mul, column, counts)) for column in zip(*rows)]
-    return sum(counts) == p ** n - 1 and acc == [1] + [0] * (p - 2)
+_DTYPES = {"modulus": np.int64, "d": np.int64, "sizes": np.int64,
+           "rows": np.int32, "counts": np.int64}
+
+
+def _split(arrays: dict, p: int, n: int, modulus: tuple) -> dict | None:
+    """{d: (rows, counts)} of one file's arrays, record i the next
+    `sizes[i]` rows and counts; None unless the arrays are `_DTYPES` of
+    this modulus, with counts in [1, p^n), coordinates in [-p^n, p^n] (the
+    bounds, checked first, keep the sums and row steps from wrapping) and,
+    in each record, a row of p - 1 coordinates per count, sum count =
+    p^n - 1, sum row * count = 1 in Z[w] and the rows strictly increasing
+    in the module's order."""
+    if arrays.keys() != _DTYPES.keys() \
+            or any(getattr(arrays[k], "dtype", None) != t for k, t in _DTYPES.items()):
+        return None
+    mod, d, sizes, rows, counts = (arrays[k] for k in _DTYPES)
+    q = p ** n
+    if mod.tolist() != list(modulus) or (d.ndim, sizes.ndim, counts.ndim) != (1, 1, 1) \
+            or not len(d) == len(sizes) > 0 or rows.shape != (len(counts), p - 1) \
+            or not (sizes.min() >= 1 and sizes.max() <= len(counts)
+                    and sizes.sum() == len(counts) and counts.min() >= 1
+                    and counts.max() < q and rows.min() >= -q and rows.max() <= q):
+        return None
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    sums = np.add.reduceat(rows * counts[:, None], starts)
+    # adjacent rows a, b: (any(a[1:]), a) < (any(b[1:]), b), unless b starts a record
+    irrational = rows[:, 1:].any(axis=1)
+    step = np.diff(rows, axis=0)
+    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    rising = np.where(irrational[:-1] == irrational[1:], lead > 0, irrational[1:])
+    rising[ends[:-1] - 1] = True
+    if (np.add.reduceat(counts, starts) != q - 1).any() or (sums[:, 0] != 1).any() \
+            or sums[:, 1:].any() or not rising.all():
+        return None
+    return dict(zip(d.tolist(), zip(np.split(rows, ends[:-1]), np.split(counts, ends[:-1]))))
 
 
 def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from mseqcorr import cli, gf, lfsr, niho, search, spectra
@@ -294,32 +295,69 @@ def test_classify_golden_bytes(p, n, tmp_path, capsys):
     assert digests == [classify, classify, minus_one, three_valued]
 
 
+def _cached_reps(directory):
+    """The d of every record file in a spectrum cache directory, in the
+    order they were appended: each file's d ascend from its first."""
+    files = []
+    for path in directory.glob("*.npz"):
+        with np.load(path) as arrays:
+            files.append(arrays["d"].tolist())
+    return [d for f in sorted(files) for d in f]
+
+
 def test_classify_with_cache(tmp_path, capsys):
     args = ("classify", "--p", "2", "--n", "6", "--cache-dir", str(tmp_path))
     code, out1, _ = run_cli(*args, capsys=capsys)
     assert code == 0
-    assert (tmp_path / "spectra_p2_n6.jsonl").exists()
+    assert _cached_reps(tmp_path / "spectra_p2_n6") == \
+           [rep for rep, _ in search.class_partition(2, 6)]
     code, out2, _ = run_cli(*args, capsys=capsys)
     assert out1 == out2  # cache reuse is byte-identical
+
+
+def test_stale_jsonl_cache_is_ignored(tmp_path, capsys):
+    # a JSON-lines file of the earlier format, with a valid line and a torn
+    # one, is neither read nor changed, and the output is that of no cache
+    args = ["classify", "--p", "2", "--n", "6"]
+    code, fresh, _ = run_cli(*args, capsys=capsys)
+    rep = search.class_partition(2, 6)[0][0]
+    rows, counts = spectra.class_record(gf.field_ctx(2, 6), rep)
+    line = json.dumps({"p": 2, "n": 6, "d": rep, "version": 2,
+                       "modulus": list(gf.find_primitive_polynomial(2, 6).coeffs),
+                       "rows": rows.tolist(), "counts": counts.tolist()}, sort_keys=True)
+    stale = tmp_path / "spectra_p2_n6.jsonl"
+    stale.write_text(line + "\n{\"torn")
+    code, out, err = run_cli(*args, "--cache-dir", str(tmp_path), capsys=capsys)
+    assert (code, out, err) == (0, fresh, "")
+    assert stale.read_text() == line + "\n{\"torn"
+    assert _cached_reps(tmp_path / "spectra_p2_n6") == \
+           [rep for rep, _ in search.class_partition(2, 6)]
 
 
 def test_classify_recovers_from_truncated_cache(tmp_path, capsys):
     args = ("classify", "--p", "2", "--n", "6", "--cache-dir", str(tmp_path))
     code, fresh, _ = run_cli(*args, capsys=capsys)
-    path = tmp_path / "spectra_p2_n6.jsonl"
-    text = path.read_text()
-    path.write_text(text[:len(text) - 40])   # cut the last record mid-line
+    [path] = (tmp_path / "spectra_p2_n6").iterdir()
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 40])   # cut the end of the file
     code, out, err = run_cli(*args, capsys=capsys)
     assert code == 0 and out == fresh
-    assert "skipped 1 invalid record" in err
-    # the file was rewritten without the torn line, so the next run reuses
+    assert err.count("deleted 1 invalid file") == 1
+    # the file was deleted and written again whole, so the next run reuses
     # every record and reports nothing
-    assert path.read_text().count("\n") == len(text.splitlines())
+    reps = [rep for rep, _ in search.class_partition(2, 6)]
     assert len(search.SpectrumCache(str(tmp_path)).load(
-        2, 6, gf.find_primitive_polynomial(2, 6).coeffs)) == len(text.splitlines())
+        2, 6, gf.find_primitive_polynomial(2, 6).coeffs)) == len(reps)
     code, out, err = run_cli(*args, capsys=capsys)
     assert code == 0 and out == fresh and err == ""
-    assert [f.name for f in tmp_path.iterdir()] == [path.name]   # no temp file left
+    assert list((tmp_path / "spectra_p2_n6").iterdir()) == [path]   # no temp file left
+    assert _cached_reps(path.parent) == reps
+
+    path.write_bytes(b"not a zip")   # the same with a file that is no zip
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert code == 0 and out == fresh and err.count("deleted 1 invalid file") == 1
+    assert list((tmp_path / "spectra_p2_n6").iterdir()) == [path]
+    assert _cached_reps(path.parent) == reps
 
 
 def test_stopped_classify_resumes_from_its_appends(tmp_path, monkeypatch, capsys):
@@ -344,9 +382,9 @@ def test_stopped_classify_resumes_from_its_appends(tmp_path, monkeypatch, capsys
     with pytest.raises(KeyboardInterrupt):
         main(args)
     assert capsys.readouterr().out == ""
-    path = tmp_path / "spectra_p2_n14.jsonl"
-    kept = [json.loads(line)["d"] for line in path.read_text().splitlines()]
-    assert kept == reps[:192]
+    path = tmp_path / "spectra_p2_n14"
+    assert _cached_reps(path) == reps[:192]
+    assert len(list(path.iterdir())) == 3
 
     def counted(ctx, d):
         calls.append(d)
@@ -357,7 +395,7 @@ def test_stopped_classify_resumes_from_its_appends(tmp_path, monkeypatch, capsys
     code, out, err = run_cli(*args, capsys=capsys)
     assert (code, err) == (0, "") and out == fresh
     assert calls == reps[192:] and len(calls) == 187
-    assert [json.loads(line)["d"] for line in path.read_text().splitlines()] == reps
+    assert _cached_reps(path) == reps
 
 
 def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
@@ -365,14 +403,17 @@ def test_minus_one_ignores_tampered_cache(tmp_path, capsys):
             "--cache-dir", str(tmp_path))
     code, fresh, _ = run_cli(*args, capsys=capsys)
     assert code == 0
-    path = tmp_path / "spectra_p2_n7.jsonl"
-    text = path.read_text()
-    assert "[-1]" in text   # the row of the value -1
-    path.write_text(text.replace("[-1]", "[3]"))
+    [path] = (tmp_path / "spectra_p2_n7").iterdir()
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    minus_one = arrays["rows"][:, 0] == -1
+    assert minus_one.sum() == len(arrays["d"])   # the row of the value -1, once a class
+    arrays["rows"][minus_one, 0] = 3
+    np.savez(path, **arrays)
     code, out, err = run_cli(*args, capsys=capsys)
     assert code == 0 and out == fresh
     assert json.loads(out)[0]["counterexamples"] == []
-    assert "skipped" in err
+    assert "deleted 1 invalid file" in err
 
 
 def _assert_usage_error(argv, capsys):

@@ -1,6 +1,5 @@
 """Decimation classification, caching, and conjecture evidence."""
 
-import json
 import time
 from math import gcd
 
@@ -130,10 +129,30 @@ def test_threads_below_one_rejected_at_the_call():
             search.canonical_classes(2, 4, threads=threads)
 
 
+def _files(directory):
+    """{name: {array name: array}} of the record files in a directory."""
+    out = {}
+    for path in sorted(directory.glob("*.npz")):
+        with np.load(path) as arrays:
+            out[path.name] = dict(arrays)
+    return out
+
+
+def _file_name(modulus, first):
+    return f"m{'-'.join(map(str, modulus))}_d{first}.npz"
+
+
+def _written_reps(directory):
+    """The d of every record file in a directory, in the order they were
+    appended: each file's d ascend from its first, which names it."""
+    files = sorted(_files(directory).values(), key=lambda f: f["d"][0])
+    return [d for f in files for d in f["d"].tolist()]
+
+
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 5)])
 def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch):
     # appends of 3 records, with every third class already cached between
-    # them: a serial and a threaded run write the same bytes, one append per
+    # them: a serial and a threaded run write the same files, one append per
     # 3 computed classes and one for the rest, and yield the same records
     monkeypatch.setattr(search, "_APPEND_EVERY", 3)
     append, sizes = search.SpectrumCache.append, []
@@ -157,24 +176,28 @@ def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch):
         assert sizes == [3] * (todo // 3) + [todo % 3] * (todo % 3 > 0), threads
         assert [(c.rep, c.members) for c in stream] == [(c.rep, c.members) for c in reference]
         assert all(_same_record(a, b.rows, b.counts) for a, b in zip(reference, stream))
-        files.append((tmp_path / f"threads{threads}" / f"spectra_p{p}_n{n}.jsonl").read_bytes())
+        files.append(_files(tmp_path / f"threads{threads}" / f"spectra_p{p}_n{n}"))
     serial, threaded = files
-    assert serial == threaded
+    assert serial.keys() == threaded.keys()
+    for name, arrays in serial.items():
+        assert arrays.keys() == threaded[name].keys()
+        for k, v in arrays.items():
+            assert v.dtype == threaded[name][k].dtype and np.array_equal(v, threaded[name][k])
     seeded_reps = [c.rep for c in seeded]
-    assert [json.loads(line)["d"] for line in serial.splitlines()] == \
+    assert _written_reps(tmp_path / "threads1" / f"spectra_p{p}_n{n}") == \
            seeded_reps + [c.rep for c in reference if c.rep not in seeded_reps]
 
 
 def test_cache_roundtrip(tmp_path):
     cache = search.SpectrumCache(str(tmp_path))
     first = list(search.canonical_classes(2, 6, cache=cache))
-    path = tmp_path / "spectra_p2_n6.jsonl"
-    assert path.exists()
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(first)
+    path = tmp_path / "spectra_p2_n6"
+    assert path.is_dir()
+    assert _written_reps(path) == [c.rep for c in first]
+    stamps = {f.name: f.stat().st_mtime_ns for f in path.iterdir()}
     # second run consumes the cache and appends nothing
     second = list(search.canonical_classes(2, 6, cache=cache))
-    assert len(path.read_text().strip().splitlines()) == len(lines)
+    assert {f.name: f.stat().st_mtime_ns for f in path.iterdir()} == stamps
     for a, b in zip(first, second):
         assert a.rep == b.rep and _same_record(a, b.rows, b.counts)
         assert (a.rows.dtype, a.counts.dtype) == (b.rows.dtype, b.counts.dtype)
@@ -183,52 +206,73 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_isolated_by_modulus(tmp_path):
     cache = search.SpectrumCache(str(tmp_path))
     list(search.canonical_classes(2, 6, cache=cache))
-    # the reciprocal of x^6 + x + 1 is primitive but keys different rows
+    # the reciprocal of x^6 + x + 1 is primitive, and its records are kept apart
     other = (1, 0, 0, 0, 0, 1)
     assert gf.is_primitive(2, 6, other)
     assert cache.load(2, 6, other) == {}
     assert cache.load(2, 6, gf.find_primitive_polynomial(2, 6).coeffs)
 
 
-def test_cache_rewrite_drops_only_invalid_lines(tmp_path, capsys):
+def test_moduli_with_one_first_rep_keep_both_files(tmp_path):
+    # two moduli each append a batch that starts at the same representative:
+    # both files stay, and each modulus loads only its own records
     cache = search.SpectrumCache(str(tmp_path))
-    other = (1, 0, 0, 0, 0, 1)
+    reps = [rep for rep, _ in search.class_partition(2, 6)]
+    batches = {gf.find_primitive_polynomial(2, 6).coeffs: reps[:3],
+               (1, 0, 0, 0, 0, 1): reps[:1] + reps[4:6]}
+    for modulus, batch in batches.items():
+        ctx = gf.field_ctx(2, 6, modulus)
+        cache.append(2, 6, modulus, [(rep, *spectra.class_record(ctx, rep)) for rep in batch])
+    assert len(list((tmp_path / "spectra_p2_n6").iterdir())) == 2
+    for modulus, batch in batches.items():
+        loaded = cache.load(2, 6, modulus)
+        assert list(loaded) == batch
+        ctx = gf.field_ctx(2, 6, modulus)
+        for d, (rows, counts) in loaded.items():
+            assert all(map(np.array_equal, spectra.class_record(ctx, d), (rows, counts)))
+
+
+def test_invalid_file_dropped_other_modulus_kept(tmp_path, capsys):
+    cache = search.SpectrumCache(str(tmp_path))
+    coeffs, other = gf.find_primitive_polynomial(2, 6).coeffs, (1, 0, 0, 0, 0, 1)
     list(search.canonical_classes(2, 6, cache=cache))
     ctx = gf.field_ctx(2, 6, other)
     cache.append(2, 6, other, [(rep, *spectra.class_record(ctx, rep))
                                for rep, _ in search.class_partition(2, 6)])
-    path = tmp_path / "spectra_p2_n6.jsonl"
-    good = path.read_text()
-    # a garbage line names no class, so nothing is recomputed; it still goes
-    path.write_text(good + "not json\n")
+    path = tmp_path / "spectra_p2_n6"
+    good = _files(path)
+    # a file of this modulus that is no zip names no class, so nothing is
+    # recomputed; it still goes
+    (path / _file_name(coeffs, 7)).write_bytes(b"not a zip\n")
     capsys.readouterr()
     list(search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path))))
-    assert "skipped 1 invalid record" in capsys.readouterr().err
-    assert path.read_text() == good   # both moduli kept, in order
+    assert "deleted 1 invalid file" in capsys.readouterr().err
+    assert _files(path).keys() == good.keys()   # both moduli kept
     list(search.canonical_classes(2, 6, cache=search.SpectrumCache(str(tmp_path))))
     assert capsys.readouterr().err == ""
+    assert cache.load(2, 6, other).keys() == cache.load(2, 6, coeffs).keys()
 
 
-def test_load_drops_invalid_lines_at_once(tmp_path, capsys):
+def test_load_drops_invalid_files_at_once(tmp_path, monkeypatch, capsys):
     cache = search.SpectrumCache(str(tmp_path))
-    coeffs = gf.find_primitive_polynomial(2, 6).coeffs
-    list(search.canonical_classes(2, 6, cache=cache))
-    path = tmp_path / "spectra_p2_n6.jsonl"
-    good = path.read_text()
-    first, rest = good.split("\n", 1)
-    unversioned = json.loads(first)
-    del unversioned["version"]
-    newer = {**unversioned, "version": search.CACHE_VERSION + 1,
-             "modulus": [0]}   # skipped, though not ours
-    path.write_text("\n".join([first, "{\"torn", "", json.dumps(unversioned),
-                               json.dumps(newer), rest]))
+    coeffs, other = gf.find_primitive_polynomial(2, 10).coeffs, (1, 0, 0, 1, 0, 0, 0, 0, 0, 1)
+    monkeypatch.setattr(search, "_APPEND_EVERY", 10)
+    list(search.canonical_classes(2, 10, cache=cache))
+    path = tmp_path / "spectra_p2_n10"
+    names = sorted(f.name for f in path.iterdir())
+    assert len(names) == 4   # 31 classes in appends of 10
+    data = (path / names[0]).read_bytes()
+    (path / names[0]).write_bytes(data[:len(data) // 2])   # torn
+    (path / names[1]).write_bytes(b"")
+    (path / _file_name(coeffs, 9)).write_bytes(b"not a zip")
+    stranger = _file_name(other, 5)
+    (path / stranger).write_bytes(b"not opened")   # another modulus: kept
     capsys.readouterr()
-    assert len(cache.load(2, 6, coeffs)) == len(good.splitlines())
-    assert "skipped 3 invalid record" in capsys.readouterr().err
-    assert path.read_text() == good   # gone before any append
-    assert len(cache.load(2, 6, coeffs)) == len(good.splitlines())
+    loaded = cache.load(2, 10, coeffs)
+    assert "deleted 3 invalid file(s)" in capsys.readouterr().err
+    assert sorted(f.name for f in path.iterdir()) == sorted(names[2:] + [stranger])
+    assert len(cache.load(2, 10, coeffs)) == len(loaded) == 11
     assert capsys.readouterr().err == ""
-    assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
 def test_threads_deterministic():
@@ -257,72 +301,52 @@ def test_stopped_threaded_stream_computes_no_more(monkeypatch):
     assert len(calls) <= 4 < len(search.class_partition(2, 10))
 
 
-def test_version_1_record_recomputed_once(tmp_path, capsys):
-    # a line of the first format: the spectrum's CycInt JSON entries
-    ctx = gf.field_ctx(2, 6)
-    classes = list(search.canonical_classes(2, 6))
-    rep = classes[0].rep
-    old = {"p": 2, "n": 6, "d": rep, "method": "fast",
-           "entries": spectra.entries_json(2, *spectra.class_record(ctx, rep)),
-           "modulus": list(ctx.spec.coeffs), "version": 1}
-    path = tmp_path / "spectra_p2_n6.jsonl"
-    path.write_text(json.dumps(old, sort_keys=True) + "\n")
-    cache = search.SpectrumCache(str(tmp_path))
-    capsys.readouterr()
-    again = list(search.canonical_classes(2, 6, cache=cache))
-    assert capsys.readouterr().err.count("skipped 1 invalid record") == 1
-    assert [json.loads(line)["d"] for line in path.read_text().splitlines()] == \
-           [c.rep for c in classes]   # every class computed once, in version 2
-    assert all(_same_record(a, b.rows, b.counts) for a, b in zip(classes, again))
-    assert len(cache.load(2, 6, ctx.spec.coeffs)) == len(classes)
-    assert capsys.readouterr().err == ""
+def _mutations(arrays):
+    """Invalid variants of the arrays of a valid one-record file (rows
+    rational and not, one count >= 2), each with a name."""
+    rows, counts, sizes = arrays["rows"], arrays["counts"], arrays["sizes"]
+    i = int(np.flatnonzero(counts >= 2)[0])
 
+    def with_(**changed):
+        return {**arrays, **changed}
 
-def _mutations(rec):
-    """Invalid variants of a valid record (rows rational and not, counts
-    with one count >= 2, a rational row counted at least 3 times), each
-    with a name."""
-    rows, counts = rec["rows"], rec["counts"]
-    i = next(j for j, c in enumerate(counts) if c >= 2)
-    top = [max(r[0] for r in rows) + 1] + [1] * (len(rows[0]) - 1)
+    def plus(a, at, by):
+        out = a.copy()
+        np.add.at(out, at, by)
+        return out
 
-    def with_(rows=rows, counts=counts):
-        return {**rec, "rows": rows, "counts": counts}
-
-    swapped = [1, 0] + list(range(2, len(rows)))
+    swapped = np.r_[1, 0, 2:len(rows)]
     out = {
-        "bool count": with_(counts=[True] + counts[1:]),
-        "float coordinate": with_(rows=[[float(rows[0][0])] + rows[0][1:]] + rows[1:]),
-        "string count": with_(counts=[str(counts[0])] + counts[1:]),
-        "null coordinate": with_(rows=[[None] + rows[0][1:]] + rows[1:]),
-        "row too long": with_(rows=[rows[0] + [0]] + rows[1:]),
-        "row too short": with_(rows=[rows[0][:-1]] + rows[1:]),
-        "more counts than rows": with_(counts=counts + [1]),
-        "zero count": with_(rows=rows + [top], counts=counts + [0]),
+        # a row past the last in the module's order
+        "zero count": with_(rows=np.r_[rows, plus(rows[-1:], (0, -1), 1)],
+                            counts=np.r_[counts, 0], sizes=sizes + 1),
         # the sums still hold: only the order of the rows is wrong
-        "duplicate row": with_(rows=rows[:i + 1] + rows[i:],
-                               counts=counts[:i] + [1, counts[i] - 1] + counts[i + 1:]),
-        "unsorted rows": with_(rows=[rows[j] for j in swapped],
-                               counts=[counts[j] for j in swapped]),
-        "count sum off": with_(counts=[counts[0] + 1] + counts[1:]),
-        "value sum off": with_(counts=[c - (j == i) + (j == (i == 0))   # one moved
-                                       for j, c in enumerate(counts)]),
-        "rows not a list": with_(rows={"0": rows[0]}),
+        "duplicate row": with_(rows=np.r_[rows[:i + 1], rows[i:]],
+                               counts=np.r_[counts[:i], 1, counts[i] - 1, counts[i + 1:]],
+                               sizes=sizes + 1),
+        "unsorted rows": with_(rows=rows[swapped], counts=counts[swapped]),
+        "count sum off": with_(counts=plus(counts, 0, 1)),
+        "value sum off": with_(counts=plus(counts, [i, int(i == 0)], [-1, 1])),
+        # coordinate p - 2 of the sum off (the value itself for p = 2)
+        "last coordinate off": with_(rows=plus(rows, (-1, -1), 1)),
+        "row width p": with_(rows=np.c_[rows, np.zeros(len(rows), dtype=np.int32)]),
+        "row width p - 2": with_(rows=rows[:, :-1]),
+        "more counts than rows": with_(counts=np.r_[counts, 1]),
+        "float64 rows": with_(rows=rows.astype(np.float64)),
+        "bool counts": with_(counts=counts.astype(bool)),
+        "sizes not summing to the counts": with_(sizes=sizes - 1),
+        "another modulus": with_(modulus=arrays["modulus"][::-1]),
+        "no d": {k: v for k, v in arrays.items() if k != "d"},
     }
-    # rows of -B and B + 2v around the rational ones, two fewer of the value v:
-    # the sums and the order hold, but B does not fit the int32 rows
-    j = next(j for j, (r, c) in enumerate(zip(rows, counts)) if not any(r[1:]) and c >= 3)
-    last = max(k for k, r in enumerate(rows) if not any(r[1:]))
-    zeros, big = [0] * (len(rows[0]) - 1), 2 ** 40
-    out["coordinate past int32"] = with_(
-        rows=[[-big] + zeros] + rows[:last + 1] + [[big + 2 * rows[j][0]] + zeros]
-        + rows[last + 1:],
-        counts=[1] + [c - 2 * (k == j) for k, c in enumerate(counts[:last + 1])] + [1]
-        + counts[last + 1:])
-    if len(rows[0]) > 1:   # False for the 0 past the first coordinate of a rational row
-        j = next(j for j, r in enumerate(rows) if not any(r[1:]))
-        out["bool coordinate"] = with_(
-            rows=rows[:j] + [[rows[j][0], False] + rows[j][2:]] + rows[j + 1:])
+    rational = ~rows[:, 1:].any(axis=1)
+    below, above = (np.flatnonzero(rational & (sign * rows[:, 0] > 0)) for sign in (-1, 1))
+    if len(below) and len(above):   # rational rows a < 0 < b counted b and -a times more
+        out["count sum off, value sum kept"] = with_(counts=plus(
+            counts, [below[0], above[0]], [rows[above[0], 0], -rows[below[0], 0]]))
+    irrational = np.flatnonzero(~rational)
+    if len(irrational):   # the sums still hold: an irrational row before the rational ones
+        first = np.r_[irrational[0], np.delete(np.arange(len(rows)), irrational[0])]
+        out["irrational row first"] = with_(rows=rows[first], counts=counts[first])
     return out
 
 
@@ -332,14 +356,42 @@ def test_cache_rejects_invalid_records(p, n, tmp_path, capsys):
     cls = list(search.canonical_classes(p, n))[-1]
     cache = search.SpectrumCache(str(tmp_path))
     cache.append(p, n, ctx.spec.coeffs, [(cls.rep, cls.rows, cls.counts)])
-    path = tmp_path / f"spectra_p{p}_n{n}.jsonl"
-    good = json.loads(path.read_text())
-    assert good["version"] == search.CACHE_VERSION
+    [(name, good)] = _files(tmp_path / f"spectra_p{p}_n{n}").items()
+    path = tmp_path / f"spectra_p{p}_n{n}" / name
     loaded = cache.load(p, n, ctx.spec.coeffs)
     assert _same_record(cls, *loaded[cls.rep])
-    for name, bad in _mutations(good).items():
-        path.write_text(json.dumps(bad) + "\n")
+    for mutation, bad in _mutations(good).items():
+        np.savez(path, **bad)
         capsys.readouterr()
-        assert cache.load(p, n, ctx.spec.coeffs) == {}, name
-        assert "skipped 1 invalid record" in capsys.readouterr().err, name
-        assert path.read_text() == "", name
+        assert cache.load(p, n, ctx.spec.coeffs) == {}, mutation
+        assert "deleted 1 invalid file" in capsys.readouterr().err, mutation
+        assert not path.exists(), mutation
+
+
+# one-record files at (2,16) that pass every other check of the cache in
+# wrapping int32 and int64 arithmetic: (rows, counts, sizes)
+Q16 = 2 ** 16
+WRAPPING = {
+    # sum count = q - 1 and sum value = 1; the step from q to -2^31 wraps to
+    # a positive int32, so the rows look increasing
+    "coordinate -2^31": ([-4, 1, Q16, -2 ** 31], [6553, 26213, 32768, 1], [4]),
+    # the counts sum to q - 1 + 2^64, the values to 1 + q 2^63
+    "count past q": ([1, 2, Q16 - 2], [Q16 + 1, 2 ** 63 - 1, 2 ** 63 - 1], [3]),
+    # the sizes sum to 3 + 2^64
+    "sizes wrap": ([1, 2, Q16 - 2], [1, 1, Q16 - 3], [3] + [2 ** 62] * 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPING))
+def test_cache_checks_bounds_before_sums(name, tmp_path, capsys):
+    rows, counts, sizes = WRAPPING[name]
+    coeffs = gf.find_primitive_polynomial(2, 16).coeffs
+    cache = search.SpectrumCache(str(tmp_path))
+    path = tmp_path / "spectra_p2_n16" / _file_name(coeffs, 7)
+    path.parent.mkdir()
+    np.savez(path, modulus=np.array(coeffs), d=np.arange(7, 7 + len(sizes)),
+             sizes=np.array(sizes), rows=np.array(rows, dtype=np.int32)[:, None],
+             counts=np.array(counts))
+    assert cache.load(2, 16, coeffs) == {}
+    assert "deleted 1 invalid file" in capsys.readouterr().err
+    assert not path.exists()
