@@ -12,8 +12,15 @@ per nested value, which made printing a spectrum of thousands of Z[w]
 values take longer than computing it.  `_emit` builds the same text with
 one str.join per container.  A spectrum is printed from its integer record
 (`spectra.class_record`) through `spectra.entries_json`, by `spectrum` and
-`verify` alike: the list it returns keeps that record, and its text is
-written from one template per entry.
+`verify` alike, and the values of each `classify` class through
+`spectra.Entries` of its rows: such a list keeps its record, its text is
+written from one template per item, and its items (dicts and Z[w] values)
+are made only if something else reads them.
+
+`spectrum --threads N` runs each field-sized pass on N threads (default:
+the available cores; see `gf.run_blocks`).  `classify` and `conjecture
+--threads N` compute N classes at once, each worker running its passes
+inline; with N = 1 the classes' passes use the block threads.
 
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
 or conjecture counterexample), 2 usage error, 3 internal error.  The code
@@ -33,10 +40,10 @@ import traceback
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from . import codes, cyclo, expsums, families, lfsr, niho, search, spectra
+from . import codes, expsums, families, lfsr, niho, search, spectra
 from .errors import Budget, MseqCorrError, OutOfDomain
-from .gf import (check_degree, check_supported_prime, field_ctx, load_modulus_file,
-                 power_exceeds)
+from .gf import (CORES, block_threads, check_degree, check_supported_prime, field_ctx,
+                 load_modulus_file, power_exceeds)
 
 
 def _int(text: str, what: str) -> int:
@@ -53,7 +60,7 @@ def _json_text(obj, indent: str) -> str:
     """The text json.dumps(obj, sort_keys=True, indent=2) gives obj, for an
     obj whose lines start at `indent` (a newline and the spaces of its
     depth), built by one str.join per container.  Exact str and int
-    values, bools, None, non-empty `spectra.Entries` (from their record),
+    values, bools, None, `spectra.Entries` with rows (from their record),
     and non-empty lists, tuples and dicts with str keys are written here;
     anything else (a float, another subclass, an empty container, a dict
     with other keys) is left to json.dumps, and its lines moved to this
@@ -68,7 +75,7 @@ def _json_text(obj, indent: str) -> str:
     if obj is None:
         return "null"
     inner = indent + "  "
-    if t is spectra.Entries and obj:
+    if t is spectra.Entries and len(obj.record[1]):   # from the record: no item is made
         return _entries_text(*obj.record, indent)
     if (t is list or t is tuple) and obj:
         return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
@@ -83,18 +90,28 @@ def _json_text(obj, indent: str) -> str:
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
 
 
-def _entries_text(p: int, rows: list, counts: list, indent: str) -> str:
-    """The text `_json_text` gives the non-empty `spectra.Entries` of this
-    record: each entry from one template, that of a rational value or that
-    of a {"coords": [...], "p": p} one."""
-    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
-    head = "{" + i2 + '"count": %d,' + i2 + '"value": '
-    rational = head + "%d" + i1 + "}"
-    other = (head + "{" + i3 + '"coords": [' + i4 + ("," + i4).join(["%d"] * (p - 1))
-             + i3 + "]," + i3 + f'"p": {p}' + i2 + "}" + i1 + "}")
-    return "[" + i1 + ("," + i1).join([
-        other % (c, *r) if any(r[1:]) else rational % (c, r[0])
-        for r, c in zip(rows, counts)]) + indent + "]"
+def _entries_text(p: int, rows, counts, indent: str) -> str:
+    """The text `_json_text` gives `spectra.Entries` of this record with
+    at least one row: each item from one template, that of a rational
+    value or that of a {"coords": [...], "p": p} one, inside an entry
+    {"count", "value"} unless counts is None."""
+    i1, i2 = indent + "  ", indent + "    "
+    rows = rows.tolist()
+
+    def values(i):   # the templates of a value whose lines start at i
+        j, k = i + "  ", i + "    "
+        return "%d", ("{" + j + '"coords": [' + k + ("," + k).join(["%d"] * (p - 1))
+                      + j + "]," + j + f'"p": {p}' + i + "}")
+
+    if counts is None:
+        rational, other = values(i1)
+        items = [other % tuple(r) if any(r[1:]) else rational % r[0] for r in rows]
+    else:
+        rational, other = ("{" + i2 + '"count": %d,' + i2 + '"value": ' + v + i1 + "}"
+                           for v in values(i2))
+        items = [other % (c, *r) if any(r[1:]) else rational % (c, r[0])
+                 for r, c in zip(rows, counts.tolist())]
+    return "[" + i1 + ("," + i1).join(items) + indent + "]"
 
 
 def _emit(obj) -> None:
@@ -172,9 +189,10 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    ctx = _ctx_for(args)
-    d = _parse_decimation(args.d, ctx.period)
-    rows, counts = spectra.class_record(ctx, d, method=args.method)
+    with block_threads(args.threads):   # checks --threads before any work
+        ctx = _ctx_for(args)
+        d = _parse_decimation(args.d, ctx.period)
+        rows, counts = spectra.class_record(ctx, d, method=args.method)
     if args.out == "csv":
         # a rational value is its integer, any other its quoted coordinates
         sys.stdout.write("".join(["value,count\n"] + [
@@ -316,7 +334,7 @@ def _cmd_classify(args) -> int:
         for c in search.canonical_classes(args.p, n, cache=cache, threads=args.threads):
             buckets.setdefault(str(len(c.counts)), []).append(
                 {"rep": c.rep, "members": len(c.members),
-                 "values": [cyclo.coords_json(args.p, r) for r in c.rows.tolist()]})
+                 "values": spectra.Entries(args.p, c.rows)})
         out.append({"p": args.p, "n": n, "buckets": buckets})
     _emit(out)
     return 0
@@ -350,6 +368,10 @@ def _add_field_args(sp, with_d=False):
                         help="decimation, integer or fraction d1/d2 mod p^n-1")
 
 
+_CLASS_THREADS_HELP = ("classes computed at once, each running its passes on one thread; "
+                       "with 1, a class's field-sized passes run on every available core")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mseqcorr",
@@ -373,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp, with_d=True)
     sp.add_argument("--method", choices=("fast", "naive"), default="fast")
     sp.add_argument("--out", choices=("json", "csv"), default="json")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted; ignored by spectrum, which runs one "
-                         "vectorized transform")
+    sp.add_argument("--threads", type=int, default=CORES,
+                    help="threads of each field-sized pass (field tables, "
+                         "gather, transform, histogram); default: the available "
+                         f"cores ({CORES} here)")
     sp.set_defaults(fn=_cmd_spectrum)
 
     sp = sub.add_parser("moments", help="power-moment identity report")
@@ -419,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--max-n", type=int, default=0)
     sp.add_argument("--cache-dir", default=default_cache)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help=_CLASS_THREADS_HELP)
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("conjecture", help="finite evidence checks")
@@ -430,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, default=0)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--cache-dir", default=default_cache)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help=_CLASS_THREADS_HELP)
     sp.set_defaults(fn=_cmd_conjecture)
 
     return ap

@@ -31,6 +31,22 @@ first use, so a spectrum, which reads exp and the m-sequence alone, never
 pays for the others.  `decimated` reads a sequence at k d mod L block by
 block, without an index array of the field's size.
 
+A pass over a whole field runs through `run_blocks`: here the chunks of
+the linear maps, the p = 2 m-sequence parity and the blocks of
+`decimated`, in `spectra` the scatter of the transform input, each
+transform stage, the index swap and the histogram.  A pass of at least
+`_PARALLEL_MIN` = 2^21 elements is cut into one range per thread, run on
+one shared `ThreadPoolExecutor` made on the first such pass; numpy
+releases the interpreter lock inside its loops, so the ranges run in
+parallel.  A smaller pass is one call in the calling thread: below 2^21 the
+blocked passes measured no faster on 2 cores, and the scatter and the
+binary stages up to 1.8 times slower at 2^20.  The thread count is the
+calling thread's: `block_threads(n)` sets it for a with statement, and it
+is `CORES`, the available cores, otherwise.  A thread that ran
+`inline_blocks` (a worker of the block pool, or of a class pool in
+`search`) makes every pass one call.  The ranges write disjoint parts of
+arrays the caller made, so no result depends on the thread count.
+
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
 The canonical polynomial for (p, n) is the lexicographically least primitive
@@ -50,6 +66,10 @@ n where n = 2m is needed, a non-primitive or malformed modulus, the log of
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -64,6 +84,68 @@ MAX_TABLE_ORDER = 2 ** 24   # exp/log tables kept in memory
 MAX_POLY_ORDER = 2 ** 40    # polynomial arithmetic only
 _GROUP_TABLE = 256          # entries of one digit-group lookup table
 _CHUNK = 2 ** 16            # elements per pass of a linear map
+_PARALLEL_MIN = 2 ** 21     # elements of a pass below which it is one call, inline
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+
+
+# ----------------------------------------------------------------------
+# Field-sized passes in blocks on one shared thread pool
+# ----------------------------------------------------------------------
+
+_local = threading.local()   # .threads: the block threads of this thread's passes
+
+
+@contextmanager
+def block_threads(threads: int):
+    """Inside the with statement, the passes the calling thread makes run
+    on up to `threads` threads (1: each pass is one call, inline); outside
+    any, on `CORES`."""
+    if threads < 1:
+        raise OutOfDomain(f"threads must be at least 1, not {threads}")
+    before = getattr(_local, "threads", None)
+    _local.threads = threads
+    try:
+        yield
+    finally:
+        _local.threads = before
+
+
+def inline_blocks() -> None:
+    """Make every pass of the calling thread one call, inline: the
+    initializer of a pool whose workers each run whole passes at once."""
+    _local.threads = 1
+
+
+@lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    # made on the first parallel pass; its workers start as blocks arrive
+    return ThreadPoolExecutor(threads, thread_name_prefix="mseqcorr-blocks",
+                              initializer=inline_blocks)
+
+
+def run_blocks(fn, count: int, elements: int) -> list:
+    """[fn(lo, hi)] over ranges [lo, hi) that tile [0, count), in order.
+
+    A pass of `elements` elements below `_PARALLEL_MIN`, or made where
+    blocks run inline (`block_threads`), is the one call fn(0, count).  A
+    larger one is cut into one range per thread, but no more ranges than
+    count or than blocks of `_PARALLEL_MIN` / 2 elements, run on the
+    shared pool of that many threads.  The ranges must be independent:
+    numpy releases the interpreter lock inside its loops, so they run in
+    parallel.  More blocks than threads measured slower: each block pays
+    its numpy calls again, and the ring stage makes hundreds of them.
+    """
+    if elements < _PARALLEL_MIN:
+        return [fn(0, count)]
+    threads = getattr(_local, "threads", None) or CORES
+    pieces = min(count, threads, elements // (_PARALLEL_MIN // 2))
+    if pieces < 2:
+        return [fn(0, count)]
+    bounds = [count * i // pieces for i in range(pieces + 1)]
+    futures = [_pool(threads).submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)   # every block has finished, also when one raised
+    return [f.result() for f in futures]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -298,10 +380,15 @@ def decimated(values: np.ndarray, d: int) -> np.ndarray:
     r = np.add.outer(_multiples(-(-B // b), b * d, L), _multiples(b, d, L)).ravel()[:B]
     _wrap(r, L)
     out = np.empty(L, dtype=values.dtype)
-    for q, lo in enumerate(range(0, L, B)):
-        m = min(B, L - lo)
-        idx = _wrap(r[:m] + np.uint32(q * B * d % L), L) if q else r[:m]
-        out[lo:lo + m] = values.take(idx)
+
+    def gather(q0, q1):
+        for q in range(q0, q1):
+            lo = q * B
+            m = min(B, L - lo)
+            idx = _wrap(r[:m] + np.uint32(q * B * d % L), L) if q else r[:m]
+            out[lo:lo + m] = values.take(idx)
+
+    run_blocks(gather, -(-L // B), L)
     return out
 
 
@@ -394,16 +481,21 @@ class FieldCtx:
 
     def _apply(self, tables, x, add, finish, dtype):
         """Sum the group tables' parts for packed x, `_CHUNK` elements at a
-        time: add(acc, part) sums in place, finish(acc) gives the result."""
+        time (the chunks in blocks, `run_blocks`): add(acc, part) sums in
+        place, finish(acc) gives the result."""
         x = np.asarray(x)
         flat = x.ravel()
         out = np.empty(flat.shape, dtype=dtype)
-        for s in range(0, len(flat), _CHUNK):
-            parts = self._parts(tables, flat[s:s + _CHUNK])
-            acc = next(parts)
-            for part in parts:
-                add(acc, part)
-            out[s:s + _CHUNK] = finish(acc)
+
+        def chunks(c0, c1):
+            for s in range(c0 * _CHUNK, min(c1 * _CHUNK, len(flat)), _CHUNK):
+                parts = self._parts(tables, flat[s:s + _CHUNK])
+                acc = next(parts)
+                for part in parts:
+                    add(acc, part)
+                out[s:s + _CHUNK] = finish(acc)
+
+        run_blocks(chunks, -(-len(flat) // _CHUNK), len(flat))
         return out.reshape(x.shape)
 
     def _parts(self, tables, x):
@@ -490,7 +582,19 @@ class FieldCtx:
         if self.p == 2:
             # Tr is the parity of the digits selected by the trace basis
             t = sum(b << i for i, b in enumerate(self._trace_basis))
-            return (np.bitwise_count(self._exp & t) & 1).astype(np.int8)
+            # both made here, not in the blocks: memory a pool thread frees
+            # stays with that thread (malloc keeps an arena per thread)
+            masked = np.empty(self.period, dtype=np.int32)
+            out = np.empty(self.period, dtype=np.int8)
+
+            def parity(lo, hi):
+                o = out[lo:hi]
+                np.bitwise_count(np.bitwise_and(self._exp[lo:hi], t, out=masked[lo:hi]),
+                                 out=o.view(np.uint8))
+                o &= 1
+
+            run_blocks(parity, self.period, self.period)
+            return out
         return self._trace_map(self._trace_basis, self._exp)
 
     @cached_property

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import Budget, OutOfDomain
 from . import families
-from .gf import FieldCtx, factorize, field_ctx
+from .gf import FieldCtx, factorize, field_ctx, inline_blocks
 from .spectra import class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
@@ -211,7 +211,8 @@ def _class_stream(p: int, n: int, cache: SpectrumCache | None, threads: int,
     records = cache.load(p, n, ctx.spec.coeffs) if cache is not None else {}
     todo = [rep for rep, _ in parts if rep not in records]   # ascending
     batch = []
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    # each worker runs whole classes, its passes inline
+    pool = ThreadPoolExecutor(threads, initializer=inline_blocks) if threads > 1 else None
     try:
         fresh = (pool.map if pool else map)(partial(class_record, ctx), todo)
         for rep, members in parts:

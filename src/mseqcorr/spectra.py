@@ -7,7 +7,11 @@ m-sequence at k d mod p^n - 1 for every k, gathered block by block by
 `gf.decimated`, so that no index array of the field's size is built.
 
 Every stage runs at the width its numbers need, no wider, and every width
-is exact by a bound on the values, not by a check.
+is exact by a bound on the values, not by a check.  The scatter of the
+input, each stage, the index swap and the histogram run in blocks through
+`gf.run_blocks`, so a pass of 2^21 elements or more uses every thread it
+is given; the blocks write disjoint entries, so the values do not depend
+on the thread count.
 
 For p = 2 it is the binary Walsh-Hadamard transform (w = -1) of the +-1
 input.  After i bits every value is a sum of 2^i terms +-1, so |value| <=
@@ -83,7 +87,7 @@ import numpy as np
 
 from .cyclo import CycInt, coords_json
 from .errors import Budget, OutOfDomain
-from .gf import FieldCtx, decimated
+from .gf import FieldCtx, decimated, run_blocks
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -100,40 +104,64 @@ _HISTOGRAM_BLOCK = 2 ** 20   # keys per np.unique call of the histogram
 # Fast transform
 # ----------------------------------------------------------------------
 
+def _radix4(a: np.ndarray, t: np.ndarray) -> None:
+    """One radix-4 stage on a (groups, 4, inner) view, in place: with a_j
+    the entries that differ in the two bits (j = b_i + 2 b_(i+1)), y_j =
+    sum_k (-1)^<j,k> a_k from the sums and differences of (a_0, a_1) and
+    (a_2, a_3), through t, a (groups, inner) buffer."""
+    a0, a1, a2, a3 = a.transpose(1, 0, 2)
+    np.add(a0, a1, out=t)
+    np.subtract(a0, a1, out=a1)
+    np.add(a2, a3, out=a0)
+    np.subtract(a2, a3, out=a3)
+    np.subtract(t, a0, out=a2)   # y_2 = (a_0 + a_1) - (a_2 + a_3)
+    np.add(t, a0, out=a0)        # y_0
+    np.subtract(a1, a3, out=t)   # y_3 = (a_0 - a_1) - (a_2 - a_3)
+    np.add(a1, a3, out=a1)       # y_1
+    a3[...] = t
+
+
+def _radix2(a: np.ndarray, t: np.ndarray) -> None:
+    """One radix-2 stage on a (groups, 2, inner) view, in place, through
+    t, a (groups, inner) buffer."""
+    a0, a1 = a.transpose(1, 0, 2)
+    np.subtract(a0, a1, out=t)
+    a0 += a1
+    a1[...] = t
+
+
 def _wht_stages(g: np.ndarray, lo: int, hi: int) -> None:
     """Walsh-Hadamard stages on bits lo .. hi - 1 of the index of g, in place.
 
-    Bits go two at a time: with a_j the four entries that differ in bits i
-    and i + 1 (j = b_i + 2 b_(i+1)), the radix-4 stage forms y_j = sum_k
-    (-1)^<j,k> a_k from the sums and differences of (a_0, a_1) and (a_2,
-    a_3), through one temporary a quarter of g's size.  An odd last bit
-    gets one radix-2 stage.
+    Bits go two at a time (`_radix4`); an odd last bit gets one radix-2
+    stage.  Each stage runs in blocks (`run_blocks`) of its outer groups
+    or of its inner entries, whichever are more.  The stages share one
+    buffer, made here rather than in the blocks: memory that a pool thread
+    frees stays with that thread (malloc keeps an arena per thread).
     """
+    buf = np.empty(g.size // (2 if (hi - lo) % 2 else 4), dtype=g.dtype)
     i = lo
-    while i + 2 <= hi:
-        a0, a1, a2, a3 = g.reshape(-1, 4, 2 ** i).transpose(1, 0, 2)
-        t = a0 + a1
-        np.subtract(a0, a1, out=a1)
-        np.add(a2, a3, out=a0)
-        np.subtract(a2, a3, out=a3)
-        np.subtract(t, a0, out=a2)   # y_2 = (a_0 + a_1) - (a_2 + a_3)
-        np.add(t, a0, out=a0)        # y_0
-        np.subtract(a1, a3, out=t)   # y_3 = (a_0 - a_1) - (a_2 - a_3)
-        np.add(a1, a3, out=a1)       # y_1
-        a3[...] = t
-        i += 2
-    if i < hi:
-        a0, a1 = g.reshape(-1, 2, 2 ** i).transpose(1, 0, 2)
-        t = a0 - a1
-        a0 += a1
-        a1[...] = t
+    while i < hi:
+        r = 4 if i + 2 <= hi else 2
+        a = g.reshape(-1, r, 2 ** i)
+        t = buf[:g.size // r].reshape(a.shape[0], a.shape[2])
+        butterfly = _radix4 if r == 4 else _radix2
+        if a.shape[0] >= a.shape[2]:
+            run_blocks(lambda b0, b1: butterfly(a[b0:b1], t[b0:b1]), a.shape[0], g.size)
+        else:
+            run_blocks(lambda b0, b1: butterfly(a[:, :, b0:b1], t[:, b0:b1]), a.shape[2],
+                       g.size)
+        i += r // 2
 
 
 def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
     """out = x.T for 2-D arrays, copied 16 rows of x at a time so that the
-    reads and writes of each band stay in cache."""
-    for r in range(0, x.shape[0], 16):
-        out[:, r:r + 16] = x[r:r + 16].T
+    reads and writes of each band stay in cache; the bands in blocks."""
+    def bands(b0, b1):
+        for r in range(16 * b0, min(16 * b1, x.shape[0]), 16):
+            out[:, r:r + 16] = x[r:r + 16].T
+
+    run_blocks(bands, -(-x.shape[0] // 16), x.size)
 
 
 def _wht_2(g: np.ndarray) -> np.ndarray:
@@ -170,9 +198,21 @@ def _ring_stage(v: np.ndarray, p: int, dtype: type) -> np.ndarray:
 
     v has shape (p, A, p, B): ring coordinate c, outer block, the digit
     transformed, inner block.  Multiplying by w^(-s) moves coefficient
-    c + s to c, so each (j, k) is two slice-adds, with no products.
+    c + s to c, so each (j, k) is two slice-adds, with no products.  The
+    stage runs in blocks of the longer of A and B.
     """
     out = np.empty(v.shape, dtype=dtype)
+    if v.shape[1] >= v.shape[3]:
+        run_blocks(lambda b0, b1: _ring_block(v[:, b0:b1], out[:, b0:b1], p), v.shape[1],
+                   v.size)
+    else:
+        run_blocks(lambda b0, b1: _ring_block(v[..., b0:b1], out[..., b0:b1], p),
+                   v.shape[3], v.size)
+    return out
+
+
+def _ring_block(v: np.ndarray, out: np.ndarray, p: int) -> None:
+    """`_ring_stage` of v into out, arrays of one shape (p, A, p, B)."""
     for j in range(p):
         o = out[:, :, j]
         o[...] = v[:, :, 0]
@@ -181,7 +221,6 @@ def _ring_stage(v: np.ndarray, p: int, dtype: type) -> np.ndarray:
             o[:p - s] += v[s:, :, k]
             if s:
                 o[p - s:] += v[:s, :, k]
-    return out
 
 
 def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -260,15 +299,23 @@ class WalshTable:
             row = np.empty(len(counts), dtype=np.int64)
             row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
             return data[row], counts
-        # np.unique per block of keys, in int32 when they fit; counts summed in int64
+        # np.unique per block of keys (the blocks in ranges, `run_blocks`), in int32
+        # when they fit; counts summed in int64
         dtype = np.int32 if bound <= 2 ** 31 else np.int64
-        parts = []
-        for lo in range(0, len(data), _HISTOGRAM_BLOCK):
-            block = data[lo:lo + _HISTOGRAM_BLOCK]
-            keys = block[:, 0].astype(dtype, copy=False)   # p = 2: the value, no copy
-            for c, (low, span) in enumerate(zip(lows, spans), 1):
-                keys = keys * span + (block[:, c] - low)
-            parts.append(np.unique(keys, return_counts=True))
+
+        def histograms(b0, b1):
+            parts = []
+            for lo in range(b0 * _HISTOGRAM_BLOCK, min(b1 * _HISTOGRAM_BLOCK, len(data)),
+                            _HISTOGRAM_BLOCK):
+                block = data[lo:lo + _HISTOGRAM_BLOCK]
+                keys = block[:, 0].astype(dtype, copy=False)   # p = 2: the value, no copy
+                for c, (low, span) in enumerate(zip(lows, spans), 1):
+                    keys = keys * span + (block[:, c] - low)
+                parts.append(np.unique(keys, return_counts=True))
+            return parts
+
+        parts = [part for ranges in run_blocks(histograms, -(-len(data) // _HISTOGRAM_BLOCK),
+                                               len(data)) for part in ranges]
         keys = np.concatenate([k for k, _ in parts])
         order = np.argsort(keys)
         keys, counts = keys[order], np.concatenate([c for _, c in parts])[order]
@@ -286,14 +333,24 @@ def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
     """The transform's input for f(x) = Tr(x^d): (-1)^f(x) in int16 for
     p = 2, else the (p, p^n) uint8 indicator whose row c marks f(x) = c."""
     f_nonzero = decimated(ctx.mseq, d)   # f at x = alpha^k
+    exp = ctx.exp_table
     if ctx.p == 2:
-        # scatter f in int8 (a casting scatter is slower), then widen 1 - 2 f
+        # scatter f in int8 (a casting scatter is slower), then widen 1 - 2 f;
+        # exp is a permutation, so blocks of k write disjoint entries
         f = np.zeros(ctx.order, dtype=np.int8)
-        f[ctx.exp_table] = f_nonzero
+
+        def scatter(lo, hi):
+            f[exp[lo:hi]] = f_nonzero[lo:hi]
+
+        run_blocks(scatter, ctx.period, ctx.period)
         return np.subtract(1, 2 * f, dtype=np.int16)
     g = np.zeros((ctx.p, ctx.order), dtype=np.uint8)
     g[0, 0] = 1
-    g[f_nonzero, ctx.exp_table] = 1
+
+    def mark(lo, hi):
+        g[f_nonzero[lo:hi], exp[lo:hi]] = 1
+
+    run_blocks(mark, ctx.period, ctx.period)
     return g
 
 
@@ -383,20 +440,46 @@ def value_ordered(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class Entries(list):
-    """The JSON entries of a record, a list of dicts like any other, that
-    also keeps `record`, the (p, rows, counts) it was built from, with rows
-    and counts as lists, for a writer that renders it row by row
-    (`cli._json_text`)."""
+    """The JSON form of a record, in its order: the entries {"value",
+    "count"}, or, made without counts, the values alone.  `record` keeps
+    the (p, rows, counts) arrays it stands for (counts None for values
+    alone), and the items are made from it on first read, so a writer that
+    renders the record row by row (`cli._json_text`) makes none, and the
+    record stays as compact as its arrays until then."""
 
-    record: tuple
+    def __init__(self, p: int, rows: np.ndarray, counts: np.ndarray | None = None):
+        super().__init__()
+        self.record = (p, rows, counts)
+
+    def _made(self) -> list:
+        if not list.__len__(self) and len(self.record[1]):
+            p, rows, counts = self.record
+            values = (coords_json(p, r) for r in rows.tolist())
+            self.extend(values if counts is None else
+                        ({"value": v, "count": c} for v, c in zip(values, counts.tolist())))
+        return self
+
+    def __len__(self):
+        return list.__len__(self._made())
+
+    def __iter__(self):
+        return list.__iter__(self._made())
+
+    def __getitem__(self, i):
+        return list.__getitem__(self._made(), i)
+
+    def __eq__(self, other):
+        return list.__eq__(self._made(), other)
+
+    def __repr__(self):
+        return list.__repr__(self._made())
+
+    __hash__ = None
 
 
 def entries_json(p: int, rows: np.ndarray, counts: np.ndarray) -> Entries:
     """The JSON entries {"value", "count"} of a record, in its order."""
-    rows, counts = rows.tolist(), counts.tolist()
-    out = Entries({"value": coords_json(p, r), "count": c} for r, c in zip(rows, counts))
-    out.record = (p, rows, counts)
-    return out
+    return Entries(p, rows, counts)
 
 
 # ----------------------------------------------------------------------

@@ -444,6 +444,7 @@ DOMAIN_ERRORS = {
         "niho-4val-unified needs r >= 1",   # a missing key, not a KeyError
     "verify --family katz-langevin --p 3 --n 5 --params k=-1":
         "katz-langevin needs k >= 1",   # n | 4k - 1 holds at k = -1, n = 5
+    "spectrum --p 2 --n 5 --d 3 --threads 0": "threads must be at least 1, not 0",
 }
 
 
@@ -474,6 +475,7 @@ DOMAIN_ERRORS = {
     "classify --p 2 --max-n 4 --threads -3",
     "conjecture --check minus-one --p 2 --n 4 --threads 0",
     "conjecture --check three-valued --p 2 --n 4 --threads -3",
+    "spectrum --p 2 --n 5 --d 3 --threads 0",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")

@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -427,6 +428,47 @@ def test_lazy_tables_are_thread_safe():
         sys.setswitchinterval(interval)
     for log, tr in got:
         assert (log == want[0]).all() and (tr == want[1]).all()
+
+
+def test_run_blocks_tiles_the_range_on_at_most_threads_threads():
+    # below the threshold, or with one thread, a pass is one inline call;
+    # above it, one range per thread (at most count, at most one per half
+    # threshold of elements), in order, each on a pool thread
+    main = threading.get_ident()
+    big = 4 * gf._PARALLEL_MIN
+    for threads in (1, 2, 3, 4):
+        for count in (1, 2, 5, 1000):
+            for elements, most in ((gf._PARALLEL_MIN - 1, 1), (gf._PARALLEL_MIN, 2), (big, 8)):
+                with gf.block_threads(threads):
+                    got = gf.run_blocks(lambda lo, hi: (lo, hi, threading.get_ident()),
+                                        count, elements)
+                pieces = min(count, threads, most)
+                assert [lo for lo, _, _ in got] == [count * i // pieces for i in range(pieces)]
+                assert [hi for _, hi, _ in got] == [count * i // pieces
+                                                    for i in range(1, pieces + 1)]
+                ids = {ident for _, _, ident in got}
+                assert ids == {main} if pieces == 1 else main not in ids and len(ids) <= pieces
+
+
+def test_run_blocks_waits_for_every_block_before_raising():
+    finished = []
+
+    def block(lo, hi):
+        if lo == 0:
+            raise ValueError("first block")
+        time.sleep(0.05)
+        finished.append(lo)
+
+    with gf.block_threads(2), pytest.raises(ValueError, match="first block"):
+        gf.run_blocks(block, 2, 2 * gf._PARALLEL_MIN)
+    assert finished == [1]
+
+
+def test_block_threads_below_one_rejected():
+    for threads in (0, -3):
+        with pytest.raises(OutOfDomain, match="threads must be at least 1"):
+            with gf.block_threads(threads):
+                pass
 
 
 @pytest.mark.parametrize("p,n", ONE_FIELD_PER_PRIME)

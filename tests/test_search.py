@@ -1,5 +1,6 @@
 """Decimation classification, caching, and conjecture evidence."""
 
+import itertools
 import time
 from math import gcd
 
@@ -280,6 +281,25 @@ def test_threads_deterministic():
     threaded = list(search.canonical_classes(3, 4, threads=4))
     assert [(c.rep, c.members) for c in serial] == \
            [(c.rep, c.members) for c in threaded] == search.class_partition(3, 4)
+    for a, b in zip(serial, threaded):
+        assert _same_record(a, b.rows, b.counts)
+
+
+def test_class_threads_and_block_threads_give_one_stream(monkeypatch):
+    # (2, 18) is above the threshold set here: with one class thread each
+    # class runs its passes in blocks on the block pool; with two, the
+    # class workers run them inline and the block pool is never asked for
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 17)
+    pools, pool = [], gf._pool
+    monkeypatch.setattr(gf, "_pool", lambda threads: (pools.append(threads), pool(threads))[1])
+    with gf.block_threads(2):
+        serial = list(itertools.islice(search.canonical_classes(2, 18, threads=1), 16))
+    assert set(pools) == {2}
+    pools.clear()
+    threaded = list(itertools.islice(search.canonical_classes(2, 18, threads=2), 16))
+    assert pools == []
+    assert [(c.rep, c.members) for c in serial] == [(c.rep, c.members) for c in threaded] \
+        == search.class_partition(2, 18)[:16]
     for a, b in zip(serial, threaded):
         assert _same_record(a, b.rows, b.counts)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from mseqcorr import gf
 from mseqcorr.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -234,3 +235,23 @@ def test_bench_catalog_checks_match_recorded_digests(capsys):
     for argv in commands:
         out = _stdout(argv, capsys)
         assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)], argv
+
+
+# one field per prime, each above the threshold the test sets: its field
+# tables, gather, transform and histogram run in blocks for threads > 1
+THREADED_FIELDS = ["--p 2 --n 18 --d 5", "--p 3 --n 11 --d 5", "--p 5 --n 8 --d 7",
+                   "--p 7 --n 7 --d 5", "--p 11 --n 5 --d 3", "--p 13 --n 5 --d 7"]
+
+
+@pytest.mark.parametrize("args", THREADED_FIELDS)
+def test_spectrum_bytes_do_not_depend_on_threads(args, monkeypatch, capsys):
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 17)
+    pools, pool = [], gf._pool
+    monkeypatch.setattr(gf, "_pool", lambda threads: (pools.append(threads), pool(threads))[1])
+    outs = []
+    for threads in (1, 2, 3):
+        pools.clear()
+        outs.append(_stdout(["spectrum", *args.split(), "--threads", str(threads)], capsys))
+        # threads 1 runs every pass inline; the others run blocks on their pool
+        assert set(pools) == ({threads} if threads > 1 else set()), threads
+    assert outs[0] == outs[1] == outs[2]
