@@ -289,6 +289,7 @@ def test_class_threads_and_block_threads_give_one_stream(monkeypatch):
     # (2, 18) is above the threshold set here: with one class thread each
     # class runs its passes in blocks on the block pool; with two, the
     # class workers run them inline and the block pool is never asked for
+    # (the field build's passes, on the calling thread, stay below it)
     monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 17)
     pools, pool = [], gf._pool
     monkeypatch.setattr(gf, "_pool", lambda threads: (pools.append(threads), pool(threads))[1])

@@ -237,8 +237,9 @@ def test_bench_catalog_checks_match_recorded_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)], argv
 
 
-# one field per prime, each above the threshold the test sets: its field
-# tables, gather, transform and histogram run in blocks for threads > 1
+# one field per prime, each above the threshold the test sets: its
+# m-sequence, gather, input, transform and histogram run in blocks for
+# threads > 1
 THREADED_FIELDS = ["--p 2 --n 18 --d 5", "--p 3 --n 11 --d 5", "--p 5 --n 8 --d 7",
                    "--p 7 --n 7 --d 5", "--p 11 --n 5 --d 3", "--p 13 --n 5 --d 7"]
 
