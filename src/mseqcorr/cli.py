@@ -40,6 +40,8 @@ import traceback
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
+import numpy as np
+
 from . import codes, expsums, families, lfsr, niho, search, spectra
 from .errors import Budget, MseqCorrError, OutOfDomain
 from .gf import (CORES, block_threads, check_degree, check_supported_prime, field_ctx,
@@ -92,26 +94,28 @@ def _json_text(obj, indent: str) -> str:
 
 def _entries_text(p: int, rows, counts, indent: str) -> str:
     """The text `_json_text` gives `spectra.Entries` of this record with
-    at least one row: each item from one template, that of a rational
-    value or that of a {"coords": [...], "p": p} one, inside an entry
-    {"count", "value"} unless counts is None."""
+    at least one row: one `%` over the joined templates of the items, that
+    of a rational value or that of a {"coords": [...], "p": p} one, inside
+    an entry {"count", "value"} unless counts is None.  Every template
+    takes all p - 1 coordinates: a rational one prints the first and
+    formats the others, all 0, as "%.0s", which prints nothing."""
     i1, i2 = indent + "  ", indent + "    "
-    rows = rows.tolist()
 
     def values(i):   # the templates of a value whose lines start at i
         j, k = i + "  ", i + "    "
-        return "%d", ("{" + j + '"coords": [' + k + ("," + k).join(["%d"] * (p - 1))
-                      + j + "]," + j + f'"p": {p}' + i + "}")
+        return "%d" + "%.0s" * (p - 2), ("{" + j + '"coords": [' + k + ("," + k).join(
+            ["%d"] * (p - 1)) + j + "]," + j + f'"p": {p}' + i + "}")
 
     if counts is None:
         rational, other = values(i1)
-        items = [other % tuple(r) if any(r[1:]) else rational % r[0] for r in rows]
+        args = rows
     else:
         rational, other = ("{" + i2 + '"count": %d,' + i2 + '"value": ' + v + i1 + "}"
                            for v in values(i2))
-        items = [other % (c, *r) if any(r[1:]) else rational % (c, r[0])
-                 for r, c in zip(rows, counts.tolist())]
-    return "[" + i1 + ("," + i1).join(items) + indent + "]"
+        args = np.column_stack((counts, rows))
+    templates = [other if o else rational for o in rows[:, 1:].any(axis=1).tolist()]
+    return "[" + i1 + ("," + i1).join(templates) % tuple(args.ravel().tolist()) \
+        + indent + "]"
 
 
 def _emit(obj) -> None:

@@ -50,8 +50,12 @@ arrays the caller made, so no result depends on the thread count.
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
 The canonical polynomial for (p, n) is the lexicographically least primitive
-one (on the coefficient tuple c_{n-1}, ..., c_1, c_0); a table of alternate
-moduli can be loaded from a file, see `load_modulus_file`.
+one (on the coefficient tuple c_{n-1}, ..., c_1, c_0).  For the supported
+fields with tables (p in `SUPPORTED_PRIMES`, p^n <= 2^24) it is read from the
+pinned table `_CANONICAL`, which a test checks against
+`find_primitive_polynomial`; only a (p, n) off the table is searched for.  A
+table of alternate moduli can be loaded from a file, see
+`load_modulus_file`.
 
 Size bounds: tables are built only for p^n <= 2^24; polynomial-level
 operations (primitivity testing, canonical polynomial search) go up to 2^40.
@@ -124,7 +128,7 @@ def _pool(threads: int) -> ThreadPoolExecutor:
                               initializer=inline_blocks)
 
 
-def run_blocks(fn, count: int, elements: int) -> list:
+def run_blocks(fn, count: int, elements: int, scratch=None) -> list:
     """[fn(lo, hi)] over ranges [lo, hi) that tile [0, count), in order.
 
     A pass of `elements` elements below `_PARALLEL_MIN`, or made where
@@ -135,15 +139,23 @@ def run_blocks(fn, count: int, elements: int) -> list:
     numpy releases the interpreter lock inside its loops, so they run in
     parallel.  More blocks than threads measured slower: each block pays
     its numpy calls again, and the ring stage makes hundreds of them.
+
+    A range that needs working memory gets it from `scratch`, called once
+    per range in the calling thread, as fn's third argument: fn(lo, hi,
+    scratch()).  Memory that a pool thread frees stays in its malloc
+    arena, so temporaries made inside the ranges raise the peak RSS with
+    the thread count.
     """
-    if elements < _PARALLEL_MIN:
-        return [fn(0, count)]
-    threads = getattr(_local, "threads", None) or CORES
-    pieces = min(count, threads, elements // (_PARALLEL_MIN // 2))
+    pieces = 1
+    if elements >= _PARALLEL_MIN:
+        threads = getattr(_local, "threads", None) or CORES
+        pieces = min(count, threads, elements // (_PARALLEL_MIN // 2))
     if pieces < 2:
-        return [fn(0, count)]
+        return [fn(0, count) if scratch is None else fn(0, count, scratch())]
     bounds = [count * i // pieces for i in range(pieces + 1)]
-    futures = [_pool(threads).submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    calls = [(lo, hi) if scratch is None else (lo, hi, scratch())
+             for lo, hi in zip(bounds, bounds[1:])]
+    futures = [_pool(threads).submit(fn, *call) for call in calls]
     wait(futures)   # every block has finished, also when one raised
     return [f.result() for f in futures]
 
@@ -689,9 +701,53 @@ class FieldCtx:
         return f"FieldCtx(GF({self.p}^{self.n}), modulus={self.spec.coeffs})"
 
 
+# The canonical modulus c_0, ..., c_(n-1) of every supported (p, n) with
+# p^n <= 2^24, as `find_primitive_polynomial` finds it (a test compares them);
+# the search costs tens of ms per field, paid again by every CLI process.
+_CANONICAL = {
+    (2, 1): (1,), (2, 2): (1, 1), (2, 3): (1, 1, 0), (2, 4): (1, 1, 0, 0),
+    (2, 5): (1, 0, 1, 0, 0), (2, 6): (1, 1, 0, 0, 0, 0), (2, 7): (1, 1, 0, 0, 0, 0, 0),
+    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0), (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0), (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 14): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 16): (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 17): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 18): (1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 19): (1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 20): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 21): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 22): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 23): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 24): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (3, 1): (1,), (3, 2): (2, 1), (3, 3): (1, 2, 0), (3, 4): (2, 1, 0, 0),
+    (3, 5): (1, 2, 0, 0, 0), (3, 6): (2, 1, 0, 0, 0, 0), (3, 7): (1, 2, 1, 0, 0, 0, 0),
+    (3, 8): (2, 0, 0, 1, 0, 0, 0, 0), (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0),
+    (3, 10): (2, 1, 0, 1, 0, 0, 0, 0, 0, 0), (3, 11): (1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (3, 12): (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0),
+    (3, 13): (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (3, 14): (2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (3, 15): (1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (5, 1): (2,), (5, 2): (2, 1), (5, 3): (2, 3, 0), (5, 4): (2, 2, 1, 0),
+    (5, 5): (2, 4, 0, 0, 0), (5, 6): (2, 1, 0, 0, 0, 0), (5, 7): (2, 3, 0, 0, 0, 0, 0),
+    (5, 8): (3, 2, 1, 0, 0, 0, 0, 0), (5, 9): (3, 2, 1, 0, 0, 0, 0, 0, 0),
+    (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0),
+    (7, 1): (2,), (7, 2): (3, 1), (7, 3): (2, 3, 0), (7, 4): (5, 3, 1, 0),
+    (7, 5): (4, 1, 0, 0, 0), (7, 6): (5, 1, 3, 0, 0, 0), (7, 7): (2, 6, 0, 0, 0, 0, 0),
+    (7, 8): (3, 1, 0, 0, 0, 0, 0, 0),
+    (11, 1): (3,), (11, 2): (7, 1), (11, 3): (4, 1, 0), (11, 4): (2, 1, 0, 0),
+    (11, 5): (4, 1, 1, 0, 0), (11, 6): (8, 2, 1, 0, 0, 0),
+    (13, 1): (2,), (13, 2): (2, 1), (13, 3): (6, 1, 0), (13, 4): (2, 1, 1, 0),
+    (13, 5): (2, 4, 0, 0, 0), (13, 6): (2, 2, 1, 0, 0, 0),
+}
+
+
 @lru_cache(maxsize=None)
 def _canonical_spec(p: int, n: int) -> FieldSpec:
-    return find_primitive_polynomial(p, n)
+    coeffs = _CANONICAL.get((p, n))
+    return find_primitive_polynomial(p, n) if coeffs is None else FieldSpec(p, n, coeffs)
 
 
 _CTX_CACHE: dict[tuple, FieldCtx] = {}

@@ -40,11 +40,7 @@ result is reduced once, at the end, into int32, to the unique basis 1,
 Every value is thus a row of p - 1 int32 coordinates (one, the integer
 itself, for p = 2), and a `WalshTable` is read in one of two ways: the
 per-shift array `by_log`, row tau = W(alpha^tau), or the histogram
-`unique_values` of W(a) over a != 0.  For every p the histogram packs each
-row into one mixed-radix integer key, in the lexicographic order of the
-coordinates (for p = 2 the key is the value), and counts the keys by
-`np.unique` on blocks of 2^20; only keys that would pass 2^62 are
-renumbered densely instead.  The crosscorrelation spectrum of the
+`unique_values` of W(a) over a != 0.  The crosscorrelation spectrum of the
 decimation pair is the multiset {W(a) - 1 : a != 0}, read from the
 histogram; the a = 0 point of the transform corresponds to no shift and is
 excluded.
@@ -55,6 +51,16 @@ p every W(a) of such a d is real: p^n - 1 is even, so d is odd, and x -> -x
 negates the exponent Tr(x^d) - <a, x>, so w^c and w^(-c) occur equally
 often.  In the basis 1, w, ..., w^(p-2) coordinate 1 is therefore 0 and
 coordinate c equals coordinate p - c.
+
+The histogram keys on that real half.  It packs the key columns of each
+row, 0 and 2 .. (p - 1) / 2 (the value itself for p = 2 and p = 3), into
+one mixed-radix integer key, in the lexicographic order of the
+coordinates, sorts the keys of each block of 2^20 rows in a buffer the
+calling thread made and counts their runs; only keys that would pass 2^62
+are renumbered densely instead.  The distinct rows are rebuilt with
+coordinate 1 = 0 and coordinate p - c = coordinate c.  Its precondition is
+a real table, which two array passes check (coordinate 1 all zero, columns
+c and p - c equal); any other table raises `OutOfDomain`.
 
 A spectrum has one form, the integer record of `class_record`: `rows`,
 the int32 coordinates of its distinct values, and `counts`, int64, how
@@ -276,57 +282,87 @@ class WalshTable:
     def unique_values(self):
         """(rows, counts): the distinct W(a) over a != 0, as fresh arrays of
         rows in lexicographic order (the order of np.unique(axis=0)), and
-        how often each occurs.  Each row is one mixed-radix key, the first
+        how often each occurs.
+
+        Each row is one mixed-radix key over its key columns, the first
         column most significant and signed (|W| <= p^n), the others offset
-        by their minimum, so that key order is row order."""
-        data = self._by_u[1:]
-        lows = data[:, 1:].min(axis=0).tolist()
-        spans = [hi - lo + 1 for lo, hi in zip(lows, data[:, 1:].max(axis=0).tolist())]
+        by their minimum, so that key order is row order.  For odd p the
+        table must be real (`_require_real`), and the key columns are 0 and
+        2 .. (p - 1) / 2: coordinate 1 is 0 and coordinate p - c is
+        coordinate c, so the rows are rebuilt from those alone.
+        """
+        p, data = self.p, self._by_u[1:]
+        if p > 2:
+            _require_real(data, p)
+        cols = [0, *range(2, (p + 1) // 2)]   # p = 2 and p = 3: the first column alone
+        lows = [int(data[:, c].min()) for c in cols[1:]]
+        spans = [int(data[:, c].max()) - lo + 1 for c, lo in zip(cols[1:], lows)]
         bound = 2 * (self.ctx.order + 1) * prod(spans)   # above twice every |key|
         if bound > 2 ** 63:
             # renumber the keys densely (ids < p^n <= 2^24) before one would pass 2^62
             lows.insert(0, int(data[:, 0].min()))
             spans.insert(0, int(data[:, 0].max()) - lows[0] + 1)
             ids, size = np.zeros(len(data), dtype=np.int64), 1
-            for col, lo, span in zip(data.T, lows, spans):
+            for c, lo, span in zip(cols, lows, spans):
                 if size * span > 2 ** 62:
                     ids = np.unique(ids, return_inverse=True)[1]
                     size = int(ids.max()) + 1
-                ids = ids * span + (col - lo)
+                ids = ids * span + (data[:, c] - lo)
                 size *= span
             ids = np.unique(ids, return_inverse=True)[1]
             counts = np.bincount(ids)
             row = np.empty(len(counts), dtype=np.int64)
             row[ids] = np.arange(len(ids))   # rows with one id are equal: any will do
             return data[row], counts
-        # np.unique per block of keys (the blocks in ranges, `run_blocks`), in int32
-        # when they fit; counts summed in int64
+        # the keys of each block of rows are sorted in a buffer of the calling
+        # thread (`run_blocks` scratch), in int32 when they fit, and the runs
+        # of equal keys counted; the blocks' counts are summed in int64
         dtype = np.int32 if bound <= 2 ** 31 else np.int64
+        size = min(_HISTOGRAM_BLOCK, len(data))
 
-        def histograms(b0, b1):
+        def histograms(b0, b1, scratch):
+            keys_buf, new = scratch
             parts = []
             for lo in range(b0 * _HISTOGRAM_BLOCK, min(b1 * _HISTOGRAM_BLOCK, len(data)),
                             _HISTOGRAM_BLOCK):
                 block = data[lo:lo + _HISTOGRAM_BLOCK]
-                keys = block[:, 0].astype(dtype, copy=False)   # p = 2: the value, no copy
-                for c, (low, span) in enumerate(zip(lows, spans), 1):
-                    keys = keys * span + (block[:, c] - low)
-                parts.append(np.unique(keys, return_counts=True))
+                keys = keys_buf[:len(block)]
+                keys[...] = block[:, 0]
+                for c, low, span in zip(cols[1:], lows, spans):
+                    keys *= span   # in place: each partial key stays within the bound
+                    keys -= low
+                    keys += block[:, c]
+                keys.sort()
+                np.not_equal(keys[1:], keys[:-1], out=new[1:len(block)])
+                starts = np.flatnonzero(new[:len(block)])
+                parts.append((keys[starts], np.diff(starts, append=len(block))))
             return parts
 
-        parts = [part for ranges in run_blocks(histograms, -(-len(data) // _HISTOGRAM_BLOCK),
-                                               len(data)) for part in ranges]
+        parts = [part for ranges in run_blocks(
+            histograms, -(-len(data) // _HISTOGRAM_BLOCK), len(data),
+            lambda: (np.empty(size, dtype=dtype), np.ones(size, dtype=bool)))
+            for part in ranges]
         keys = np.concatenate([k for k, _ in parts])
         order = np.argsort(keys)
         keys, counts = keys[order], np.concatenate([c for _, c in parts])[order]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         keys, counts = keys[starts], np.add.reduceat(counts, starts)
-        rows = np.empty((len(keys), data.shape[1]), dtype=data.dtype)
-        for c in reversed(range(1, data.shape[1])):
-            keys, digit = np.divmod(keys, spans[c - 1])
-            rows[:, c] = digit + lows[c - 1]
+        rows = np.zeros((len(keys), data.shape[1]), dtype=data.dtype)
+        for c, low, span in reversed(list(zip(cols[1:], lows, spans))):
+            keys, digit = np.divmod(keys, span)
+            rows[:, c] = digit + low
+            rows[:, p - c] = rows[:, c]
         rows[:, 0] = keys
         return rows, counts
+
+
+def _require_real(data: np.ndarray, p: int) -> None:
+    """Raise `OutOfDomain` unless every row of data, (k, p - 1) coordinates
+    of values in Z[w] for odd p, is real: coordinate 1 is 0 and coordinate
+    c equals coordinate p - c.  The spectrum of a d coprime to p^n - 1 is."""
+    if data[:, 1].any() or not all(np.array_equal(data[:, c], data[:, p - c])
+                                   for c in range(2, (p + 1) // 2)):
+        raise OutOfDomain("the histogram for odd p needs real values (d coprime to p^n - 1)")
 
 
 def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
@@ -334,24 +370,17 @@ def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
     p = 2, else the (p, p^n) uint8 indicator whose row c marks f(x) = c."""
     f_nonzero = decimated(ctx.mseq, d)   # f at x = alpha^k
     exp = ctx.exp_table
+    # scatter f in int8 (a casting scatter is slower); exp is a permutation,
+    # so blocks of k write disjoint entries, and f(0) = 0
+    f = np.zeros(ctx.order, dtype=np.int8)
+
+    def scatter(lo, hi):
+        f[exp[lo:hi]] = f_nonzero[lo:hi]
+
+    run_blocks(scatter, ctx.period, ctx.period)
     if ctx.p == 2:
-        # scatter f in int8 (a casting scatter is slower), then widen 1 - 2 f;
-        # exp is a permutation, so blocks of k write disjoint entries
-        f = np.zeros(ctx.order, dtype=np.int8)
-
-        def scatter(lo, hi):
-            f[exp[lo:hi]] = f_nonzero[lo:hi]
-
-        run_blocks(scatter, ctx.period, ctx.period)
         return np.subtract(1, 2 * f, dtype=np.int16)
-    g = np.zeros((ctx.p, ctx.order), dtype=np.uint8)
-    g[0, 0] = 1
-
-    def mark(lo, hi):
-        g[f_nonzero[lo:hi], exp[lo:hi]] = 1
-
-    run_blocks(mark, ctx.period, ctx.period)
-    return g
+    return np.equal(f, np.arange(ctx.p, dtype=np.int8)[:, None]).view(np.uint8)
 
 
 def walsh_fast(ctx: FieldCtx, d: int) -> WalshTable:

@@ -433,7 +433,8 @@ def test_lazy_tables_are_thread_safe():
 def test_run_blocks_tiles_the_range_on_at_most_threads_threads():
     # below the threshold, or with one thread, a pass is one inline call;
     # above it, one range per thread (at most count, at most one per half
-    # threshold of elements), in order, each on a pool thread
+    # threshold of elements), in order, each on a pool thread, with its
+    # scratch made in the calling thread
     main = threading.get_ident()
     big = 4 * gf._PARALLEL_MIN
     for threads in (1, 2, 3, 4):
@@ -442,7 +443,11 @@ def test_run_blocks_tiles_the_range_on_at_most_threads_threads():
                 with gf.block_threads(threads):
                     got = gf.run_blocks(lambda lo, hi: (lo, hi, threading.get_ident()),
                                         count, elements)
+                    # working memory: made once per range, in the calling thread
+                    made = gf.run_blocks(lambda lo, hi, made_by: made_by, count, elements,
+                                         threading.get_ident)
                 pieces = min(count, threads, most)
+                assert made == [main] * pieces
                 assert [lo for lo, _, _ in got] == [count * i // pieces for i in range(pieces)]
                 assert [hi for _, hi, _ in got] == [count * i // pieces
                                                     for i in range(1, pieces + 1)]
@@ -554,6 +559,38 @@ def test_grid_canonical_polys_are_primitive():
         for n in range(1, nmax + 1):
             spec = gf.find_primitive_polynomial(p, n)
             assert gf.is_primitive(p, n, spec.coeffs)
+
+
+def test_canonical_table_is_the_search():
+    # the pinned moduli are those the search finds, for exactly the
+    # supported fields that have tables
+    fields = [(p, n) for p in gf.SUPPORTED_PRIMES for n in range(1, 25)
+              if p ** n <= gf.MAX_TABLE_ORDER]
+    assert len(fields) == 69 and sorted(gf._CANONICAL) == fields
+    for p, n in fields:
+        assert gf._CANONICAL[(p, n)] == gf.find_primitive_polynomial(p, n).coeffs, (p, n)
+
+
+def test_field_ctx_reads_the_table_and_searches_off_it(monkeypatch):
+    # a field on the table makes no search; with its entry removed, the
+    # search gives the same spec
+    searched = []
+
+    def search(p, n):
+        searched.append((p, n))
+        return find(p, n)
+
+    find = gf.find_primitive_polynomial
+    monkeypatch.setattr(gf, "find_primitive_polynomial", search)
+    gf._canonical_spec.cache_clear()
+    try:
+        pinned = gf.field_ctx(3, 12).spec
+        assert searched == []
+        monkeypatch.delitem(gf._CANONICAL, (3, 12))
+        gf._canonical_spec.cache_clear()
+        assert gf.field_ctx(3, 12).spec == pinned and searched == [(3, 12)]
+    finally:
+        gf._canonical_spec.cache_clear()
 
 
 def test_modulus_file_roundtrip(tmp_path):

@@ -123,23 +123,55 @@ def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
         assert _same((rows, counts), class_record(many, d, method="naive")), d
 
 
+def _real_table(rng, p, high, rows):
+    """by_u of random values in [-high, high]: one column for p = 2, and
+    real rows for odd p (coordinate 1 is 0, coordinate p - c is coordinate
+    c), drawn on the key columns 0 and 2 .. (p - 1) / 2."""
+    by_u = np.zeros((rows, p - 1), dtype=np.int32)
+    keys = (0, *range(2, (p + 1) // 2))
+    for c in keys:
+        by_u[:, c] = rng.integers(-high, high + 1, rows)
+    for c in keys[1:]:
+        by_u[:, p - c] = by_u[:, c]
+    return by_u
+
+
 def test_blocked_histogram_matches_numpy_unique(monkeypatch):
-    # random tables of one column (p = 2) and of p - 1 columns, whose keys
-    # are int32 ((5, 40)), int64 ((13, 3)) or renumbered ((13, 40)), with
-    # one row (one key to merge), row counts one below, equal to and one
-    # above a multiple of the block, and 4095 rows (64 blocks)
+    # random tables of one column (p = 2) and real tables of p - 1 columns,
+    # whose keys are int32 ((3, 40), (5, 40)), int64 ((13, 40)) or
+    # renumbered ((13, 2000)), with one row (one key to merge), row counts
+    # one below, equal to and one above a multiple of the block, and 4095
+    # rows (64 blocks)
     monkeypatch.setattr(spectra, "_HISTOGRAM_BLOCK", 2 ** 6)
-    for p, high in ((2, 40), (5, 40), (13, 3), (13, 40)):
+    for p, high in ((2, 40), (3, 40), (5, 40), (13, 40), (13, 2000)):
         rng = np.random.default_rng(p * 100 + high)
         for rows in (1, 63, 64, 65, 127, 128, 129, 1000, 1023, 1024, 1025, 4095):
             ctx = SimpleNamespace(p=p, n=1, order=rows + 1)   # by_u's rows, a = 0 first
-            by_u = rng.integers(-high, high + 1, (rows + 1, p - 1)).astype(np.int32)
+            by_u = _real_table(rng, p, high, rows + 1)
             vals, ref = np.unique(by_u[1:], axis=0, return_counts=True)
             wt = spectra.WalshTable(ctx, by_u)
             ctx.order = max(rows + 1, high)   # the key bound: |value| <= high <= order
             got, counts = wt.unique_values()
             assert got.dtype == vals.dtype and counts.dtype == ref.dtype, (p, high, rows)
             assert np.array_equal(got, vals) and np.array_equal(counts, ref), (p, high, rows)
+
+
+def test_histogram_rejects_a_table_that_is_not_real():
+    # the odd-p histogram keys on half the coordinates, so a table with a
+    # nonzero coordinate 1 or with coordinates c and p - c apart in one row,
+    # the first or the last, is refused
+    rng = np.random.default_rng(7)
+    for p in (3, 5, 7, 13):
+        for c, other in [(1, None)] + [(c, p - c) for c in range(2, (p + 1) // 2)]:
+            for row in (1, 4095):
+                by_u = _real_table(rng, p, 40, 4096)
+                by_u[row, c] += 1
+                ctx = SimpleNamespace(p=p, n=1, order=4096)
+                with pytest.raises(OutOfDomain, match="needs real values"):
+                    spectra.WalshTable(ctx, by_u).unique_values()
+                if other is not None:
+                    by_u[row, other] += 1   # mirrored again: accepted
+                    spectra.WalshTable(ctx, by_u).unique_values()
 
 
 def test_binary_class_record_memory_peak():
@@ -265,26 +297,28 @@ def test_unique_values_matches_numpy_unique(p, n, d):
         assert len(rows) == 30069   # tens of thousands of distinct values
 
 
-HISTOGRAM_GRID = [(p, n) for p in gf.SUPPORTED_PRIMES for n in range(1, 11)
-                  if p ** n <= 2 ** 10] + [(11, 3), (13, 3)]
+HISTOGRAM_GRID = [(p, n, None) for p in gf.SUPPORTED_PRIMES for n in range(1, 11)
+                  if p ** n <= 2 ** 10] + [(11, 3, None), (13, 3, None), (13, 5, 11)]
 
 
 def test_unique_values_matches_numpy_unique_on_grid():
     # Every coprime d of every field up to 2^10 elements, and of (11,3) and
-    # (13,3): the histogram has np.unique's rows, counts and dtypes on each
-    # of its paths, packed keys in int32 or in int64 (when twice the key
-    # bound (p^n + 1) * (product of the other columns' spans) passes 2^31)
-    # and renumbered keys (when it passes 2^63, first at (11,3)).
+    # (13,3), and the heavy class (13,5) d = 11 (74268 distinct values): the
+    # histogram has np.unique's rows, counts and dtypes on each of its
+    # paths, packed keys in int32 or in int64 (when twice the key bound
+    # (p^n + 1) * (product of the other key columns' spans) passes 2^31)
+    # and renumbered keys (when it passes 2^63, at (13,5) d = 11).  The key
+    # columns are 0 and, for odd p, 2 .. (p - 1) / 2.
     paths = set()
-    for p, n in HISTOGRAM_GRID:
+    for p, n, only in HISTOGRAM_GRID:
         ctx = gf.field_ctx(p, n)
-        for d in _coprime_ds(ctx.period):
+        for d in _coprime_ds(ctx.period) if only is None else [only]:
             wt = spectra.walsh_fast(ctx, d)
             vals, counts = np.unique(wt.by_log, axis=0, return_counts=True)
             rows, c = wt.unique_values()
             assert rows.dtype == vals.dtype and c.dtype == counts.dtype, (p, n, d)
             assert np.array_equal(rows, vals) and np.array_equal(c, counts), (p, n, d)
-            rest = wt.by_log[:, 1:]
+            rest = wt.by_log[:, 2:(p + 1) // 2]
             spans = rest.max(axis=0) - rest.min(axis=0) + 1
             bound = 2 * (ctx.order + 1) * prod(spans.tolist())
             paths.add("int32" if bound <= 2 ** 31 else "int64" if bound <= 2 ** 63
