@@ -17,10 +17,14 @@ one str.join per container.  A spectrum is printed from its integer record
 written from one template per item, and its items (dicts and Z[w] values)
 are made only if something else reads them.
 
-`spectrum --threads N` runs each field-sized pass on N threads (default:
-the available cores; see `gf.run_blocks`).  `classify` and `conjecture
---threads N` compute N classes at once, each worker running its passes
-inline; with N = 1 the classes' passes use the block threads.
+`spectrum --threads N` runs each field-sized pass on N threads (see
+`gf.run_blocks`).  `classify` and `conjecture --threads N` compute a
+field's missing classes on N processes forked for that field, each
+running whole classes with their passes inline, once the missing work
+reaches `gf._PARALLEL_MIN` = 2^21 elements (`search._computed`); a
+smaller field, or N = 1, computes its classes here, one after another,
+their passes on the block threads.  N defaults to the available cores for
+all three.
 
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
 or conjecture counterexample), 2 usage error, 3 internal error.  The code
@@ -372,8 +376,10 @@ def _add_field_args(sp, with_d=False):
                         help="decimation, integer or fraction d1/d2 mod p^n-1")
 
 
-_CLASS_THREADS_HELP = ("classes computed at once, each running its passes on one thread; "
-                       "with 1, a class's field-sized passes run on every available core")
+_CLASS_THREADS_HELP = ("processes that compute a field's missing classes, each running whole "
+                       "classes on one thread, when their work reaches 2^21 elements; with 1, "
+                       "classes run here, their field-sized passes on every available core; "
+                       f"default: the available cores ({CORES} here)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--max-n", type=int, default=0)
     sp.add_argument("--cache-dir", default=default_cache)
-    sp.add_argument("--threads", type=int, default=1, help=_CLASS_THREADS_HELP)
+    sp.add_argument("--threads", type=int, default=CORES, help=_CLASS_THREADS_HELP)
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("conjecture", help="finite evidence checks")
@@ -457,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, default=0)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--cache-dir", default=default_cache)
-    sp.add_argument("--threads", type=int, default=1, help=_CLASS_THREADS_HELP)
+    sp.add_argument("--threads", type=int, default=CORES, help=_CLASS_THREADS_HELP)
     sp.set_defaults(fn=_cmd_conjecture)
 
     return ap

@@ -43,9 +43,12 @@ blocked passes measured no faster on 2 cores, and the scatter and the
 binary stages up to 1.8 times slower at 2^20.  The thread count is the
 calling thread's: `block_threads(n)` sets it for a with statement, and it
 is `CORES`, the available cores, otherwise.  A thread that ran
-`inline_blocks` (a worker of the block pool, or of a class pool in
-`search`) makes every pass one call.  The ranges write disjoint parts of
-arrays the caller made, so no result depends on the thread count.
+`inline_blocks` (a worker of the block pool, or a process of a class pool
+in `search`) makes every pass one call, and a caller whose pass runs
+inline (`runs_inline`) may make that call itself.  The ranges write
+disjoint parts of arrays the caller made, so no result depends on the
+thread count.  `stop_blocks` shuts the pool down before a fork; the next
+parallel pass makes it again.
 
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
@@ -121,11 +124,41 @@ def inline_blocks() -> None:
     _local.threads = 1
 
 
-@lru_cache(maxsize=None)
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
 def _pool(threads: int) -> ThreadPoolExecutor:
     # made on the first parallel pass; its workers start as blocks arrive
-    return ThreadPoolExecutor(threads, thread_name_prefix="mseqcorr-blocks",
-                              initializer=inline_blocks)
+    with _pools_lock:
+        if threads not in _pools:
+            _pools[threads] = ThreadPoolExecutor(threads, thread_name_prefix="mseqcorr-blocks",
+                                                 initializer=inline_blocks)
+        return _pools[threads]
+
+
+def stop_blocks() -> None:
+    """Shut down the block pools and join their threads, so that no thread
+    of this module is alive (before a fork); the next parallel pass makes
+    its pool again."""
+    with _pools_lock:
+        pools = list(_pools.values())
+        _pools.clear()
+    for pool in pools:
+        pool.shutdown()
+
+
+def runs_inline(elements: int) -> bool:
+    """Whether a pass of `elements` elements made by the calling thread is
+    the one call fn(0, count) in `run_blocks`, so that its caller may make
+    that call itself."""
+    return _pass_threads(elements) < 2
+
+
+def _pass_threads(elements: int) -> int:
+    if elements < _PARALLEL_MIN:
+        return 1
+    return getattr(_local, "threads", None) or CORES
 
 
 def run_blocks(fn, count: int, elements: int, scratch=None) -> list:
@@ -146,10 +179,8 @@ def run_blocks(fn, count: int, elements: int, scratch=None) -> list:
     arena, so temporaries made inside the ranges raise the peak RSS with
     the thread count.
     """
-    pieces = 1
-    if elements >= _PARALLEL_MIN:
-        threads = getattr(_local, "threads", None) or CORES
-        pieces = min(count, threads, elements // (_PARALLEL_MIN // 2))
+    threads = _pass_threads(elements)
+    pieces = min(count, threads, elements // (_PARALLEL_MIN // 2))
     if pieces < 2:
         return [fn(0, count) if scratch is None else fn(0, count, scratch())]
     bounds = [count * i // pieces for i in range(pieces + 1)]

@@ -13,7 +13,11 @@ coordinates.
 
 `canonical_classes` is the one pass over the classes of a field: an
 iterator of `DecimationClass` in representative order, which each check
-and `classify` reads once.  Its computed records are appended to a
+and `classify` reads once.  The classes missing from the cache are
+computed in that order, one after another, or, given threads > 1 and at
+least `gf._PARALLEL_MIN` elements of such work, on a pool of processes
+forked for the field and joined when the iterator ends (`_computed`);
+the records do not depend on which.  The computed records are appended to a
 `SpectrumCache`, if given, `_APPEND_EVERY` at a time, so a run stopped
 partway keeps them and the next computes only the rest.  The cache is a
 directory per (p, n) holding one `.npz` file per append, whole or absent,
@@ -32,21 +36,24 @@ import glob
 import os
 import sys
 import tempfile
+import threading
+import time
 import zipfile
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import Budget, OutOfDomain
-from . import families
+from . import families, gf
 from .gf import FieldCtx, factorize, field_ctx, inline_blocks
 from .spectra import class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
 _APPEND_EVERY = 64   # computed records per cache append
+_CHUNK_MAX = 64      # most classes per task of a class pool
 
 
 @dataclass(eq=False)
@@ -196,8 +203,8 @@ def canonical_classes(p: int, n: int, cache: SpectrumCache | None = None,
                       threads: int = 1) -> Iterator[DecimationClass]:
     """Every nondegenerate coprime class with its spectrum, as an iterator
     in representative order.  The arguments are checked at the call; the
-    cache is read and the missing records computed (by `threads` workers)
-    as the iterator is read."""
+    cache is read and the missing records computed (by `threads` worker
+    processes, `_computed`) as the iterator is read."""
     if p ** n > CLASSIFY_MAX_ORDER:
         raise Budget(f"classification bounded to p^n <= {CLASSIFY_MAX_ORDER}")
     if threads < 1:
@@ -211,10 +218,7 @@ def _class_stream(p: int, n: int, cache: SpectrumCache | None, threads: int,
     records = cache.load(p, n, ctx.spec.coeffs) if cache is not None else {}
     todo = [rep for rep, _ in parts if rep not in records]   # ascending
     batch = []
-    # each worker runs whole classes, its passes inline
-    pool = ThreadPoolExecutor(threads, initializer=inline_blocks) if threads > 1 else None
-    try:
-        fresh = (pool.map if pool else map)(partial(class_record, ctx), todo)
+    with _computed(ctx, todo, threads) as fresh:
         for rep, members in parts:
             if rep in records:
                 rows, counts = records.pop(rep)
@@ -226,9 +230,94 @@ def _class_stream(p: int, n: int, cache: SpectrumCache | None, threads: int,
                         cache.append(p, n, ctx.spec.coeffs, batch)
                         batch = []
             yield DecimationClass(rep, members, rows, counts)
+
+
+@contextmanager
+def _computed(ctx: FieldCtx, todo: list[int], threads: int):
+    """An iterator of the records of the representatives `todo`, in order.
+
+    They are computed here, one class after another with its passes in
+    blocks, unless `threads` > 1 and the work reaches the block rule,
+    len(todo) * p^n >= `gf._PARALLEL_MIN` elements: then by a pool of
+    `threads` forked processes (`_fork_pool`), each running whole classes
+    with their passes inline, in tasks of up to `_CHUNK_MAX` classes
+    (fewer, so that each process gets about four tasks, and fewer at large
+    fields, so that a stopped stream waits little for the tasks in
+    flight).  An exception of a class is raised here with its type.
+
+    The processes are forked at the first task with SIGINT blocked, and
+    each ignores it before unblocking it, so a Ctrl-C is handled once, by
+    this process.  On leaving, however the stream ends, the tasks not
+    started are cancelled and the processes joined, so none outlives the
+    stream.
+    """
+    pool = None
+    if threads > 1 and len(todo) * ctx.order >= gf._PARALLEL_MIN:
+        pool = _fork_pool(ctx, threads)
+    if pool is None:
+        yield map(partial(class_record, ctx), todo)
+        return
+    import signal
+    chunk = max(1, min(_CHUNK_MAX, len(todo) // (4 * threads), 2 ** 22 // ctx.order))
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            if sys.version_info < (3, 11):
+                # a submit forks one more process, while the pool's manager
+                # thread runs after the first: fork them all before it
+                for _ in range(threads):
+                    pool._adjust_process_count()
+            fresh = pool.map(_forked_record, todo, chunksize=chunk)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield fresh
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)   # a stopped stream computes no more
+        pool.shutdown(cancel_futures=True)   # a stopped stream computes no more
+
+
+def _fork_pool(ctx: FieldCtx, threads: int):
+    """A `ProcessPoolExecutor` of `threads` processes to be forked from
+    this one with no thread but the caller's alive: the block pools are
+    stopped first.  None, to compute here, where `fork` is no start method
+    or another thread stays alive.  The processes inherit the field
+    context through the fork; only d and the records are pickled."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    gf.stop_blocks()
+    if threading.active_count() > 1:
+        return None
+    return ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(ctx, os.getpid()))
+
+
+_worker_ctx: FieldCtx | None = None   # in a class pool's process, its field
+
+
+def _start_worker(ctx: FieldCtx, parent: int) -> None:
+    """The initializer of a class pool's process (its arguments are
+    inherited through the fork, not pickled)."""
+    import signal
+    global _worker_ctx
+    _worker_ctx = ctx
+    inline_blocks()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
+
+
+def _exit_without(parent: int) -> None:
+    """End this process within a second of its parent: a parent killed by
+    a signal it does not handle (SIGTERM, SIGKILL) joins no process, and
+    an idle one would wait for a task forever."""
+    while os.getppid() == parent:
+        time.sleep(1)
+    os._exit(1)
+
+
+def _forked_record(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return class_record(_worker_ctx, d)
 
 
 # ----------------------------------------------------------------------

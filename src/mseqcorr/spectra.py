@@ -93,7 +93,7 @@ import numpy as np
 
 from .cyclo import CycInt, coords_json
 from .errors import Budget, OutOfDomain
-from .gf import FieldCtx, decimated, run_blocks
+from .gf import FieldCtx, decimated, run_blocks, runs_inline
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -104,6 +104,7 @@ NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
 MOMENT_CHECK_MAX_ORDER = 2 ** 16
 MOMENT_CHECK_SEED = 2024   # draws the shifts of the shifted second moments
 _HISTOGRAM_BLOCK = 2 ** 20   # keys per np.unique call of the histogram
+_SCATTER_BLOCK = 2 ** 14     # exp entries per intp index block of the input scatter
 
 
 # ----------------------------------------------------------------------
@@ -141,18 +142,22 @@ def _wht_stages(g: np.ndarray, lo: int, hi: int) -> None:
 
     Bits go two at a time (`_radix4`); an odd last bit gets one radix-2
     stage.  Each stage runs in blocks (`run_blocks`) of its outer groups
-    or of its inner entries, whichever are more.  The stages share one
-    buffer, made here rather than in the blocks: memory that a pool thread
-    frees stays with that thread (malloc keeps an arena per thread).
+    or of its inner entries, whichever are more; a pass that runs inline
+    is one butterfly call on the whole view.  The stages share one buffer,
+    made here rather than in the blocks: memory that a pool thread frees
+    stays with that thread (malloc keeps an arena per thread).
     """
     buf = np.empty(g.size // (2 if (hi - lo) % 2 else 4), dtype=g.dtype)
+    inline = runs_inline(g.size)
     i = lo
     while i < hi:
         r = 4 if i + 2 <= hi else 2
         a = g.reshape(-1, r, 2 ** i)
         t = buf[:g.size // r].reshape(a.shape[0], a.shape[2])
         butterfly = _radix4 if r == 4 else _radix2
-        if a.shape[0] >= a.shape[2]:
+        if inline:
+            butterfly(a, t)
+        elif a.shape[0] >= a.shape[2]:
             run_blocks(lambda b0, b1: butterfly(a[b0:b1], t[b0:b1]), a.shape[0], g.size)
         else:
             run_blocks(lambda b0, b1: butterfly(a[:, :, b0:b1], t[:, b0:b1]), a.shape[2],
@@ -167,7 +172,11 @@ def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
         for r in range(16 * b0, min(16 * b1, x.shape[0]), 16):
             out[:, r:r + 16] = x[r:r + 16].T
 
-    run_blocks(bands, -(-x.shape[0] // 16), x.size)
+    count = -(-x.shape[0] // 16)
+    if runs_inline(x.size):
+        bands(0, count)
+    else:
+        run_blocks(bands, count, x.size)
 
 
 def _wht_2(g: np.ndarray) -> np.ndarray:
@@ -205,10 +214,12 @@ def _ring_stage(v: np.ndarray, p: int, dtype: type) -> np.ndarray:
     v has shape (p, A, p, B): ring coordinate c, outer block, the digit
     transformed, inner block.  Multiplying by w^(-s) moves coefficient
     c + s to c, so each (j, k) is two slice-adds, with no products.  The
-    stage runs in blocks of the longer of A and B.
+    stage runs in blocks of the longer of A and B, or inline as one call.
     """
     out = np.empty(v.shape, dtype=dtype)
-    if v.shape[1] >= v.shape[3]:
+    if runs_inline(v.size):
+        _ring_block(v, out, p)
+    elif v.shape[1] >= v.shape[3]:
         run_blocks(lambda b0, b1: _ring_block(v[:, b0:b1], out[:, b0:b1], p), v.shape[1],
                    v.size)
     else:
@@ -371,13 +382,21 @@ def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
     f_nonzero = decimated(ctx.mseq, d)   # f at x = alpha^k
     exp = ctx.exp_table
     # scatter f in int8 (a casting scatter is slower); exp is a permutation,
-    # so blocks of k write disjoint entries, and f(0) = 0
+    # so blocks of k write disjoint entries, and f(0) = 0.  The int32 exp
+    # indices are copied into an intp buffer a block at a time: numpy's
+    # fancy assignment is about twice as fast with intp indices, and an
+    # intp exp table would be twice its size
     f = np.zeros(ctx.order, dtype=np.int8)
 
-    def scatter(lo, hi):
-        f[exp[lo:hi]] = f_nonzero[lo:hi]
+    def scatter(lo, hi, idx):
+        for a in range(lo, hi, _SCATTER_BLOCK):
+            b = min(a + _SCATTER_BLOCK, hi)
+            i = idx[:b - a]
+            i[...] = exp[a:b]
+            f[i] = f_nonzero[a:b]
 
-    run_blocks(scatter, ctx.period, ctx.period)
+    run_blocks(scatter, ctx.period, ctx.period,
+               lambda: np.empty(min(_SCATTER_BLOCK, ctx.period), dtype=np.intp))
     if ctx.p == 2:
         return np.subtract(1, 2 * f, dtype=np.int16)
     return np.equal(f, np.arange(ctx.p, dtype=np.int8)[:, None]).view(np.uint8)

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -13,6 +16,7 @@ import pytest
 
 from mseqcorr import cli, gf, lfsr, niho, search, spectra
 from mseqcorr.cli import main
+from mseqcorr.errors import Budget, OutOfDomain
 
 
 def run_cli(*argv, capsys=None):
@@ -295,6 +299,25 @@ def test_classify_golden_bytes(p, n, tmp_path, capsys):
     assert digests == [classify, classify, minus_one, three_valued]
 
 
+@pytest.mark.parametrize("p,n", sorted(CLASSIFY_SHA256))
+def test_classify_golden_bytes_on_a_pool(p, n, tmp_path, monkeypatch, capsys):
+    # with the block rule at 2^6 elements every field with that much
+    # missing work runs on a fork pool of two processes: the same bytes,
+    # cold and warm, and no process left
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 6)
+    grid = ("--p", str(p), "--max-n", str(n), "--cache-dir", str(tmp_path), "--threads", "2")
+    runs = [run_cli("classify", *grid, capsys=capsys),
+            run_cli("classify", *grid, capsys=capsys)]
+    shutil.rmtree(tmp_path)
+    runs += [run_cli("conjecture", "--check", "minus-one", *grid, capsys=capsys),
+             run_cli("conjecture", "--check", "three-valued", *grid, capsys=capsys)]
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * 4
+    digests = [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in runs]
+    classify, minus_one, three_valued = CLASSIFY_SHA256[p, n]
+    assert digests == [classify, classify, minus_one, three_valued]
+    assert multiprocessing.active_children() == []
+
+
 def _cached_reps(directory):
     """The d of every record file in a spectrum cache directory, in the
     order they were appended: each file's d ascend from its first."""
@@ -378,7 +401,7 @@ def test_stopped_classify_resumes_from_its_appends(tmp_path, monkeypatch, capsys
         return record(ctx, d)
 
     monkeypatch.setattr(search, "class_record", stopped)
-    args += ["--cache-dir", str(tmp_path)]
+    args += ["--cache-dir", str(tmp_path), "--threads", "1"]   # counted in this process
     with pytest.raises(KeyboardInterrupt):
         main(args)
     assert capsys.readouterr().out == ""
@@ -538,6 +561,42 @@ def test_internal_error_exits_3(exc, monkeypatch, capsys):
     assert code == 3 and out == ""
     assert "Traceback" in err and exc.__name__ in err
     assert "usage error" not in err
+
+
+@pytest.mark.parametrize("exc", [Budget, OutOfDomain])
+def test_pool_worker_usage_error_exits_2(exc, monkeypatch, capsys):
+    # an error raised in a pool's process reaches the CLI with its type
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 6)
+    record, parent = search.class_record, os.getpid()
+
+    def failing(ctx, d):
+        if d == 7:
+            raise exc(f"class {d} in a forked process: {os.getpid() != parent}")
+        return record(ctx, d)
+
+    monkeypatch.setattr(search, "class_record", failing)
+    code, out, err = run_cli("classify", "--p", "2", "--n", "8", "--threads", "2",
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {exc.__name__}: class 7 in a forked process: True\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_broken_pool_exits_3(monkeypatch, capsys):
+    # a pool's process that dies breaks the pool: an internal error
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 6)
+    parent = os.getpid()
+
+    def dying(ctx, d):
+        assert os.getpid() != parent   # never in the test's own process
+        os._exit(1)
+
+    monkeypatch.setattr(search, "class_record", dying)
+    code, out, err = run_cli("classify", "--p", "2", "--n", "8", "--threads", "2",
+                             capsys=capsys)
+    assert (code, out) == (3, "")
+    assert "BrokenProcessPool" in err and "internal error" in err
+    assert multiprocessing.active_children() == []
 
 
 def test_classify_needs_n(capsys):

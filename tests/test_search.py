@@ -1,6 +1,13 @@
 """Decimation classification, caching, and conjecture evidence."""
 
+import contextlib
 import itertools
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 from math import gcd
 
@@ -150,11 +157,34 @@ def _written_reps(directory):
     return [d for f in files for d in f["d"].tolist()]
 
 
+@contextlib.contextmanager
+def _forks():
+    """The number of threads alive at each fork made inside the with
+    statement, in a list."""
+    seen, recording = [], [True]
+    os.register_at_fork(before=lambda: recording[0] and seen.append(threading.active_count()))
+    try:
+        yield seen
+    finally:
+        recording[0] = False   # a hook cannot be removed; this one stops recording
+
+
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """Pools from fields of 2^6 elements of missing work on; yields the
+    thread counts seen at each fork, and checks afterwards that no process
+    outlived its stream."""
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 6)
+    with _forks() as seen:
+        yield seen
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 5)])
-def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch):
+def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch, fork_pool):
     # appends of 3 records, with every third class already cached between
-    # them: a serial and a threaded run write the same files, one append per
-    # 3 computed classes and one for the rest, and yield the same records
+    # them: a serial run and a fork pool write the same files, one append
+    # per 3 computed classes and one for the rest, and yield the same records
     monkeypatch.setattr(search, "_APPEND_EVERY", 3)
     append, sizes = search.SpectrumCache.append, []
 
@@ -174,6 +204,7 @@ def test_batched_appends_serial_and_threaded(p, n, tmp_path, monkeypatch):
         append(cache, p, n, ctx.spec.coeffs, [(c.rep, c.rows, c.counts) for c in seeded])
         sizes.clear()
         stream = list(search.canonical_classes(p, n, cache=cache, threads=threads))
+        assert fork_pool == [1] * 2 * (threads - 1), threads   # two processes, no thread
         assert sizes == [3] * (todo // 3) + [todo % 3] * (todo % 3 > 0), threads
         assert [(c.rep, c.members) for c in stream] == [(c.rep, c.members) for c in reference]
         assert all(_same_record(a, b.rows, b.counts) for a, b in zip(reference, stream))
@@ -276,50 +307,213 @@ def test_load_drops_invalid_files_at_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_threads_deterministic():
+def test_threads_deterministic(fork_pool):
     serial = list(search.canonical_classes(3, 4, threads=1))
     threaded = list(search.canonical_classes(3, 4, threads=4))
+    assert fork_pool == [1] * 4
     assert [(c.rep, c.members) for c in serial] == \
            [(c.rep, c.members) for c in threaded] == search.class_partition(3, 4)
     for a, b in zip(serial, threaded):
         assert _same_record(a, b.rows, b.counts)
+        assert (a.rows.dtype, a.counts.dtype) == (b.rows.dtype, b.counts.dtype)
+
+
+def test_small_fields_pay_no_fork():
+    # below the block rule (len(todo) * p^n < 2^21) the classes run here
+    with _forks() as seen:
+        for p, n in ((2, 12), (3, 8), (5, 4)):
+            list(search.canonical_classes(p, n, threads=2))
+    assert seen == []
 
 
 def test_class_threads_and_block_threads_give_one_stream(monkeypatch):
     # (2, 18) is above the threshold set here: with one class thread each
     # class runs its passes in blocks on the block pool; with two, the
-    # class workers run them inline and the block pool is never asked for
-    # (the field build's passes, on the calling thread, stay below it)
+    # classes run in forked processes, which start with no thread alive in
+    # this one (the block pool is stopped first) and run their passes
+    # inline, and this process makes no pass in blocks (the field build's
+    # passes stay below the threshold)
     monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 17)
     pools, pool = [], gf._pool
     monkeypatch.setattr(gf, "_pool", lambda threads: (pools.append(threads), pool(threads))[1])
     with gf.block_threads(2):
         serial = list(itertools.islice(search.canonical_classes(2, 18, threads=1), 16))
-    assert set(pools) == {2}
+    assert set(pools) == {2} and threading.active_count() > 1   # the block pool's
     pools.clear()
-    threaded = list(itertools.islice(search.canonical_classes(2, 18, threads=2), 16))
-    assert pools == []
+    with _forks() as seen:
+        threaded = list(itertools.islice(search.canonical_classes(2, 18, threads=2), 16))
+    assert seen == [1, 1] and pools == []
+    assert multiprocessing.active_children() == []
     assert [(c.rep, c.members) for c in serial] == [(c.rep, c.members) for c in threaded] \
         == search.class_partition(2, 18)[:16]
     for a, b in zip(serial, threaded):
         assert _same_record(a, b.rows, b.counts)
 
 
-def test_stopped_threaded_stream_computes_no_more(monkeypatch):
-    # closing the stream cancels the classes its workers have not started
-    record, calls = search.class_record, []
-
-    def slow(ctx, d):
-        calls.append(d)
-        time.sleep(0.05)
+def _logged(path, record=search.class_record, delay=0.0):
+    """class_record that appends its d to a file first: a forked process
+    reports its calls there, not in this process's memory."""
+    def logged(ctx, d):
+        with open(path, "a") as fh:
+            fh.write(f"{d}\n")
+        time.sleep(delay)
         return record(ctx, d)
+    return logged
 
-    monkeypatch.setattr(search, "class_record", slow)
+
+def _log(path):
+    return list(map(int, path.read_text().split())) if path.exists() else []
+
+
+def test_stopped_threaded_stream_computes_no_more(monkeypatch, tmp_path, fork_pool):
+    # closing the stream cancels the tasks its processes have not started
+    # and joins them: a task is 3 classes at (2, 10) with two processes
+    # (31 classes // 8), and at most the two running tasks, the three queued
+    # behind them (processes + 1) and a refill for each process that finished
+    # one are computed, 21 of 31
+    log = tmp_path / "calls"
+    monkeypatch.setattr(search, "class_record", _logged(log, delay=0.1))
     stream = search.canonical_classes(2, 10, threads=2)
     first = next(stream)
     stream.close()
+    assert multiprocessing.active_children() == []
+    assert fork_pool == [1, 1]
     assert first.rep == search.class_partition(2, 10)[0][0]
-    assert len(calls) <= 4 < len(search.class_partition(2, 10))
+    calls = _log(log)
+    assert 3 <= len(calls) <= 21 < len(search.class_partition(2, 10))
+
+
+def test_stopped_pool_stream_leaves_whole_files_and_resumes(monkeypatch, tmp_path, fork_pool):
+    # a stream stopped by KeyboardInterrupt in its reader after two appends
+    # of 3 leaves those two files whole and no process; the next stream
+    # computes only the rest, on a pool, and yields the records of a run
+    # with no cache
+    monkeypatch.setattr(search, "_APPEND_EVERY", 3)
+    reference = list(search.canonical_classes(2, 10))
+    cache = search.SpectrumCache(str(tmp_path / "c"))
+    with pytest.raises(KeyboardInterrupt):
+        for i, cls in enumerate(search.canonical_classes(2, 10, cache=cache, threads=2)):
+            if i == 7:
+                raise KeyboardInterrupt
+    assert multiprocessing.active_children() == []
+    path = tmp_path / "c" / "spectra_p2_n10"
+    assert _written_reps(path) == [c.rep for c in reference[:6]]
+    assert sorted(p.suffix for p in path.iterdir()) == [".npz"] * 2   # no temp file
+    log = tmp_path / "calls"
+    monkeypatch.setattr(search, "class_record", _logged(log))
+    resumed = list(search.canonical_classes(2, 10, cache=cache, threads=2))
+    assert sorted(_log(log)) == [c.rep for c in reference[6:]]
+    assert [(c.rep, c.members) for c in resumed] == [(c.rep, c.members) for c in reference]
+    assert all(_same_record(a, b.rows, b.counts) for a, b in zip(reference, resumed))
+    assert _written_reps(path) == [c.rep for c in reference]
+    assert fork_pool == [1] * 4
+
+
+@pytest.mark.parametrize("exc", [Budget, OutOfDomain])
+def test_worker_error_keeps_its_type(exc, monkeypatch, fork_pool):
+    record, parent = search.class_record, os.getpid()
+
+    def failing(ctx, d):
+        if d == search.class_partition(2, 10)[5][0]:
+            raise exc(f"class {d} in process {os.getpid() != parent}")
+        return record(ctx, d)
+
+    monkeypatch.setattr(search, "class_record", failing)
+    with pytest.raises(exc, match=r"in process True"):
+        list(search.canonical_classes(2, 10, threads=2))
+    assert fork_pool == [1, 1]
+
+
+def test_workers_ignore_sigint(fork_pool):
+    # SIGINT at the pool's processes (a Ctrl-C reaches the whole process
+    # group) stops none of them: the parent alone handles it
+    reference = list(search.canonical_classes(2, 10))
+    stream = search.canonical_classes(2, 10, threads=2)
+    out = [next(stream)]
+    children = multiprocessing.active_children()
+    assert len(children) == 2
+    for child in children:
+        os.kill(child.pid, signal.SIGINT)
+    try:
+        out += list(stream)
+    except KeyboardInterrupt:   # raised in a process and sent back
+        pytest.fail("a pool's process stopped at SIGINT")
+    assert all(_same_record(a, b.rows, b.counts) for a, b in zip(reference, out))
+    assert len(out) == len(reference)
+
+
+CTRL_C = """
+from mseqcorr import search
+stream = search.canonical_classes(2, 17, threads=2)
+next(stream)
+print("pool started", flush=True)
+for cls in stream:
+    pass
+print("not stopped", flush=True)
+"""
+
+
+def test_ctrl_c_stops_the_pool_once():
+    # SIGINT to the process group of a stream on a pool: the reader stops
+    # with one KeyboardInterrupt, the processes (which ignore it) are
+    # joined before it exits, and nothing of the group is left
+    proc = subprocess.Popen([sys.executable, "-c", CTRL_C], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "pool started\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == -signal.SIGINT and out == ""
+        assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+KILLED = """
+import multiprocessing
+from mseqcorr import search
+stream = search.canonical_classes(2, 17, threads=2)
+next(stream)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+for cls in stream:
+    pass
+"""
+
+
+def _alive(pid):
+    """Whether a process runs: it exists and is no zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_killed_parent_leaves_no_process():
+    # SIGKILL to the reader of a stream on a pool joins nothing: the pool's
+    # processes, which then wait for tasks that never come, end on their own
+    with subprocess.Popen([sys.executable, "-c", KILLED], stdout=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            children = list(map(int, proc.stdout.readline().split()))
+            assert len(children) == 2 and all(map(_alive, children))
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, children)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_alive, children))
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def _mutations(arrays):
