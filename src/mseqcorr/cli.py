@@ -118,14 +118,17 @@ def _entries_text(p: int, rows, counts, indent: str) -> str:
                            for v in values(i2))
         args = np.column_stack((counts, rows))
     templates = [other if o else rational for o in rows[:, 1:].any(axis=1).tolist()]
-    return "[" + i1 + ("," + i1).join(templates) % tuple(args.ravel().tolist()) \
-        + indent + "]"
+    # the brackets go into the template, so that the text is made once
+    return ("[" + i1 + ("," + i1).join(templates) + indent + "]") \
+        % tuple(args.ravel().tolist())
 
 
 def _emit(obj) -> None:
     """Write obj to stdout as json.dumps(obj, sort_keys=True, indent=2) does,
-    and a newline; every JSON document of the CLI is written here."""
-    sys.stdout.write(_json_text(obj, "\n") + "\n")
+    and a newline; every JSON document of the CLI is written here.  The
+    newline is a second write, not a copy of the whole text."""
+    sys.stdout.write(_json_text(obj, "\n"))
+    sys.stdout.write("\n")
 
 
 def _parse_decimation(text: str, modulus: int) -> int:

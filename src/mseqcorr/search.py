@@ -262,11 +262,6 @@ def _computed(ctx: FieldCtx, todo: list[int], threads: int):
     try:
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            if sys.version_info < (3, 11):
-                # a submit forks one more process, while the pool's manager
-                # thread runs after the first: fork them all before it
-                for _ in range(threads):
-                    pool._adjust_process_count()
             fresh = pool.map(_forked_record, todo, chunksize=chunk)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)

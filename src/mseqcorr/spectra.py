@@ -34,8 +34,20 @@ rotates the coordinates, so a stage is slice additions with no products.
 After k stages a coordinate counts the points of a block of p^k that take
 one exponent value, so it lies in [0, p^k]: stage k writes uint8 while p^k
 < 2^8, uint16 while p^k < 2^16, and int32 after that (p^n <= 2^24).  The
-result is reduced once, at the end, into int32, to the unique basis 1,
-..., w^(p-2) of `cyclo.CycInt`.
+result is reduced once, at the end, into int32 (in place when the last
+stage is int32), to the unique basis 1, ..., w^(p-2) of `cyclo.CycInt`.
+
+Only two of the p slices of the top digit x_(n-1) are transformed.  Tr is
+GF(p)-linear, so f(z x) = z^d f(x) for every z in GF(p)*, for any d.  The
+slices x_(n-1) = 0 and 1 go through the stages of the low n - 1 digits as
+one batch of two; slice z = 2 .. p - 1 is slice 1 with x = z y
+substituted: its coordinate z^d c at u is slice 1's coordinate c at
+z^(1-d) u, that is, one permutation of the coordinates and, unless
+z^(1-d) = 1 (always so for odd d at p = 3), one gather of the points,
+each digit of u times z^(1-d).  One stage on the top digit over the p
+slices ends the transform.  A Galois check of a record (sigma_c: w -> w^c
+fixes its values) therefore rests on this same identity and is not
+independent of the kernel.
 
 Every value is thus a row of p - 1 int32 coordinates (one, the integer
 itself, for p = 2), and a `WalshTable` is read in one of two ways: the
@@ -103,7 +115,7 @@ NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
 # <= 12 such sums: every sum stays below 12 * 2^48 < 2^63.
 MOMENT_CHECK_MAX_ORDER = 2 ** 16
 MOMENT_CHECK_SEED = 2024   # draws the shifts of the shifted second moments
-_HISTOGRAM_BLOCK = 2 ** 20   # keys per np.unique call of the histogram
+_HISTOGRAM_BLOCK = 2 ** 20   # rows per block of the histogram, their keys sorted in one buffer
 _SCATTER_BLOCK = 2 ** 14     # exp entries per intp index block of the input scatter
 
 
@@ -241,23 +253,36 @@ def _ring_block(v: np.ndarray, out: np.ndarray, p: int) -> None:
 
 
 def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Transform with kernel w^(-<u,x>) over (Z_p)^n, in the group ring Z[Z_p].
+    """Transform with kernel w^(-<u,x>) over (Z_p)^n, in the group ring Z[Z_p],
+    of each of a batch of inputs side by side.
 
-    g has shape (p, p^n): g[c, x] is the coefficient of w^c at x, an
-    indicator of one c per x.  After k stages a coordinate counts the points
-    of a block of p^k, so stage k writes `_count_dtype(p^k)`.  A stage
-    is fast when the digit it transforms has a long contiguous inner block,
-    so the high half of the digits is transformed first, then the two
-    halves of the index are swapped for the low half.  The result, of shape
-    (p, p^n), stays in that half-swapped order (`WalshTable`).
+    g has shape (p, B p^n): g[c, b p^n + x] is the coefficient of w^c at x
+    in input b, an indicator of one c per x.  After k stages a coordinate
+    counts the points of a block of p^k, so stage k writes
+    `_count_dtype(p^k)`.  A stage is fast when the digit it transforms has
+    a long contiguous inner block, so the high half of the digits is
+    transformed first, then the two halves of each input's index are
+    swapped for the low half.  The result, of shape (p, B p^n), stays in
+    that half-swapped order: u of input b at b p^n + (u mod p^h) p^(n-h) +
+    u div p^h, h = n // 2.
     """
     h = n // 2
     for k, i in enumerate(range(h, n), 1):
         g = _ring_stage(g.reshape(p, -1, p, p ** i), p, _count_dtype(p ** k))
-    g = g.reshape(p, -1, p ** h).transpose(0, 2, 1).copy()
+    g = g.reshape(p, -1, p ** (n - h), p ** h).transpose(0, 1, 3, 2).copy()
     for k, i in enumerate(range(h), n - h + 1):
         g = _ring_stage(g.reshape(p, -1, p, p ** (n - h + i)), p, _count_dtype(p ** k))
     return g.reshape(p, -1)
+
+
+def _scaled_digits(p: int, k: int, s: int) -> np.ndarray:
+    """The intp index of r -> s r over (Z_p)^k: entry r is the integer whose
+    k base-p digits are those of r, each times s mod p."""
+    idx = np.zeros(1, dtype=np.intp)
+    digit = np.arange(p, dtype=np.intp) * s % p
+    for i in range(k):
+        idx = (digit[:, None] * p ** i + idx).ravel()
+    return idx
 
 
 class WalshTable:
@@ -269,8 +294,11 @@ class WalshTable:
     tau is W(alpha^tau), and `unique_values`, the histogram of W(a) over
     a != 0, which `class_record` reads.  The a = 0 point has no log and is
     `zero_value`.  `_by_u` holds the rows in the order the transform ends
-    in, with the two halves of the group index u swapped: W at u is row
-    (u mod p^h) p^(n-h) + u div p^h, h = n // 2, so u = 0 is row 0.
+    in, with the two halves of the group index u swapped.  For p = 2, W at
+    u is row (u mod 2^h) 2^(n-h) + u div 2^h, h = n // 2.  For odd p the
+    top digit u_(n-1) leads and the halves of the low n - 1 digits v = u
+    mod p^(n-1) are swapped: W at u is row u_(n-1) p^(n-1) + (v mod p^h)
+    p^(n-1-h) + v div p^h, h = (n - 1) // 2.  Either way u = 0 is row 0.
     """
 
     def __init__(self, ctx: FieldCtx, by_u: np.ndarray):
@@ -282,9 +310,15 @@ class WalshTable:
     @cached_property
     def by_log(self) -> np.ndarray:
         """(p^n - 1, p - 1) int32 rows; row tau is W(alpha^tau)."""
-        low = self.p ** (self.n // 2)
+        p, n = self.p, self.n
         u = self.ctx.gram_index(self.ctx.exp_table)
-        return self._by_u[u % low * (self.ctx.order // low) + u // low]
+        top = 0
+        if p > 2:   # the top digit first, then the low n - 1 digits half-swapped
+            n -= 1
+            top, u = np.divmod(u, p ** n)
+            top *= p ** n
+        low = p ** (n // 2)
+        return self._by_u[top + u % low * (p ** n // low) + u // low]
 
     def zero_value(self) -> CycInt:
         """W(0); vanishes whenever gcd(d, p^n-1) = 1."""
@@ -399,7 +433,30 @@ def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
                lambda: np.empty(min(_SCATTER_BLOCK, ctx.period), dtype=np.intp))
     if ctx.p == 2:
         return np.subtract(1, 2 * f, dtype=np.int16)
+    f = f[:2 * ctx.order // ctx.p]   # the slices of top digit 0 and 1 (`walsh_fast`)
     return np.equal(f, np.arange(ctx.p, dtype=np.int8)[:, None]).view(np.uint8)
+
+
+def _rebuild_slices(g: np.ndarray, p: int, k: int, d: int) -> None:
+    """Fill g[:, z], z = 2 .. p - 1, from g[:, 1], in place.
+
+    g has shape (p, p, p^k): g[:, z] is the slice of top digit z of the
+    transform of f(x) = Tr(x^d), taken over the low k digits.  f(z y) =
+    z^d f(y) and <u, z y> = <z^(1-d) u, y> z^d, so coordinate z^d c of
+    slice z at u is coordinate c of slice 1 at z^(1-d) u, for any d.
+    """
+    for z in range(2, p):
+        e, s = pow(z, d % (p - 1), p), pow(z, (1 - d) % (p - 1), p)
+        rows = np.arange(p) * e % p
+        if s == 1:
+            g[rows, z] = g[:, 1]
+            continue
+        idx = _scaled_digits(p, k, s)
+        # one take per row, straight into g (mode "clip" is unbuffered); a
+        # take along axis 1 of the strided (p, p^k) slice took 3x as long
+        # at (5,9) (2-core x86 VM, numpy 2.4)
+        for c in range(p):
+            np.take(g[c, 1], idx, out=g[rows[c], z], mode="clip")
 
 
 def walsh_fast(ctx: FieldCtx, d: int) -> WalshTable:
@@ -409,10 +466,21 @@ def walsh_fast(ctx: FieldCtx, d: int) -> WalshTable:
     # the input goes to the transform unnamed, so that it can be freed there
     if ctx.p == 2:
         return WalshTable(ctx, _wht_2(_transform_input(ctx, d)))
-    g = _transform_ring(_transform_input(ctx, d), ctx.p, ctx.n)
+    p, n = ctx.p, ctx.n
+    m = p ** (n - 1)
+    # g[c, z] is slice x_(n-1) = z transformed over the low n - 1 digits;
+    # the slices z = 0 and 1 are transformed, as one batch, before g is made
+    sub = _transform_ring(_transform_input(ctx, d), p, n - 1).reshape(p, 2, m)
+    g = np.empty((p, p, m), dtype=sub.dtype)
+    g[:, :2] = sub
+    del sub
+    _rebuild_slices(g, p, n - 1, d)
+    g = _ring_stage(g.reshape(p, 1, p, m), p, _count_dtype(p ** n)).reshape(p, -1)
     # reduce to the basis 1..w^(p-2) by w^(p-1) = -(1 + ... + w^(p-2))
-    g = np.subtract(g[:-1], g[-1], dtype=np.int32)
-    return WalshTable(ctx, g.T)
+    if g.dtype != np.int32:
+        return WalshTable(ctx, np.subtract(g[:-1], g[-1], dtype=np.int32).T)
+    g[:-1] -= g[-1]
+    return WalshTable(ctx, g[:-1].T)
 
 
 # ----------------------------------------------------------------------

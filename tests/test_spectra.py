@@ -80,10 +80,51 @@ def test_ring_transform_matches_int64_kernel(p, n):
         by_u = spectra.walsh_fast(ctx, d)._by_u
         ref = _ring_transform_int64(ctx, d)
         assert by_u.dtype == np.int32 and np.abs(ref).max() < 2 ** 31
-        # in the transform's order, the halves of the index u swapped: row
-        # (u mod p^(n//2)) p^(n - n//2) + u div p^(n//2) holds u
-        ref = ref.reshape(-1, p ** (n // 2), p - 1).transpose(1, 0, 2).reshape(-1, p - 1)
-        assert by_u.tobytes() == ref.astype(np.int32).tobytes(), d
+        assert by_u.tobytes() == _transform_order(ref, p, n).astype(np.int32).tobytes(), d
+
+
+def _transform_order(ref, p, n):
+    """Rows of ref, indexed by u, in the order odd-p `walsh_fast` ends in:
+    the top digit of u first, then the halves of the low n - 1 digits
+    swapped, so that row j p^(n-1) + (v mod p^h) p^(n-1-h) + v div p^h,
+    h = (n - 1) // 2, holds u = j p^(n-1) + v."""
+    return ref.reshape(p, -1, p ** ((n - 1) // 2), p - 1).transpose(0, 2, 1, 3) \
+        .reshape(-1, p - 1)
+
+
+@pytest.mark.parametrize("p", [p for p in gf.SUPPORTED_PRIMES if p > 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_rebuilt_slices_match_int64_kernel_for_every_exponent(p, n):
+    # every d from 0 to p^n - 1: the slices of top digit 2 .. p - 1 are
+    # rebuilt from slice 1 by the scaling x -> z x, which must hold for any
+    # d, coprime or not, whichever digit scalings z^(1-d) it needs
+    ctx = gf.field_ctx(p, n)
+    kinds = set()
+    for d in range(ctx.order):
+        by_u = spectra.walsh_fast(ctx, d)._by_u
+        ref = _ring_transform_int64(ctx, d)
+        assert by_u.tobytes() == _transform_order(ref, p, n).astype(np.int32).tobytes(), d
+        scalings = {pow(z, (1 - d) % (p - 1), p) for z in range(1, p)}
+        kinds.add("no scaling" if scalings == {1} else
+                  "every scaling" if len(scalings) == p - 1 else "some scalings")
+        kinds.add("coprime" if gcd(d, ctx.period) == 1 else "not coprime")
+    assert kinds >= {"no scaling", "every scaling", "coprime", "not coprime"}
+    if p > 3:
+        assert "some scalings" in kinds
+
+
+@pytest.mark.parametrize("p,n", [(3, 9), (5, 5), (7, 4), (11, 3), (13, 3)])
+def test_rebuilt_slices_match_int64_kernel_past_one_half_swap(p, n):
+    # larger fields, whose low n - 1 digits are half-swapped: d = 1 mod p - 1
+    # (no scaling), d = 2 (not coprime; z^(1-d) = z^-1 takes every scaling)
+    # and two coprime d
+    ctx = gf.field_ctx(p, n)
+    rng = random.Random(p * 10 + n)
+    coprime = rng.sample(_coprime_ds(ctx.period)[1:], 2)
+    for d in [1 + 7 * (p - 1), 2, *coprime]:
+        by_u = spectra.walsh_fast(ctx, d)._by_u
+        ref = _ring_transform_int64(ctx, d)
+        assert by_u.tobytes() == _transform_order(ref, p, n).astype(np.int32).tobytes(), d
 
 
 @pytest.mark.parametrize("p,n", [(2, 17), (2, 24), (3, 11), (5, 7), (7, 6),
