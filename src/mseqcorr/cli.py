@@ -9,22 +9,20 @@ Every JSON document goes to stdout through `_emit`, in exactly the bytes of
 json.dumps(obj, sort_keys=True, indent=2) and a newline.  It is not that
 call: with an indent, json.dumps runs the pure-Python encoder, a generator
 per nested value, which made printing a spectrum of thousands of Z[w]
-values take longer than computing it.  `_emit` builds the same text with
-one str.join per container.  A spectrum is printed from its integer record
-(`spectra.class_record`) through `spectra.entries_json`, by `spectrum` and
-`verify` alike, and the values of each `classify` class through
-`spectra.Entries` of its rows: such a list keeps its record, its text is
-written from one template per item, and its items (dicts and Z[w] values)
-are made only if something else reads them.
+values take longer than computing it.  `_emit` writes the pieces one
+generator (`_json_chunks`) yields, so no string of the whole document is
+made.  A record, the entries of a spectrum (`spectrum`, `verify`) or the
+values of a `classify` class, is a `spectra.Entries` of its arrays, and
+its text is written from one template per row: the largest string made is
+one record's text.
 
 `spectrum --threads N` runs each field-sized pass on N threads (see
 `gf.run_blocks`).  `classify` and `conjecture --threads N` compute a
 field's missing classes on N processes forked for that field, each
-running whole classes with their passes inline, once the missing work
-reaches `gf._PARALLEL_MIN` = 2^21 elements (`search._computed`); a
-smaller field, or N = 1, computes its classes here, one after another,
-their passes on the block threads.  N defaults to the available cores for
-all three.
+running whole classes on one thread, once the missing work reaches
+`gf._PARALLEL_MIN` = 2^21 elements (`search._computed`); a smaller field,
+or N = 1, computes its classes here, one after another, their passes on N
+threads.  N defaults to the available cores for all three.
 
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
 or conjecture counterexample), 2 usage error, 3 internal error.  The code
@@ -62,42 +60,48 @@ def _int(text: str, what: str) -> int:
             from None
 
 
-def _json_text(obj, indent: str) -> str:
-    """The text json.dumps(obj, sort_keys=True, indent=2) gives obj, for an
-    obj whose lines start at `indent` (a newline and the spaces of its
-    depth), built by one str.join per container.  Exact str and int
-    values, bools, None, `spectra.Entries` with rows (from their record),
-    and non-empty lists, tuples and dicts with str keys are written here;
-    anything else (a float, another subclass, an empty container, a dict
-    with other keys) is left to json.dumps, and its lines moved to this
-    depth."""
+def _json_chunks(obj, indent: str):
+    """Yield, in pieces, the text json.dumps(obj, sort_keys=True, indent=2)
+    gives obj, for an obj whose lines start at `indent` (a newline and the
+    spaces of its depth).  Exact str and int values, bools, None,
+    `spectra.Entries` (from its arrays), and non-empty lists, tuples and
+    dicts with str keys are written here, a container's form decided
+    before any of it is yielded; anything else (a float, another subclass,
+    an empty container, a dict with other keys) is left to json.dumps, and
+    its lines moved to this depth."""
     t = type(obj)
     if t is str:
-        return _quote(obj)
-    if t is int:
-        return int.__repr__(obj)
-    if t is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    inner = indent + "  "
-    if t is spectra.Entries and len(obj.record[1]):   # from the record: no item is made
-        return _entries_text(*obj.record, indent)
-    if (t is list or t is tuple) and obj:
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
-            + indent + "]"
-    if t is dict and obj:
-        try:
-            return "{" + inner + ("," + inner).join(
-                [_quote(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]) \
-                + indent + "}"
-        except TypeError:   # a key that is not a str
-            pass
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+        yield _quote(obj)
+    elif t is int:
+        yield int.__repr__(obj)
+    elif t is bool:
+        yield "true" if obj else "false"
+    elif obj is None:
+        yield "null"
+    elif t is spectra.Entries:
+        yield _entries_text(obj.p, obj.rows, obj.counts, indent) if len(obj.rows) else "[]"
+    elif (t is list or t is tuple) and obj:
+        inner = indent + "  "
+        head = "[" + inner
+        for v in obj:
+            yield head
+            yield from _json_chunks(v, inner)
+            head = "," + inner
+        yield indent + "]"
+    elif t is dict and obj and all(isinstance(k, str) for k in obj):
+        inner = indent + "  "
+        head = "{" + inner
+        for k, v in sorted(obj.items()):
+            yield head + _quote(k) + ": "
+            yield from _json_chunks(v, inner)
+            head = "," + inner
+        yield indent + "}"
+    else:
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
 
 
 def _entries_text(p: int, rows, counts, indent: str) -> str:
-    """The text `_json_text` gives `spectra.Entries` of this record with
+    """The text `_json_chunks` gives `spectra.Entries` of this record with
     at least one row: one `%` over the joined templates of the items, that
     of a rational value or that of a {"coords": [...], "p": p} one, inside
     an entry {"count", "value"} unless counts is None.  Every template
@@ -125,9 +129,9 @@ def _entries_text(p: int, rows, counts, indent: str) -> str:
 
 def _emit(obj) -> None:
     """Write obj to stdout as json.dumps(obj, sort_keys=True, indent=2) does,
-    and a newline; every JSON document of the CLI is written here.  The
-    newline is a second write, not a copy of the whole text."""
-    sys.stdout.write(_json_text(obj, "\n"))
+    and a newline, in the pieces of `_json_chunks`; every JSON document of
+    the CLI is written here."""
+    sys.stdout.writelines(_json_chunks(obj, "\n"))
     sys.stdout.write("\n")
 
 
@@ -211,7 +215,7 @@ def _cmd_spectrum(args) -> int:
             for r, c in zip(rows.tolist(), counts.tolist())]))
     else:
         _emit({"p": ctx.p, "n": ctx.n, "d": d, "method": args.method,
-               "entries": spectra.entries_json(ctx.p, rows, counts)})
+               "entries": spectra.Entries(ctx.p, rows, counts)})
     return 0
 
 
@@ -319,10 +323,8 @@ def _cmd_code_weights(args) -> int:
 
 def _degrees(args) -> range:
     """The degrees n of a classify/conjecture run, all within the
-    classification bound; checked, with p and --threads, before any work
-    and before the cache directory is made."""
-    if args.threads < 1:
-        raise OutOfDomain(f"threads must be at least 1, not {args.threads}")
+    classification bound; checked, with p, before any work and before the
+    cache directory is made."""
     if args.n and args.max_n:
         raise OutOfDomain("pass --n or --max-n, not both")
     ns = range(2, args.max_n + 1) if args.max_n else range(args.n, args.n + 1)
@@ -337,16 +339,17 @@ def _degrees(args) -> range:
 
 
 def _cmd_classify(args) -> int:
-    ns = _degrees(args)
-    cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
-    out = []
-    for n in ns:
-        buckets: dict[str, list] = {}   # by value count; `_emit` sorts the keys
-        for c in search.canonical_classes(args.p, n, cache=cache, threads=args.threads):
-            buckets.setdefault(str(len(c.counts)), []).append(
-                {"rep": c.rep, "members": len(c.members),
-                 "values": spectra.Entries(args.p, c.rows)})
-        out.append({"p": args.p, "n": n, "buckets": buckets})
+    with block_threads(args.threads):   # checks --threads before any work
+        ns = _degrees(args)
+        cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
+        out = []
+        for n in ns:
+            buckets: dict[str, list] = {}   # by value count; `_emit` sorts the keys
+            for c in search.canonical_classes(args.p, n, cache=cache, threads=args.threads):
+                buckets.setdefault(str(len(c.counts)), []).append(
+                    {"rep": c.rep, "members": len(c.members),
+                     "values": spectra.Entries(args.p, c.rows)})
+            out.append({"p": args.p, "n": n, "buckets": buckets})
     _emit(out)
     return 0
 
@@ -359,9 +362,10 @@ def _cmd_conjecture(args) -> int:
     # each check runs over one (p, n); its report has `holds` and `to_dict`
     check = {"minus-one": search.check_minus_one,
              "three-valued": search.three_valued_completeness}[args.check]
-    ns = _degrees(args)
-    cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
-    reports = [check(args.p, n, cache=cache, threads=args.threads) for n in ns]
+    with block_threads(args.threads):   # checks --threads before any work
+        ns = _degrees(args)
+        cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
+        reports = [check(args.p, n, cache=cache, threads=args.threads) for n in ns]
     _emit([r.to_dict() for r in reports])
     return 0 if all(r.holds for r in reports) else 1
 
@@ -379,9 +383,8 @@ def _add_field_args(sp, with_d=False):
                         help="decimation, integer or fraction d1/d2 mod p^n-1")
 
 
-_CLASS_THREADS_HELP = ("processes that compute a field's missing classes, each running whole "
-                       "classes on one thread, when their work reaches 2^21 elements; with 1, "
-                       "classes run here, their field-sized passes on every available core; "
+_CLASS_THREADS_HELP = ("processes that compute a field's missing classes once their work "
+                       "reaches 2^21 elements, each on one thread; 1: one thread; "
                        f"default: the available cores ({CORES} here)")
 
 

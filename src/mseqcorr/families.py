@@ -38,7 +38,7 @@ from .errors import Budget, OutOfDomain
 from .expsums import kloosterman_weighted_sum, tau_value
 from .gf import FieldCtx, degenerate_set
 from .niho import niho_decimation, resolve_fraction
-from .spectra import entries_json, value_ordered
+from .spectra import Entries, value_ordered
 
 
 @dataclass(frozen=True)
@@ -757,7 +757,7 @@ class Verdict:
             pred_json = {"at_most": pred.k,
                          "values": [v.to_json() for v in pred.sorted_values()]}
         else:
-            pred_json = None if pred is None else entries_json(self.p, *pred)
+            pred_json = None if pred is None else Entries(self.p, *pred)
         return {
             "family": self.family,
             "p": self.p,
@@ -768,7 +768,7 @@ class Verdict:
             "verdict": "pass" if self.passed else "fail",
             "detail": self.detail,
             "computed": None if self.computed is None
-            else entries_json(self.p, *self.computed),
+            else Entries(self.p, *self.computed),
             "predicted": pred_json,
         }
 

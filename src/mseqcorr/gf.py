@@ -34,7 +34,8 @@ block, without an index array of the field's size.
 A pass over a whole field runs through `run_blocks`: here the chunks of
 the linear maps, the p = 2 m-sequence parity and the blocks of
 `decimated`, in `spectra` the scatter of the transform input, each
-transform stage, the index swap and the histogram.  A pass of at least
+transform stage, the p = 2 index swap and the histogram (the odd-p index
+swap is one copy on the calling thread).  A pass of at least
 `_PARALLEL_MIN` = 2^21 elements is cut into one range per thread, run on
 one shared `ThreadPoolExecutor` made on the first such pass; numpy
 releases the interpreter lock inside its loops, so the ranges run in
@@ -44,11 +45,10 @@ binary stages up to 1.8 times slower at 2^20.  The thread count is the
 calling thread's: `block_threads(n)` sets it for a with statement, and it
 is `CORES`, the available cores, otherwise.  A thread that ran
 `inline_blocks` (a worker of the block pool, or a process of a class pool
-in `search`) makes every pass one call, and a caller whose pass runs
-inline (`runs_inline`) may make that call itself.  The ranges write
-disjoint parts of arrays the caller made, so no result depends on the
-thread count.  `stop_blocks` shuts the pool down before a fork; the next
-parallel pass makes it again.
+in `search`) makes every pass one call.  The ranges write disjoint parts
+of arrays the caller made, so no result depends on the thread count.
+`stop_blocks` shuts the pool down before a fork; the next parallel pass
+makes it again.
 
 Defining polynomials are primitive by construction, so alpha generates the
 full multiplicative group and the exp table enumerates every nonzero element.
@@ -146,13 +146,6 @@ def stop_blocks() -> None:
         _pools.clear()
     for pool in pools:
         pool.shutdown()
-
-
-def runs_inline(elements: int) -> bool:
-    """Whether a pass of `elements` elements made by the calling thread is
-    the one call fn(0, count) in `run_blocks`, so that its caller may make
-    that call itself."""
-    return _pass_threads(elements) < 2
 
 
 def _pass_threads(elements: int) -> int:

@@ -8,10 +8,11 @@ m-sequence at k d mod p^n - 1 for every k, gathered block by block by
 
 Every stage runs at the width its numbers need, no wider, and every width
 is exact by a bound on the values, not by a check.  The scatter of the
-input, each stage, the index swap and the histogram run in blocks through
-`gf.run_blocks`, so a pass of 2^21 elements or more uses every thread it
-is given; the blocks write disjoint entries, so the values do not depend
-on the thread count.
+input, each stage, the p = 2 index swap and the histogram run in blocks
+through `gf.run_blocks`, so a pass of 2^21 elements or more uses every
+thread it is given; the blocks write disjoint entries, so the values do
+not depend on the thread count.  The odd-p index swap is one copy on the
+calling thread.
 
 For p = 2 it is the binary Walsh-Hadamard transform (w = -1) of the +-1
 input.  After i bits every value is a sum of 2^i terms +-1, so |value| <=
@@ -105,7 +106,7 @@ import numpy as np
 
 from .cyclo import CycInt, coords_json
 from .errors import Budget, OutOfDomain
-from .gf import FieldCtx, decimated, run_blocks, runs_inline
+from .gf import FieldCtx, decimated, run_blocks
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -154,22 +155,18 @@ def _wht_stages(g: np.ndarray, lo: int, hi: int) -> None:
 
     Bits go two at a time (`_radix4`); an odd last bit gets one radix-2
     stage.  Each stage runs in blocks (`run_blocks`) of its outer groups
-    or of its inner entries, whichever are more; a pass that runs inline
-    is one butterfly call on the whole view.  The stages share one buffer,
-    made here rather than in the blocks: memory that a pool thread frees
-    stays with that thread (malloc keeps an arena per thread).
+    or of its inner entries, whichever are more.  The stages share one
+    buffer, made here rather than in the blocks: memory that a pool thread
+    frees stays with that thread (malloc keeps an arena per thread).
     """
     buf = np.empty(g.size // (2 if (hi - lo) % 2 else 4), dtype=g.dtype)
-    inline = runs_inline(g.size)
     i = lo
     while i < hi:
         r = 4 if i + 2 <= hi else 2
         a = g.reshape(-1, r, 2 ** i)
         t = buf[:g.size // r].reshape(a.shape[0], a.shape[2])
         butterfly = _radix4 if r == 4 else _radix2
-        if inline:
-            butterfly(a, t)
-        elif a.shape[0] >= a.shape[2]:
+        if a.shape[0] >= a.shape[2]:
             run_blocks(lambda b0, b1: butterfly(a[b0:b1], t[b0:b1]), a.shape[0], g.size)
         else:
             run_blocks(lambda b0, b1: butterfly(a[:, :, b0:b1], t[:, b0:b1]), a.shape[2],
@@ -184,11 +181,7 @@ def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
         for r in range(16 * b0, min(16 * b1, x.shape[0]), 16):
             out[:, r:r + 16] = x[r:r + 16].T
 
-    count = -(-x.shape[0] // 16)
-    if runs_inline(x.size):
-        bands(0, count)
-    else:
-        run_blocks(bands, count, x.size)
+    run_blocks(bands, -(-x.shape[0] // 16), x.size)
 
 
 def _wht_2(g: np.ndarray) -> np.ndarray:
@@ -226,12 +219,10 @@ def _ring_stage(v: np.ndarray, p: int, dtype: type) -> np.ndarray:
     v has shape (p, A, p, B): ring coordinate c, outer block, the digit
     transformed, inner block.  Multiplying by w^(-s) moves coefficient
     c + s to c, so each (j, k) is two slice-adds, with no products.  The
-    stage runs in blocks of the longer of A and B, or inline as one call.
+    stage runs in blocks of the longer of A and B.
     """
     out = np.empty(v.shape, dtype=dtype)
-    if runs_inline(v.size):
-        _ring_block(v, out, p)
-    elif v.shape[1] >= v.shape[3]:
+    if v.shape[1] >= v.shape[3]:
         run_blocks(lambda b0, b1: _ring_block(v[:, b0:b1], out[:, b0:b1], p), v.shape[1],
                    v.size)
     else:
@@ -555,47 +546,24 @@ def value_ordered(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     return rows[order], counts[order]
 
 
-class Entries(list):
+@dataclass(frozen=True, eq=False)
+class Entries:
     """The JSON form of a record, in its order: the entries {"value",
-    "count"}, or, made without counts, the values alone.  `record` keeps
-    the (p, rows, counts) arrays it stands for (counts None for values
-    alone), and the items are made from it on first read, so a writer that
-    renders the record row by row (`cli._json_text`) makes none, and the
-    record stays as compact as its arrays until then."""
+    "count"}, or, made without counts, the values alone.  It holds the
+    record's arrays, which `cli._json_chunks` writes by template; no item
+    is made.  Not compared by value: its fields are arrays."""
 
-    def __init__(self, p: int, rows: np.ndarray, counts: np.ndarray | None = None):
-        super().__init__()
-        self.record = (p, rows, counts)
+    p: int
+    rows: np.ndarray
+    counts: np.ndarray | None = None
 
-    def _made(self) -> list:
-        if not list.__len__(self) and len(self.record[1]):
-            p, rows, counts = self.record
-            values = (coords_json(p, r) for r in rows.tolist())
-            self.extend(values if counts is None else
-                        ({"value": v, "count": c} for v, c in zip(values, counts.tolist())))
-        return self
-
-    def __len__(self):
-        return list.__len__(self._made())
-
-    def __iter__(self):
-        return list.__iter__(self._made())
-
-    def __getitem__(self, i):
-        return list.__getitem__(self._made(), i)
-
-    def __eq__(self, other):
-        return list.__eq__(self._made(), other)
-
-    def __repr__(self):
-        return list.__repr__(self._made())
-
-    __hash__ = None
-
-
-def entries_json(p: int, rows: np.ndarray, counts: np.ndarray) -> Entries:
-    """The JSON entries {"value", "count"} of a record, in its order."""
-    return Entries(p, rows, counts)
+    def items(self) -> list:
+        """The items, built by `cyclo.coords_json` apart from the writer's
+        templates: the reference the writer is tested against."""
+        values = [coords_json(self.p, r) for r in self.rows.tolist()]
+        if self.counts is None:
+            return values
+        return [{"value": v, "count": c} for v, c in zip(values, self.counts.tolist())]
 
 
 # ----------------------------------------------------------------------

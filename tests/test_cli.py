@@ -318,6 +318,48 @@ def test_classify_golden_bytes_on_a_pool(p, n, tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("command", [("classify",), ("conjecture", "--check", "minus-one")])
+def test_threads_1_makes_no_block_pool(command, tmp_path, monkeypatch, capsys):
+    # with the block rule at 2^6 elements every pass at (2,10) is big enough
+    # to run in blocks, but --threads 1 holds them to the calling thread
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 6)
+    pools = []
+    pool = gf._pool
+    monkeypatch.setattr(gf, "_pool", lambda threads: (pools.append(threads), pool(threads))[1])
+    code, _, err = run_cli(*command, "--p", "2", "--n", "10", "--cache-dir", str(tmp_path),
+                           "--threads", "1", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert pools == []
+
+
+# The child prints its own peak RSS in kB (Linux `ru_maxrss`) to stderr.
+PEAK_RSS_CHILD = """\
+import resource, sys
+from mseqcorr.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_classify_streams_a_large_document():
+    # (7,5) prints 114 MB; written whole from one string it peaked at 289 MB,
+    # streamed it peaks near 50 MB, the rows and one class's text
+    proc = subprocess.Popen(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "classify", "--p", "7", "--n", "5",
+         "--threads", "1", "--cache-dir", ""],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    digest = hashlib.sha256()
+    while chunk := proc.stdout.read(2 ** 20):
+        digest.update(chunk)
+    _, err = proc.communicate()
+    assert proc.returncode == 0, err
+    assert digest.hexdigest() == \
+        "c8d6f33ab28dd1da642a84046724851b9c2053388e1c93a865586ac6a5a66fe6"
+    assert int(err) < 120 * 1024, f"peak RSS {int(err) / 1024:.0f} MB"
+
+
 def _cached_reps(directory):
     """The d of every record file in a spectrum cache directory, in the
     order they were appended: each file's d ascend from its first."""
@@ -713,6 +755,7 @@ EMITTING_ARGV = [
     "expsum --kind cubic --n 5 --b-zero --a-log 3",
     "code-weights --p 2 --n 5 --d 3",
     "classify --p 7 --n 2",
+    "classify --p 2 --max-n 4",   # an empty buckets dict at n = 2 beside non-empty ones
     "conjecture --check minus-one --p 2 --max-n 6",
     "conjecture --check three-valued --p 3 --n 4",
     "conjecture --check op6 --n 7 --k 3",
@@ -727,4 +770,5 @@ def test_emit_matches_json_dumps_for_every_subcommand(argv, monkeypatch, capsys)
     assert main(argv.split()) in (0, 1)
     out, _ = capsys.readouterr()
     assert len(docs) == 1
-    assert out == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(docs[0], sort_keys=True, indent=2,
+                             default=spectra.Entries.items) + "\n"

@@ -641,7 +641,7 @@ def test_naive_budget():
 
 
 def test_spectrum_json_ordering():
-    entries = spectra.entries_json(2, *class_record(gf.field_ctx(2, 5), 3))
+    entries = spectra.Entries(2, *class_record(gf.field_ctx(2, 5), 3)).items()
     vals = [e["value"] for e in entries]
     assert vals == sorted(vals)
 
