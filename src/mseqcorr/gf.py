@@ -13,8 +13,9 @@ array out.  Addition is XOR for p = 2 and digit-wise mod p otherwise;
 negation is multiplication by the constant p - 1 = -1.
 
 The exp table is built by doubling, the same way for every p: exp[k:2k] =
-alpha^k * exp[:k].  Multiplication by alpha^k is GF(p)-linear, so it is
-applied to a whole array from the images of the basis alpha^0..alpha^(n-1).
+alpha^k * exp[:k], written straight into the table.  Multiplication by
+alpha^k is GF(p)-linear, so it is applied to a whole array from the images
+of the basis alpha^0..alpha^(n-1).
 Each group of g digits (p^g <= 256) indexes a table of the images of its
 digit patterns, held as words with one digit per fixed-width bit slot: one
 bit for p = 2, where the word is the packed element and the sum is XOR, and
@@ -28,14 +29,19 @@ lie in GF(p), sums small ints and reduces mod p once.
 The log table, the m-sequence s_k = Tr(alpha^k) (for p = 2, a parity of
 masked exp entries), the full trace table and the Gram matrix are built on
 first use, so a spectrum, which reads exp and the m-sequence alone, never
-pays for the others.  `decimated` reads a sequence at k d mod L block by
-block, without an index array of the field's size.
+pays for the others.  `decimation_blocks` makes the indices k d mod L
+block by block, without an index array of the field's size; `decimated`
+reads a sequence at them, and so does the packed p = 2 transform input in
+`spectra`.
 
 A pass over a whole field runs through `run_blocks`: here the chunks of
 the linear maps, the p = 2 m-sequence parity and the blocks of
-`decimated`, in `spectra` the scatter of the transform input, each
-transform stage, the p = 2 index swap and the histogram (the odd-p index
-swap is one copy on the calling thread).  A pass of at least
+`decimated`, in `spectra` the scatter of the transform input (with the
+gather, for the packed p = 2 input: each range fills a packed table of its
+own, and its `np.add.at` holds the interpreter lock, so only the rest of
+the range runs in parallel), each transform stage, the p = 2 index swap
+and the histogram (the odd-p index swap is one copy on the calling
+thread).  A pass of at least
 `_PARALLEL_MIN` = 2^21 elements is cut into one range per thread, run on
 one shared `ThreadPoolExecutor` made on the first such pass; numpy
 releases the interpreter lock inside its loops, so the ranges run in
@@ -396,18 +402,18 @@ def _wrap(s: np.ndarray, L: int) -> np.ndarray:
     return np.minimum(s, s - np.uint32(L), out=s)
 
 
-def decimated(values: np.ndarray, d: int) -> np.ndarray:
-    """values[k d mod L] for k = 0 .. L - 1, L = len(values), a fresh array;
-    needs 1 <= L < 2^31.
+def decimation_blocks(L: int, d: int):
+    """The indices k d mod L, k = 0 .. L - 1, block by block, so that no
+    index array of the field's size is built; needs 1 <= L < 2^31.
 
-    The indices are made `_CHUNK` at a time, so no index array of the
-    field's size is built.  With k = q B + r, B the block size, k d =
-    q (B d) + r d: block q adds (q B d) mod L to the table of (r d) mod L,
-    r < B, and the sum, below 2L, wraps with `_wrap`.  The same split,
-    with blocks of about sqrt(B), builds that table from two tables of
-    about sqrt(B) entries.
+    Returns (count, blocks): blocks(q0, q1) yields (lo, idx) for the blocks
+    q = q0 .. q1 - 1 of the `count`, idx the uint32 indices of k = lo ..
+    lo + len(idx) - 1.  With k = q B + r, B = `_CHUNK` (or L) the block
+    size, k d = q (B d) + r d: block q adds (q B d) mod L to the table of
+    (r d) mod L, r < B, and the sum, below 2L, wraps with `_wrap`.  The
+    same split, with blocks of about sqrt(B), builds that table from two
+    tables of about sqrt(B) entries.
     """
-    L = len(values)
     if not 1 <= L < 2 ** 31:
         raise Budget(f"period {L} outside the int32 index range [1, 2^31)")
     d %= L
@@ -415,16 +421,28 @@ def decimated(values: np.ndarray, d: int) -> np.ndarray:
     b = isqrt(B - 1) + 1
     r = np.add.outer(_multiples(-(-B // b), b * d, L), _multiples(b, d, L)).ravel()[:B]
     _wrap(r, L)
-    out = np.empty(L, dtype=values.dtype)
 
-    def gather(q0, q1):
+    def blocks(q0, q1):
         for q in range(q0, q1):
             lo = q * B
             m = min(B, L - lo)
-            idx = _wrap(r[:m] + np.uint32(q * B * d % L), L) if q else r[:m]
-            out[lo:lo + m] = values.take(idx)
+            yield lo, _wrap(r[:m] + np.uint32(q * B * d % L), L) if q else r[:m]
 
-    run_blocks(gather, -(-L // B), L)
+    return -(-L // B), blocks
+
+
+def decimated(values: np.ndarray, d: int) -> np.ndarray:
+    """values[k d mod L] for k = 0 .. L - 1, L = len(values), a fresh array;
+    needs 1 <= L < 2^31.  The indices come from `decimation_blocks`, the
+    blocks in ranges (`run_blocks`)."""
+    count, blocks = decimation_blocks(len(values), d)
+    out = np.empty(len(values), dtype=values.dtype)
+
+    def gather(q0, q1):
+        for lo, idx in blocks(q0, q1):
+            out[lo:lo + len(idx)] = values.take(idx)
+
+    run_blocks(gather, count, len(values))
     return out
 
 
@@ -484,7 +502,8 @@ class FieldCtx:
         """exp[k:2k] = alpha^k * exp[:k], doubling k until the period is full.
 
         `imgs` holds alpha^k, ..., alpha^(k+n-1), the images of the basis
-        under multiplication by alpha^k; squaring that map doubles k.
+        under multiplication by alpha^k; squaring that map doubles k.  Each
+        doubling writes straight into exp[k:2k], with no field-sized copy.
         """
         p, L = self.p, self.period
         exp = np.empty(L, dtype=np.int32)
@@ -494,7 +513,7 @@ class FieldCtx:
         k = 1
         while k < L:
             m = min(k, L - k)
-            exp[k:k + m] = self._linear_map(imgs, exp[:m])
+            self._linear_map(imgs, exp[:m], out=exp[k:k + m])
             imgs = self._linear_map(imgs, imgs)
             k += m
         return exp
@@ -515,56 +534,88 @@ class FieldCtx:
             tables.append((lo, (patterns @ rows % p @ weights).astype(dtype)))
         return tables
 
-    def _apply(self, tables, x, add, finish, dtype):
+    def _apply(self, tables, x, add, finish, dtype, out=None):
         """Sum the group tables' parts for packed x, `_CHUNK` elements at a
-        time (the chunks in blocks, `run_blocks`): add(acc, part) sums in
-        place, finish(acc) gives the result."""
+        time (the chunks in blocks, `run_blocks`): add(acc, part) sums part
+        into acc and may overwrite part, and finish(acc, spare) gives the
+        result, spare a free buffer of acc's size; if finish is None, the
+        sum is the result, made in the output itself.  The output is `out`,
+        a 1-D array of x's size apart from x, if it is given, else a fresh
+        array of x's shape.  x must hold field elements, 0 <= x < p^n: the
+        table reads clip, they do not check.
+
+        The digit patterns, the sum and the parts live in buffers of one
+        chunk that the calling thread makes for each range (`run_blocks`
+        scratch) and every chunk reuses: with no field-sized array freed in
+        between, malloc gives chunk-sized arrays back to the system as they
+        are freed, and fresh ones pay their page faults again chunk after
+        chunk.  Building the (2,20) exp table straight into the table with
+        fresh arrays per chunk made 5672 page faults in 26 ms, with these
+        buffers 1256 in 16-21 ms (2-core x86 VM).
+        """
         x = np.asarray(x)
         flat = x.ravel()
-        out = np.empty(flat.shape, dtype=dtype)
+        if out is None:
+            out = np.empty(flat.shape, dtype=dtype)
+        size, word = min(_CHUNK, len(flat)), tables[0][1].dtype
 
-        def chunks(c0, c1):
+        def chunks(c0, c1, scratch):
+            idx, acc, part = scratch
             for s in range(c0 * _CHUNK, min(c1 * _CHUNK, len(flat)), _CHUNK):
-                parts = self._parts(tables, flat[s:s + _CHUNK])
-                acc = next(parts)
-                for part in parts:
-                    add(acc, part)
-                out[s:s + _CHUNK] = finish(acc)
+                m = min(_CHUNK, len(flat) - s)
+                o, c, part_m = out[s:s + m], idx[:m], part[:m]
+                total = o if finish is None else acc[:m]
+                for i, table in enumerate(self._group_digits(tables, flat[s:s + m], c)):
+                    # mode "clip" takes without a buffer; every pattern is in range
+                    if i == 0:
+                        np.take(table, c, out=total, mode="clip")
+                    else:
+                        add(total, np.take(table, c, out=part_m, mode="clip"))
+                if finish is not None:
+                    o[...] = finish(total, part_m)
 
-        run_blocks(chunks, -(-len(flat) // _CHUNK), len(flat))
+        run_blocks(chunks, -(-len(flat) // _CHUNK), len(flat),
+                   lambda: (np.empty(size, dtype=np.intp),
+                            None if finish is None else np.empty(size, dtype=word),
+                            np.empty(size, dtype=word)))
         return out.reshape(x.shape)
 
-    def _parts(self, tables, x):
-        """Each group table's entry for the packed x: for odd p the groups
-        are peeled off low first, x = q * p^g + c, and c = x - q * p^g."""
+    def _group_digits(self, tables, x, idx):
+        """For each group table in turn, write the digits of its group of
+        the packed x, read as one number, into idx, and yield the table.
+        For odd p the groups are peeled off low first, x = q * p^g + c, and
+        c = x - q * p^g."""
         rest = x
         for lo, table in tables:
             if self.p == 2:
-                c = x >> lo & (len(table) - 1)
+                np.bitwise_and(np.right_shift(x, lo, out=idx), len(table) - 1, out=idx)
             elif lo + self._group < self.n:
                 q = rest // len(table)
-                c = rest - q * len(table)
+                np.subtract(rest, q * len(table), out=idx)
                 rest = q
             else:
-                c = rest   # the last group
-            yield table.take(c.astype(np.intp))
+                idx[...] = rest   # the last group
+            yield table
 
-    def _linear_map(self, images, x):
+    def _linear_map(self, images, x, out=None):
         """Apply the GF(p)-linear map sending alpha^i to images[i] to packed x.
 
         Each digit group of x indexes a table of at most 256 words (see
         `_group_tables`), each word holding one image digit per slot.  The
         parts are summed carry-free slot by slot (`_slot_add`) and repacked
         to base p (`_unslot`).  For p = 2 a word is the packed element
-        itself.  Working in chunks keeps the int64 words to a few hundred
-        KB whatever the size of x.  Returns int32.
+        itself, summed in the output (`_apply`).  Working in chunks keeps
+        the int64 words to a few hundred KB whatever the size of x.  Returns
+        int32, in `out` if it is given.
         """
         dtype = np.int32 if self.p == 2 else np.int64
         tables = self._group_tables(_digits(images, self.p, self.n), self._slot_weights, dtype)
-        return self._apply(tables, x, self._slot_add, self._unslot, np.int32)
+        return self._apply(tables, x, self._slot_add, None if self.p == 2 else self._unslot,
+                           np.int32, out)
 
     def _slot_add(self, acc, part):
-        """acc += part digit-wise mod p, in place, on slot words.
+        """acc += part digit-wise mod p, in place, on slot words; part is
+        overwritten.
 
         For p = 2 this is XOR.  For odd p a slot has w bits with 2p - 2 <
         2^w, so s = a + b stays within every slot; s + 2^(w-1) - p sets the
@@ -575,13 +626,19 @@ class FieldCtx:
             acc ^= part
             return
         acc += part
-        acc -= (((acc + self._bias) & self._guard) >> (self._slot_bits - 1)) * self.p
+        # part is spent: it takes p in every slot whose sum reached p
+        np.add(acc, self._bias, out=part)
+        part &= self._guard
+        part >>= self._slot_bits - 1
+        part *= self.p
+        acc -= part
 
-    def _unslot(self, acc):
+    def _unslot(self, acc, high):
         """Slot words to packed base-p ints, in place: merging neighbouring
-        fields as low + high * p^j halves their number, log2(n) steps."""
+        fields as low + high * p^j halves their number, log2(n) steps; high
+        is a buffer of acc's size."""
         for shift, low, weight in self._merges:
-            high = acc >> shift
+            np.right_shift(acc, shift, out=high)
             high &= low
             high *= weight
             acc &= low
@@ -597,7 +654,7 @@ class FieldCtx:
                                     np.int8)
         return self._apply(tables, x, lambda acc, part: np.add(acc, part, out=acc),
                            # acc % p, which numpy runs far slower on int8
-                           lambda acc: acc - acc // self.p * self.p, np.int8)
+                           lambda acc, spare: acc - acc // self.p * self.p, np.int8)
 
     # -- raw tables ----------------------------------------------------
 

@@ -3,16 +3,25 @@
 The Walsh transform W(u) = sum_x w^(Tr(x^d) - <u,x>) is computed as a
 length-p^n transform over the additive group (Z_p)^n, one p-point butterfly
 stage per digit of x; no floating point anywhere.  The input reads the
-m-sequence at k d mod p^n - 1 for every k, gathered block by block by
-`gf.decimated`, so that no index array of the field's size is built.
+m-sequence at k d mod p^n - 1 for every k, block by block at the indices
+of `gf.decimation_blocks`, so that no index array of the field's size is
+built, and puts f(alpha^k) at alpha^k, read from the exp table.  For p = 2
+from `_PACKED_MIN` = 2^21 elements up both tables are bit-packed
+(`_packed_input`), 2 MB each at 2^24 where the int8 ones take 16 MB, so
+that the random reads and writes stay in the L2 cache: the m-sequence bit
+is read from its packed table and added into a packed input table with
+`np.add.at`, and one take from `_SIGNS` expands each byte into its eight
+entries +-1.  Smaller p = 2 fields and every odd p gather an int8
+sequence with `gf.decimated` and scatter it into an int8 table.
 
 Every stage runs at the width its numbers need, no wider, and every width
 is exact by a bound on the values, not by a check.  The scatter of the
 input, each stage, the p = 2 index swap and the histogram run in blocks
 through `gf.run_blocks`, so a pass of 2^21 elements or more uses every
-thread it is given; the blocks write disjoint entries, so the values do
-not depend on the thread count.  The odd-p index swap is one copy on the
-calling thread.
+thread it is given; the blocks write disjoint entries, or, in the packed
+input, each range fills a packed table of its own and the tables are
+OR-ed, so the values do not depend on the thread count.  The odd-p index
+swap is one copy on the calling thread.
 
 For p = 2 it is the binary Walsh-Hadamard transform (w = -1) of the +-1
 input.  After i bits every value is a sum of 2^i terms +-1, so |value| <=
@@ -41,7 +50,8 @@ stage is int32), to the unique basis 1, ..., w^(p-2) of `cyclo.CycInt`.
 Only two of the p slices of the top digit x_(n-1) are transformed.  Tr is
 GF(p)-linear, so f(z x) = z^d f(x) for every z in GF(p)*, for any d.  The
 slices x_(n-1) = 0 and 1 go through the stages of the low n - 1 digits as
-one batch of two; slice z = 2 .. p - 1 is slice 1 with x = z y
+one batch of two, whose last stage writes into the first two slices of the
+(p, p, p^(n-1)) array of all p; slice z = 2 .. p - 1 is slice 1 with x = z y
 substituted: its coordinate z^d c at u is slice 1's coordinate c at
 z^(1-d) u, that is, one permutation of the coordinates and, unless
 z^(1-d) = 1 (always so for odd d at p = 3), one gather of the points,
@@ -106,7 +116,7 @@ import numpy as np
 
 from .cyclo import CycInt, coords_json
 from .errors import Budget, OutOfDomain
-from .gf import FieldCtx, decimated, run_blocks
+from .gf import FieldCtx, decimated, decimation_blocks, run_blocks
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -118,6 +128,14 @@ MOMENT_CHECK_MAX_ORDER = 2 ** 16
 MOMENT_CHECK_SEED = 2024   # draws the shifts of the shifted second moments
 _HISTOGRAM_BLOCK = 2 ** 20   # rows per block of the histogram, their keys sorted in one buffer
 _SCATTER_BLOCK = 2 ** 14     # exp entries per intp index block of the input scatter
+# p = 2 fields of at least this many elements (and at least 2^3) build the
+# input from bit-packed tables (`_packed_input`).  `_transform_input` on one
+# thread, int8 against packed, median ms (2-core x86 VM): (2,16) 0.3 / 0.8,
+# (2,20) 7.4 / 8.2, (2,21) 21 / 16, (2,22) 53 / 33, (2,24) 568 / 193; the
+# int8 tables reach the 2 MB L2 cache at 2^21, the packed ones at 2^24
+_PACKED_MIN = 2 ** 21
+# row b: (-1)^(bit j of b) for j = 0 .. 7, the +-1 input of one packed byte
+_SIGNS = (1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1)).astype(np.int16)
 
 
 # ----------------------------------------------------------------------
@@ -213,15 +231,18 @@ def _count_dtype(bound: int) -> type:
     return np.uint8 if bound < 2 ** 8 else np.uint16 if bound < 2 ** 16 else np.int32
 
 
-def _ring_stage(v: np.ndarray, p: int, dtype: type) -> np.ndarray:
-    """One butterfly stage in Z[Z_p]: out_j = sum_k w^(-jk) v_k, in dtype.
+def _ring_stage(v: np.ndarray, p: int, dtype: type, out: np.ndarray | None = None) -> np.ndarray:
+    """One butterfly stage in Z[Z_p]: out_j = sum_k w^(-jk) v_k, in dtype,
+    into `out` (of v's shape and of dtype) if it is given, else into a
+    fresh array.
 
     v has shape (p, A, p, B): ring coordinate c, outer block, the digit
     transformed, inner block.  Multiplying by w^(-s) moves coefficient
     c + s to c, so each (j, k) is two slice-adds, with no products.  The
     stage runs in blocks of the longer of A and B.
     """
-    out = np.empty(v.shape, dtype=dtype)
+    if out is None:
+        out = np.empty(v.shape, dtype=dtype)
     if v.shape[1] >= v.shape[3]:
         run_blocks(lambda b0, b1: _ring_block(v[:, b0:b1], out[:, b0:b1], p), v.shape[1],
                    v.size)
@@ -243,9 +264,9 @@ def _ring_block(v: np.ndarray, out: np.ndarray, p: int) -> None:
                 o[p - s:] += v[:s, :, k]
 
 
-def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
+def _transform_ring(g: np.ndarray, p: int, n: int, out: np.ndarray) -> None:
     """Transform with kernel w^(-<u,x>) over (Z_p)^n, in the group ring Z[Z_p],
-    of each of a batch of inputs side by side.
+    of each of a batch of inputs side by side, into `out`.
 
     g has shape (p, B p^n): g[c, b p^n + x] is the coefficient of w^c at x
     in input b, an indicator of one c per x.  After k stages a coordinate
@@ -253,17 +274,25 @@ def _transform_ring(g: np.ndarray, p: int, n: int) -> np.ndarray:
     `_count_dtype(p^k)`.  A stage is fast when the digit it transforms has
     a long contiguous inner block, so the high half of the digits is
     transformed first, then the two halves of each input's index are
-    swapped for the low half.  The result, of shape (p, B p^n), stays in
-    that half-swapped order: u of input b at b p^n + (u mod p^h) p^(n-h) +
-    u div p^h, h = n // 2.
+    swapped for the low half.  The result, of shape (p, B, p^n) and dtype
+    `_count_dtype(p^n)`, is written by the last stage into `out`, which
+    may be a view into a larger array, and stays in that half-swapped
+    order: u of input b at (b, (u mod p^h) p^(n-h) + u div p^h), h = n // 2.
     """
+    if n == 0:
+        out[...] = g.reshape(out.shape)   # no digit: the input itself
+        return
+    last = out.reshape(p, -1, p, p ** (n - 1))   # the shape of every last stage
     h = n // 2
     for k, i in enumerate(range(h, n), 1):
-        g = _ring_stage(g.reshape(p, -1, p, p ** i), p, _count_dtype(p ** k))
+        g = _ring_stage(g.reshape(p, -1, p, p ** i), p, _count_dtype(p ** k),
+                        last if k == n else None)
+    if h == 0:
+        return
     g = g.reshape(p, -1, p ** (n - h), p ** h).transpose(0, 1, 3, 2).copy()
     for k, i in enumerate(range(h), n - h + 1):
-        g = _ring_stage(g.reshape(p, -1, p, p ** (n - h + i)), p, _count_dtype(p ** k))
-    return g.reshape(p, -1)
+        g = _ring_stage(g.reshape(p, -1, p, p ** (n - h + i)), p, _count_dtype(p ** k),
+                        last if k == n else None)
 
 
 def _scaled_digits(p: int, k: int, s: int) -> np.ndarray:
@@ -401,9 +430,41 @@ def _require_real(data: np.ndarray, p: int) -> None:
         raise OutOfDomain("the histogram for odd p needs real values (d coprime to p^n - 1)")
 
 
+def _packed_input(ctx: FieldCtx, d: int) -> np.ndarray:
+    """(-1)^f(x), f(x) = Tr(x^d), in int16 for p = 2 from bit-packed tables,
+    each an eighth of the int8 one, so that the random reads and writes stay
+    in cache: f(x) for x = alpha^k is bit k d mod L of the packed m-sequence
+    (indices from `gf.decimation_blocks`), added at bit exp[k] of a packed
+    table, one per range of blocks (`run_blocks` scratch).  exp is a
+    permutation, so every bit is added once, the sum is an OR, and the
+    ranges' tables are OR-ed.  `_SIGNS` expands each byte to 8 entries.
+    `np.add.at` holds the interpreter lock, so only the rest of a range runs
+    in parallel."""
+    s = np.packbits(ctx.mseq, bitorder="little")   # s_k is bit k mod 8 of byte k div 8
+    exp = ctx.exp_table
+    count, blocks = decimation_blocks(ctx.period, d)
+
+    def scatter(q0, q1, f):
+        for lo, idx in blocks(q0, q1):
+            bit = s.take(idx >> 3) >> (idx & 7).astype(np.uint8) & 1
+            x = exp[lo:lo + len(idx)]
+            np.add.at(f, x >> 3, bit << (x & 7).astype(np.uint8))
+        return f
+
+    tables = run_blocks(scatter, count, ctx.period,
+                        lambda: np.zeros(ctx.order // 8, dtype=np.uint8))
+    f = tables[0]
+    for t in tables[1:]:
+        f |= t
+    return _SIGNS.take(f, axis=0).reshape(-1)
+
+
 def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
     """The transform's input for f(x) = Tr(x^d): (-1)^f(x) in int16 for
-    p = 2, else the (p, p^n) uint8 indicator whose row c marks f(x) = c."""
+    p = 2, else the (p, p^n) uint8 indicator whose row c marks f(x) = c.
+    Fields of p = 2 from `_PACKED_MIN` elements take `_packed_input`."""
+    if ctx.p == 2 and ctx.order >= _PACKED_MIN:
+        return _packed_input(ctx, d)
     f_nonzero = decimated(ctx.mseq, d)   # f at x = alpha^k
     exp = ctx.exp_table
     # scatter f in int8 (a casting scatter is slower); exp is a permutation,
@@ -460,11 +521,9 @@ def walsh_fast(ctx: FieldCtx, d: int) -> WalshTable:
     p, n = ctx.p, ctx.n
     m = p ** (n - 1)
     # g[c, z] is slice x_(n-1) = z transformed over the low n - 1 digits;
-    # the slices z = 0 and 1 are transformed, as one batch, before g is made
-    sub = _transform_ring(_transform_input(ctx, d), p, n - 1).reshape(p, 2, m)
-    g = np.empty((p, p, m), dtype=sub.dtype)
-    g[:, :2] = sub
-    del sub
+    # the slices z = 0 and 1 are transformed, as one batch, straight into it
+    g = np.empty((p, p, m), dtype=_count_dtype(m))
+    _transform_ring(_transform_input(ctx, d), p, n - 1, g[:, :2])
     _rebuild_slices(g, p, n - 1, d)
     g = _ring_stage(g.reshape(p, 1, p, m), p, _count_dtype(p ** n)).reshape(p, -1)
     # reduce to the basis 1..w^(p-2) by w^(p-1) = -(1 + ... + w^(p-2))

@@ -164,6 +164,54 @@ def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
         assert _same((rows, counts), class_record(many, d, method="naive")), d
 
 
+def test_packed_input_gives_the_bytes_of_the_int8_path(monkeypatch):
+    # with the packed input lowered to 2^3 elements, every p = 2 field from
+    # (2,3) to (2,14) takes it; blocks of 2^6 give many blocks, the last one
+    # partial, and ranges from 2^3 elements on two threads make the packed
+    # tables of two ranges, which are OR-ed; the input must be the bytes of
+    # the int8 gather and scatter, for coprime, non-coprime and degenerate d
+    rng = random.Random(28)
+    cases = {}
+    for n in range(3, 15):
+        one = gf.FieldCtx(gf.field_ctx(2, n).spec)
+        L = one.period
+        degenerate = sorted(gf.degenerate_set(2, n))
+        coprime = [d for d in _coprime_ds(L) if d not in degenerate]
+        other = [d for d in range(L) if gcd(d, L) > 1]   # only d = 0 when L is prime
+        ds = rng.sample(degenerate, 2) + rng.sample(coprime, 2) + rng.sample(other, 1) \
+            + [L + rng.choice(coprime)]
+        cases[n] = (one.spec, {d: spectra._transform_input(one, d) for d in ds})
+    packed, ranges = [], []
+    real_packed, real_run_blocks = spectra._packed_input, spectra.run_blocks
+
+    def counted_packed(ctx, d):
+        packed.append((ctx.n, d))
+        return real_packed(ctx, d)
+
+    def counted_run_blocks(fn, count, elements, scratch=None):
+        out = real_run_blocks(fn, count, elements, scratch)
+        if fn.__name__ == "scatter":
+            ranges.append(len(out))
+        return out
+
+    monkeypatch.setattr(spectra, "_packed_input", counted_packed)
+    monkeypatch.setattr(spectra, "run_blocks", counted_run_blocks)
+    monkeypatch.setattr(spectra, "_PACKED_MIN", 2 ** 3)
+    monkeypatch.setattr(gf, "_CHUNK", 2 ** 6)
+    monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 4)
+    with gf.block_threads(2):
+        for n, (spec, expected) in cases.items():
+            many = gf.FieldCtx(spec)
+            for d, ref in expected.items():
+                got = spectra._transform_input(many, d)
+                assert got.dtype == np.int16 and got.tobytes() == ref.tobytes(), (n, d)
+                if gcd(d, many.period) == 1:
+                    assert _same(class_record(many, d), class_record(many, d, method="naive")), \
+                        (n, d)
+    assert {n for n, _ in packed} == set(cases)
+    assert max(ranges) == 2
+
+
 def _real_table(rng, p, high, rows):
     """by_u of random values in [-high, high]: one column for p = 2, and
     real rows for odd p (coordinate 1 is 0, coordinate p - c is coordinate
