@@ -29,25 +29,29 @@ lie in GF(p), sums small ints and reduces mod p once.
 The log table, the m-sequence s_k = Tr(alpha^k) (for p = 2, a parity of
 masked exp entries), the full trace table and the Gram matrix are built on
 first use, so a spectrum, which reads exp and the m-sequence alone, never
-pays for the others.  `decimation_blocks` makes the indices k d mod L
-block by block, without an index array of the field's size; `decimated`
-reads a sequence at them, and so does the packed p = 2 transform input in
-`spectra`.
+pays for the others.  `decimated` reads a sequence at the indices k d
+mod L, made block by block, without an index array of the field's size.
+For p = 2, `FieldCtx.trace_windows` gives the decimated m-sequence s_(k d
+mod L) in the same blocks with no m-sequence at all: with k = q B + r,
+s_(k d) is the parity of exp[r d mod L] masked by the n-bit linear form of
+alpha^(q B d), so a block reads one in-cache table of B entries; the
+packed p = 2 transform input in `spectra` scatters these bits.
 
 A pass over a whole field runs through `run_blocks`: here the chunks of
 the linear maps, the p = 2 m-sequence parity and the blocks of
 `decimated`, in `spectra` the scatter of the transform input (with the
-gather, for the packed p = 2 input: each range fills a packed table of its
-own, and its `np.add.at` holds the interpreter lock, so only the rest of
-the range runs in parallel), each transform stage, the p = 2 index swap
-and the histogram (the odd-p index swap is one copy on the calling
-thread).  A pass of at least
+trace windows, for the packed p = 2 input: each range fills a packed table
+of its own, and its `np.add.at` holds the interpreter lock, so only the
+rest of the range runs in parallel), each transform stage, the bands of
+the banded p = 2 transform and the histogram (the odd-p index swap is one
+copy on the calling thread).  A pass of at least
 `_PARALLEL_MIN` = 2^21 elements is cut into one range per thread, run on
 one shared `ThreadPoolExecutor` made on the first such pass; numpy
 releases the interpreter lock inside its loops, so the ranges run in
-parallel.  A smaller pass is one call in the calling thread: below 2^21 the
-blocked passes measured no faster on 2 cores, and the scatter and the
-binary stages up to 1.8 times slower at 2^20.  The thread count is the
+parallel.  A smaller pass is one call in the calling thread, decided
+before any range arithmetic: below 2^21 the blocked passes measured no
+faster on 2 cores, and the scatter and the binary stages up to 1.8 times
+slower at 2^20.  The thread count is the
 calling thread's: `block_threads(n)` sets it for a with statement, and it
 is `CORES`, the available cores, otherwise.  A thread that ran
 `inline_blocks` (a worker of the block pool, or a process of a class pool
@@ -154,12 +158,6 @@ def stop_blocks() -> None:
         pool.shutdown()
 
 
-def _pass_threads(elements: int) -> int:
-    if elements < _PARALLEL_MIN:
-        return 1
-    return getattr(_local, "threads", None) or CORES
-
-
 def run_blocks(fn, count: int, elements: int, scratch=None) -> list:
     """[fn(lo, hi)] over ranges [lo, hi) that tile [0, count), in order.
 
@@ -178,7 +176,9 @@ def run_blocks(fn, count: int, elements: int, scratch=None) -> list:
     arena, so temporaries made inside the ranges raise the peak RSS with
     the thread count.
     """
-    threads = _pass_threads(elements)
+    if elements < _PARALLEL_MIN:   # most passes: one call, before any range arithmetic
+        return [fn(0, count) if scratch is None else fn(0, count, scratch())]
+    threads = getattr(_local, "threads", None) or CORES
     pieces = min(count, threads, elements // (_PARALLEL_MIN // 2))
     if pieces < 2:
         return [fn(0, count) if scratch is None else fn(0, count, scratch())]
@@ -402,47 +402,40 @@ def _wrap(s: np.ndarray, L: int) -> np.ndarray:
     return np.minimum(s, s - np.uint32(L), out=s)
 
 
-def decimation_blocks(L: int, d: int):
-    """The indices k d mod L, k = 0 .. L - 1, block by block, so that no
-    index array of the field's size is built; needs 1 <= L < 2^31.
-
-    Returns (count, blocks): blocks(q0, q1) yields (lo, idx) for the blocks
-    q = q0 .. q1 - 1 of the `count`, idx the uint32 indices of k = lo ..
-    lo + len(idx) - 1.  With k = q B + r, B = `_CHUNK` (or L) the block
-    size, k d = q (B d) + r d: block q adds (q B d) mod L to the table of
-    (r d) mod L, r < B, and the sum, below 2L, wraps with `_wrap`.  The
-    same split, with blocks of about sqrt(B), builds that table from two
-    tables of about sqrt(B) entries.
-    """
+def _decimation_split(L: int, d: int) -> tuple[int, np.ndarray]:
+    """(B, r): the block size B = `_CHUNK` (or L) of k = q B + r, and the
+    uint32 table of r d mod L, r < B.  The table is split the same way, r =
+    i b + j with b about sqrt(B), and built from two tables of about sqrt(B)
+    multiples.  Needs 1 <= L < 2^31."""
     if not 1 <= L < 2 ** 31:
         raise Budget(f"period {L} outside the int32 index range [1, 2^31)")
     d %= L
     B = min(_CHUNK, L)
     b = isqrt(B - 1) + 1
     r = np.add.outer(_multiples(-(-B // b), b * d, L), _multiples(b, d, L)).ravel()[:B]
-    _wrap(r, L)
-
-    def blocks(q0, q1):
-        for q in range(q0, q1):
-            lo = q * B
-            m = min(B, L - lo)
-            yield lo, _wrap(r[:m] + np.uint32(q * B * d % L), L) if q else r[:m]
-
-    return -(-L // B), blocks
+    return B, _wrap(r, L)
 
 
 def decimated(values: np.ndarray, d: int) -> np.ndarray:
     """values[k d mod L] for k = 0 .. L - 1, L = len(values), a fresh array;
-    needs 1 <= L < 2^31.  The indices come from `decimation_blocks`, the
-    blocks in ranges (`run_blocks`)."""
-    count, blocks = decimation_blocks(len(values), d)
-    out = np.empty(len(values), dtype=values.dtype)
+    needs 1 <= L < 2^31.  The indices are made block by block, so that no
+    index array of the field's size is built: with k = q B + r
+    (`_decimation_split`), k d = q (B d) + r d, so block q adds (q B d) mod
+    L to the table of (r d) mod L, and the sum, below 2L, wraps with
+    `_wrap`.  The blocks run in ranges (`run_blocks`)."""
+    L = len(values)
+    B, r = _decimation_split(L, d)
+    d %= L
+    out = np.empty(L, dtype=values.dtype)
 
     def gather(q0, q1):
-        for lo, idx in blocks(q0, q1):
-            out[lo:lo + len(idx)] = values.take(idx)
+        for q in range(q0, q1):
+            lo = q * B
+            m = min(B, L - lo)
+            out[lo:lo + m] = values.take(_wrap(r[:m] + np.uint32(q * B * d % L), L) if q
+                                         else r[:m])
 
-    run_blocks(gather, count, len(values))
+    run_blocks(gather, -(-L // B), L)
     return out
 
 
@@ -689,6 +682,41 @@ class FieldCtx:
             run_blocks(parity, self.period, self.period)
             return out
         return self._trace_map(self._trace_basis, self._exp)
+
+    def trace_windows(self, d: int):
+        """The bits s_(k d mod L) of the decimated m-sequence for p = 2,
+        block by block, read from exp without the m-sequence.
+
+        Returns (count, blocks), the blocks of k of `_decimation_split`:
+        blocks(q0, q1) yields (lo, bits) for the blocks q = q0 .. q1 - 1 of
+        the `count`, bits the uint8 s_(k d mod L) for k = lo .. lo +
+        len(bits) - 1, in a buffer that the next block overwrites.  With k =
+        q B + r (`_decimation_split`), alpha^(k d) = alpha^(q B d) V[r], V[r]
+        = alpha^(r d) = exp[r d mod L], and y -> Tr(alpha^(q B d) y) is the
+        parity of y & w_q, the mask whose bit i is Tr(alpha^(q B d + i)),
+        read from exp at n entries per block.  So a block is one AND with
+        the in-cache V, one bit count and one & 1, with no random read.
+        """
+        L, n = self.period, self.n
+        B, r = _decimation_split(L, d)
+        d %= L
+        t = sum(b << i for i, b in enumerate(self._trace_basis))   # Tr y = parity(y & t)
+        count = -(-L // B)
+        V = self._exp.take(r)
+        idx = (_multiples(count, B * d, L).astype(np.int64)[:, None] + np.arange(n)) % L
+        w = np.bitwise_or.reduce((np.bitwise_count(self._exp[idx] & t) & 1).astype(np.int32)
+                                 << np.arange(n, dtype=np.int32), axis=1)
+
+        def blocks(q0, q1):
+            masked = np.empty(B, dtype=np.int32)
+            bits = np.empty(B, dtype=np.uint8)
+            for q in range(q0, q1):
+                m = min(B, L - q * B)
+                np.bitwise_count(np.bitwise_and(V[:m], w[q], out=masked[:m]), out=bits[:m])
+                bits[:m] &= 1
+                yield q * B, bits[:m]
+
+        return count, blocks
 
     @cached_property
     def trace_table(self) -> np.ndarray:

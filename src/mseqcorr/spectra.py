@@ -2,40 +2,43 @@
 
 The Walsh transform W(u) = sum_x w^(Tr(x^d) - <u,x>) is computed as a
 length-p^n transform over the additive group (Z_p)^n, one p-point butterfly
-stage per digit of x; no floating point anywhere.  The input reads the
-m-sequence at k d mod p^n - 1 for every k, block by block at the indices
-of `gf.decimation_blocks`, so that no index array of the field's size is
-built, and puts f(alpha^k) at alpha^k, read from the exp table.  For p = 2
-from `_PACKED_MIN` = 2^21 elements up both tables are bit-packed
-(`_packed_input`), 2 MB each at 2^24 where the int8 ones take 16 MB, so
-that the random reads and writes stay in the L2 cache: the m-sequence bit
-is read from its packed table and added into a packed input table with
-`np.add.at`, and one take from `_SIGNS` expands each byte into its eight
-entries +-1.  Smaller p = 2 fields and every odd p gather an int8
-sequence with `gf.decimated` and scatter it into an int8 table.
+stage per digit of x; no floating point anywhere.  The input puts f(x) =
+Tr(x^d) at x = alpha^k, read from the exp table, for every k, block by
+block, so that no index array of the field's size is built.  Odd p and
+p = 2 below `_PACKED_MIN` = 2^20 elements gather the m-sequence at the
+indices k d mod p^n - 1 (`gf.decimated`) and scatter it into an int8
+table.  p = 2 from 2^20 up reads no m-sequence:
+`gf.FieldCtx.trace_windows` gives the bits s_(k d) block by block from
+the in-cache exp entries at (r d) mod L, r < 2^16, and one linear form per
+block, and `_packed_input` adds each bit at bit exp[k] of a bit-packed
+table with `np.add.at`, 2 MB at 2^24 where the int8 one takes 16 MB, so
+that the random writes stay in the L2 cache.
 
 Every stage runs at the width its numbers need, no wider, and every width
 is exact by a bound on the values, not by a check.  The scatter of the
-input, each stage, the p = 2 index swap and the histogram run in blocks
-through `gf.run_blocks`, so a pass of 2^21 elements or more uses every
-thread it is given; the blocks write disjoint entries, or, in the packed
-input, each range fills a packed table of its own and the tables are
-OR-ed, so the values do not depend on the thread count.  The odd-p index
-swap is one copy on the calling thread.
+input, each stage (for p = 2 from 2^20 up, each band of stages) and the
+histogram run in blocks through `gf.run_blocks`, so a pass of 2^21
+elements or more uses every thread it is given; the blocks write disjoint
+entries, or, in the packed input, each range fills a packed table of its
+own and the tables are OR-ed, so the values do not depend on the thread
+count.  The odd-p index swap is one copy on the calling thread.
 
 For p = 2 it is the binary Walsh-Hadamard transform (w = -1) of the +-1
 input.  After i bits every value is a sum of 2^i terms +-1, so |value| <=
 2^i.  The bits go two per radix-4 stage, an odd leftover bit gets one
 radix-2 stage.  As for odd p below, the high half of the bits is
-transformed first, then the two halves of the index are swapped (a
-transpose copied in cache-sized bands) and the low half is transformed, so
-every stage streams contiguous blocks of at least 2^(n/2) entries.  The
-result stays in that half-swapped order, which `WalshTable` reads, so no
-second swap and no second buffer are made.  The high half, n - n // 2 <= 12
-bits at n <= 24 (the table bound), runs in int16 (|value| <= 2^12); the
-swap widens to int32, which holds 2^24.  At (2,24) the int16 input and the
-int32 output, 32 + 64 MiB, are the only field-sized arrays alive at once
-past the field's own tables.
+transformed first, then the two halves of the index are swapped and the
+low half is transformed, and the result stays in that half-swapped order,
+which `WalshTable` reads.  `_wht_2` does this in bands of about
+`_BAND_BYTES`: phase 1 expands each band of columns of the packed input by
+one take from `_SIGNS`, transforms the high half in int16, and writes it
+transposed and widened to int32 into the output, where the low bits of
+the other half are transformed while the band is in cache; phase 2 copies
+bands of the output's columns into a buffer for the rest.  A field of one
+band (every one below 2^20) is transformed whole, in place.  The high half,
+n - n // 2 <= 12 bits at n <= 24 (the table bound), runs in int16 (|value|
+<= 2^12); int32 holds 2^24.  At (2,24) the int32 output, 64 MiB, is the
+only field-sized array made past the field's own tables.
 
 For odd p the transform runs in the group ring Z[Z_p]: each point carries
 p integer coordinates, the coefficients of 1, w, ..., w^(p-1), starting
@@ -116,7 +119,7 @@ import numpy as np
 
 from .cyclo import CycInt, coords_json
 from .errors import Budget, OutOfDomain
-from .gf import FieldCtx, decimated, decimation_blocks, run_blocks
+from .gf import FieldCtx, decimated, run_blocks
 from . import lfsr
 
 NAIVE_MAX_ORDER = 2 ** 14   # the O(p^2n) oracle stays at desk scale
@@ -129,11 +132,16 @@ MOMENT_CHECK_SEED = 2024   # draws the shifts of the shifted second moments
 _HISTOGRAM_BLOCK = 2 ** 20   # rows per block of the histogram, their keys sorted in one buffer
 _SCATTER_BLOCK = 2 ** 14     # exp entries per intp index block of the input scatter
 # p = 2 fields of at least this many elements (and at least 2^3) build the
-# input from bit-packed tables (`_packed_input`).  `_transform_input` on one
-# thread, int8 against packed, median ms (2-core x86 VM): (2,16) 0.3 / 0.8,
-# (2,20) 7.4 / 8.2, (2,21) 21 / 16, (2,22) 53 / 33, (2,24) 568 / 193; the
-# int8 tables reach the 2 MB L2 cache at 2^21, the packed ones at 2^24
-_PACKED_MIN = 2 ** 21
+# input as a bit-packed table from trace windows (`_packed_input`), which
+# their transform expands band by band.  `walsh_fast` per class on one
+# thread, int8 path against packed, median ms (2-core x86 VM): (2,18) 3.8 /
+# 3.8, (2,19) 7.5 / 8.9, (2,20) 20.7 / 16.3
+_PACKED_MIN = 2 ** 20
+# bytes of one band of the binary transform (`_wht_2`) in int32, the int16
+# band half that: at (2,24) the transform took 219 ms in bands of 2^19
+# bytes, 165 in 2^20 and 191 in 2^21 on one thread, 199, 122 and 127 on two
+# (medians; 2 MB of L2 cache per core)
+_BAND_BYTES = 2 ** 20
 # row b: (-1)^(bit j of b) for j = 0 .. 7, the +-1 input of one packed byte
 _SIGNS = (1 - 2 * (np.arange(256)[:, None] >> np.arange(8) & 1)).astype(np.int16)
 
@@ -168,16 +176,16 @@ def _radix2(a: np.ndarray, t: np.ndarray) -> None:
     a1[...] = t
 
 
-def _wht_stages(g: np.ndarray, lo: int, hi: int) -> None:
+def _wht_stages(g: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> None:
     """Walsh-Hadamard stages on bits lo .. hi - 1 of the index of g, in place.
 
     Bits go two at a time (`_radix4`); an odd last bit gets one radix-2
     stage.  Each stage runs in blocks (`run_blocks`) of its outer groups
-    or of its inner entries, whichever are more.  The stages share one
-    buffer, made here rather than in the blocks: memory that a pool thread
-    frees stays with that thread (malloc keeps an arena per thread).
+    or of its inner entries, whichever are more.  The stages share buf, of
+    g's dtype and `_stage_size` entries, which the caller makes: memory
+    that a pool thread frees stays with that thread (malloc keeps an arena
+    per thread).
     """
-    buf = np.empty(g.size // (2 if (hi - lo) % 2 else 4), dtype=g.dtype)
     i = lo
     while i < hi:
         r = 4 if i + 2 <= hi else 2
@@ -192,38 +200,83 @@ def _wht_stages(g: np.ndarray, lo: int, hi: int) -> None:
         i += r // 2
 
 
-def _transpose_into(x: np.ndarray, out: np.ndarray) -> None:
-    """out = x.T for 2-D arrays, copied 16 rows of x at a time so that the
-    reads and writes of each band stay in cache; the bands in blocks."""
-    def bands(b0, b1):
-        for r in range(16 * b0, min(16 * b1, x.shape[0]), 16):
-            out[:, r:r + 16] = x[r:r + 16].T
-
-    run_blocks(bands, -(-x.shape[0] // 16), x.size)
+def _stage_size(size: int, bits: int) -> int:
+    """Entries of the buffer `_wht_stages` needs for `bits` stages' bits of
+    an array of `size` entries: a quarter, or a half for a radix-2 stage."""
+    return size // (2 if bits % 2 else 4)
 
 
-def _wht_2(g: np.ndarray) -> np.ndarray:
-    """Binary Walsh-Hadamard transform, kernel (-1)^<u,x>, of g (length 2^n),
-    returned as a fresh int32 array in the half-swapped order (`WalshTable`):
-    the value at u sits at (u mod 2^h) 2^(n-h) + u div 2^h, h = n // 2.  g
-    is overwritten.
+def _wht_2(f: np.ndarray) -> np.ndarray:
+    """Binary Walsh-Hadamard transform, kernel (-1)^<u,x>, of a +-1 input of
+    length 2^n, returned as a fresh int32 array in the half-swapped order
+    (`WalshTable`): the value at u sits at (u mod 2^h) 2^(n-h) + u div 2^h,
+    h = n // 2.  f is either the +-1 entries, in an integer dtype, which
+    are overwritten, or the bit-packed table of `_packed_input` (uint8, bit
+    x mod 8 of byte x div 8 set where the entry at x is -1).
 
-    The layout of `_transform_ring`: the high half of the bits is
-    transformed first, in g's own dtype, then the index halves are swapped
-    into an int32 array, so that the low half becomes the high one, and
-    transformed there; every stage runs on contiguous blocks of at least
-    2^(n/2) entries.  An int16 g of entries +-1 is exact while n - n // 2
+    The layout of `_transform_ring`.  With x = a 2^h + b the input is a
+    (2^(n-h), 2^h) matrix, and the output the (2^h, 2^(n-h)) one, b
+    leading.  A band is the 2^(n-h) rows of w columns b of the input,
+    about `_BAND_BYTES` in int32.  Phase 1, band by band: the band is
+    expanded from the packed bytes by one take from `_SIGNS` into int16,
+    its bits of a are transformed, it is written transposed and widened
+    into its w rows of the output, and there, in int32, its low log2(w)
+    bits of b are transformed.  Phase 2 copies each band of columns a of
+    the output into a buffer, transforms the other bits of b there and
+    writes it back.  So every stage runs in cache, on contiguous blocks of
+    at least w entries (2^(n-h) for the bits of b), and the bands of each
+    phase run in ranges (`run_blocks`).  A +-1 array, or a packed table
+    whose entries fit one band, is the one band: transformed in place (the
+    table expanded whole first), transposed into the output and
+    transformed there, with no phase 2.  int16 is exact while n - n // 2
     <= 14 bits (|value| <= 2^14 after them).
     """
-    n = g.size.bit_length() - 1
+    packed = f.dtype == np.uint8
+    n = (8 * f.size if packed else f.size).bit_length() - 1
     h = n // 2
-    _wht_stages(g, h, n)
-    out = np.empty((2 ** h, 2 ** (n - h)), dtype=np.int32)
-    _transpose_into(g.reshape(-1, 2 ** h), out)
-    del g   # the caller's narrow buffer, if it handed over its only reference
-    out = out.reshape(-1)
-    _wht_stages(out, n - h, n)
-    return out
+    rows, cols = 2 ** (n - h), 2 ** h
+    out = np.empty((cols, rows), dtype=np.int32)
+    w = min(cols, max(8, _BAND_BYTES // (4 * rows)))   # columns b of a band
+    one = not packed or w == cols
+    if one:   # one band: the +-1 entries themselves
+        w = cols
+        f = (_SIGNS.take(f, axis=0) if packed else f).reshape(rows, cols)
+    else:
+        f = f.reshape(rows, cols // 8)
+    k = w.bit_length() - 1
+
+    def phase1(c0, c1, scratch):
+        band, buf, buf32 = scratch
+        for b in range(c0 * w, c1 * w, w):
+            g = f if band is None else np.take(
+                _SIGNS, f[:, b // 8:(b + w) // 8], axis=0, out=band.reshape(rows, -1, 8),
+                mode="clip").reshape(rows, w)
+            _wht_stages(g.reshape(-1), k, k + n - h, buf)
+            o = out[b:b + w]
+            o[...] = g.T
+            _wht_stages(o.reshape(-1), n - h, n - h + k, buf32)
+
+    run_blocks(phase1, cols // w, 2 ** n, lambda: (
+        None if one else np.empty((rows, w), dtype=np.int16),
+        np.empty(_stage_size(rows * w, n - h), dtype=f.dtype if one else np.int16),
+        np.empty(_stage_size(rows * w, k), dtype=np.int32)))
+    del f   # the caller's narrow buffer, if it handed over its only reference
+    if one:
+        return out.reshape(-1)
+    v = min(rows, max(1, _BAND_BYTES // (4 * cols)))   # columns a of a phase 2 band
+    j = v.bit_length() - 1
+
+    def phase2(c0, c1, scratch):
+        band, buf = scratch
+        for a in range(c0 * v, c1 * v, v):
+            band[...] = out[:, a:a + v]
+            _wht_stages(band.reshape(-1), j + k, j + h, buf)
+            out[:, a:a + v] = band
+
+    run_blocks(phase2, rows // v, 2 ** n, lambda: (
+        np.empty((cols, v), dtype=np.int32),
+        np.empty(_stage_size(cols * v, h - k), dtype=np.int32)))
+    return out.reshape(-1)
 
 
 def _count_dtype(bound: int) -> type:
@@ -431,24 +484,22 @@ def _require_real(data: np.ndarray, p: int) -> None:
 
 
 def _packed_input(ctx: FieldCtx, d: int) -> np.ndarray:
-    """(-1)^f(x), f(x) = Tr(x^d), in int16 for p = 2 from bit-packed tables,
-    each an eighth of the int8 one, so that the random reads and writes stay
-    in cache: f(x) for x = alpha^k is bit k d mod L of the packed m-sequence
-    (indices from `gf.decimation_blocks`), added at bit exp[k] of a packed
-    table, one per range of blocks (`run_blocks` scratch).  exp is a
-    permutation, so every bit is added once, the sum is an OR, and the
-    ranges' tables are OR-ed.  `_SIGNS` expands each byte to 8 entries.
-    `np.add.at` holds the interpreter lock, so only the rest of a range runs
-    in parallel."""
-    s = np.packbits(ctx.mseq, bitorder="little")   # s_k is bit k mod 8 of byte k div 8
+    """f(x) = Tr(x^d) for p = 2 as a bit-packed table, bit x mod 8 of byte
+    x div 8 (the input of `_wht_2`), an eighth of the int8 one, so that
+    the random writes stay in cache.  f(x) for x = alpha^k comes in blocks
+    of k from `FieldCtx.trace_windows`, which reads no m-sequence, and is
+    added at bit exp[k] of a packed table, one per range of blocks
+    (`run_blocks` scratch).  exp is a permutation, so every bit is added
+    once, the sum is an OR, and the ranges' tables are OR-ed.  `np.add.at`
+    holds the interpreter lock, so only the rest of a range runs in
+    parallel."""
     exp = ctx.exp_table
-    count, blocks = decimation_blocks(ctx.period, d)
+    count, blocks = ctx.trace_windows(d)
 
     def scatter(q0, q1, f):
-        for lo, idx in blocks(q0, q1):
-            bit = s.take(idx >> 3) >> (idx & 7).astype(np.uint8) & 1
-            x = exp[lo:lo + len(idx)]
-            np.add.at(f, x >> 3, bit << (x & 7).astype(np.uint8))
+        for lo, bits in blocks(q0, q1):
+            x = exp[lo:lo + len(bits)]
+            np.add.at(f, x >> 3, bits << (x & 7).astype(np.uint8))
         return f
 
     tables = run_blocks(scatter, count, ctx.period,
@@ -456,13 +507,13 @@ def _packed_input(ctx: FieldCtx, d: int) -> np.ndarray:
     f = tables[0]
     for t in tables[1:]:
         f |= t
-    return _SIGNS.take(f, axis=0).reshape(-1)
+    return f
 
 
 def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
-    """The transform's input for f(x) = Tr(x^d): (-1)^f(x) in int16 for
-    p = 2, else the (p, p^n) uint8 indicator whose row c marks f(x) = c.
-    Fields of p = 2 from `_PACKED_MIN` elements take `_packed_input`."""
+    """The transform's input for f(x) = Tr(x^d): for p = 2, (-1)^f(x) in
+    int16, or from `_PACKED_MIN` elements up f bit-packed (`_packed_input`);
+    else the (p, p^n) uint8 indicator whose row c marks f(x) = c."""
     if ctx.p == 2 and ctx.order >= _PACKED_MIN:
         return _packed_input(ctx, d)
     f_nonzero = decimated(ctx.mseq, d)   # f at x = alpha^k

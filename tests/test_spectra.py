@@ -49,6 +49,36 @@ def test_binary_transform_matches_sylvester_product(n):
             assert np.array_equal(out, ref)
 
 
+def _wht_int64(bits):
+    """The binary transform of (-1)^bits in int64, one radix-2 stage per
+    bit of the index, y_0 = a_0 + a_1 and y_1 = a_0 - a_1, in natural order."""
+    x = 1 - 2 * bits.astype(np.int64)
+    for i in range(bits.size.bit_length() - 1):
+        a = x.reshape(-1, 2, 2 ** i)
+        a0 = a[:, 0].copy()
+        a[:, 0] += a[:, 1]
+        a[:, 1] = a0 - a[:, 1]
+    return x
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n,band", [(9, 2 ** 8), (12, 2 ** 8), (20, None), (22, None)])
+def test_banded_binary_transform_matches_int64_kernel(n, band, threads, monkeypatch):
+    # from the packed table, past one band: at (2,20) and (2,22) each phase
+    # of `_wht_2` runs several bands of `_BAND_BYTES`, at (2,22) in two
+    # ranges on two threads; bands of 2^8 bytes and ranges from 2^4
+    # elements give the same at n = 9 and 12, phase 2 in bands of one column
+    if band is not None:
+        monkeypatch.setattr(spectra, "_BAND_BYTES", band)
+        monkeypatch.setattr(gf, "_PARALLEL_MIN", 2 ** 4)
+    bits = np.random.default_rng(n).integers(0, 2, 2 ** n).astype(np.uint8)
+    h = n // 2
+    ref = _wht_int64(bits).reshape(-1, 2 ** h).T.reshape(-1)   # half-swapped order
+    with gf.block_threads(threads):
+        out = spectra._wht_2(np.packbits(bits, bitorder="little"))
+    assert out.dtype == np.int32 and np.array_equal(out, ref)
+
+
 def _ring_transform_int64(ctx, d):
     """The group-ring transform of Tr(x^d) with every buffer int64, one
     stage per digit in digit order, reduced to the basis 1..w^(p-2)."""
@@ -132,9 +162,12 @@ def test_rebuilt_slices_match_int64_kernel_past_one_half_swap(p, n):
 def test_transform_of_constant_sequence_reaches_the_bound(p, n):
     # f = 0 everywhere puts the whole input on w^0 (all ones for p = 2), so
     # after k stages the u = 0 point of each block holds p^k, the top of the
-    # stage's range, and W is p^n at u = 0 and 0 elsewhere
+    # stage's range, and W is p^n at u = 0 and 0 elsewhere.  f = 0 goes in
+    # through what the input reads: the m-sequence, and for the packed p = 2
+    # input (`FieldCtx.trace_windows`) a zero trace basis
     ctx = copy.copy(gf.field_ctx(p, n))
     ctx.mseq = np.zeros(ctx.period, dtype=np.int8)
+    ctx._trace_basis = [0] * n
     by_u = spectra.walsh_fast(ctx, 1)._by_u
     expected = np.zeros((p ** n, p - 1), dtype=np.int32)
     expected[0, 0] = p ** n
@@ -166,10 +199,11 @@ def test_many_blocks_give_the_one_block_records(p, n, monkeypatch):
 
 def test_packed_input_gives_the_bytes_of_the_int8_path(monkeypatch):
     # with the packed input lowered to 2^3 elements, every p = 2 field from
-    # (2,3) to (2,14) takes it; blocks of 2^6 give many blocks, the last one
-    # partial, and ranges from 2^3 elements on two threads make the packed
-    # tables of two ranges, which are OR-ed; the input must be the bytes of
-    # the int8 gather and scatter, for coprime, non-coprime and degenerate d
+    # (2,3) to (2,14) takes it; blocks of 2^6 give many blocks of trace
+    # windows, the last one partial, and ranges from 2^3 elements on two
+    # threads make the packed tables of two ranges, which are OR-ed; the
+    # table must be the int8 gather and scatter's f, packed in little bit
+    # order, for coprime, non-coprime and degenerate d
     rng = random.Random(28)
     cases = {}
     for n in range(3, 15):
@@ -181,11 +215,11 @@ def test_packed_input_gives_the_bytes_of_the_int8_path(monkeypatch):
         ds = rng.sample(degenerate, 2) + rng.sample(coprime, 2) + rng.sample(other, 1) \
             + [L + rng.choice(coprime)]
         cases[n] = (one.spec, {d: spectra._transform_input(one, d) for d in ds})
-    packed, ranges = [], []
+    calls, ranges = [], []
     real_packed, real_run_blocks = spectra._packed_input, spectra.run_blocks
 
     def counted_packed(ctx, d):
-        packed.append((ctx.n, d))
+        calls.append((ctx.n, d))
         return real_packed(ctx, d)
 
     def counted_run_blocks(fn, count, elements, scratch=None):
@@ -204,11 +238,12 @@ def test_packed_input_gives_the_bytes_of_the_int8_path(monkeypatch):
             many = gf.FieldCtx(spec)
             for d, ref in expected.items():
                 got = spectra._transform_input(many, d)
-                assert got.dtype == np.int16 and got.tobytes() == ref.tobytes(), (n, d)
+                packed = np.packbits(ref == -1, bitorder="little")
+                assert got.dtype == np.uint8 and got.tobytes() == packed.tobytes(), (n, d)
                 if gcd(d, many.period) == 1:
                     assert _same(class_record(many, d), class_record(many, d, method="naive")), \
                         (n, d)
-    assert {n for n, _ in packed} == set(cases)
+    assert {n for n, _ in calls} == set(cases)
     assert max(ranges) == 2
 
 
@@ -264,18 +299,19 @@ def test_histogram_rejects_a_table_that_is_not_real():
 
 
 def test_binary_class_record_memory_peak():
-    # past the m-sequence, the int16 input and the int32 output of the
-    # transform are the only field-sized buffers alive at once at (2,24):
-    # 32 + 64 MiB
+    # the int32 output of the transform, 64 MiB, is the only field-sized
+    # buffer made at (2,24): no m-sequence is built, and the input is a
+    # packed table expanded band by band.  On two block threads: each range
+    # adds its scratch (the histogram's, 5 MiB, the largest)
     ctx = gf.field_ctx(2, 24)
-    ctx.mseq
     tracemalloc.start()
     try:
-        class_record(ctx, 12582919)
+        with gf.block_threads(2):
+            class_record(ctx, 12582919)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 100 * 2 ** 20, peak / 2 ** 20
+    assert peak <= 80 * 2 ** 20, peak / 2 ** 20
 
 
 def test_degenerate_crosscorrelation():
@@ -292,6 +328,12 @@ def test_spectrum_builds_no_log_or_trace_table():
     class_record(ctx, 5)
     assert "log_table" not in vars(ctx) and "trace_table" not in vars(ctx)
     assert "mseq" in vars(ctx)
+    # from the packed input up, the m-sequence is not built either
+    ctx = gf.field_ctx(2, 20)
+    assert ctx.order >= spectra._PACKED_MIN
+    class_record(ctx, 7)
+    assert "log_table" not in vars(ctx) and "trace_table" not in vars(ctx)
+    assert "mseq" not in vars(ctx)
 
 
 def test_gold_n5_distribution():
