@@ -18,24 +18,33 @@ alpha^k is GF(p)-linear, so it is applied to a whole array from the images
 of the basis alpha^0..alpha^(n-1).
 Each group of g digits (p^g <= 256) indexes a table of the images of its
 digit patterns, held as words with one digit per fixed-width bit slot: one
-bit for p = 2, where the word is the packed element and the sum is XOR, and
-3-5 bits with a guard bit for odd p, summed by a carry-free SWAR add (several
-digits in one machine word) and repacked to base p by shift and mask.  The
-odd-p words are int64 and live only for one chunk of 2^16 elements.  The Gram
-index map u(a) is the same linear map; the trace, whose images Tr(alpha^i)
-lie in GF(p), sums small ints and reduces mod p once.
+bit for p = 2, where the word is the packed element, the sum is XOR and a
+table is made by XOR-ing in one image at a time, and 3-5 bits with a guard
+bit for odd p, summed by a carry-free SWAR add (several digits in one
+machine word) and repacked to base p by shift and mask.  The odd-p words
+are int64 and live only for one chunk of 2^16 elements.  The Gram index
+map u(a) is the same linear map; the trace, whose images Tr(alpha^i) lie
+in GF(p), sums small ints and reduces mod p once.
 
-`FieldCtx` builds only the exp table and those n traces when it is made.
-The log table, the m-sequence s_k = Tr(alpha^k) (for p = 2, a parity of
-masked exp entries), the full trace table and the Gram matrix are built on
-first use, so a spectrum, which reads exp and the m-sequence alone, never
-pays for the others.  `decimated` reads a sequence at the indices k d
+`FieldCtx` makes only two things when it is made: the prefix P =
+exp[:B], B = min(2^16, p^n - 1), with the images of the basis times
+alpha^B that its doubling ends with, and the n traces Tr(alpha^i), the
+power sums of the modulus's roots by Newton's identities on its
+coefficients.  The exp table (the prefix's doubling continued from those
+images, so no entry is made twice), the log table, the m-sequence s_k =
+Tr(alpha^k) (for p = 2, a parity of masked exp entries), the full trace
+table and the Gram matrix are built on first read, so a spectrum pays
+only for what it reads.  `decimated` reads a sequence at the indices k d
 mod L, made block by block, without an index array of the field's size.
-For p = 2, `FieldCtx.trace_windows` gives the decimated m-sequence s_(k d
-mod L) in the same blocks with no m-sequence at all: with k = q B + r,
-s_(k d) is the parity of exp[r d mod L] masked by the n-bit linear form of
-alpha^(q B d), so a block reads one in-cache table of B entries; the
-packed p = 2 transform input in `spectra` scatters these bits.
+For p = 2, `FieldCtx.trace_windows` gives, in blocks k = q B + r, the
+elements alpha^k and the decimated m-sequence s_(k d mod L) with no exp
+table and no m-sequence: block q of exp is P under the GF(2)-linear map
+"times alpha^(q B)", so its elements are one take per digit group of P
+from in-cache tables, made for every block at once; s_(k d) is the parity
+of beta^r, beta = alpha^d, masked by the n-bit linear form of
+alpha^(q B d), with beta^r, r < B, made by the prefix's own doubling.  The
+packed p = 2 transform input in `spectra` scatters these bits at these
+elements.
 
 A pass over a whole field runs through `run_blocks`: here the chunks of
 the linear maps, the p = 2 m-sequence parity and the blocks of
@@ -402,30 +411,40 @@ def _wrap(s: np.ndarray, L: int) -> np.ndarray:
     return np.minimum(s, s - np.uint32(L), out=s)
 
 
-def _decimation_split(L: int, d: int) -> tuple[int, np.ndarray]:
-    """(B, r): the block size B = `_CHUNK` (or L) of k = q B + r, and the
-    uint32 table of r d mod L, r < B.  The table is split the same way, r =
-    i b + j with b about sqrt(B), and built from two tables of about sqrt(B)
-    multiples.  Needs 1 <= L < 2^31."""
-    if not 1 <= L < 2 ** 31:
-        raise Budget(f"period {L} outside the int32 index range [1, 2^31)")
-    d %= L
-    B = min(_CHUNK, L)
-    b = isqrt(B - 1) + 1
-    r = np.add.outer(_multiples(-(-B // b), b * d, L), _multiples(b, d, L)).ravel()[:B]
-    return B, _wrap(r, L)
+def _xor_tables(images: np.ndarray, g: int) -> list:
+    """[(lo, tables)] for p = 2: each group of g of the packed images on
+    the last axis of `images`, (..., n) int32, gives tables[..., c], the
+    XOR of the images lo + j over the bits j of c.  A table doubles one
+    image at a time, table[2^j:2^(j+1)] = table[:2^j] ^ image j, for every
+    set of images on the other axes at once."""
+    out = []
+    for lo in range(0, images.shape[-1], g):
+        rows = images[..., lo:lo + g]
+        table = np.zeros(images.shape[:-1] + (2 ** rows.shape[-1],), dtype=np.int32)
+        for j in range(rows.shape[-1]):
+            np.bitwise_xor(table[..., :2 ** j], rows[..., j, None],
+                           out=table[..., 2 ** j:2 ** (j + 1)])
+        out.append((lo, table))
+    return out
 
 
 def decimated(values: np.ndarray, d: int) -> np.ndarray:
     """values[k d mod L] for k = 0 .. L - 1, L = len(values), a fresh array;
     needs 1 <= L < 2^31.  The indices are made block by block, so that no
-    index array of the field's size is built: with k = q B + r
-    (`_decimation_split`), k d = q (B d) + r d, so block q adds (q B d) mod
-    L to the table of (r d) mod L, and the sum, below 2L, wraps with
-    `_wrap`.  The blocks run in ranges (`run_blocks`)."""
+    index array of the field's size is built: with k = q B + r, B =
+    `_CHUNK` (or L), k d = q (B d) + r d, so block q adds (q B d) mod L to
+    the table of (r d) mod L, r < B, and the sum, below 2L, wraps with
+    `_wrap`.  That table is split the same way, r = i b + j with b about
+    sqrt(B), and built from two tables of about sqrt(B) multiples.  The
+    blocks run in ranges (`run_blocks`)."""
     L = len(values)
-    B, r = _decimation_split(L, d)
+    if not 1 <= L < 2 ** 31:
+        raise Budget(f"period {L} outside the int32 index range [1, 2^31)")
     d %= L
+    B = min(_CHUNK, L)
+    b = isqrt(B - 1) + 1
+    r = _wrap(np.add.outer(_multiples(-(-B // b), b * d, L), _multiples(b, d, L)).ravel()[:B],
+              L)
     out = np.empty(L, dtype=values.dtype)
 
     def gather(q0, q1):
@@ -440,13 +459,15 @@ def decimated(values: np.ndarray, d: int) -> np.ndarray:
 
 
 class FieldCtx:
-    """GF(p^n) as tables: exp and the trace basis eager, the rest on first use.
+    """GF(p^n) as tables: the exp prefix and the trace basis eager, the rest
+    on first use.
 
-    Construction builds the exp table and the n traces Tr(alpha^i) of the
-    polynomial basis, all a crosscorrelation spectrum needs besides the
-    m-sequence.  The log table, the m-sequence s_k = Tr(alpha^k), the full
-    trace table over all p^n elements and the Gram matrix are cached
-    properties, built on first use.  A cached property stores only a
+    Construction builds the prefix exp[:B], B = min(`_CHUNK`, p^n - 1),
+    and the n traces Tr(alpha^i) of the polynomial basis, all the packed
+    p = 2 spectrum needs (`trace_windows`).  The exp table, the log table,
+    the m-sequence s_k = Tr(alpha^k), the full trace table over all p^n
+    elements and the Gram matrix are cached properties, built on first
+    use.  A cached property stores only a
     finished array, so a context stays safe to share across threads: two
     first reads at once at worst build the same array twice.  Elements are
     packed ints (see module docstring).
@@ -488,28 +509,30 @@ class FieldCtx:
             self._merges.append((width, low, p ** (width // w)))
             width, fields = 2 * width, (fields + 1) // 2
 
-        self._exp = self._build_exp()
+        # the prefix P = exp[:B], B = min(`_CHUNK`, L), and the images of the
+        # basis times alpha^B, from which `exp_table` continues the doubling
+        self._prefix = np.empty(min(_CHUNK, self.period), dtype=np.int32)
+        self._prefix[0] = 1
+        alpha_n = sum((-c) % p * w for c, w in zip(spec.coeffs, self._place))
+        self._prefix_end = self._double(self._prefix, 1, np.array(self._place[1:] + (alpha_n,),
+                                                                   dtype=np.int32))
         self._trace_basis = self._build_trace_basis()
 
-    def _build_exp(self) -> np.ndarray:
-        """exp[k:2k] = alpha^k * exp[:k], doubling k until the period is full.
+    def _double(self, table: np.ndarray, k: int, imgs: np.ndarray) -> np.ndarray:
+        """Fill table[k:] by doubling, table[:k] made: table[k:2k] = y^k *
+        table[:k] along the first axis, written straight into the table.
 
-        `imgs` holds alpha^k, ..., alpha^(k+n-1), the images of the basis
-        under multiplication by alpha^k; squaring that map doubles k.  Each
-        doubling writes straight into exp[k:2k], with no field-sized copy.
+        `imgs` holds the images of the basis alpha^0 .. alpha^(n-1) under
+        multiplication by y^k; squaring that map doubles k.  Returns the
+        images for the k the doubling ended at, which are those of y^len(table)
+        when every step doubled k (a length of k times a power of two).
         """
-        p, L = self.p, self.period
-        exp = np.empty(L, dtype=np.int32)
-        exp[0] = 1
-        alpha_n = sum((-c) % p * w for c, w in zip(self.spec.coeffs, self._place))
-        imgs = np.array(self._place[1:] + (alpha_n,), dtype=np.int32)
-        k = 1
-        while k < L:
-            m = min(k, L - k)
-            self._linear_map(imgs, exp[:m], out=exp[k:k + m])
+        while k < len(table):
+            m = min(k, len(table) - k)
+            self._linear_map(imgs, table[:m], out=table[k:k + m].reshape(-1))
             imgs = self._linear_map(imgs, imgs)
             k += m
-        return exp
+        return imgs
 
     def _group_tables(self, images, weights, dtype):
         """[(lo, table)]: the images of every digit pattern of each group.
@@ -597,12 +620,16 @@ class FieldCtx:
         `_group_tables`), each word holding one image digit per slot.  The
         parts are summed carry-free slot by slot (`_slot_add`) and repacked
         to base p (`_unslot`).  For p = 2 a word is the packed element
-        itself, summed in the output (`_apply`).  Working in chunks keeps
+        itself, summed in the output (`_apply`), and the tables are made by
+        XOR (`_xor_tables`).  Working in chunks keeps
         the int64 words to a few hundred KB whatever the size of x.  Returns
         int32, in `out` if it is given.
         """
-        dtype = np.int32 if self.p == 2 else np.int64
-        tables = self._group_tables(_digits(images, self.p, self.n), self._slot_weights, dtype)
+        if self.p == 2:
+            tables = _xor_tables(np.asarray(images, dtype=np.int32), self._group)
+        else:
+            tables = self._group_tables(_digits(images, self.p, self.n), self._slot_weights,
+                                        np.int64)
         return self._apply(tables, x, self._slot_add, None if self.p == 2 else self._unslot,
                            np.int32, out)
 
@@ -651,20 +678,32 @@ class FieldCtx:
 
     # -- raw tables ----------------------------------------------------
 
-    @property
+    @cached_property
     def exp_table(self) -> np.ndarray:
-        return self._exp
+        """exp[k] = alpha^k, k < p^n - 1, as int32, built on first read:
+        the prefix itself if it is the whole table, else the prefix's
+        doubling continued from the images of alpha^B it ended with.  The
+        prefix then becomes a view of the table, so it is not held twice."""
+        P = self._prefix
+        if len(P) == self.period:
+            return P
+        exp = np.empty(self.period, dtype=np.int32)
+        exp[:len(P)] = P
+        self._double(exp, len(P), self._prefix_end)
+        self._prefix = exp[:len(P)]
+        return exp
 
     @cached_property
     def log_table(self) -> np.ndarray:
         """log[exp[k]] = k; log[0] = -1."""
         log = np.full(self.order, -1, dtype=np.int32)
-        log[self._exp] = np.arange(self.period, dtype=np.int32)
+        log[self.exp_table] = np.arange(self.period, dtype=np.int32)
         return log
 
     @cached_property
     def mseq(self) -> np.ndarray:
         """The m-sequence s_k = Tr(alpha^k), k = 0 .. p^n - 2, as int8."""
+        exp = self.exp_table
         if self.p == 2:
             # Tr is the parity of the digits selected by the trace basis
             t = sum(b << i for i, b in enumerate(self._trace_basis))
@@ -675,46 +714,87 @@ class FieldCtx:
 
             def parity(lo, hi):
                 o = out[lo:hi]
-                np.bitwise_count(np.bitwise_and(self._exp[lo:hi], t, out=masked[lo:hi]),
+                np.bitwise_count(np.bitwise_and(exp[lo:hi], t, out=masked[lo:hi]),
                                  out=o.view(np.uint8))
                 o &= 1
 
             run_blocks(parity, self.period, self.period)
             return out
-        return self._trace_map(self._trace_basis, self._exp)
+        return self._trace_map(self._trace_basis, exp)
+
+    @cached_property
+    def _blocks(self) -> tuple[list, list]:
+        """(digits, tables) of the blocks of exp for p = 2, with no exp table.
+
+        Block q of exp, exp[q B:(q + 1) B] with B = len(prefix), is the
+        prefix under multiplication by alpha^(q B), the GF(2)-linear map
+        whose images are alpha^(q B + i), i < n.  digits[g] is the intp
+        index of digit group g of each prefix entry, and tables[g][q] the
+        images of that group's patterns under block q's map: the (count, n)
+        images, made by doubling from those of alpha^B, give the tables of
+        every block in one batch (`_xor_tables`), 768 KB at (2,24).
+        """
+        P = self._prefix
+        imgs = np.empty((-(-self.period // len(P)), self.n), dtype=np.int32)
+        imgs[0] = self._place
+        self._double(imgs, 1, self._prefix_end)
+        tables = _xor_tables(imgs, self._group)
+        digits = [((P >> lo) & (table.shape[1] - 1)).astype(np.intp)
+                  for lo, table in tables]
+        return digits, [table for _, table in tables]
+
+    def _from_logs(self, k: np.ndarray) -> np.ndarray:
+        """alpha^k for p = 2 and integers 0 <= k < p^n - 1, from the blocks
+        of exp (`_blocks`) with no exp table."""
+        digits, tables = self._blocks
+        q, r = np.divmod(k, len(self._prefix))
+        x = tables[0][q, digits[0][r]]
+        for index, table in zip(digits[1:], tables[1:]):
+            x ^= table[q, index[r]]
+        return x
 
     def trace_windows(self, d: int):
-        """The bits s_(k d mod L) of the decimated m-sequence for p = 2,
-        block by block, read from exp without the m-sequence.
+        """The elements alpha^k and the bits s_(k d mod L) of the decimated
+        m-sequence for p = 2, block by block, with no exp table and no
+        m-sequence.
 
-        Returns (count, blocks), the blocks of k of `_decimation_split`:
-        blocks(q0, q1) yields (lo, bits) for the blocks q = q0 .. q1 - 1 of
-        the `count`, bits the uint8 s_(k d mod L) for k = lo .. lo +
-        len(bits) - 1, in a buffer that the next block overwrites.  With k =
-        q B + r (`_decimation_split`), alpha^(k d) = alpha^(q B d) V[r], V[r]
-        = alpha^(r d) = exp[r d mod L], and y -> Tr(alpha^(q B d) y) is the
-        parity of y & w_q, the mask whose bit i is Tr(alpha^(q B d + i)),
-        read from exp at n entries per block.  So a block is one AND with
-        the in-cache V, one bit count and one & 1, with no random read.
+        Returns (count, blocks): blocks(q0, q1) yields (x, bits) for the
+        blocks q = q0 .. q1 - 1 of the `count`, k = q B + r, r < B =
+        len(prefix): x the int32 alpha^k and bits the uint8 s_(k d mod L),
+        in buffers that the next block overwrites.  x is the prefix under
+        block q's map, one take per digit group and the XORs (`_blocks`).
+        alpha^(k d) = alpha^(q B d) V[r], V[r] = beta^r with beta = alpha^d,
+        made by the prefix's own doubling from beta's images, and y ->
+        Tr(alpha^(q B d) y) is the parity of y & w_q, the mask whose bit i
+        is Tr(alpha^(q B d + i)).  So the bits of a block are one AND with
+        the in-cache V, one bit count and one & 1.
         """
-        L, n = self.period, self.n
-        B, r = _decimation_split(L, d)
+        L, n, B = self.period, self.n, len(self._prefix)
         d %= L
-        t = sum(b << i for i, b in enumerate(self._trace_basis))   # Tr y = parity(y & t)
         count = -(-L // B)
-        V = self._exp.take(r)
-        idx = (_multiples(count, B * d, L).astype(np.int64)[:, None] + np.arange(n)) % L
-        w = np.bitwise_or.reduce((np.bitwise_count(self._exp[idx] & t) & 1).astype(np.int32)
-                                 << np.arange(n, dtype=np.int32), axis=1)
+        digits, tables = self._blocks
+        t = sum(b << i for i, b in enumerate(self._trace_basis))   # Tr y = parity(y & t)
+        i = np.arange(n)
+        V = np.empty(B, dtype=np.int32)
+        V[0] = 1
+        self._double(V, 1, self._from_logs((d + i) % L))
+        images = self._from_logs((_multiples(count, B * d, L)[:, None] + i) % L)
+        w = np.bitwise_or.reduce((np.bitwise_count(images & t) & 1).astype(np.int32) << i,
+                                 axis=1)
 
         def blocks(q0, q1):
-            masked = np.empty(B, dtype=np.int32)
+            x, part = np.empty(B, dtype=np.int32), np.empty(B, dtype=np.int32)
             bits = np.empty(B, dtype=np.uint8)
             for q in range(q0, q1):
                 m = min(B, L - q * B)
-                np.bitwise_count(np.bitwise_and(V[:m], w[q], out=masked[:m]), out=bits[:m])
-                bits[:m] &= 1
-                yield q * B, bits[:m]
+                xm, pm, bm = x[:m], part[:m], bits[:m]
+                # mode "clip" takes without a buffer; every pattern is in range
+                np.take(tables[0][q], digits[0][:m], out=xm, mode="clip")
+                for index, table in zip(digits[1:], tables[1:]):
+                    xm ^= np.take(table[q], index[:m], out=pm, mode="clip")
+                np.bitwise_count(np.bitwise_and(V[:m], w[q], out=pm), out=bm)
+                bm &= 1
+                yield xm, bm
 
         return count, blocks
 
@@ -738,7 +818,7 @@ class FieldCtx:
 
     def mul(self, a, b):
         log = self.log_table
-        r = self._exp[(log[a] + log[b]) % self.period] * ((a != 0) & (b != 0))
+        r = self.exp_table[(log[a] + log[b]) % self.period] * ((a != 0) & (b != 0))
         return r if isinstance(r, np.ndarray) else int(r)
 
     def inv(self, a):
@@ -749,16 +829,16 @@ class FieldCtx:
         if e < 0 and np.any(a == 0):
             raise ZeroDivisionError("zero to a negative power")
         k = self.log_table[a].astype(np.int64) * (e % self.period) % self.period
-        r = self._exp[k] * ((a != 0) | (e == 0))   # e = 0 reads exp[0] = 1
+        r = self.exp_table[k] * ((a != 0) | (e == 0))   # e = 0 reads exp[0] = 1
         return r if isinstance(r, np.ndarray) else int(r)
 
     def element_from_log(self, i: int) -> int:
-        return int(self._exp[i % self.period])
+        return int(self.exp_table[i % self.period])
 
     def frobenius(self, a, k: int = 1):
         """a^(p^k)."""
         e = self.log_table[a].astype(np.int64) * pow(self.p, k, self.period) % self.period
-        r = self._exp[e] * (a != 0)
+        r = self.exp_table[e] * (a != 0)
         return r if isinstance(r, np.ndarray) else int(r)
 
     def conj_half(self, a):
@@ -770,15 +850,15 @@ class FieldCtx:
     # -- traces ----------------------------------------------------------
 
     def _build_trace_basis(self) -> list[int]:
-        """Tr(alpha^i) = sum_k alpha^(i p^k), i < n, read from exp indices."""
-        tb = []
-        for i in range(self.n):
-            acc = 0
-            for k in range(self.n):
-                acc = self.add(acc, int(self._exp[i * self.p ** k % self.period]))
-            # acc lies in GF(p), i.e. packed value < p
-            tb.append(acc)
-        return tb
+        """Tr(alpha^i), i < n: the power sums p_i of the roots alpha^(p^k)
+        of the modulus, from its coefficients c_0 .. c_(n-1) by Newton's
+        identities, mod p: p_0 = n, p_i = -(i c_(n-i) + sum_(j=1..i-1)
+        c_(n-j) p_(i-j))."""
+        p, n, c = self.p, self.n, self.spec.coeffs
+        sums = [n % p]
+        for i in range(1, n):
+            sums.append(-(i * c[n - i] + sum(c[n - j] * sums[i - j] for j in range(1, i))) % p)
+        return sums
 
     @cached_property
     def _gram(self) -> np.ndarray:
@@ -804,7 +884,7 @@ class FieldCtx:
             raise OutOfDomain("unit circle needs n = 2m")
         m = self.n // 2
         logs = np.arange(self.p ** m + 1, dtype=np.int64) * (self.p ** m - 1)
-        return self._exp[logs % self.period]
+        return self.exp_table[logs % self.period]
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.n}), modulus={self.spec.coeffs})"

@@ -16,7 +16,8 @@ iterator of `DecimationClass` in representative order, which each check
 and `classify` reads once.  The classes missing from the cache are
 computed in that order, one after another, or, given threads > 1 and at
 least `gf._PARALLEL_MIN` elements of such work, on a pool of processes
-forked for the field and joined when the iterator ends (`_computed`);
+forked for the field and joined when the iterator ends (`_computed`),
+which share the field's tables built before the fork;
 the records do not depend on which.  The computed records are appended to a
 `SpectrumCache`, if given, `_APPEND_EVERY` at a time, so a run stopped
 partway keeps them and the next computes only the rest.  The cache is a
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import Budget, OutOfDomain
 from . import families, gf
 from .gf import FieldCtx, factorize, field_ctx, inline_blocks
-from .spectra import class_record
+from .spectra import build_class_tables, class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
 _APPEND_EVERY = 64   # computed records per cache append
@@ -272,14 +273,19 @@ def _computed(ctx: FieldCtx, todo: list[int], threads: int):
 
 def _fork_pool(ctx: FieldCtx, threads: int):
     """A `ProcessPoolExecutor` of `threads` processes to be forked from
-    this one with no thread but the caller's alive: the block pools are
-    stopped first.  None, to compute here, where `fork` is no start method
-    or another thread stays alive.  The processes inherit the field
-    context through the fork; only d and the records are pickled."""
+    this one with no thread but the caller's alive: the field's tables that
+    `class_record` reads are built first (`build_class_tables`), inline, so
+    that no block pool is made only to be stopped, then the block pools are
+    stopped.  None, to compute here, where `fork` is no start method or
+    another thread stays alive.  The processes inherit the field context
+    and its tables through the fork, shared copy-on-write; only d and the
+    records are pickled."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
+    with gf.block_threads(1):
+        build_class_tables(ctx)
     gf.stop_blocks()
     if threading.active_count() > 1:
         return None

@@ -3,16 +3,17 @@
 The Walsh transform W(u) = sum_x w^(Tr(x^d) - <u,x>) is computed as a
 length-p^n transform over the additive group (Z_p)^n, one p-point butterfly
 stage per digit of x; no floating point anywhere.  The input puts f(x) =
-Tr(x^d) at x = alpha^k, read from the exp table, for every k, block by
-block, so that no index array of the field's size is built.  Odd p and
-p = 2 below `_PACKED_MIN` = 2^20 elements gather the m-sequence at the
-indices k d mod p^n - 1 (`gf.decimated`) and scatter it into an int8
-table.  p = 2 from 2^20 up reads no m-sequence:
-`gf.FieldCtx.trace_windows` gives the bits s_(k d) block by block from
-the in-cache exp entries at (r d) mod L, r < 2^16, and one linear form per
-block, and `_packed_input` adds each bit at bit exp[k] of a bit-packed
-table with `np.add.at`, 2 MB at 2^24 where the int8 one takes 16 MB, so
-that the random writes stay in the L2 cache.
+Tr(x^d) at x = alpha^k for every k, block by block, so that no index
+array of the field's size is built.  Odd p and p = 2 below `_PACKED_MIN` =
+2^20 elements gather the m-sequence at the indices k d mod p^n - 1
+(`gf.decimated`) and scatter it into an int8 table at the exp entries.
+p = 2 from 2^20 up reads neither the m-sequence nor the exp table, so
+neither is built: `gf.FieldCtx.trace_windows` gives each block's elements
+alpha^k from the exp prefix of 2^16 entries and in-cache tables of the
+block's linear map, and its bits s_(k d) from a table of 2^16 powers of
+alpha^d and one linear form per block, and `_packed_input` adds each bit
+at bit alpha^k of a bit-packed table with `np.add.at`, 2 MB at 2^24 where
+the int8 one takes 16 MB, so that the random writes stay in the L2 cache.
 
 Every stage runs at the width its numbers need, no wider, and every width
 is exact by a bound on the values, not by a check.  The scatter of the
@@ -38,7 +39,7 @@ bands of the output's columns into a buffer for the rest.  A field of one
 band (every one below 2^20) is transformed whole, in place.  The high half,
 n - n // 2 <= 12 bits at n <= 24 (the table bound), runs in int16 (|value|
 <= 2^12); int32 holds 2^24.  At (2,24) the int32 output, 64 MiB, is the
-only field-sized array made past the field's own tables.
+only field-sized array made.
 
 For odd p the transform runs in the group ring Z[Z_p]: each point carries
 p integer coordinates, the coefficients of 1, w, ..., w^(p-1), starting
@@ -486,19 +487,17 @@ def _require_real(data: np.ndarray, p: int) -> None:
 def _packed_input(ctx: FieldCtx, d: int) -> np.ndarray:
     """f(x) = Tr(x^d) for p = 2 as a bit-packed table, bit x mod 8 of byte
     x div 8 (the input of `_wht_2`), an eighth of the int8 one, so that
-    the random writes stay in cache.  f(x) for x = alpha^k comes in blocks
-    of k from `FieldCtx.trace_windows`, which reads no m-sequence, and is
-    added at bit exp[k] of a packed table, one per range of blocks
-    (`run_blocks` scratch).  exp is a permutation, so every bit is added
-    once, the sum is an OR, and the ranges' tables are OR-ed.  `np.add.at`
-    holds the interpreter lock, so only the rest of a range runs in
-    parallel."""
-    exp = ctx.exp_table
+    the random writes stay in cache.  The points x = alpha^k and the bits
+    f(x) come in blocks of k from `FieldCtx.trace_windows`, which reads no
+    exp table and no m-sequence, and each bit is added at bit x of a packed
+    table, one per range of blocks (`run_blocks` scratch).  exp is a
+    permutation, so every bit is added once, the sum is an OR, and the
+    ranges' tables are OR-ed.  `np.add.at` holds the interpreter lock, so
+    only the rest of a range (the points and the bits) runs in parallel."""
     count, blocks = ctx.trace_windows(d)
 
     def scatter(q0, q1, f):
-        for lo, bits in blocks(q0, q1):
-            x = exp[lo:lo + len(bits)]
+        for x, bits in blocks(q0, q1):
             np.add.at(f, x >> 3, bits << (x & 7).astype(np.uint8))
         return f
 
@@ -510,11 +509,25 @@ def _packed_input(ctx: FieldCtx, d: int) -> np.ndarray:
     return f
 
 
+def _packs(ctx: FieldCtx) -> bool:
+    """The field takes the packed p = 2 input (`_packed_input`)."""
+    return ctx.p == 2 and ctx.order >= _PACKED_MIN
+
+
+def build_class_tables(ctx: FieldCtx) -> None:
+    """Build the tables of ctx that `class_record` reads: the exp table and
+    the m-sequence, unless the field takes the packed p = 2 input, which
+    reads neither.  Processes forked after this share them copy-on-write
+    instead of each building its own."""
+    if not _packs(ctx):
+        ctx.mseq   # reads the exp table, which the scatter reads too
+
+
 def _transform_input(ctx: FieldCtx, d: int) -> np.ndarray:
     """The transform's input for f(x) = Tr(x^d): for p = 2, (-1)^f(x) in
     int16, or from `_PACKED_MIN` elements up f bit-packed (`_packed_input`);
     else the (p, p^n) uint8 indicator whose row c marks f(x) = c."""
-    if ctx.p == 2 and ctx.order >= _PACKED_MIN:
+    if _packs(ctx):
         return _packed_input(ctx, d)
     f_nonzero = decimated(ctx.mseq, d)   # f at x = alpha^k
     exp = ctx.exp_table

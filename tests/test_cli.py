@@ -360,6 +360,18 @@ def test_classify_streams_a_large_document():
     assert int(err) < 120 * 1024, f"peak RSS {int(err) / 1024:.0f} MB"
 
 
+def test_binary_spectrum_peak_rss():
+    # at (2,24) the int32 transform output, 64 MB, is the only field-sized
+    # array `spectrum` makes: no exp table (64 MB, which read 173 MB here)
+    # and no m-sequence
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "spectrum", "--p", "2", "--n", "24",
+         "--d", "12345679"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("{")
+    assert int(proc.stderr) < 130 * 1024, f"peak RSS {int(proc.stderr) / 1024:.0f} MB"
+
+
 def _cached_reps(directory):
     """The d of every record file in a spectrum cache directory, in the
     order they were appended: each file's d ascend from its first."""

@@ -1,10 +1,12 @@
 """Field construction: canonical polynomials, tables, traces, unit circle."""
 
 import hashlib
+import itertools
 import random
 import sys
 import threading
 import time
+from math import gcd
 
 import numpy as np
 import pytest
@@ -402,6 +404,101 @@ def test_tables_match_polynomial_oracle_on_largest_fields(p, n):
                 v = _poly_mod(_poly_mul(v, sq, p), mod, p)
         assert int(ctx.exp_table[k]) == sum(c * p ** i for i, c in enumerate(v)), (p, n, k)
         assert int(ctx.mseq[k]) == sum(c * t for c, t in zip(v, tr_basis)) % p, (p, n, k)
+
+
+def _last_primitive(p, n):
+    """The lexicographically greatest primitive modulus of degree n, as
+    c_0 .. c_(n-1): the far end of the canonical one's search."""
+    for lex in itertools.product(range(p - 1, -1, -1), repeat=n):   # (c_(n-1), ..., c_0)
+        if gf.is_primitive(p, n, lex[::-1]):
+            return lex[::-1]
+    raise AssertionError((p, n))
+
+
+def test_trace_basis_matches_sums_of_exp_entries():
+    # the trace basis comes from the modulus by Newton's identities; the
+    # oracle sums the conjugates, Tr(alpha^i) = sum_k exp[i p^k mod L], on
+    # every canonical field up to 2^16 and one other modulus per prime
+    fields = [gf.FieldSpec(p, n, c) for (p, n), c in sorted(gf._CANONICAL.items())
+              if p ** n <= 2 ** 16]
+    fields += [gf.FieldSpec(p, n, _last_primitive(p, n))
+               for p, n in ((2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3))]
+    assert all(s.coeffs != gf._CANONICAL[s.p, s.n] for s in fields[-6:])
+    for spec in fields:
+        ctx = gf.FieldCtx(spec)
+        want = []
+        for i in range(ctx.n):
+            acc = 0
+            for k in range(ctx.n):
+                acc = ctx.add(acc, int(ctx.exp_table[i * ctx.p ** k % ctx.period]))
+            want.append(acc)
+        assert ctx._trace_basis == want, spec
+
+
+def _doubled_exp(ctx):
+    """exp doubled from alpha in one pass, exp[k:2k] = alpha^k exp[:k]:
+    the construction that the prefix and its continuation split in two."""
+    p, n, L = ctx.p, ctx.n, ctx.period
+    exp = np.empty(L, dtype=np.int32)
+    exp[0] = 1
+    alpha_n = sum((-c) % p * p ** i for i, c in enumerate(ctx.spec.coeffs))
+    imgs = np.array([p ** i for i in range(1, n)] + [alpha_n], dtype=np.int32)
+    k = 1
+    while k < L:
+        m = min(k, L - k)
+        exp[k:k + m] = ctx._linear_map(imgs, exp[:m])
+        imgs = ctx._linear_map(imgs, imgs)
+        k += m
+    return exp
+
+
+def test_continued_exp_table_matches_one_doubling(monkeypatch):
+    # a context makes only the prefix exp[:B], B = min(_CHUNK, L); the
+    # first read of the exp table continues its doubling from the images
+    # of alpha^B.  Byte for byte the one-pass doubling, on every canonical
+    # field up to 2^20 (those past 2^16 continue their prefix), and with
+    # prefixes of 2^6 entries on those up to 2^12
+    for chunk, top in ((gf._CHUNK, 2 ** 20), (2 ** 6, 2 ** 12)):
+        monkeypatch.setattr(gf, "_CHUNK", chunk)
+        for (p, n), coeffs in sorted(gf._CANONICAL.items()):
+            if p ** n > top:
+                continue
+            ctx = gf.FieldCtx(gf.FieldSpec(p, n, coeffs))
+            assert "exp_table" not in vars(ctx) and len(ctx._prefix) == min(chunk, ctx.period)
+            exp = ctx.exp_table
+            assert exp.dtype == np.int32 and exp.tobytes() == _doubled_exp(ctx).tobytes(), \
+                (chunk, p, n)
+            # the prefix is not held twice once the table is made
+            assert np.shares_memory(ctx._prefix, exp), (chunk, p, n)
+
+
+def test_trace_windows_match_exp_and_decimated_mseq(monkeypatch):
+    # with prefixes of 2^6 entries every field from (2,7) up has many
+    # blocks, the last one short; read over two ranges split at a seeded
+    # block, the points must be the exp table and the bits the decimated
+    # m-sequence, for degenerate, coprime and other d and a d past L, and
+    # making them must build no exp table
+    monkeypatch.setattr(gf, "_CHUNK", 2 ** 6)
+    rng = random.Random(31)
+    for n in range(3, 17):
+        ctx = gf.FieldCtx(gf.field_ctx(2, n).spec)
+        L = ctx.period
+        ds = [1, 2 ** (n - 1), rng.randrange(L), L + rng.randrange(L)] + \
+            [d for d in rng.sample(range(2, L), min(L - 2, 8)) if gcd(d, L) == 1][:2]
+        got = {}
+        for d in ds:
+            count, blocks = ctx.trace_windows(d)
+            assert count == -(-L // 2 ** 6)
+            split = rng.randrange(count + 1)
+            got[d] = [(x.copy(), bits.copy())
+                      for q0, q1 in ((0, split), (split, count)) for x, bits in blocks(q0, q1)]
+        assert "exp_table" not in vars(ctx), n
+        for d, windows in got.items():
+            x = np.concatenate([x for x, _ in windows])
+            bits = np.concatenate([b for _, b in windows])
+            assert x.dtype == np.int32 and np.array_equal(x, ctx.exp_table), (n, d)
+            assert bits.dtype == np.uint8 and np.array_equal(bits, gf.decimated(ctx.mseq, d)), \
+                (n, d)
 
 
 def test_lazy_tables_are_thread_safe():

@@ -158,11 +158,11 @@ def _written_reps(directory):
 
 
 @contextlib.contextmanager
-def _forks():
-    """The number of threads alive at each fork made inside the with
-    statement, in a list."""
+def _forks(observe=threading.active_count):
+    """observe() at each fork made inside the with statement, by default
+    the number of threads alive, in a list."""
     seen, recording = [], [True]
-    os.register_at_fork(before=lambda: recording[0] and seen.append(threading.active_count()))
+    os.register_at_fork(before=lambda: recording[0] and seen.append(observe()))
     try:
         yield seen
     finally:
@@ -316,6 +316,29 @@ def test_threads_deterministic(fork_pool):
     for a, b in zip(serial, threaded):
         assert _same_record(a, b.rows, b.counts)
         assert (a.rows.dtype, a.counts.dtype) == (b.rows.dtype, b.counts.dtype)
+
+
+@pytest.mark.parametrize("p,n,packed", [(3, 5, False), (2, 10, False), (2, 10, True)])
+def test_fork_pool_shares_the_tables_class_record_reads(p, n, packed, monkeypatch, fork_pool):
+    # the pool's processes inherit, built before the fork, the tables that
+    # `class_record` reads: the exp table and the m-sequence for odd p and
+    # below the packed p = 2 input, neither from it up.  Prefixes of 2^6
+    # entries keep (2,10)'s exp table apart from its prefix, and the packed
+    # input is lowered to 2^3 elements for it; the parent computes no class
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    monkeypatch.setattr(gf, "_CHUNK", 2 ** 6)
+    if packed:
+        monkeypatch.setattr(spectra, "_PACKED_MIN", 2 ** 3)
+    ctx = gf.field_ctx(p, n)
+    built = lambda: {"exp_table", "mseq"} & vars(ctx).keys()
+    with _forks(built) as seen:
+        pooled = list(search.canonical_classes(p, n, threads=2))
+    tables = set() if packed else {"exp_table", "mseq"}
+    assert seen == [tables] * 2 and built() == tables
+    assert fork_pool == [1] * 2
+    serial = list(search.canonical_classes(p, n))
+    assert [c.rep for c in serial] == [c.rep for c in pooled]
+    assert all(_same_record(a, b.rows, b.counts) for a, b in zip(serial, pooled))
 
 
 def test_small_fields_pay_no_fork():

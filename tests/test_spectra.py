@@ -328,12 +328,15 @@ def test_spectrum_builds_no_log_or_trace_table():
     class_record(ctx, 5)
     assert "log_table" not in vars(ctx) and "trace_table" not in vars(ctx)
     assert "mseq" in vars(ctx)
+    below = ctx
     # from the packed input up, the m-sequence is not built either
     ctx = gf.field_ctx(2, 20)
     assert ctx.order >= spectra._PACKED_MIN
     class_record(ctx, 7)
     assert "log_table" not in vars(ctx) and "trace_table" not in vars(ctx)
     assert "mseq" not in vars(ctx)
+    # nor the full exp table, which the field below the packed input reads
+    assert "exp_table" in vars(below) and "exp_table" not in vars(ctx)
 
 
 def test_gold_n5_distribution():
@@ -525,6 +528,25 @@ def test_spectrum_is_modulus_invariant(p, n):
         ctx = gf.field_ctx(p, n, coeffs)
         for d, record in zip(ds, ref):
             assert _same(class_record(ctx, d), record), (coeffs, d)
+
+
+def test_packed_spectrum_is_modulus_invariant():
+    # (2,20) takes the packed input, which the grid above never reaches:
+    # the canonical modulus x^20 + x^3 + 1 and its reciprocal x^20 + x^17 +
+    # 1, also primitive, give one record for three seeded coprime d
+    ctx = gf.field_ctx(2, 20)
+    assert ctx.order >= spectra._PACKED_MIN
+    coeffs = ctx.spec.coeffs
+    reciprocal = gf.field_ctx(2, 20, (1,) + coeffs[:0:-1])   # c_j -> c_(n-j), c_0 = 1
+    assert reciprocal.spec.coeffs == tuple(int(j in (0, 17)) for j in range(20))
+    rng = random.Random(220)
+    ds = []
+    while len(ds) < 3:
+        d = rng.randrange(3, ctx.period)
+        if gcd(d, ctx.period) == 1 and d not in gf.degenerate_set(2, 20):
+            ds.append(d)
+    for d in ds:
+        assert _same(class_record(reciprocal, d), class_record(ctx, d)), d
 
 
 def test_spectrum_keys_are_real():
