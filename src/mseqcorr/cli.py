@@ -16,6 +16,12 @@ values of a `classify` class, is a `spectra.Entries` of its arrays, and
 its text is written from one template per row: the largest string made is
 one record's text.
 
+`classify` and `conjecture` are one handler, `_cmd_classes`, with one set
+of options (`_add_class_args`): for each requested degree it builds one
+class stream (`search.canonical_classes`) and runs one reducer of
+`search` over it, the classification or the `--check`; every check takes
+(p, n).  `expsum` rejects an option its `--kind` does not read.
+
 `spectrum --threads N` runs each field-sized pass on N threads (see
 `gf.run_blocks`).  `classify` and `conjecture --threads N` compute a
 field's missing classes on N processes forked for that field, each
@@ -26,9 +32,10 @@ threads.  N defaults to the available cores for all three.
 
 Exit codes: 0 success, 1 computation-level finding (verification mismatch
 or conjecture counterexample), 2 usage error, 3 internal error.  The code
-is decided by the exception type alone: `errors.OutOfDomain`,
-`errors.Budget` and `OSError` (from a path the user gave) are usage
-errors; any other exception is a bug and prints its traceback.
+is decided by the exception type alone: `errors.OutOfDomain` (also raised
+for the arguments the parser rejects), `errors.Budget` and `OSError` (from
+a path the user gave) are usage errors; any other exception is a bug and
+prints its traceback.
 """
 
 from __future__ import annotations
@@ -290,6 +297,18 @@ def _cmd_niho(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
+    # the parser leaves out every option not given: one the kind does not
+    # read is an error, and one it reads takes its default here
+    reads = {"kloosterman": {"p", "m", "a_log", "a_zero"},
+             "cubic": {"p", "n", "a_log", "a_zero", "b_log", "b_zero"},
+             "g": {"p", "n", "a_log", "a_zero", "b_log", "b_zero"},
+             "r": {"m"}, "op6": {"n", "k"}}[args.kind]
+    unread = sorted(vars(args).keys() - reads - {"command", "fn", "kind"})
+    if unread:
+        raise OutOfDomain(f"expsum --kind {args.kind} reads no "
+                          + ", ".join("--" + k.replace("_", "-") for k in unread))
+    args = argparse.Namespace(**{"p": 2, "m": 0, "n": 0, "k": 0, "a_log": 0, "b_log": 0,
+                                 "a_zero": False, "b_zero": False} | vars(args))
     if args.kind == "kloosterman":
         ctx = field_ctx(args.p, args.m)
         a = 0 if args.a_zero else ctx.element_from_log(args.a_log)
@@ -338,36 +357,21 @@ def _degrees(args) -> range:
     return ns
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classes(args) -> int:
+    """`classify` and `conjecture`: for each degree, one class stream
+    (`search.canonical_classes`) read by one reducer of `search`, the
+    classification or the `--check`; the reports are printed as one list,
+    and the exit code is 1 if any of them does not hold."""
+    reduce = {"classify": search.classify_by_value_count,
+              "minus-one": search.check_minus_one,
+              "three-valued": search.three_valued_completeness}[args.check]
     with block_threads(args.threads):   # checks --threads before any work
         ns = _degrees(args)
         cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
-        out = []
-        for n in ns:
-            buckets: dict[str, list] = {}   # by value count; `_emit` sorts the keys
-            for c in search.canonical_classes(args.p, n, cache=cache, threads=args.threads):
-                buckets.setdefault(str(len(c.counts)), []).append(
-                    {"rep": c.rep, "members": len(c.members),
-                     "values": spectra.Entries(args.p, c.rows)})
-            out.append({"p": args.p, "n": n, "buckets": buckets})
-    _emit(out)
-    return 0
-
-
-def _cmd_conjecture(args) -> int:
-    if args.check == "op6":   # the one check that takes no (p, n)
-        rep = expsums.conjectured_sum_identities(args.n, args.k)
-        _emit([{"check": "op6", **rep}])
-        return 0 if rep["both_equal"] else 1
-    # each check runs over one (p, n); its report has `holds` and `to_dict`
-    check = {"minus-one": search.check_minus_one,
-             "three-valued": search.three_valued_completeness}[args.check]
-    with block_threads(args.threads):   # checks --threads before any work
-        ns = _degrees(args)
-        cache = search.SpectrumCache(args.cache_dir) if args.cache_dir else None
-        reports = [check(args.p, n, cache=cache, threads=args.threads) for n in ns]
-    _emit([r.to_dict() for r in reports])
-    return 0 if all(r.holds for r in reports) else 1
+        results = [reduce(args.p, n, search.canonical_classes(
+            args.p, n, cache=cache, threads=args.threads)) for n in ns]
+    _emit([report for report, _ in results])
+    return 0 if all(holds for _, holds in results) else 1
 
 
 # ----------------------------------------------------------------------
@@ -383,13 +387,29 @@ def _add_field_args(sp, with_d=False):
                         help="decimation, integer or fraction d1/d2 mod p^n-1")
 
 
-_CLASS_THREADS_HELP = ("processes that compute a field's missing classes once their work "
-                       "reaches 2^21 elements, each on one thread; 1: one thread; "
-                       f"default: the available cores ({CORES} here)")
+def _add_class_args(sp):
+    """The options of `classify` and `conjecture`."""
+    sp.add_argument("--p", type=int, required=True, help="prime characteristic")
+    sp.add_argument("--n", type=int, default=0, help="one extension degree")
+    sp.add_argument("--max-n", type=int, default=0, help="every degree 2..MAX_N")
+    sp.add_argument("--cache-dir", default=os.environ.get("MSEQCORR_CACHE_DIR", ""),
+                    help="spectrum cache directory; default: $MSEQCORR_CACHE_DIR")
+    sp.add_argument("--threads", type=int, default=CORES,
+                    help="processes that compute a field's missing classes once their "
+                         "work reaches 2^21 elements, each on one thread; 1: one thread; "
+                         f"default: the available cores ({CORES} here)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and its subcommands' parsers) whose errors are
+    `OutOfDomain`, printed as every other usage error is."""
+
+    def error(self, message):
+        raise OutOfDomain(f"{self.prog}: {message} (see {self.prog} --help)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mseqcorr",
         description="Exact crosscorrelation and Walsh spectra of p-ary "
                     "m-sequence decimation pairs",
@@ -434,15 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check-identity", action="store_true")
     sp.set_defaults(fn=_cmd_niho)
 
-    sp = sub.add_parser("expsum", help="auxiliary exponential sums")
+    sp = sub.add_parser("expsum", help="auxiliary exponential sums",
+                        argument_default=argparse.SUPPRESS)   # see _cmd_expsum
     sp.add_argument("--kind", required=True,
                     choices=("kloosterman", "cubic", "g", "r", "op6"))
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--a-log", type=int, default=0)
-    sp.add_argument("--b-log", type=int, default=0)
+    for option in ("--p", "--m", "--n", "--k", "--a-log", "--b-log"):
+        sp.add_argument(option, type=int)
     sp.add_argument("--a-zero", action="store_true")
     sp.add_argument("--b-zero", action="store_true")
     sp.set_defaults(fn=_cmd_expsum)
@@ -451,38 +468,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp, with_d=True)
     sp.set_defaults(fn=_cmd_code_weights)
 
-    default_cache = os.environ.get("MSEQCORR_CACHE_DIR", "")
-
     sp = sub.add_parser("classify", help="exhaustive classification by value count")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--max-n", type=int, default=0)
-    sp.add_argument("--cache-dir", default=default_cache)
-    sp.add_argument("--threads", type=int, default=CORES, help=_CLASS_THREADS_HELP)
-    sp.set_defaults(fn=_cmd_classify)
+    _add_class_args(sp)
+    sp.set_defaults(fn=_cmd_classes, check="classify")
 
     sp = sub.add_parser("conjecture", help="finite evidence checks")
-    sp.add_argument("--check", required=True,
-                    choices=("minus-one", "three-valued", "op6"))
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--max-n", type=int, default=0)
-    sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--cache-dir", default=default_cache)
-    sp.add_argument("--threads", type=int, default=CORES, help=_CLASS_THREADS_HELP)
-    sp.set_defaults(fn=_cmd_conjecture)
+    sp.add_argument("--check", required=True, choices=("minus-one", "three-valued"))
+    _add_class_args(sp)
+    sp.set_defaults(fn=_cmd_classes)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as e:   # from --help
+        return 2 if e.code not in (0, None) else 0
     except (MseqCorrError, OSError) as e:
         print(f"usage error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -12,8 +12,12 @@ values ascending, then the others in the lexicographic order of their
 coordinates.
 
 `canonical_classes` is the one pass over the classes of a field: an
-iterator of `DecimationClass` in representative order, which each check
-and `classify` reads once.  The classes missing from the cache are
+iterator of `DecimationClass` in representative order.  `classify` and
+each conjecture check are reducers that read it once:
+`classify_by_value_count`, `check_minus_one` and
+`three_valued_completeness` each take (p, n, classes) and return the
+report of that degree, a dict, and whether it holds; none builds a stream
+of its own.  The classes missing from the cache are
 computed in that order, one after another, or, given threads > 1 and at
 least `gf._PARALLEL_MIN` elements of such work, on a pool of processes
 forked for the field and joined when the iterator ends (`_computed`),
@@ -27,8 +31,8 @@ fails the array checks of `_split` is deleted, counted on stderr, and its
 classes computed again.  The JSON-lines files of earlier versions
 (`spectra_p*_n*.jsonl`) are no longer read and may be deleted.
 
-A conjecture check that FAILS is a reportable finding (recorded in the
-returned report), never a crash.
+A conjecture check that FAILS is a reportable finding (recorded in its
+report, with a false verdict), never a crash.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ import tempfile
 import threading
 import time
 import zipfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -50,7 +54,7 @@ import numpy as np
 from .errors import Budget, OutOfDomain
 from . import families, gf
 from .gf import FieldCtx, factorize, field_ctx, inline_blocks
-from .spectra import build_class_tables, class_record
+from .spectra import Entries, build_class_tables, class_record
 
 CLASSIFY_MAX_ORDER = 2 ** 24
 _APPEND_EVERY = 64   # computed records per cache append
@@ -322,29 +326,23 @@ def _forked_record(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Conjecture evidence
+# Reducers: the report of one (p, n) from its class stream
 # ----------------------------------------------------------------------
 
-@dataclass
-class MinusOneReport:
-    """Evidence that -1 occurs in every qualifying spectrum at (p, n)."""
-
-    p: int
-    n: int
-    holds: bool
-    checked_classes: int
-    counterexamples: list[int] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "minus-one", "p": self.p, "n": self.n,
-            "holds": self.holds, "checked_classes": self.checked_classes,
-            "counterexamples": self.counterexamples,
-        }
+def classify_by_value_count(p: int, n: int,
+                            classes: Iterable[DecimationClass]) -> tuple[dict, bool]:
+    """The classes bucketed by their number of distinct values, each with
+    its representative, its size and its values; it always holds."""
+    buckets: dict[str, list] = {}   # by value count; the JSON writer sorts the keys
+    for cls in classes:
+        buckets.setdefault(str(len(cls.counts)), []).append(
+            {"rep": cls.rep, "members": len(cls.members), "values": Entries(p, cls.rows)})
+    return {"p": p, "n": n, "buckets": buckets}, True
 
 
-def check_minus_one(p: int, n: int, **kw) -> MinusOneReport:
+def check_minus_one(p: int, n: int, classes: Iterable[DecimationClass]) -> tuple[dict, bool]:
     """For every coprime d with d = 1 mod p-1: some a != 0 has W_d(a) = 0.
+    It holds when no class is a counterexample.
 
     Degenerate d hold trivially (-1 at every nonzero shift); the qualifying
     set is closed under the class moves, so one check per class suffices.
@@ -352,41 +350,20 @@ def check_minus_one(p: int, n: int, **kw) -> MinusOneReport:
     minus_one = [-1] + [0] * (p - 2)
     counter = []
     checked = 0
-    for cls in canonical_classes(p, n, **kw):
+    for cls in classes:
         if (cls.rep - 1) % (p - 1):
             continue
         checked += 1
         if not (cls.rows == minus_one).all(axis=1).any():
             counter.append(cls.rep)
-    return MinusOneReport(p=p, n=n, holds=not counter,
-                          checked_classes=checked, counterexamples=counter)
+    return {"check": "minus-one", "p": p, "n": n, "holds": not counter,
+            "checked_classes": checked, "counterexamples": counter}, not counter
 
 
-@dataclass
-class CompletenessReport:
-    """Exhaustive three-valued classes vs the catalog's predictions."""
-
-    p: int
-    n: int
-    holds: bool   # the found and the predicted classes are the same set
-    found_reps: list[int]
-    predicted_reps: list[int]
-    unexplained: list[int]
-    missing: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "three-valued-completeness", "p": self.p, "n": self.n,
-            "exact_match": self.holds,
-            "found": self.found_reps, "predicted": self.predicted_reps,
-            "unexplained": self.unexplained, "missing": self.missing,
-        }
-
-
-def three_valued_completeness(p: int, n: int, **kw) -> CompletenessReport:
+def three_valued_completeness(p: int, n: int,
+                              classes: Iterable[DecimationClass]) -> tuple[dict, bool]:
     """Compare the exhaustive three-valued classes with the classes of the
-    catalog-predicted d."""
-    classes = canonical_classes(p, n, **kw)
+    catalog-predicted d.  It holds when the two are the same set."""
     predicted_d = set(families.three_valued_decimations(p, n))
     found, predicted = [], []
     for cls in classes:
@@ -396,7 +373,7 @@ def three_valued_completeness(p: int, n: int, **kw) -> CompletenessReport:
             predicted.append(cls.rep)
     unexplained = sorted(set(found) - set(predicted))
     missing = sorted(set(predicted) - set(found))
-    return CompletenessReport(
-        p=p, n=n, holds=not unexplained and not missing,
-        found_reps=found, predicted_reps=predicted,
-        unexplained=unexplained, missing=missing)
+    holds = not unexplained and not missing
+    return {"check": "three-valued-completeness", "p": p, "n": n, "exact_match": holds,
+            "found": found, "predicted": predicted,
+            "unexplained": unexplained, "missing": missing}, holds

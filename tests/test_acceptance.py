@@ -206,14 +206,15 @@ def test_criterion_9_open_problem_evidence():
     t0 = time.time()
     ok = True
     for n in range(2, 15):
-        ok &= search.check_minus_one(2, n).holds
-        rep = search.three_valued_completeness(2, n)
-        ok &= rep.holds
+        classes = list(search.canonical_classes(2, n))   # one stream, both checks
+        ok &= search.check_minus_one(2, n, classes)[1]
+        rep, holds = search.three_valued_completeness(2, n, classes)
+        ok &= holds
         if n in (4, 8):
-            ok &= rep.found_reps == []
+            ok &= rep["found"] == []
     for n in range(2, 8):
-        ok &= search.check_minus_one(3, n).holds
-    ok &= search.three_valued_completeness(3, 4).found_reps == []
+        ok &= search.check_minus_one(3, n, search.canonical_classes(3, n))[1]
+    ok &= search.three_valued_completeness(3, 4, search.canonical_classes(3, 4))[0]["found"] == []
     for n, k in ((5, 2), (7, 2), (7, 3), (9, 2), (11, 3), (13, 5)):
         ok &= expsums.conjectured_sum_identities(n, k)["both_equal"]
     _report(9, "minus-one, completeness, and sum-identity evidence",

@@ -553,6 +553,13 @@ DOMAIN_ERRORS = {
     "conjecture --check minus-one --p 2 --n 4 --threads 0",
     "conjecture --check three-valued --p 2 --n 4 --threads -3",
     "spectrum --p 2 --n 5 --d 3 --threads 0",
+    # conjecture runs over (p, n) only: no op6, no --k, no default p
+    "conjecture --check op6 --n 7 --k 3",
+    "conjecture --check minus-one --p 2 --n 6 --k 3",
+    "conjecture --check minus-one --n 6",
+    # an expsum option the kind does not read
+    "expsum --kind r --m 3 --p 3 --n 9",
+    "expsum --kind kloosterman --p 2 --m 3 --n 5 --b-log 4",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -673,10 +680,40 @@ def test_conjecture_three_valued(capsys):
     assert json.loads(out)[0]["found"] == []
 
 
-def test_conjecture_op6(capsys):
-    code, out, _ = run_cli("conjecture", "--check", "op6", "--n", "7", "--k", "3",
-                           capsys=capsys)
-    assert code == 0
+# each command and the reducer of `search` it runs over one class stream
+REDUCERS = {"classify": search.classify_by_value_count,
+            "conjecture --check minus-one": search.check_minus_one,
+            "conjecture --check three-valued": search.three_valued_completeness}
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 3)])
+def test_reducers_over_one_stream_give_the_printed_reports(p, n, capsys):
+    classes = list(search.canonical_classes(p, n))
+    for command, reduce in REDUCERS.items():
+        code, out, _ = run_cli(*command.split(), "--p", str(p), "--n", str(n), capsys=capsys)
+        report, holds = reduce(p, n, classes)
+        assert (code, out) == (0 if holds else 1, _emitted([report], capsys)), command
+
+
+@pytest.mark.parametrize("command", REDUCERS)
+def test_one_class_stream_per_degree(command, monkeypatch, capsys):
+    calls = []
+    stream = search.canonical_classes
+    monkeypatch.setattr(search, "canonical_classes",
+                        lambda p, n, **kw: (calls.append((p, n)), stream(p, n, **kw))[1])
+    code, out, _ = run_cli(*command.split(), "--p", "3", "--max-n", "5", capsys=capsys)
+    assert code == 0 and len(json.loads(out)) == 4
+    assert calls == [(3, 2), (3, 3), (3, 4), (3, 5)]
+
+
+def test_conjecture_finding_exits_1(monkeypatch, capsys):
+    # with no catalog prediction every three-valued class is unexplained
+    monkeypatch.setattr(search.families, "three_valued_decimations", lambda p, n: [])
+    code, out, _ = run_cli("conjecture", "--check", "three-valued", "--p", "2",
+                           "--max-n", "5", capsys=capsys)
+    docs = json.loads(out)
+    assert code == 1 and [doc["exact_match"] for doc in docs] == [True, False, True, False]
+    assert docs[-1]["unexplained"] == docs[-1]["found"] == [3, 5]
 
 
 def test_modulus_file_flag(tmp_path, capsys):
@@ -770,7 +807,6 @@ EMITTING_ARGV = [
     "classify --p 2 --max-n 4",   # an empty buckets dict at n = 2 beside non-empty ones
     "conjecture --check minus-one --p 2 --max-n 6",
     "conjecture --check three-valued --p 3 --n 4",
-    "conjecture --check op6 --n 7 --k 3",
 ]
 
 

@@ -111,19 +111,19 @@ def test_classify_buckets_gf64_three_valued_matches_catalog():
 
 
 def test_minus_one_reports():
-    rep = search.check_minus_one(2, 8)
-    assert rep.holds and not rep.counterexamples
-    rep3 = search.check_minus_one(3, 4)
-    assert rep3.holds
+    rep, holds = search.check_minus_one(2, 8, search.canonical_classes(2, 8))
+    assert holds and rep["holds"] and not rep["counterexamples"]
+    rep3, holds3 = search.check_minus_one(3, 4, search.canonical_classes(3, 4))
+    assert holds3 and rep3["holds"]
     # all coprime d qualify for p = 2 and p = 3 (d is odd automatically)
-    assert rep.checked_classes == len(search.class_partition(2, 8))
+    assert rep["checked_classes"] == len(search.class_partition(2, 8))
 
 
 def test_completeness_small_grid():
     for p, n in ((2, 5), (2, 6), (2, 7), (3, 3), (3, 5), (5, 3)):
-        rep = search.three_valued_completeness(p, n)
-        assert rep.holds, rep.to_dict()
-        assert rep.unexplained == [] and rep.missing == []
+        rep, holds = search.three_valued_completeness(p, n, search.canonical_classes(p, n))
+        assert holds and rep["exact_match"], rep
+        assert rep["unexplained"] == [] and rep["missing"] == []
 
 
 def test_budget_guard():
