@@ -707,11 +707,6 @@ def get_family(family_id: str) -> FamilyDescriptor:
     raise OutOfDomain(f"unknown family {family_id!r}")
 
 
-def predicted_spectrum(family_id: str, p: int, n: int, params: dict):
-    """Exact predicted table (or admissible value set) for one instance."""
-    return get_family(family_id).predicted(p, n, params)
-
-
 THREE_VALUED_FAMILY_IDS = (
     "gold", "kasami-welch", "cusick-dobbertin-a", "cusick-dobbertin-b",
     "welch", "niho-hx", "welch-ternary", "katz-langevin",

@@ -101,9 +101,12 @@ s_{t+tau} - s_{dt} = r (exact integer correlations of residue indicators,
 `lfsr.correlation_counts`) and is the oracle the transform is tested
 against.
 
-The moment identities are checked from one transform of d.  The power sums
-sum C, sum C^2 and sum C^3 over all shifts are sums over the histogram,
-(value - 1)^l * count (`power_sum`).  Each sampled shifted sum
+The moments report is one function of one transform of d
+(`moment_identity_check`).  One pass over the histogram gives the power
+sums P_l = sum W(a)^l over a != 0, l = 0 .. 4 (`power_sums`, one running
+product per distinct value); sum C, sum C^2 and sum C^3 over all shifts
+are their binomial combinations, C = W - 1, and the printed power
+moments are the P_l themselves.  Each sampled shifted sum
 sum_tau C(tau - t) C(tau) is one int64 matrix product of `by_log` minus 1
 with its roll by t, whose (i, j) entries are folded onto w^((i + j) mod p).
 p = 2 is the case of one coordinate.
@@ -112,9 +115,9 @@ p = 2 is the case of one coordinate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -693,19 +696,20 @@ class Entries:
 # Moments and solution counts
 # ----------------------------------------------------------------------
 
-def power_sum(p: int, rows: np.ndarray, counts: np.ndarray, l: int,
-              shift: int = 0) -> CycInt:
-    """sum (value + shift)^l * count over the distinct values of a record,
-    exact in Z[w].  On a spectrum, shift 0 gives the power sums of C over
-    all shifts (l = 1 gives 1).  On the histogram of W(a), a != 0
-    (`WalshTable.unique_values`), shift -1 gives the same sums, and shift
-    0 those of W, the power moments of W for l >= 1 (W(0) = 0 for
-    invertible d)."""
-    acc = CycInt.zero(p)
+def power_sums(p: int, rows: np.ndarray, counts: np.ndarray, top: int) -> list[CycInt]:
+    """[sum value^l * count for l = 0 .. top] over the distinct values of a
+    record, exact in Z[w], in one pass over the rows: each row's powers are
+    one running product.  On the histogram of W(a), a != 0
+    (`WalshTable.unique_values`), these are the sums P_l of W(a)^l; those
+    of C = W - 1 are their binomial combinations (`moment_identity_check`)."""
+    sums = [CycInt.zero(p)] * (top + 1)
     for row, c in zip(rows.tolist(), counts.tolist()):
-        row[0] += shift
-        acc = acc + CycInt(p, row) ** l * c
-    return acc
+        value, power = CycInt(p, row), CycInt.from_int(p, c)
+        sums[0] += power
+        for l in range(1, top + 1):
+            power = power * value
+            sums[l] += power
+    return sums
 
 
 def _power_sum_count(ctx: FieldCtx, d: int, k: int, target: int, xs: np.ndarray) -> int:
@@ -741,49 +745,10 @@ def solution_count_N(ctx: FieldCtx, d: int, l: int) -> int:
     return _power_sum_count(ctx, d, l, 0, np.arange(ctx.order, dtype=np.int32))
 
 
-def b_l_count(ctx: FieldCtx, d: int, l: int) -> int:
-    """Count nonzero (x_1..x_{l-1}) with sum x_i = -1 and sum x_i^d = -1."""
-    if l not in (3, 4):
-        raise OutOfDomain("l must be 3 or 4")
-    if ctx.order ** (l - 2) > 2 ** 32:
-        raise Budget("enumeration exceeds 2^32")
-    return _power_sum_count(ctx, d, l - 1, ctx.neg(1), np.arange(1, ctx.order, dtype=np.int32))
-
-
-@dataclass
-class MomentReport:
-    """Exact verdicts for the first/second moment identities and b_3 form,
-    with the histogram of W(a), a != 0 (`WalshTable.unique_values`), that
-    they were read from."""
-
-    p: int
-    n: int
-    d: int
-    sum_c: CycInt
-    sum_c_ok: bool
-    autocorr_t0_ok: bool
-    shifted: list
-    shifted_ok: bool
-    b3: int
-    third_moment_ok: bool
-    histogram: tuple = field(repr=False, compare=False)
-
-    def all_pass(self) -> bool:
-        return self.sum_c_ok and self.autocorr_t0_ok and self.shifted_ok and self.third_moment_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "d": self.d,
-            "sum_values": self.sum_c.to_json(),
-            "sum_values_ok": self.sum_c_ok,
-            "second_moment_t0_ok": self.autocorr_t0_ok,
-            "second_moment_shifted": [[t, ok] for t, ok in self.shifted],
-            "second_moment_shifted_ok": self.shifted_ok,
-            "third_moment_vs_b3_ok": self.third_moment_ok,
-            "b3": self.b3,
-        }
+def b3_count(ctx: FieldCtx, d: int) -> int:
+    """Count the pairs of nonzero x_1, x_2 with x_1 + x_2 = -1 and
+    x_1^d + x_2^d = -1."""
+    return _power_sum_count(ctx, d, 2, ctx.neg(1), np.arange(1, ctx.order, dtype=np.int32))
 
 
 def _shifted_second_moment(wt: WalshTable, t: int) -> CycInt:
@@ -801,26 +766,35 @@ def _shifted_second_moment(wt: WalshTable, t: int) -> CycInt:
     return CycInt.from_counts(p, counts.tolist())
 
 
-def moment_identity_check(ctx: FieldCtx, d: int) -> MomentReport:
-    """Check sum C = 1, the shifted second moments at three shifts drawn
-    with `MOMENT_CHECK_SEED`, and the l = 3 moment against the brute-force
-    pair count b_3 (all exact)."""
+def moment_identity_check(ctx: FieldCtx, d: int) -> tuple[dict, bool]:
+    """The moments report of d and whether every identity holds: sum C = 1,
+    sum C^2 = p^(2n) - p^n - 1, the shifted second moments at three shifts
+    drawn with `MOMENT_CHECK_SEED`, and sum C^3 against the brute-force
+    pair count b_3 (all exact), with the power moments sum W(a)^l over
+    every a, l = 0 .. 4.  Every sum but the shifted ones is read from the
+    power sums P_l of the histogram of W(a), a != 0: sum C^l is
+    sum_k C(l, k) (-1)^(l - k) P_k, and sum W(a)^l over every a is P_l,
+    and 1 more at l = 0 for W(0)^0 (W(0) = 0 for invertible d)."""
     if ctx.order > MOMENT_CHECK_MAX_ORDER:
         raise Budget("moment identity check is grid-bounded")
     _require_coprime(ctx, d)
     L, q = ctx.period, ctx.order
     wt = walsh_fast(ctx, d)
-    histogram = wt.unique_values()
-    total, t0, third = (power_sum(ctx.p, *histogram, l, -1) for l in (1, 2, 3))
+    w_sums = power_sums(ctx.p, *wt.unique_values(), 4)
+    total, t0, third = (sum(comb(l, k) * (-1) ** (l - k) * w_sums[k] for k in range(l + 1))
+                        for l in (1, 2, 3))
     rng = random.Random(MOMENT_CHECK_SEED)
-    shifted = [(t, _shifted_second_moment(wt, t) == -q - 1)
+    shifted = [[t, _shifted_second_moment(wt, t) == -q - 1]
                for t in sorted(rng.sample(range(1, L), min(3, L - 1)))]
-    b3 = b_l_count(ctx, d, 3)
-    return MomentReport(
-        p=ctx.p, n=ctx.n, d=d,
-        sum_c=total, sum_c_ok=total == 1,
-        autocorr_t0_ok=t0 == q * q - q - 1,
-        shifted=shifted, shifted_ok=all(ok for _, ok in shifted),
-        b3=b3, third_moment_ok=third == -((q - 1) ** 2) + 2 + b3 * q * q,
-        histogram=histogram,
-    )
+    b3 = b3_count(ctx, d)
+    checks = {
+        "sum_values_ok": total == 1,
+        "second_moment_t0_ok": t0 == q * q - q - 1,
+        "second_moment_shifted_ok": all(ok for _, ok in shifted),
+        "third_moment_vs_b3_ok": third == -((q - 1) ** 2) + 2 + b3 * q * q,
+    }
+    report = {"p": ctx.p, "n": ctx.n, "d": d, "sum_values": total.to_json(),
+              "second_moment_shifted": shifted, "b3": b3, **checks,
+              "power_moments": {str(l): (s + (l == 0)).to_json()
+                                for l, s in enumerate(w_sums)}}
+    return report, all(checks.values())

@@ -106,8 +106,9 @@ def test_criterion_4_four_valued_families():
     ]:
         v = _verify(fid, p, n, params)
         ok &= v.passed
-        ok &= spectra.power_sum(p, *v.predicted, 1) == 1
-    rows, counts = families.predicted_spectrum("niho-4val-unified", 2, 8, {"r": 1, "sign": -1})
+        ok &= spectra.power_sums(p, *v.predicted, 1)[1] == 1
+    rows, counts = families.get_family("niho-4val-unified").predicted(
+        2, 8, {"r": 1, "sign": -1})
     ok &= counts[rows[:, 0] == -1].tolist() == [119]  # a = 0 normalization
     _report(4, "four-valued tables exact after a=0 normalization", ok)
 
@@ -164,11 +165,10 @@ def test_criterion_7_moment_identities():
         ctx = gf.field_ctx(p, n)
         for d in range(1, ctx.period):
             if gcd(d, ctx.period) == 1:
-                ok &= spectra.power_sum(p, *spectra.class_record(ctx, d), 1) == 1
+                ok &= spectra.power_sums(p, *spectra.class_record(ctx, d), 1)[1] == 1
     # shifted second moments and the l = 3 pair-count identity
     for p, n, d in ((2, 6, 5), (2, 8, 7), (3, 4, 11), (5, 2, 7)):
-        rep = spectra.moment_identity_check(gf.field_ctx(p, n), d)
-        ok &= rep.all_pass()
+        ok &= spectra.moment_identity_check(gf.field_ctx(p, n), d)[1]
     # power moments l = 1..4 against brute-force tuple counts
     for p, nmax, picks in ((2, 8, (3, 5)), (3, 4, (5, 7))):
         for n in range(2, nmax + 1):
@@ -176,17 +176,19 @@ def test_criterion_7_moment_identities():
             q = p ** n
             ds = [d for d in picks if gcd(d, q - 1) == 1][:2] or [1]
             for d in ds:
-                record = spectra.class_record(ctx, d)
+                rows, counts = spectra.class_record(ctx, d)
+                rows[:, 0] += 1   # W = C + 1
+                w_sums = spectra.power_sums(p, rows, counts, 4)
                 for l in (1, 2, 3, 4):
                     N = spectra.solution_count_N(ctx, d, l)
-                    ok &= spectra.power_sum(p, *record, l, 1) == (q * q * N - q ** l) // (q - 1)
+                    ok &= w_sums[l] == (q * q * N - q ** l) // (q - 1)
     # b_3 closed form for d = 2^m + 3 over GF(2^(2m)).  The closed form
     # counts all pairs solving x1 + x2 = 1 = x1^d + x2^d; the power-moment
     # b_3 restricts to nonzero coordinates, which drops exactly the two
     # boundary pairs (0,1) and (1,0).
     for m in (2, 3, 4):
         ctx = gf.field_ctx(2, 2 * m)
-        b3_nonzero = spectra.b_l_count(ctx, 2 ** m + 3, 3)
+        b3_nonzero = spectra.b3_count(ctx, 2 ** m + 3)
         ok &= b3_nonzero + 2 == 2 ** m + (-1) ** (m + 1) + 1
     _report(7, "power-moment identities and brute-force counts", ok)
 
@@ -242,7 +244,7 @@ def test_criterion_11_performance():
     record = spectra.class_record(ctx20, 7)
     t20 = time.time() - t0
     ok = t20 < 300
-    ok &= record[1].sum() == 2 ** 20 - 1 and spectra.power_sum(2, *record, 1) == 1
+    ok &= record[1].sum() == 2 ** 20 - 1 and spectra.power_sums(2, *record, 1)[1] == 1
     del ctx20, record
 
     t0 = time.time()

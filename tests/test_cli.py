@@ -158,6 +158,24 @@ MOMENTS_GOLDEN = {
         "second_moment_shifted": [[24, True], [61, True], [75, True]],
         "second_moment_shifted_ok": True, "second_moment_t0_ok": True,
         "sum_values": 1, "sum_values_ok": True, "third_moment_vs_b3_ok": True},
+    ("5", "3", "3"): {
+        "b3": 0, "d": 3, "n": 3, "p": 5,
+        "power_moments": {"0": 125, "1": 125, "2": 15625, "3": 31250, "4": 3890625},
+        "second_moment_shifted": [[24, True], [61, True], [94, True]],
+        "second_moment_shifted_ok": True, "second_moment_t0_ok": True,
+        "sum_values": 1, "sum_values_ok": True, "third_moment_vs_b3_ok": True},
+    ("7", "2", "5"): {
+        "b3": 2, "d": 5, "n": 2, "p": 7,
+        "power_moments": {"0": 49, "1": 49, "2": 2401, "3": 9604, "4": 338541},
+        "second_moment_shifted": [[12, True], [31, True], [47, True]],
+        "second_moment_shifted_ok": True, "second_moment_t0_ok": True,
+        "sum_values": 1, "sum_values_ok": True, "third_moment_vs_b3_ok": True},
+    ("13", "2", "5"): {
+        "b3": 2, "d": 5, "n": 2, "p": 13,
+        "power_moments": {"0": 169, "1": 169, "2": 28561, "3": 114244, "4": 14309061},
+        "second_moment_shifted": [[47, True], [121, True], [149, True]],
+        "second_moment_shifted_ok": True, "second_moment_t0_ok": True,
+        "sum_values": 1, "sum_values_ok": True, "third_moment_vs_b3_ok": True},
 }
 
 
@@ -166,6 +184,23 @@ def test_moments_golden_bytes(p, n, d, capsys):
     code, out, err = run_cli("moments", "--p", p, "--n", n, "--d", d, capsys=capsys)
     assert code == 0 and err == ""
     assert out == json.dumps(MOMENTS_GOLDEN[p, n, d], sort_keys=True, indent=2) + "\n"
+
+
+def test_moments_at_each_primes_largest_field(capsys):
+    # the largest p^n <= MOMENT_CHECK_MAX_ORDER of each prime, where the
+    # int64 sums of the shifted second moments come nearest their bound
+    rng = random.Random(1)
+    for p, n in ((2, 16), (3, 10), (5, 6), (7, 5), (11, 4), (13, 4)):
+        assert p ** n <= spectra.MOMENT_CHECK_MAX_ORDER < p ** (n + 1)
+        L = p ** n - 1
+        d = rng.randrange(2, L)
+        while math.gcd(d, L) != 1:
+            d = rng.randrange(2, L)
+        code, out, err = run_cli("moments", "--p", str(p), "--n", str(n), "--d", str(d),
+                                 capsys=capsys)
+        doc = json.loads(out)
+        assert (code, err) == (0, ""), (p, n, d)
+        assert doc["power_moments"]["1"] == p ** n and doc["sum_values"] == 1, (p, n, d)
 
 
 # sha256 of the stdout of `verify --family all` at every (p, n) with
@@ -522,6 +557,8 @@ DOMAIN_ERRORS = {
     "verify --family katz-langevin --p 3 --n 5 --params k=-1":
         "katz-langevin needs k >= 1",   # n | 4k - 1 holds at k = -1, n = 5
     "spectrum --p 2 --n 5 --d 3 --threads 0": "threads must be at least 1, not 0",
+    "verify --family gold --p 2 --n 5 --params k3": "bad --params item 'k3'; expected key=value",
+    "moments --p 2 --n 17 --d 5": "Budget: moment identity check is grid-bounded",
 }
 
 
@@ -560,6 +597,8 @@ DOMAIN_ERRORS = {
     # an expsum option the kind does not read
     "expsum --kind r --m 3 --p 3 --n 9",
     "expsum --kind kloosterman --p 2 --m 3 --n 5 --b-log 4",
+    "verify --family gold --p 2 --n 5 --params k3",
+    "moments --p 2 --n 17 --d 5",
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -716,6 +755,22 @@ def test_conjecture_finding_exits_1(monkeypatch, capsys):
     assert docs[-1]["unexplained"] == docs[-1]["found"] == [3, 5]
 
 
+def test_minus_one_counterexample_exits_1(monkeypatch, capsys):
+    # of two crafted classes the one whose record lacks -1 is listed, and
+    # the check does not hold
+    def crafted(rep, values):
+        rows = np.array([[v] for v in values], dtype=np.int32)
+        return search.DecimationClass(rep, (rep,), rows, np.ones(len(values), dtype=np.int64))
+
+    classes = [crafted(7, [-5, -1, 3]), crafted(11, [-5, 3])]
+    monkeypatch.setattr(search, "canonical_classes", lambda p, n, **kw: iter(classes))
+    code, out, _ = run_cli("conjecture", "--check", "minus-one", "--p", "2", "--n", "4",
+                           capsys=capsys)
+    assert code == 1
+    assert json.loads(out) == [{"check": "minus-one", "p": 2, "n": 4, "holds": False,
+                                "checked_classes": 2, "counterexamples": [11]}]
+
+
 def test_modulus_file_flag(tmp_path, capsys):
     path = tmp_path / "mods.txt"
     path.write_text("2 6 1 0 0 0 0 1\n")
@@ -723,6 +778,19 @@ def test_modulus_file_flag(tmp_path, capsys):
                            "--modulus-file", str(path), capsys=capsys)
     assert code == 0
     assert json.loads(out)["modulus_coeffs"] == [1, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("2 5 1 0 x 0 1", "expected 'p n c_0 ... c_(n-1)' in decimal"),   # not a decimal token
+    ("2 5", "expected 'p n c_0 ... c_(n-1)' in decimal"),             # fewer than three numbers
+    ("2 5 1 0 1", "5 coefficients expected"),
+])
+def test_malformed_modulus_file_line_exits_2(line, message, tmp_path, capsys):
+    path = tmp_path / "mods.txt"
+    path.write_text(f"# a comment line\n{line}\n")
+    err = _assert_usage_error(["spectrum", "--p", "2", "--n", "5", "--d", "3",
+                               "--modulus-file", str(path)], capsys)
+    assert err == f"usage error: OutOfDomain: {path}:2: {message}\n"
 
 
 def test_console_entry_point():

@@ -11,7 +11,7 @@ from mseqcorr import families, gf
 from mseqcorr.cyclo import CycInt
 from mseqcorr.errors import Budget, OutOfDomain
 from mseqcorr.families import AtMostKValues, coset_spectrum_method, verify_family
-from mseqcorr.spectra import class_record, power_sum
+from mseqcorr.spectra import class_record, power_sums
 
 
 def _verify(fid, p, n, params):
@@ -131,7 +131,7 @@ def test_predicted_tables_satisfy_invariants():
                     except OutOfDomain:
                         continue
                     assert pred[1].sum() == p ** n - 1, (fam.id, p, n, params)
-                    assert power_sum(p, *pred, 1) == 1, (fam.id, p, n, params)
+                    assert power_sums(p, *pred, 1)[1] == 1, (fam.id, p, n, params)
                     checked += 1
     assert checked > 60
 
@@ -199,15 +199,14 @@ def test_source_rows_count_the_a0_point_as_recorded():
 
 
 def test_unified_4val_normalized_minus_one_count():
-    pred = families.predicted_spectrum("niho-4val-unified", 2, 8,
-                                       {"r": 1, "sign": -1})
+    pred = families.get_family("niho-4val-unified").predicted(2, 8, {"r": 1, "sign": -1})
     assert _integers(pred)[-1] == 119
-    assert power_sum(2, *pred, 1) == 1
+    assert power_sums(2, *pred, 1)[1] == 1
 
 
 def test_helleseth_half_odd_degree_irrational_values():
     # p = 5, n = 1: d = 3; the two single occurrences are real irrationals
-    pred = families.predicted_spectrum("helleseth-half", 5, 1, {"i": 0})
+    pred = families.get_family("helleseth-half").predicted(5, 1, {"i": 0})
     irr = [CycInt(5, r) for r in pred[0].tolist() if any(r[1:])]
     assert len(irr) >= 2
     for v in irr:

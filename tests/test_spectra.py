@@ -13,7 +13,7 @@ import pytest
 from mseqcorr import gf, spectra
 from mseqcorr.cyclo import CycInt
 from mseqcorr.errors import Budget, OutOfDomain
-from mseqcorr.spectra import class_record, power_sum
+from mseqcorr.spectra import class_record, power_sums
 
 
 def _coprime_ds(L):
@@ -23,6 +23,15 @@ def _coprime_ds(L):
 def _same(a, b):
     """Two (rows, counts) records are equal, order included."""
     return all(map(np.array_equal, a, b))
+
+
+def _w_sums(p, record, top):
+    """The power sums of W = C + 1 over a != 0 of a spectrum record: 1
+    added to coordinate 0 of each C row."""
+    rows, counts = record
+    rows = rows.copy()
+    rows[:, 0] += 1
+    return power_sums(p, rows, counts, top)
 
 
 def _integers(record):
@@ -589,7 +598,7 @@ def test_spectrum_totals_and_first_moment():
         for d in _coprime_ds(ctx.period)[:10]:
             rows, counts = class_record(ctx, d)
             assert counts.sum() == p ** n - 1
-            assert power_sum(p, rows, counts, 1) == 1
+            assert power_sums(p, rows, counts, 1)[1] == 1
 
 
 def test_power_moments_first_two():
@@ -598,9 +607,25 @@ def test_power_moments_first_two():
         for d in _coprime_ds(ctx.period)[:6]:
             # W = C + 1 over the p^n - 1 points a != 0 (W(0) = 0)
             record = class_record(ctx, d)
-            assert power_sum(p, *record, 0, 1) == p ** n - 1
-            assert power_sum(p, *record, 1, 1) == p ** n
-            assert power_sum(p, *record, 2, 1) == p ** (2 * n)
+            w0, w1, w2 = _w_sums(p, record, 2)
+            assert w0 == p ** n - 1
+            assert w1 == p ** n
+            assert w2 == p ** (2 * n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_power_sums_match_cycint_powers(p):
+    # the running product of each row gives sum value^l * count, l = 0..top
+    rng = np.random.default_rng(p)
+    rows = rng.integers(-50, 51, size=(20, p - 1)).astype(np.int32)
+    counts = rng.integers(1, 1000, size=20)
+    sums = power_sums(p, rows, counts, 5)
+    assert len(sums) == 6
+    for l, got in enumerate(sums):
+        want = CycInt.zero(p)
+        for r, c in zip(rows.tolist(), counts.tolist()):
+            want = want + CycInt(p, r) ** l * c
+        assert got == want, l
 
 
 def test_third_moment_equals_m1_count():
@@ -612,7 +637,7 @@ def test_third_moment_equals_m1_count():
         if ctx.add(ctx.pow(ctx.add(x, 1), d), ctx.pow(x, d)) == 1
     )
     assert m1 == 2
-    assert power_sum(2, *record, 3, 1) == 2 ** 10 * m1
+    assert _w_sums(2, record, 3)[3] == 2 ** 10 * m1
 
 
 def test_solution_counts_small_l():
@@ -629,10 +654,10 @@ def test_solution_count_matches_moment_formula():
         ctx = gf.field_ctx(p, n)
         q = p ** n
         for d in ds:
-            record = class_record(ctx, d)
+            w_sums = _w_sums(p, class_record(ctx, d), 4)
             for l in (1, 2, 3, 4):
                 N = spectra.solution_count_N(ctx, d, l)
-                lhs = power_sum(p, *record, l, 1)
+                lhs = w_sums[l]
                 num = q * q * N - q ** l
                 assert num % (q - 1) == 0
                 assert lhs == num // (q - 1), (p, n, d, l)
@@ -646,7 +671,7 @@ def test_budget_guard():
 
 def test_b3_degenerate_decimation():
     ctx = gf.field_ctx(2, 4)
-    assert spectra.b_l_count(ctx, 2, 3) == 14  # p^n - 2
+    assert spectra.b3_count(ctx, 2) == 14  # p^n - 2
 
 
 def test_b3_matches_nonzero_restricted_count():
@@ -657,7 +682,7 @@ def test_b3_matches_nonzero_restricted_count():
         for x2 in range(1, 32):
             if ctx.add(x1, x2) == 1 and ctx.add(ctx.pow(x1, d), ctx.pow(x2, d)) == 1:
                 direct += 1
-    assert spectra.b_l_count(ctx, d, 3) == direct
+    assert spectra.b3_count(ctx, d) == direct
 
 
 def test_b3_m1_relation():
@@ -668,14 +693,14 @@ def test_b3_m1_relation():
             1 for x in range(p ** n)
             if ctx.sub(ctx.pow(ctx.add(x, 1), d), ctx.pow(x, d)) == 1
         )
-        assert m1 == spectra.b_l_count(ctx, d, 3) + 2
+        assert m1 == spectra.b3_count(ctx, d) + 2
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 6, 5), (2, 8, 7), (3, 3, 7), (5, 2, 7), (3, 4, 7),
                                    (5, 3, 3), (7, 2, 5), (11, 2, 7), (13, 2, 5)])
 def test_moment_identity_check_passes(p, n, d):
-    rep = spectra.moment_identity_check(gf.field_ctx(p, n), d)
-    assert rep.all_pass(), rep.to_dict()
+    report, holds = spectra.moment_identity_check(gf.field_ctx(p, n), d)
+    assert holds, report
 
 
 SHIFT_CASES = [(2, 5, 3), (3, 3, 7), (5, 2, 7), (7, 2, 5), (11, 2, 7), (13, 2, 5)]
@@ -697,7 +722,8 @@ def test_shifted_second_moment_matches_literal_sums(p, n, d):
             literal = literal + cvals[(tau - t) % L] * cvals[tau]
         assert spectra._shifted_second_moment(wt, t) == literal, t
     # t = 0 is the second moment, which the check takes from the histogram
-    assert spectra._shifted_second_moment(wt, 0) == power_sum(p, *wt.unique_values(), 2, -1)
+    w0, w1, w2 = power_sums(p, *wt.unique_values(), 2)
+    assert spectra._shifted_second_moment(wt, 0) == w2 - 2 * w1 + w0
 
 
 @pytest.mark.parametrize("p,n,d", SHIFT_CASES)
@@ -705,7 +731,7 @@ def test_shifted_moment_verdicts_see_one_changed_coordinate(p, n, d, monkeypatch
     # C(0) -> C(0) + w changes each shifted sum by w (C(-t) + C(t)), which is
     # nonzero here; the histogram-based verdicts do not read the per-shift array
     ctx = gf.field_ctx(p, n)
-    assert spectra.moment_identity_check(ctx, d).shifted_ok
+    assert spectra.moment_identity_check(ctx, d)[0]["second_moment_shifted_ok"]
     by_log = spectra.WalshTable.by_log.func
 
     def changed(self):
@@ -714,14 +740,16 @@ def test_shifted_moment_verdicts_see_one_changed_coordinate(p, n, d, monkeypatch
         return c
 
     monkeypatch.setattr(spectra.WalshTable, "by_log", property(changed))
-    rep = spectra.moment_identity_check(ctx, d)
-    assert [t for t, _ in rep.shifted] == _sampled_shifts(ctx.period)
-    assert [ok for _, ok in rep.shifted] == [False] * 3
-    assert rep.sum_c_ok and rep.autocorr_t0_ok and rep.third_moment_ok
+    report, holds = spectra.moment_identity_check(ctx, d)
+    assert [t for t, _ in report["second_moment_shifted"]] == _sampled_shifts(ctx.period)
+    assert [ok for _, ok in report["second_moment_shifted"]] == [False] * 3
+    assert report["sum_values_ok"] and report["second_moment_t0_ok"]
+    assert report["third_moment_vs_b3_ok"]
+    assert not report["second_moment_shifted_ok"] and not holds
     # and by exactly that amount (w is not real, so this also pins w^i w^j)
     wt = spectra.walsh_fast(ctx, d)
     w = CycInt.root_power(p, 1)
-    for t, _ in rep.shifted:
+    for t, _ in report["second_moment_shifted"]:
         change = w * (spectra.crosscorr_naive(ctx, d, -t) + spectra.crosscorr_naive(ctx, d, t))
         assert spectra._shifted_second_moment(wt, t) == -ctx.order - 1 + change, t
 
